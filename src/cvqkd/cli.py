@@ -58,7 +58,15 @@ def _report_items(scen: Scenario, batch, plan) -> list[tuple[str, object]]:
     return items
 
 
+def _require_positive(args, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{name} must be >= 1, got {value}")
+
+
 def cmd_run(args) -> int:
+    _require_positive(args, "threads", "slots")
     scen = load_scenario(args.scenario)
     if args.seed is not None:
         scen.master_seed = args.seed
@@ -215,6 +223,7 @@ def _sweep_rows_solved(args, scen: Scenario, curve: BeamSplitterCurve):
 
 
 def cmd_sweep(args) -> int:
+    _require_positive(args, "threads", "slots")
     if args.points < 1:
         raise ConfigError("sweep needs at least one grid point")
     if args.scenario:

@@ -296,6 +296,8 @@ def estimate_two_point(records, params: SystemParams,
         params.detector.electronic_noise, params.modulation_variance)
     batch = _as_batch(records)
     sel = batch.ratio == r2
+    if quadrature is not None:
+        sel &= batch.quad == (0 if quadrature == "X" else 1)
     cov = float(np.mean(batch.alice_x[sel] * batch.bob_y[sel])) if np.any(sel) else 0.0
     return EstimatorReport(per_ratio, n0_est, xi_est, cov)
 

@@ -4,12 +4,21 @@ Every artifact starts with one metadata line carrying the format version, the
 scenario hash and the master seed, so outputs can be traced back to the exact
 configuration that produced them. Floats are written with repr(), which
 round-trips exactly, and CSV uses comma separators with '.' decimal points.
+
+Records CSVs are written a block of 65536 rows at a time: each column of the
+block is formatted with one ``map(repr, ...)`` (``str`` for slot indices) and
+the block's rows are joined into one string. The metadata line ends in
+``\n``; the column header and every row end in ``\r\n``, as ``csv.writer``
+writes them. The reader checks the column header and parses the body with one
+``np.loadtxt`` call, whose float conversion is correctly rounded, so a written
+batch reads back bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import warnings
 from typing import Iterable
 
 import numpy as np
@@ -54,40 +63,53 @@ def fmt_value(value) -> str:
     return str(value)
 
 
+_RECORDS_COLUMNS = ["slot", "quad", "ratio", "alice_x", "bob_y"]
+_RECORDS_BLOCK = 1 << 16
+_RECORDS_DTYPE = np.dtype([("slot", np.int64), ("quad", np.uint8), ("ratio", float),
+                           ("alice_x", float), ("bob_y", float)])
+
+
 def write_records_csv(path, batch: RecordBatch, scenario_hash: str, seed: int) -> None:
     """Stream a record batch as slot,quad,ratio,alice_x,bob_y rows."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(meta_line(RECORDS_FORMAT, scenario_hash, seed) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["slot", "quad", "ratio", "alice_x", "bob_y"])
-        for i in range(len(batch)):
-            writer.writerow([
-                int(batch.slot[i]),
-                _QUAD_NAMES[batch.quad[i]],
-                repr(float(batch.ratio[i])),
-                repr(float(batch.alice_x[i])),
-                repr(float(batch.bob_y[i])),
-            ])
+        fh.write(",".join(_RECORDS_COLUMNS) + "\r\n")
+        for start in range(0, len(batch), _RECORDS_BLOCK):
+            block = slice(start, start + _RECORDS_BLOCK)
+            # Unique bit patterns, not values: -0.0 and 0.0 print differently.
+            bits, which = np.unique(batch.ratio[block].view(np.int64), return_inverse=True)
+            ratio_text = [repr(r) for r in bits.view(float).tolist()]
+            rows = zip(map(str, batch.slot[block].tolist()),
+                       map(_QUAD_NAMES.__getitem__, batch.quad[block].tolist()),
+                       map(ratio_text.__getitem__, which.tolist()),
+                       map(repr, batch.alice_x[block].tolist()),
+                       map(repr, batch.bob_y[block].tolist()))
+            fh.write("\r\n".join(map(",".join, rows)))
+            fh.write("\r\n")
 
 
 def read_records_csv(path) -> RecordBatch:
-    """Load a records CSV back into a columnar batch (metadata line skipped)."""
+    """Load a records CSV back into a columnar batch (metadata line skipped).
+
+    Raises ValueError for a wrong column header or any malformed row: a short
+    row, a quadrature other than X or P, or a cell that is not a number.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        first = fh.readline()
-        if not first.startswith("#"):
-            fh.seek(0)
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:5] != ["slot", "quad", "ratio", "alice_x", "bob_y"]:
+        line = fh.readline()
+        if line.startswith("#"):
+            line = fh.readline()
+        header = next(csv.reader([line]), [])
+        if header[:5] != _RECORDS_COLUMNS:
             raise ValueError(f"unexpected records header {header!r}")
-        slot, quad, ratio, ax, by = [], [], [], [], []
-        for row in reader:
-            slot.append(int(row[0]))
-            quad.append(0 if row[1] == "X" else 1)
-            ratio.append(float(row[2]))
-            ax.append(float(row[3]))
-            by.append(float(row[4]))
-    return RecordBatch(slot, quad, ratio, ax, by)
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(fh, dtype=_RECORDS_DTYPE, delimiter=",", comments=None,
+                                  usecols=range(5), ndmin=1,
+                                  converters={1: {"X": 0, "P": 1}.__getitem__})
+        except ValueError as exc:
+            raise ValueError(f"malformed records CSV {path}: {exc}") from exc
+    return RecordBatch(*(np.ascontiguousarray(rows[name]) for name in _RECORDS_COLUMNS))
 
 
 def write_report(path, items: Iterable[tuple[str, object]], scenario_hash: str,

@@ -177,6 +177,18 @@ def test_quadrature_pooling_and_per_quadrature_split():
                                                                        p_only[r][1])))
 
 
+def test_two_point_covariance_uses_the_requested_quadrature():
+    # at the top ratio, the X records have <xy> = 28/3 and the P records -2
+    ratio = [1.0] * 6 + [0.5] * 4
+    quad = [0, 0, 0, 1, 1, 1, 0, 0, 1, 1]
+    alice_x = [1.0, 2.0, 3.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+    bob_y = [2.0, 4.0, 6.0, -1.0, -2.0, -3.0, 10.0, -10.0, 20.0, -20.0]
+    batch = RecordBatch(None, quad, ratio, alice_x, bob_y)
+    assert estimate_two_point(batch, P_DEFAULT, "X").covariance_xy == pytest.approx(28 / 3)
+    assert estimate_two_point(batch, P_DEFAULT, "P").covariance_xy == pytest.approx(-2.0)
+    assert estimate_two_point(batch, P_DEFAULT).covariance_xy == pytest.approx(22 / 6)
+
+
 def test_record_batch_round_trip_and_lazy_slots():
     batch = run_honest_session(P_DEFAULT, 100, 14)
     assert len(batch) == 100

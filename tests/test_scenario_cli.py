@@ -269,3 +269,32 @@ def test_cli_thread_count_does_not_change_bytes(tmp_path):
         assert rc == 0
     for name in ("records.csv", "report.txt", "polynomial.txt", "verdict.txt", "plan.txt"):
         assert filecmp.cmp(out1 / name, out8 / name, shallow=False), name
+
+
+@pytest.mark.parametrize("row", ["1,P,1.0",
+                                 "0,Q,1.0,2.0,3.0",
+                                 "0,X,1.0,abc,3.0"],
+                         ids=["short-row", "unknown-quadrature", "non-numeric"])
+def test_cli_detect_malformed_records_exit_2(tmp_path, capsys, row):
+    path = tmp_path / "bad.csv"
+    path.write_text("# format=records-v1 scenario=x seed=0\n"
+                    "slot,quad,ratio,alice_x,bob_y\r\n"
+                    "0,X,1.0,2.0,3.0\r\n" + row + "\r\n", newline="")
+    rc = main(["detect", "--records", str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("flag", ["--threads", "--slots"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cli_rejects_non_positive_threads_and_slots(tmp_path, capsys, command, flag, value):
+    if command == "run":
+        argv = ["run", "--scenario", str(SCENARIOS / "honest.scenario")]
+    else:
+        argv = ["sweep", "--variable", "N", "--start", "5", "--stop", "10",
+                "--points", "2", "--mc"]
+    rc = main(argv + ["--out", str(tmp_path), flag, value])
+    assert rc == 2
+    assert f"{flag} must be >= 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

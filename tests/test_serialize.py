@@ -1,9 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 
 from cvqkd.attack import AttackPlan, StrategyA, solve_attack_parameters
 from cvqkd.physics import builtin_curve
-from cvqkd.protocol import SystemParams, run_honest_session
+from cvqkd.protocol import RecordBatch, SystemParams, run_honest_session
 from cvqkd.serialize import (csv_text, load_plan, plan_items, read_records_csv,
                              read_report, write_plan, write_records_csv, write_report)
 
@@ -22,6 +24,53 @@ def test_records_csv_round_trip_is_exact(tmp_path):
     assert np.array_equal(loaded.ratio, batch.ratio)
     assert np.array_equal(loaded.alice_x, batch.alice_x)
     assert np.array_equal(loaded.bob_y, batch.bob_y)
+
+
+def _reference_records_csv(path, batch, scenario_hash, seed):
+    """The records-v1 bytes as csv.writer writes them, one row at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# format=records-v1 scenario={scenario_hash} seed={seed}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["slot", "quad", "ratio", "alice_x", "bob_y"])
+        for i in range(len(batch)):
+            writer.writerow([int(batch.slot[i]), ("X", "P")[batch.quad[i]],
+                             repr(float(batch.ratio[i])), repr(float(batch.alice_x[i])),
+                             repr(float(batch.bob_y[i]))])
+
+
+def _edge_batch(n):
+    rng = np.random.default_rng(5)
+    edges = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-05, 1e16, 123456789.125,
+                      -1.5e300, 0.1])
+    alice_x = rng.normal(0.0, 3e4, n)
+    bob_y = rng.normal(0.0, 1e4, n) * 10.0 ** rng.integers(-8, 9, n)
+    k = min(n, edges.size)
+    alice_x[:k] = edges[:k]
+    bob_y[n - k:] = edges[:k]
+    ratio = rng.choice([1.0, 0.5, 0.001, 0.1, -0.0, 0.0], n)
+    slot = np.arange(n, dtype=np.int64) * 3 + 2 ** 40
+    return RecordBatch(slot, rng.integers(0, 2, n), ratio, alice_x, bob_y)
+
+
+@pytest.mark.parametrize("n", [1, 2 * 65536 + 7])
+def test_records_csv_bytes_match_csv_writer(tmp_path, n):
+    batch = _edge_batch(n)
+    write_records_csv(tmp_path / "new.csv", batch, "g0", 9)
+    _reference_records_csv(tmp_path / "ref.csv", batch, "g0", 9)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_records_csv_round_trip_tiny(tmp_path, n):
+    batch = _edge_batch(n)
+    path = tmp_path / "tiny.csv"
+    write_records_csv(path, batch, "t", 1)
+    loaded = read_records_csv(path)
+    assert len(loaded) == n
+    for name in ("slot", "quad", "ratio", "alice_x", "bob_y"):
+        got, want = getattr(loaded, name), getattr(batch, name)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_records_csv_header_row(tmp_path):
