@@ -16,8 +16,8 @@ import numpy as np
 
 from .attack import AttackPlan, attack_variance, realistic_shot_noise
 from .errors import CountermeasureError
-from .protocol import (AttenuationSchedule, SystemParams, honest_variance,
-                       variances_by_ratio)
+from .protocol import (AttenuationSchedule, RatioMoments, RecordBatch, SystemParams,
+                       honest_variance, ratio_moments, variances_by_ratio)
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,10 @@ class NoisePolynomial:
 
 @dataclass(frozen=True)
 class LoMonitorInput:
-    """Observed LO-path intensity stream with the expected level and tolerance."""
+    """Observed LO-path intensity (a stream, or moments carrying its sum) with the
+    expected level and tolerance."""
 
-    observed: Sequence[float] | np.ndarray
+    observed: Sequence[float] | np.ndarray | RatioMoments
     expected: float
     tolerance: float = 1e-3
 
@@ -137,17 +138,23 @@ def fit_noise_polynomial(records) -> NoisePolynomial:
 def monitor_lo_intensity(observed, expected: float, tolerance: float = 1e-3) -> bool:
     """Flag a relative deviation of the mean LO-path intensity beyond tolerance.
 
-    ``observed`` is an intensity stream, or a record batch carrying one.
+    ``observed`` is an intensity stream, or the moments or record batch of a
+    session; a session without an LO monitor is never flagged.
     """
     if expected <= 0.0:
         raise ValueError("expected LO intensity must be > 0")
-    stream = getattr(observed, "lo_observed", observed)
-    if stream is None:
-        return False
-    arr = np.asarray(stream, dtype=float)
-    if arr.size == 0:
-        return False
-    return bool(abs(float(arr.mean()) / expected - 1.0) > tolerance)
+    if isinstance(observed, (RatioMoments, RecordBatch)):
+        moments = ratio_moments(observed)
+        slots = int(moments.count.sum())
+        if moments.lo_sum is None or slots == 0:
+            return False
+        mean = float(moments.lo_sum.sum()) / slots
+    else:
+        arr = np.asarray(observed, dtype=float)
+        if arr.size == 0:
+            return False
+        mean = float(arr.mean())
+    return bool(abs(mean / expected - 1.0) > tolerance)
 
 
 def detect(poly: NoisePolynomial, threshold: float = DEFAULT_DETECTION_THRESHOLD,

@@ -25,7 +25,7 @@ from . import rng as _rng
 from .errors import InfeasibleAttackError
 from .physics import (BeamSplitterCurve, DetectorConfig, ForeignPulse, PulsePath,
                       foreign_pulse_response)
-from .protocol import RecordBatch, SystemParams
+from .protocol import RatioMoments, RecordBatch, SystemParams, ratio_index
 
 # signal/LO wavelength pairs (nm) whose 50:50 transmittances sit on opposite
 # sides of 1/2, set1 = (signal, lo), set2 = (signal, lo)
@@ -409,7 +409,7 @@ def _max_feasible_displacement(n0, c_lo, c_s, r1, r2) -> float:
 
 def run_attacked_session(params: SystemParams, plan: AttackPlan, slots: int,
                          master_seed: int, *, threads: int = 1,
-                         compensate_lo: bool = True) -> RecordBatch:
+                         compensate_lo: bool = True, records: bool = True):
     """Simulate ``slots`` attacked protocol slots.
 
     Per slot: heterodyne intercept, strategy resend, Bob's homodyne draw with
@@ -418,7 +418,8 @@ def run_attacked_session(params: SystemParams, plan: AttackPlan, slots: int,
     LO-path intensity an ideal monitor would read. With ``compensate_lo`` the
     attacker lowers her part-1 LO power by the mean injected intensity and
     recalibrates the trigger so the homodyne statistics stay on plan; only the
-    monitored intensity changes.
+    monitored intensity changes. Returns the batch with its streamed moments,
+    or with ``records=False`` only the RatioMoments (see ``run_honest_session``).
     """
     strategy = plan.strategy
     wl = plan.wavelength
@@ -462,19 +463,19 @@ def run_attacked_session(params: SystemParams, plan: AttackPlan, slots: int,
     gain_t = sqrt_slope * np.sqrt(ratios * eta * eta_eff)
     noise_t = sqrt_slope * np.sqrt(ratios * eta * eta_eff * xi * n0 + shot + part1_el)
 
-    quad = np.empty(slots, np.uint8)
-    ratio_col = np.empty(slots)
-    x_col = np.empty(slots)
-    y_col = np.empty(slots)
-    xe_col = np.empty(slots)
-    lo_col = np.empty(slots)
+    if records:
+        quad = np.empty(slots, np.uint8)
+        ratio_col = np.empty(slots)
+        x_col = np.empty(slots)
+        y_col = np.empty(slots)
+        xe_col = np.empty(slots)
+        lo_col = np.empty(slots)
 
     def fill(gen, start, stop):
         m = stop - start
-        idx = np.searchsorted(cum, gen.random(m), side="right")
-        np.clip(idx, 0, ratios.size - 1, out=idx)
+        idx = ratio_index(cum, gen.random(m))
         r = ratios[idx]
-        quad[start:stop] = gen.random(m) < 0.5
+        q = (gen.random(m) < 0.5).view(np.uint8)
         x = gen.normal(0.0, sig_x, m) if sig_x > 0 else np.zeros(m)
         xe = x + gen.normal(0.0, 1.0, m) * sig_het
         part1 = gain_t[idx] * xe + gen.normal(0.0, 1.0, m) * noise_t[idx]
@@ -484,14 +485,21 @@ def run_attacked_session(params: SystemParams, plan: AttackPlan, slots: int,
             j = (gen.random(m) < 0.5).view(np.uint8)  # 0 -> set1, 1 -> set2
             cur_lo = mean_lo[j] + gen.normal(0.0, 1.0, m) * sd_lo[j]
             cur_s = mean_s[j] + gen.normal(0.0, 1.0, m) * sd_s[j]
-            y_col[start:stop] = part1 + cur_lo + r * cur_s
-            lo_col[start:stop] = monitor_base + int_lo[j]
+            y = part1 + cur_lo + r * cur_s
+            lo = monitor_base + int_lo[j]
         else:
-            y_col[start:stop] = part1
-            lo_col[start:stop] = monitor_base
-        ratio_col[start:stop] = r
-        x_col[start:stop] = x
-        xe_col[start:stop] = xe
+            y = part1
+            lo = np.full(m, monitor_base)
+        if records:
+            quad[start:stop] = q
+            ratio_col[start:stop] = r
+            x_col[start:stop] = x
+            y_col[start:stop] = y
+            xe_col[start:stop] = xe
+            lo_col[start:stop] = lo
+        return RatioMoments.of_chunk(ratios, idx, q, x, y, lo)
 
-    _rng.run_chunked(slots, master_seed, fill, threads=threads)
-    return RecordBatch(None, quad, ratio_col, x_col, y_col, xe_col, lo_col)
+    moments = RatioMoments.fold(_rng.run_chunked(slots, master_seed, fill, threads=threads))
+    if not records:
+        return moments
+    return RecordBatch(None, quad, ratio_col, x_col, y_col, xe_col, lo_col, moments=moments)

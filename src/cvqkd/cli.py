@@ -31,17 +31,17 @@ def _resolve_plan(scen: Scenario, curve: BeamSplitterCurve) -> attack.AttackPlan
     return attack.AttackPlan(attack.StrategyA(scen.fixed_amplification), None)
 
 
-def _report_items(scen: Scenario, batch, plan) -> list[tuple[str, object]]:
+def _report_items(scen: Scenario, moments, plan) -> list[tuple[str, object]]:
     params = scen.params
     n0 = params.shot_noise_unit
-    items: list[tuple[str, object]] = [("slots", len(batch)),
+    items: list[tuple[str, object]] = [("slots", scen.slots),
                                        ("shot_noise_nominal", n0)]
     try:
-        report = protocol.estimate_two_point(batch, params)
+        report = protocol.estimate_two_point(moments, params)
         items += report.as_items()
         items.append(("shot_noise_ratio", report.shot_noise_est / n0))
     except EstimationError:
-        per_ratio = protocol.variances_by_ratio(batch)
+        per_ratio = protocol.variances_by_ratio(moments)
         for r in sorted(per_ratio):
             v, n = per_ratio[r]
             items += [(f"variance[r={r!r}]", v), (f"count[r={r!r}]", float(n))]
@@ -50,7 +50,7 @@ def _report_items(scen: Scenario, batch, plan) -> list[tuple[str, object]]:
                           analysis.single_point_excess_estimate(per_ratio[1.0][0], params)))
     try:
         items.append(("channel_transmittance_est",
-                      protocol.estimate_covariance_transmittance(batch, params)))
+                      protocol.estimate_covariance_transmittance(moments, params)))
     except EstimationError:
         pass
     if plan is not None:
@@ -78,35 +78,37 @@ def cmd_run(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
+    outputs = scen.outputs
+    records = "records" in outputs
     plan = None
     if scen.attack_kind == "none":
-        batch = protocol.run_honest_session(scen.params, scen.slots, seed,
-                                            threads=args.threads)
+        session = protocol.run_honest_session(scen.params, scen.slots, seed,
+                                              threads=args.threads, records=records)
     else:
         plan = _resolve_plan(scen, curve)
-        batch = attack.run_attacked_session(scen.params, plan, scen.slots, seed,
-                                            threads=args.threads,
-                                            compensate_lo=scen.compensate_lo)
+        session = attack.run_attacked_session(scen.params, plan, scen.slots, seed,
+                                              threads=args.threads,
+                                              compensate_lo=scen.compensate_lo,
+                                              records=records)
+    moments = protocol.ratio_moments(session)
 
-    items = _report_items(scen, batch, plan)
+    items = _report_items(scen, moments, plan)
     for key, value in items:
         print(f"{key} = {serialize.fmt_value(value)}")
 
-    outputs = scen.outputs
-    if "records" in outputs:
-        serialize.write_records_csv(outdir / outputs["records"], batch, shash, seed)
+    if records:
+        serialize.write_records_csv(outdir / outputs["records"], session, shash, seed)
     if "report" in outputs:
         serialize.write_report(outdir / outputs["report"], items, shash, seed)
     if "polynomial" in outputs or "verdict" in outputs:
-        poly = analysis.fit_noise_polynomial(batch)
+        poly = analysis.fit_noise_polynomial(moments)
         if "polynomial" in outputs:
             serialize.write_report(outdir / outputs["polynomial"], poly.as_items(),
                                    shash, seed)
         if "verdict" in outputs:
             lo_monitor = None
-            if batch.lo_observed is not None:
-                lo_monitor = analysis.LoMonitorInput(batch.lo_observed,
-                                                     scen.params.lo_intensity)
+            if moments.lo_sum is not None:
+                lo_monitor = analysis.LoMonitorInput(moments, scen.params.lo_intensity)
             verdict = analysis.detect(poly, threshold=args.threshold,
                                       lo_monitor=lo_monitor)
             serialize.write_report(outdir / outputs["verdict"], verdict.as_items(),
@@ -182,9 +184,10 @@ def _sweep_rows_part1(args, scen: Scenario):
                 schedule=AttenuationSchedule(((1.0, 1.0),)),
             )
             plan = attack.AttackPlan(attack.StrategyA(n_amp), None)
-            batch = attack.run_attacked_session(mc_params, plan, args.slots,
-                                                scen.master_seed, threads=args.threads)
-            var1 = protocol.variances_by_ratio(batch)[1.0][0]
+            moments = attack.run_attacked_session(mc_params, plan, args.slots,
+                                                  scen.master_seed, threads=args.threads,
+                                                  records=False)
+            var1 = protocol.variances_by_ratio(moments)[1.0][0]
             row.append(analysis.single_point_excess_estimate(var1, mc_params))
         rows.append(row)
     header = ["variable", "value", "excess_noise_est"]
@@ -232,6 +235,8 @@ def cmd_sweep(args) -> int:
         scen = Scenario(params=SystemParams())
     if args.seed is not None:
         scen.master_seed = args.seed
+    if args.mc:
+        scen.slots = args.slots  # the header then names the Monte-Carlo slot count
     curve = scen.load_curve()
     if args.mode == "part1":
         rows, header = _sweep_rows_part1(args, scen)

@@ -8,6 +8,16 @@ whose conditional variance at attenuation ratio r is
     r * eta * eta_ch * xi * N0 + N0 + v_el.
 That makes Var(y | r) affine in r for an honest session, which is exactly the
 assumption the real-time shot-noise estimator rests on.
+
+Every estimator reads ``RatioMoments``: per (ratio, quadrature) the slot
+count, mean and M2 of y and the sum of x*y. The samplers reduce each Philox
+chunk to its moments where it is drawn and merge the chunks' moments in chunk
+order with the pairwise update of Chan, Golub & LeVeque (1983), so a session
+needs memory for a few chunks, not for its slots, and its moments are
+bit-identical for any thread count. A ``RecordBatch`` is built only when the
+slots themselves are asked for; a batch read back from a records file is cut
+at the same chunk boundaries and reduced by the same code, so it reproduces
+the session's moments bit for bit.
 """
 
 from __future__ import annotations
@@ -104,14 +114,111 @@ class PulseRecord:
     lo_observed: float | None = None
 
 
+def _chan(na, ma, m2a, nb, mb, m2b):
+    """Pairwise merge of (count, mean, M2) (Chan, Golub & LeVeque 1983).
+
+    Exact when either side is empty: that side's weight is then 0 and the
+    other's 1.
+    """
+    n = na + nb
+    wb = nb / np.maximum(n, 1)
+    delta = mb - ma
+    return n, ma + delta * wb, m2a + m2b + delta * delta * na * wb
+
+
+class RatioMoments:
+    """Sufficient statistics of a slot stream per (attenuation ratio, quadrature).
+
+    Row k belongs to ``ratios[k]``, column q to quadrature X (0) or P (1). Per
+    cell: the slot count, the mean and M2 (sum of squared deviations from the
+    mean) of Bob's outcome, the sum of Alice's x times Bob's outcome, and the
+    sum of the monitored LO intensity (``lo_sum`` is None when the stream
+    carries no LO monitor).
+    """
+
+    __slots__ = ("ratios", "count", "mean", "m2", "sxy", "lo_sum")
+
+    def __init__(self, ratios, count, mean, m2, sxy, lo_sum=None):
+        self.ratios = ratios
+        self.count = count
+        self.mean = mean
+        self.m2 = m2
+        self.sxy = sxy
+        self.lo_sum = lo_sum
+
+    @classmethod
+    def of_chunk(cls, ratios, k, quad, alice_x, bob_y, lo_observed=None) -> "RatioMoments":
+        """Moments of one chunk of slots; slot i was measured at ``ratios[k[i]]``.
+
+        Two passes over the chunk: the group means first, then the squared
+        deviations from them.
+        """
+        shape = (len(ratios), 2)
+        size = 2 * len(ratios)
+        group = 2 * k + quad
+        count = np.bincount(group, minlength=size)
+        mean = np.bincount(group, weights=bob_y, minlength=size) / np.maximum(count, 1)
+        dev = bob_y - mean[group]
+        m2 = np.bincount(group, weights=dev * dev, minlength=size)
+        sxy = np.bincount(group, weights=alice_x * bob_y, minlength=size)
+        lo = None
+        if lo_observed is not None:
+            lo = np.bincount(group, weights=lo_observed, minlength=size).reshape(shape)
+        return cls(ratios, count.reshape(shape), mean.reshape(shape), m2.reshape(shape),
+                   sxy.reshape(shape), lo)
+
+    @classmethod
+    def of_batch(cls, batch: "RecordBatch") -> "RatioMoments":
+        """Moments of a record batch, cut at the sessions' chunk boundaries.
+
+        Each chunk is reduced and merged exactly as the samplers do it, so the
+        records of a session give back the session's moments bit for bit.
+        """
+        ratios, k = np.unique(batch.ratio, return_inverse=True)
+        lo = batch.lo_observed
+        parts = []
+        for start in range(0, max(len(batch), 1), _rng.CHUNK_SLOTS):
+            cut = slice(start, start + _rng.CHUNK_SLOTS)
+            parts.append(cls.of_chunk(ratios, k[cut], batch.quad[cut], batch.alice_x[cut],
+                                      batch.bob_y[cut], None if lo is None else lo[cut]))
+        return cls.fold(parts)
+
+    @staticmethod
+    def fold(parts: list["RatioMoments"]) -> "RatioMoments":
+        """Merge per-chunk moments left to right, in the order given (chunk order)."""
+        total = parts[0]
+        for part in parts[1:]:
+            total = total.merge(part)
+        return total
+
+    def merge(self, other: "RatioMoments") -> "RatioMoments":
+        """Moments of this stream followed by ``other``, over the same ratio table."""
+        count, mean, m2 = _chan(self.count, self.mean, self.m2,
+                                other.count, other.mean, other.m2)
+        lo = None if self.lo_sum is None else self.lo_sum + other.lo_sum
+        return RatioMoments(self.ratios, count, mean, m2, self.sxy + other.sxy, lo)
+
+    def by_ratio(self, quadrature: str | None = None):
+        """Per-ratio (count, M2, sum of x*y) of one quadrature, or of both pooled."""
+        if quadrature is not None:
+            q = 0 if quadrature == "X" else 1
+            return self.count[:, q], self.m2[:, q], self.sxy[:, q]
+        c, mu, m2 = self.count, self.mean, self.m2
+        count, _, pooled = _chan(c[:, 0], mu[:, 0], m2[:, 0], c[:, 1], mu[:, 1], m2[:, 1])
+        return count, pooled, self.sxy.sum(axis=1)
+
+
 class RecordBatch:
     """Columnar store of pulse records (one numpy array per field).
 
     ``slot`` may be passed as None for consecutively numbered slots; the
-    index column then materializes on first access.
+    index column then materializes on first access. ``moments`` are the
+    columns' RatioMoments: the sampler passes the ones it streamed, otherwise
+    they are reduced from the columns on first use.
     """
 
-    def __init__(self, slot, quad, ratio, alice_x, bob_y, eve_x=None, lo_observed=None):
+    def __init__(self, slot, quad, ratio, alice_x, bob_y, eve_x=None, lo_observed=None,
+                 *, moments: RatioMoments | None = None):
         self._slot = None if slot is None else np.asarray(slot, dtype=np.int64)
         self.quad = np.asarray(quad, dtype=np.uint8)  # 0 = X, 1 = P
         self.ratio = np.asarray(ratio, dtype=float)
@@ -119,12 +226,19 @@ class RecordBatch:
         self.bob_y = np.asarray(bob_y, dtype=float)
         self.eve_x = None if eve_x is None else np.asarray(eve_x, dtype=float)
         self.lo_observed = None if lo_observed is None else np.asarray(lo_observed, dtype=float)
+        self._moments = moments
 
     @property
     def slot(self) -> np.ndarray:
         if self._slot is None:
             self._slot = np.arange(self.quad.size, dtype=np.int64)
         return self._slot
+
+    @property
+    def moments(self) -> RatioMoments:
+        if self._moments is None:
+            self._moments = RatioMoments.of_batch(self)
+        return self._moments
 
     def __len__(self) -> int:
         return self.quad.size
@@ -159,6 +273,13 @@ def _as_batch(records) -> RecordBatch:
     if isinstance(records, RecordBatch):
         return records
     return RecordBatch.from_records(records)
+
+
+def ratio_moments(records) -> RatioMoments:
+    """The per-ratio moments of a session result: moments, a batch or records."""
+    if isinstance(records, RatioMoments):
+        return records
+    return _as_batch(records).moments
 
 
 @dataclass(frozen=True)
@@ -210,9 +331,27 @@ def honest_variance(params: SystemParams, ratio: float) -> float:
             + n0 + params.detector.electronic_noise)
 
 
+def ratio_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index of the ratio that each uniform draw ``u`` picks from cumulative probabilities.
+
+    Counts the entries of ``cum`` at or below ``u``, capped at the last ratio:
+    the same as ``np.searchsorted(cum, u, side="right")`` clipped to the
+    table, in one comparison pass per ratio.
+    """
+    idx = np.zeros(u.size, np.intp)
+    for c in cum[:-1]:
+        idx += u >= c
+    return idx
+
+
 def run_honest_session(params: SystemParams, slots: int, master_seed: int,
-                       *, threads: int = 1) -> RecordBatch:
-    """Simulate ``slots`` honest protocol slots; reproducible in (seed, slots)."""
+                       *, threads: int = 1, records: bool = True):
+    """Simulate ``slots`` honest protocol slots; reproducible in (seed, slots).
+
+    Returns a RecordBatch carrying the session's streamed moments, or with
+    ``records=False`` only the RatioMoments, in memory that does not grow
+    with ``slots``.
+    """
     ratios = params.schedule.ratios
     cum = np.cumsum(params.schedule.probabilities)
     eta = params.detector.efficiency
@@ -224,23 +363,29 @@ def run_honest_session(params: SystemParams, slots: int, master_seed: int,
     gain_t = np.sqrt(ratios * eta * eta_ch)
     noise_t = np.sqrt(ratios * eta * eta_ch * params.excess_noise * n0 + n0 + v_el)
 
-    quad = np.empty(slots, np.uint8)
-    ratio = np.empty(slots)
-    x_col = np.empty(slots)
-    y_col = np.empty(slots)
+    if records:
+        quad = np.empty(slots, np.uint8)
+        ratio = np.empty(slots)
+        x_col = np.empty(slots)
+        y_col = np.empty(slots)
 
     def fill(gen, start, stop):
         m = stop - start
-        idx = np.searchsorted(cum, gen.random(m), side="right")
-        np.clip(idx, 0, ratios.size - 1, out=idx)
-        quad[start:stop] = gen.random(m) < 0.5
+        idx = ratio_index(cum, gen.random(m))
+        q = (gen.random(m) < 0.5).view(np.uint8)
         x = gen.normal(0.0, sig_x, m) if sig_x > 0 else np.zeros(m)
-        ratio[start:stop] = ratios[idx]
-        x_col[start:stop] = x
-        y_col[start:stop] = gain_t[idx] * x + gen.normal(0.0, 1.0, m) * noise_t[idx]
+        y = gain_t[idx] * x + gen.normal(0.0, 1.0, m) * noise_t[idx]
+        if records:
+            quad[start:stop] = q
+            ratio[start:stop] = ratios[idx]
+            x_col[start:stop] = x
+            y_col[start:stop] = y
+        return RatioMoments.of_chunk(ratios, idx, q, x, y)
 
-    _rng.run_chunked(slots, master_seed, fill, threads=threads)
-    return RecordBatch(None, quad, ratio, x_col, y_col)
+    moments = RatioMoments.fold(_rng.run_chunked(slots, master_seed, fill, threads=threads))
+    if not records:
+        return moments
+    return RecordBatch(None, quad, ratio, x_col, y_col, moments=moments)
 
 
 def two_point_from_variances(v1: float, v2: float, r1: float, r2: float,
@@ -262,18 +407,17 @@ def two_point_from_variances(v1: float, v2: float, r1: float, r2: float,
 
 def variances_by_ratio(records, quadrature: str | None = None) -> dict[float, tuple[float, int]]:
     """Per-ratio sample variance (ddof=1) and count, optionally one quadrature only."""
-    batch = _as_batch(records)
-    y = batch.bob_y
-    ratio = batch.ratio
-    if quadrature is not None:
-        mask = batch.quad == (0 if quadrature == "X" else 1)
-        y, ratio = y[mask], ratio[mask]
+    moments = ratio_moments(records)
+    count, m2, _ = moments.by_ratio(quadrature)
     out: dict[float, tuple[float, int]] = {}
-    for r in np.unique(ratio):
-        sel = y[ratio == r]
-        if sel.size < 2:
-            raise EstimationError(f"need >= 2 records at ratio {float(r)!r} (got {sel.size})")
-        out[float(r)] = (float(np.var(sel, ddof=1)), int(sel.size))
+    for k in np.argsort(moments.ratios):
+        n = int(count[k])
+        if n == 0:
+            continue
+        r = float(moments.ratios[k])
+        if n < 2:
+            raise EstimationError(f"need >= 2 records at ratio {r!r} (got {n})")
+        out[r] = (float(m2[k] / (n - 1)), n)
     return out
 
 
@@ -284,21 +428,19 @@ def estimate_two_point(records, params: SystemParams,
     The minimum and maximum ratios present act as (r1, r2); middle ratios
     contribute to the per-ratio variance map but not to the two-point inversion.
     """
-    per_ratio = variances_by_ratio(records, quadrature)
+    moments = ratio_moments(records)
+    per_ratio = variances_by_ratio(moments, quadrature)
     if len(per_ratio) < 2:
         raise EstimationError("two-point estimation needs records at >= 2 distinct ratios")
     r1, r2 = min(per_ratio), max(per_ratio)
     v1, _ = per_ratio[r1]
-    v2, _ = per_ratio[r2]
+    v2, n2 = per_ratio[r2]
     n0_est, xi_est = two_point_from_variances(
         v1, v2, r1, r2,
         params.detector.efficiency, params.channel_transmittance,
         params.detector.electronic_noise, params.modulation_variance)
-    batch = _as_batch(records)
-    sel = batch.ratio == r2
-    if quadrature is not None:
-        sel &= batch.quad == (0 if quadrature == "X" else 1)
-    cov = float(np.mean(batch.alice_x[sel] * batch.bob_y[sel])) if np.any(sel) else 0.0
+    _, _, sxy = moments.by_ratio(quadrature)
+    cov = float(sxy[moments.ratios == r2].sum() / n2)
     return EstimatorReport(per_ratio, n0_est, xi_est, cov)
 
 
@@ -307,12 +449,14 @@ def estimate_covariance_transmittance(records, params: SystemParams) -> float:
 
     Uses Cov(x, y) = sqrt(eta*eta_ch) * V_A * N0 over the r = 1 records.
     """
-    batch = _as_batch(records)
-    sel = batch.ratio == 1.0
-    if np.count_nonzero(sel) < 2:
+    moments = ratio_moments(records)
+    count, _, sxy = moments.by_ratio()
+    top = moments.ratios == 1.0
+    n = int(count[top].sum())
+    if n < 2:
         raise EstimationError("transmittance estimation needs >= 2 records at ratio 1")
     if params.modulation_variance <= 0.0:
         raise EstimationError("transmittance estimation is degenerate at zero modulation")
-    cov = float(np.mean(batch.alice_x[sel] * batch.bob_y[sel]))
+    cov = float(sxy[top].sum() / n)
     scaled = cov / (params.modulation_variance * params.shot_noise_unit)
     return scaled * scaled / params.detector.efficiency

@@ -6,6 +6,10 @@ The mapping never depends on thread count or execution order, so a session
 is bit-identical however the chunks are scheduled. Within a chunk the
 simulation draws its per-slot columns in a fixed sequence, making each
 slot's randomness a pure function of the master seed and the slot index.
+
+The samplers reduce each chunk to its per-ratio moments inside ``fill`` and
+merge the list ``run_chunked`` returns in chunk-index order, so the merged
+floating-point sums do not depend on the thread count either.
 """
 
 from __future__ import annotations
@@ -37,9 +41,10 @@ def run_chunked(n_slots: int, master_seed: int, fill, *, stream: int = STREAM_SE
                 threads: int = 1, chunk_slots: int = CHUNK_SLOTS) -> list:
     """Evaluate ``fill(rng, start, stop)`` once per chunk, in chunk order.
 
-    ``fill`` typically writes into preallocated [start:stop) slices; chunks are
-    disjoint, so threaded execution is safe. ``threads`` only affects
-    scheduling; results come back ordered by chunk index regardless.
+    ``fill`` returns the chunk's result (the samplers: its moments) and may
+    also write into preallocated [start:stop) slices; chunks are disjoint, so
+    threaded execution is safe. ``threads`` only affects scheduling; results
+    come back ordered by chunk index regardless.
     """
     bounds = list(chunk_bounds(n_slots, chunk_slots))
 

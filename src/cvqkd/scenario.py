@@ -9,12 +9,13 @@ photo-electron counts, modulation/excess noise in shot-noise units.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .attack import DEFAULT_WAVELENGTHS
 from .errors import ConfigError
 from .physics import BeamSplitterCurve, DetectorConfig, builtin_curve, load_curve
-from .protocol import AttenuationSchedule, SystemParams
+from .protocol import TWO_POINT_SCHEDULE, AttenuationSchedule, SystemParams
 
 _SYSTEM_KEYS = {
     "modulation_variance", "detector_efficiency", "electronic_noise",
@@ -30,9 +31,12 @@ _OUTPUT_KEYS = {"records", "report", "polynomial", "verdict", "plan", "sweep"}
 
 def _parse_float(value: str, line: int, key: str) -> float:
     try:
-        return float(value)
+        x = float(value)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {value!r}", line)
+    if not math.isfinite(x):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}", line)
+    return x
 
 
 def _parse_int(value: str, line: int, key: str) -> int:
@@ -83,7 +87,13 @@ class Scenario:
             self.source_text = self.canonical_text()
 
     def scenario_hash(self) -> str:
-        return hashlib.sha256(self.source_text.encode("utf-8")).hexdigest()[:16]
+        """Hash of the source text and of the effective configuration.
+
+        The canonical text carries any later override of ``slots`` or
+        ``master_seed``, so runs that differ only in those get different hashes.
+        """
+        text = self.source_text + self.canonical_text()
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
     def load_curve(self) -> BeamSplitterCurve:
         if self.curve_name in ("50:50", "10:90"):
@@ -120,14 +130,28 @@ class Scenario:
         return "\n".join(lines) + "\n"
 
 
+def _located(line: int | None, build, *args, **kwargs):
+    """Call ``build``; report a ValueError it raises as a ConfigError at ``line``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc), line) from exc
+
+
 def parse_scenario(text: str) -> Scenario:
-    """Parse scenario text, reporting problems with their line numbers."""
+    """Parse scenario text, reporting problems with their line numbers.
+
+    A key given twice in one section is an error naming both lines. Errors
+    found when the parameters are put together are reported at the line of
+    the section header they come from.
+    """
     section = None
-    system: dict[str, tuple[str, int]] = {}
-    schedule: list[tuple[float, float]] = []
-    attack: dict[str, tuple[str, int]] = {}
-    run: dict[str, tuple[str, int]] = {}
-    outputs: dict[str, str] = {}
+    headers: dict[str, int] = {}
+    entries: dict[str, dict[str, tuple[str, int]]] = {
+        "system": {}, "attack": {}, "run": {}, "outputs": {}}
+    allowed = {"system": _SYSTEM_KEYS, "attack": _ATTACK_KEYS, "run": _RUN_KEYS,
+               "outputs": _OUTPUT_KEYS}
+    schedule: dict[float, tuple[float, int]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -139,6 +163,7 @@ def parse_scenario(text: str) -> Scenario:
             section = line[1:-1].strip().lower()
             if section not in ("system", "schedule", "attack", "run", "outputs"):
                 raise ConfigError(f"unknown section [{section}]", lineno)
+            headers.setdefault(section, lineno)
             continue
         if section is None:
             raise ConfigError("entry before any [section] header", lineno)
@@ -146,26 +171,23 @@ def parse_scenario(text: str) -> Scenario:
             raise ConfigError(f"expected key = value, got {raw.strip()!r}", lineno)
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if section == "system":
-            if key not in _SYSTEM_KEYS:
-                raise ConfigError(f"unknown [system] key {key!r}", lineno)
-            system[key] = (value, lineno)
-        elif section == "schedule":
+        if section == "schedule":
             ratio = _parse_float(key, lineno, "schedule ratio")
             prob = _parse_float(value, lineno, "schedule probability")
-            schedule.append((ratio, prob))
-        elif section == "attack":
-            if key not in _ATTACK_KEYS:
-                raise ConfigError(f"unknown [attack] key {key!r}", lineno)
-            attack[key] = (value, lineno)
-        elif section == "run":
-            if key not in _RUN_KEYS:
-                raise ConfigError(f"unknown [run] key {key!r}", lineno)
-            run[key] = (value, lineno)
-        else:
-            if key not in _OUTPUT_KEYS:
-                raise ConfigError(f"unknown [outputs] key {key!r}", lineno)
-            outputs[key] = value
+            if ratio in schedule:
+                raise ConfigError(f"duplicate schedule ratio {ratio!r}, first given on "
+                                  f"line {schedule[ratio][1]}", lineno)
+            schedule[ratio] = (prob, lineno)
+            continue
+        if key not in allowed[section]:
+            raise ConfigError(f"unknown [{section}] key {key!r}", lineno)
+        seen = entries[section]
+        if key in seen:
+            raise ConfigError(f"duplicate [{section}] key {key!r}, first given on "
+                              f"line {seen[key][1]}", lineno)
+        seen[key] = (value, lineno)
+
+    system, attack, run = entries["system"], entries["attack"], entries["run"]
 
     def sysf(key: str, default: float) -> float:
         if key not in system:
@@ -173,25 +195,22 @@ def parse_scenario(text: str) -> Scenario:
         value, lineno = system[key]
         return _parse_float(value, lineno, key)
 
-    detector = DetectorConfig(
-        efficiency=sysf("detector_efficiency", 0.5),
-        electronic_noise=sysf("electronic_noise", 0.0),
-        amplification=sysf("amplification", 1.0),
-    )
-    if not schedule:
-        schedule = [(0.001, 0.5), (1.0, 0.5)]
-    try:
-        sched = AttenuationSchedule(tuple(schedule))
-        params = SystemParams(
-            modulation_variance=sysf("modulation_variance", 5.0),
-            channel_transmittance=sysf("channel_transmittance", 0.9),
-            excess_noise=sysf("excess_noise", 0.1),
-            detector=detector,
-            lo_intensity=sysf("lo_intensity", 1e8),
-            schedule=sched,
-        )
-    except (ValueError, ConfigError) as exc:
-        raise ConfigError(str(exc)) from exc
+    system_line = headers.get("system")
+    detector = _located(system_line, DetectorConfig,
+                        efficiency=sysf("detector_efficiency", 0.5),
+                        electronic_noise=sysf("electronic_noise", 0.0),
+                        amplification=sysf("amplification", 1.0))
+    sched = TWO_POINT_SCHEDULE
+    if schedule:
+        sched = _located(headers.get("schedule"), AttenuationSchedule,
+                         tuple((r, p) for r, (p, _) in schedule.items()))
+    params = _located(system_line, SystemParams,
+                      modulation_variance=sysf("modulation_variance", 5.0),
+                      channel_transmittance=sysf("channel_transmittance", 0.9),
+                      excess_noise=sysf("excess_noise", 0.1),
+                      detector=detector,
+                      lo_intensity=sysf("lo_intensity", 1e8),
+                      schedule=sched)
 
     if "mode" in attack:
         mode = attack["mode"][0]
@@ -211,10 +230,15 @@ def parse_scenario(text: str) -> Scenario:
     if "compensate_lo" in attack:
         compensate = _parse_bool(*attack["compensate_lo"], "compensate_lo")
 
-    slots = _parse_int(*run["slots"], "slots") if "slots" in run else 1_000_000
+    slots = 1_000_000
+    if "slots" in run:
+        slots = _parse_int(*run["slots"], "slots")
+        if slots <= 0:
+            raise ConfigError(f"slots must be > 0, got {slots}", run["slots"][1])
     seed = _parse_int(*run["master_seed"], "master_seed") if "master_seed" in run else 1
 
-    return Scenario(
+    return _located(
+        headers.get("attack"), Scenario,
         params=params,
         curve_name=system["curve"][0] if "curve" in system else "50:50",
         attack_kind=attack["strategy"][0] if "strategy" in attack else "none",
@@ -225,7 +249,7 @@ def parse_scenario(text: str) -> Scenario:
         wavelengths=wavelengths,  # type: ignore[arg-type]
         slots=slots,
         master_seed=seed,
-        outputs=outputs,
+        outputs={k: v for k, (v, _) in entries["outputs"].items()},
         source_text=text,
     )
 

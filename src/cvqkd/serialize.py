@@ -92,7 +92,8 @@ def read_records_csv(path) -> RecordBatch:
     """Load a records CSV back into a columnar batch (metadata line skipped).
 
     Raises ValueError for a wrong column header or any malformed row: a short
-    row, a quadrature other than X or P, or a cell that is not a number.
+    row, a quadrature other than X or P, a cell that is not a number, or a
+    ratio, x or y that is not finite.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         line = fh.readline()
@@ -109,6 +110,9 @@ def read_records_csv(path) -> RecordBatch:
                                   converters={1: {"X": 0, "P": 1}.__getitem__})
         except ValueError as exc:
             raise ValueError(f"malformed records CSV {path}: {exc}") from exc
+    for name in ("ratio", "alice_x", "bob_y"):
+        if not np.isfinite(rows[name]).all():
+            raise ValueError(f"malformed records CSV {path}: non-finite {name}")
     return RecordBatch(*(np.ascontiguousarray(rows[name]) for name in _RECORDS_COLUMNS))
 
 

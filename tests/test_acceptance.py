@@ -138,9 +138,10 @@ def test_criterion_07_countermeasure_separation():
     honest_worst = 0.0
     attacked_worst = math.inf
     for seed in range(20):
-        honest = fit_noise_polynomial(run_honest_session(params, 20_000_000, seed))
+        honest = fit_noise_polynomial(
+            run_honest_session(params, 20_000_000, seed, records=False))
         attacked = fit_noise_polynomial(
-            run_attacked_session(params, plan, 2_000_000, seed))
+            run_attacked_session(params, plan, 2_000_000, seed, records=False))
         assert honest.ratio_a_over_c < 0.05
         assert attacked.ratio_a_over_c > 0.5
         assert not detect(honest, 0.05).attacked

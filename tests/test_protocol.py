@@ -1,18 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cvqkd.attack import run_attacked_session, solve_attack_parameters
 from cvqkd.errors import EstimationError, ScheduleError
-from cvqkd.physics import DetectorConfig
-from cvqkd.protocol import (AttenuationSchedule, PulseRecord, RecordBatch, SystemParams,
-                            THREE_RATIO_SCHEDULE, TWO_POINT_SCHEDULE, alice_modulate,
-                            estimate_covariance_transmittance, estimate_two_point,
+from cvqkd.physics import DetectorConfig, builtin_curve
+from cvqkd.protocol import (AttenuationSchedule, PulseRecord, RatioMoments, RecordBatch,
+                            SystemParams, THREE_RATIO_SCHEDULE, TWO_POINT_SCHEDULE,
+                            alice_modulate, estimate_covariance_transmittance, estimate_two_point,
                             honest_measure, honest_variance, run_honest_session,
                             two_point_from_variances, variances_by_ratio)
-from cvqkd.rng import chunk_generator
+from cvqkd.rng import CHUNK_SLOTS, chunk_generator
 
 P_DEFAULT = SystemParams()  # V_A=5, eta=0.5, eta_ch=0.9, xi=0.1, I_LO=1e8
+THREE_RATIO_PARAMS = SystemParams(schedule=THREE_RATIO_SCHEDULE)
 
 
 def test_schedule_validation():
@@ -211,3 +214,95 @@ def test_monte_carlo_convergence_rate():
 
     ratio = spreads(20_000) / spreads(40_000)
     assert math.sqrt(2) * 0.8 <= ratio <= math.sqrt(2) * 1.2
+
+
+
+def _reference_variances(batch, quadrature=None):
+    """The per-ratio reduction written directly over the columns: np.unique and np.var."""
+    sel = np.ones(len(batch), bool)
+    if quadrature is not None:
+        sel = batch.quad == (0 if quadrature == "X" else 1)
+    out = {}
+    for r in np.unique(batch.ratio[sel]):
+        y = batch.bob_y[sel & (batch.ratio == r)]
+        out[float(r)] = (float(np.var(y, ddof=1)), y.size)
+    return out
+
+
+def test_streamed_moments_match_direct_column_reductions():
+    plan = solve_attack_parameters("A", THREE_RATIO_PARAMS, builtin_curve("50:50"))
+    batch = run_attacked_session(THREE_RATIO_PARAMS, plan, 3 * CHUNK_SLOTS + 777, 15)
+    for quadrature in (None, "X", "P"):
+        got = variances_by_ratio(batch, quadrature)
+        want = _reference_variances(batch, quadrature)
+        assert list(got) == list(want)
+        for r in want:
+            assert got[r][1] == want[r][1]
+            assert got[r][0] == pytest.approx(want[r][0], rel=1e-12)
+        top = batch.ratio == 1.0
+        if quadrature is not None:
+            top &= batch.quad == (0 if quadrature == "X" else 1)
+        cov = estimate_two_point(batch, THREE_RATIO_PARAMS, quadrature).covariance_xy
+        assert cov == pytest.approx(np.mean(batch.alice_x[top] * batch.bob_y[top]), rel=1e-12)
+    top = batch.ratio == 1.0
+    scaled = (np.mean(batch.alice_x[top] * batch.bob_y[top])
+              / (THREE_RATIO_PARAMS.modulation_variance * THREE_RATIO_PARAMS.shot_noise_unit))
+    assert estimate_covariance_transmittance(batch, THREE_RATIO_PARAMS) == pytest.approx(
+        scaled * scaled / THREE_RATIO_PARAMS.detector.efficiency, rel=1e-12)
+
+
+def test_moments_stay_accurate_far_from_zero_mean():
+    # a one-pass sum-of-squares variance loses about ten digits at this offset
+    batch = run_honest_session(THREE_RATIO_PARAMS, 4 * CHUNK_SLOTS + 321, 16)
+    shifted = RecordBatch(None, batch.quad, batch.ratio, batch.alice_x, batch.bob_y + 1e9)
+    for quadrature in (None, "X", "P"):
+        got = variances_by_ratio(shifted, quadrature)
+        for r, (var, n) in _reference_variances(shifted, quadrature).items():
+            assert got[r][1] == n
+            assert got[r][0] == pytest.approx(var, rel=1e-9)
+
+
+def _sorted_moments(m: RatioMoments) -> list[np.ndarray]:
+    """The moment arrays with their rows in ascending ratio order."""
+    order = np.argsort(m.ratios)
+    arrays = [m.ratios, m.count, m.mean, m.m2, m.sxy]
+    if m.lo_sum is not None:
+        arrays.append(m.lo_sum)
+    return [a[order] for a in arrays]
+
+
+@pytest.mark.parametrize("attacked", [False, True], ids=["honest", "attacked"])
+def test_merged_moments_bit_identical_across_threads_and_records(attacked):
+    n = 5 * CHUNK_SLOTS + 99
+    if attacked:
+        plan = solve_attack_parameters("A", THREE_RATIO_PARAMS, builtin_curve("50:50"))
+
+        def run(**kw):
+            return run_attacked_session(THREE_RATIO_PARAMS, plan, n, 17, **kw)
+    else:
+        def run(**kw):
+            return run_honest_session(THREE_RATIO_PARAMS, n, 17, **kw)
+
+    base = _sorted_moments(run(threads=1, records=False))
+    assert len(base) == (6 if attacked else 5)
+    batch = run(threads=2)
+    # the batch's own moments, and its columns reduced again chunk by chunk
+    for other in (run(threads=2, records=False), run(threads=8, records=False),
+                  batch.moments, RatioMoments.of_batch(batch)):
+        got = _sorted_moments(other)
+        assert len(got) == len(base)
+        assert all(np.array_equal(a, b) for a, b in zip(got, base))
+
+
+def test_session_memory_does_not_grow_with_slots():
+    def peak(slots):
+        tracemalloc.start()
+        try:
+            run_honest_session(THREE_RATIO_PARAMS, slots, 18, records=False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(1 << 20), peak(1 << 22)
+    assert large < 16 * 2**20
+    assert abs(large - small) < 2 * 2**20

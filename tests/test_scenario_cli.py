@@ -1,11 +1,15 @@
 import filecmp
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvqkd.cli import main
 from cvqkd.errors import ConfigError
-from cvqkd.scenario import Scenario, load_scenario, parse_scenario
+from cvqkd.scenario import (_ATTACK_KEYS, _OUTPUT_KEYS, _RUN_KEYS, _SYSTEM_KEYS, Scenario,
+                            load_scenario, parse_scenario)
 from cvqkd.protocol import SystemParams
 from cvqkd.serialize import read_report
 
@@ -273,8 +277,11 @@ def test_cli_thread_count_does_not_change_bytes(tmp_path):
 
 @pytest.mark.parametrize("row", ["1,P,1.0",
                                  "0,Q,1.0,2.0,3.0",
-                                 "0,X,1.0,abc,3.0"],
-                         ids=["short-row", "unknown-quadrature", "non-numeric"])
+                                 "0,X,1.0,abc,3.0",
+                                 "1,X,nan,2.0,3.0",
+                                 "1,X,1.0,2.0,inf"],
+                         ids=["short-row", "unknown-quadrature", "non-numeric",
+                              "nan-ratio", "inf-outcome"])
 def test_cli_detect_malformed_records_exit_2(tmp_path, capsys, row):
     path = tmp_path / "bad.csv"
     path.write_text("# format=records-v1 scenario=x seed=0\n"
@@ -298,3 +305,128 @@ def test_cli_rejects_non_positive_threads_and_slots(tmp_path, capsys, command, f
     assert rc == 2
     assert f"{flag} must be >= 1" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("key, value", [("modulation_variance", "nan"),
+                                        ("lo_intensity", "inf"),
+                                        ("excess_noise", "-inf")])
+def test_non_finite_system_numbers_rejected_with_line(key, value):
+    with pytest.raises(ConfigError, match="finite") as err:
+        parse_scenario(f"[system]\ncurve = 50:50\n{key} = {value}\n")
+    assert err.value.line == 3
+
+
+def test_overflowing_integer_rejected_with_line():
+    with pytest.raises(ConfigError, match="finite") as err:
+        parse_scenario("[run]\nmaster_seed = 2\nslots = 1e400\n")
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("section, key, first, second", [
+    ("system", "excess_noise", "0.1", "0.2"),
+    ("attack", "strategy", "A", "B"),
+    ("run", "slots", "1000", "2000"),
+    ("outputs", "records", "a.csv", "b.csv"),
+])
+def test_duplicate_key_names_key_and_both_lines(section, key, first, second):
+    text = f"[{section}]\n{key} = {first}\n# comment\n{key} = {second}\n"
+    with pytest.raises(ConfigError, match=f"duplicate \\[{section}\\] key '{key}'") as err:
+        parse_scenario(text)
+    assert err.value.line == 4
+    assert "line 2" in str(err.value)
+
+
+def test_duplicate_schedule_ratio_names_both_lines():
+    with pytest.raises(ConfigError, match="duplicate schedule ratio 1.0") as err:
+        parse_scenario("[schedule]\n1.0 = 0.5\n1 = 0.5\n")
+    assert err.value.line == 3
+    assert "line 2" in str(err.value)
+
+
+def test_parameter_errors_carry_their_section_line():
+    with pytest.raises(ConfigError, match="detector efficiency") as err:
+        parse_scenario("[run]\nslots = 5\n[system]\ndetector_efficiency = 2\n")
+    assert err.value.line == 3
+    with pytest.raises(ConfigError, match="sum") as err:
+        parse_scenario("[system]\n[schedule]\n1.0 = 0.5\n0.5 = 0.4\n")
+    assert err.value.line == 2
+    with pytest.raises(ConfigError, match="none/A/B") as err:
+        parse_scenario("[attack]\nstrategy = C\n")
+    assert err.value.line == 1
+
+
+def _header(path: Path) -> str:
+    return path.read_text().splitlines()[0]
+
+
+def test_cli_headers_track_slots_and_seed_overrides(tmp_path):
+    def run(name, *flags):
+        assert main(["run", "--scenario", str(SCENARIOS / "honest.scenario"),
+                     "--out", str(tmp_path / name), *flags]) == 0
+        return _header(tmp_path / name / "report.txt")
+
+    base = run("a", "--slots", "1000")
+    assert run("a_again", "--slots", "1000") == base
+    assert run("b", "--slots", "2000") != base
+    assert run("c", "--slots", "1000", "--seed", "5") != base
+    for name in ("records.csv", "polynomial.txt", "verdict.txt"):
+        assert _header(tmp_path / "a" / name).split()[2] == base.split()[2]
+
+
+def test_cli_sweep_header_tracks_monte_carlo_slots(tmp_path):
+    def sweep(name, slots):
+        assert main(["sweep", "--variable", "N", "--start", "5", "--stop", "10",
+                     "--points", "2", "--mc", "--slots", slots,
+                     "--out", str(tmp_path / name)]) == 0
+        return _header(tmp_path / name / "sweep.csv")
+
+    assert sweep("a", "1000") == sweep("a_again", "1000")
+    assert sweep("b", "2000") != sweep("a", "1000")
+
+
+def test_cli_detect_reproduces_the_run_a_over_c(tmp_path, capsys):
+    # a batch read back from records is reduced chunk by chunk like the session
+    rc = main(["run", "--scenario", str(SCENARIOS / "attack_a.scenario"),
+               "--out", str(tmp_path), "--slots", "200000", "--threads", "2"])
+    assert rc == 0
+    capsys.readouterr()
+    assert main(["detect", "--records", str(tmp_path / "records.csv")]) == 0
+    detected = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("a_over_c = ")]
+    assert detected[0] == f"a_over_c = {read_report(tmp_path / 'polynomial.txt')['a_over_c']}"
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "0", "1", "0.5", "1e-3",
+                     "1e8", "abc", "", "1_0", "0x10", "1e", "true", "A", "none"]),
+)
+_KEYS = sorted(_SYSTEM_KEYS | _ATTACK_KEYS | _RUN_KEYS | _OUTPUT_KEYS) + ["bogus"]
+_LINES = st.one_of(
+    st.sampled_from(["[system]", "[schedule]", "[attack]", "[run]", "[outputs]", "[nope]",
+                     "[system", "", "# comment", "no equals sign"]),
+    st.tuples(st.sampled_from(_KEYS), _NUMBERS).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.tuples(_NUMBERS, _NUMBERS).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(_LINES, max_size=14))
+def test_parser_contract_finite_params_or_line_numbered_error(lines):
+    text = "\n".join(lines)
+    try:
+        scen = parse_scenario(text)
+    except ConfigError as exc:
+        assert exc.line is not None, str(exc)
+        return
+    p = scen.params
+    values = [p.modulation_variance, p.channel_transmittance, p.excess_noise,
+              p.lo_intensity, p.detector.efficiency, p.detector.electronic_noise,
+              p.detector.amplification, *scen.wavelengths]
+    values += [v for entry in p.schedule.entries for v in entry]
+    if scen.fixed_amplification is not None:
+        values.append(scen.fixed_amplification)
+    assert all(math.isfinite(v) for v in values)
+    assert scen.slots > 0
