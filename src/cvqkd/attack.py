@@ -21,11 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import rng as _rng
 from .errors import InfeasibleAttackError
 from .physics import (BeamSplitterCurve, DetectorConfig, ForeignPulse, PulsePath,
                       foreign_pulse_response)
-from .protocol import RatioMoments, RecordBatch, SystemParams, ratio_index
+from .protocol import NoiseTable, SystemParams, sample_session
 
 # signal/LO wavelength pairs (nm) whose 50:50 transmittances sit on opposite
 # sides of 1/2, set1 = (signal, lo), set2 = (signal, lo)
@@ -407,99 +406,65 @@ def _max_feasible_displacement(n0, c_lo, c_s, r1, r2) -> float:
     return (-b + math.sqrt(b * b + 4.0 * a * n0)) / (2.0 * a)
 
 
-def run_attacked_session(params: SystemParams, plan: AttackPlan, slots: int,
-                         master_seed: int, *, threads: int = 1,
-                         compensate_lo: bool = True, records: bool = True):
-    """Simulate ``slots`` attacked protocol slots.
+def noise_table(params: SystemParams, plan: AttackPlan,
+                compensate_lo: bool = True) -> NoiseTable:
+    """The per-(ratio, pulse set) law of one attacked slot.
 
-    Per slot: heterodyne intercept, strategy resend, Bob's homodyne draw with
-    the part-1 statistics, plus the injected-pulse contribution. The batch
-    carries ground-truth annotations: Eve's measured quadrature and the
-    LO-path intensity an ideal monitor would read. With ``compensate_lo`` the
-    attacker lowers her part-1 LO power by the mean injected intensity and
-    recalibrates the trigger so the homodyne statistics stay on plan; only the
-    monitored intensity changes. Returns the batch with its streamed moments,
-    or with ``records=False`` only the RatioMoments (see ``run_honest_session``).
+    Heterodyne intercept (2*N0 of extra noise on Eve's x), strategy resend,
+    Bob's homodyne draw with the part-1 statistics, plus the injected-pulse
+    contribution of set 1 or 2. Part-1 noise, electronic noise and both
+    injected pulses' shot noise are independent Gaussians, so the table
+    carries their summed variance. The LO level is what an ideal intensity
+    monitor reads: with ``compensate_lo`` the attacker lowers her part-1 LO
+    power by the mean injected intensity and recalibrates the trigger so the
+    homodyne statistics stay on plan; only the monitored intensity changes.
     """
     strategy = plan.strategy
     wl = plan.wavelength
     ratios = params.schedule.ratios
-    cum = np.cumsum(params.schedule.probabilities)
-    eta = params.detector.efficiency
     n0 = params.shot_noise_unit
-    v_el = params.detector.electronic_noise
-    xi = params.excess_noise
-    sig_x = math.sqrt(params.modulation_variance * n0)
-    sig_het = math.sqrt(2.0 * n0)
 
     if isinstance(strategy, StrategyA):
         lo_base = params.lo_intensity / strategy.amplification
         eta_eff = params.channel_transmittance
         slope = 1.0
         shot = n0 / strategy.amplification
-        extra_el = 0.0  # electronic noise folded into the part-1 draw
-        part1_el = v_el
     else:
         strategy.check_consistency(params.channel_transmittance)
         lo_base = params.lo_intensity
         eta_eff = strategy.fake_channel
         slope = strategy.slope_factor
         shot = n0
-        extra_el = v_el  # added outside the slope-scaled response
-        part1_el = 0.0
+    reff = ratios * params.detector.efficiency * eta_eff
+    # the slope scales the resent state's response, not the electronic noise
+    part1_var = slope * (reff * params.excess_noise * n0 + shot) + params.detector.electronic_noise
 
+    r = ratios[:, None]
     if wl is not None:
-        mean_s = np.array([wl.means[0], wl.means[2]])
-        mean_lo = np.array([wl.means[1], wl.means[3]])
-        sd_s = np.sqrt([wl.shot_variances[0], wl.shot_variances[2]])
-        sd_lo = np.sqrt([wl.shot_variances[1], wl.shot_variances[3]])
-        int_lo = np.array([wl.lo1.intensity, wl.lo2.intensity])
+        var_s = np.array([wl.shot_variances[0], wl.shot_variances[2]])
+        var_lo = np.array([wl.shot_variances[1], wl.shot_variances[3]])
+        sd = np.sqrt(part1_var[:, None] + var_lo + r * r * var_s)
+        offset = np.array([wl.means[1], wl.means[3]]) + r * np.array([wl.means[0], wl.means[2]])
         monitor_base = lo_base - (wl.mean_lo_intensity if compensate_lo else 0.0)
+        lo_level = monitor_base + np.array([wl.lo1.intensity, wl.lo2.intensity])
     else:
-        monitor_base = lo_base
+        sd = np.sqrt(part1_var)[:, None]
+        offset = np.zeros_like(sd)
+        lo_level = np.array([lo_base])
+    return NoiseTable(ratios, params.schedule.probabilities,
+                      math.sqrt(params.modulation_variance * n0), np.sqrt(slope * reff),
+                      sd, offset, sig_intercept=math.sqrt(2.0 * n0), lo_level=lo_level)
 
-    sqrt_slope = math.sqrt(slope)
-    # per-ratio lookup tables for the part-1 draw
-    gain_t = sqrt_slope * np.sqrt(ratios * eta * eta_eff)
-    noise_t = sqrt_slope * np.sqrt(ratios * eta * eta_eff * xi * n0 + shot + part1_el)
 
-    if records:
-        quad = np.empty(slots, np.uint8)
-        ratio_col = np.empty(slots)
-        x_col = np.empty(slots)
-        y_col = np.empty(slots)
-        xe_col = np.empty(slots)
-        lo_col = np.empty(slots)
+def run_attacked_session(params: SystemParams, plan: AttackPlan, slots: int,
+                         master_seed: int, *, threads: int = 1,
+                         compensate_lo: bool = True, records: bool = True):
+    """Simulate ``slots`` attacked protocol slots drawn from ``noise_table``.
 
-    def fill(gen, start, stop):
-        m = stop - start
-        idx = ratio_index(cum, gen.random(m))
-        r = ratios[idx]
-        q = (gen.random(m) < 0.5).view(np.uint8)
-        x = gen.normal(0.0, sig_x, m) if sig_x > 0 else np.zeros(m)
-        xe = x + gen.normal(0.0, 1.0, m) * sig_het
-        part1 = gain_t[idx] * xe + gen.normal(0.0, 1.0, m) * noise_t[idx]
-        if extra_el > 0.0:
-            part1 += gen.normal(0.0, 1.0, m) * math.sqrt(extra_el)
-        if wl is not None:
-            j = (gen.random(m) < 0.5).view(np.uint8)  # 0 -> set1, 1 -> set2
-            cur_lo = mean_lo[j] + gen.normal(0.0, 1.0, m) * sd_lo[j]
-            cur_s = mean_s[j] + gen.normal(0.0, 1.0, m) * sd_s[j]
-            y = part1 + cur_lo + r * cur_s
-            lo = monitor_base + int_lo[j]
-        else:
-            y = part1
-            lo = np.full(m, monitor_base)
-        if records:
-            quad[start:stop] = q
-            ratio_col[start:stop] = r
-            x_col[start:stop] = x
-            y_col[start:stop] = y
-            xe_col[start:stop] = xe
-            lo_col[start:stop] = lo
-        return RatioMoments.of_chunk(ratios, idx, q, x, y, lo)
-
-    moments = RatioMoments.fold(_rng.run_chunked(slots, master_seed, fill, threads=threads))
-    if not records:
-        return moments
-    return RecordBatch(None, quad, ratio_col, x_col, y_col, xe_col, lo_col, moments=moments)
+    The batch carries ground-truth annotations: Eve's measured quadrature and
+    the LO-path intensity an ideal monitor would read. Returns the batch with
+    its moments, or with ``records=False`` only the RatioMoments (see
+    ``protocol.sample_session``).
+    """
+    return sample_session(noise_table(params, plan, compensate_lo), slots, master_seed,
+                          threads=threads, records=records)

@@ -58,15 +58,20 @@ def _report_items(scen: Scenario, moments, plan) -> list[tuple[str, object]]:
     return items
 
 
-def _require_positive(args, *names: str) -> None:
+def _require_at_least(args, minimum: int, *names: str) -> None:
     for name in names:
         value = getattr(args, name)
-        if value is not None and value < 1:
-            raise ConfigError(f"--{name} must be >= 1, got {value}")
+        if value is not None and value < minimum:
+            raise ConfigError(f"--{name} must be >= {minimum}, got {value}")
+
+
+def _check_run_flags(args) -> None:
+    _require_at_least(args, 1, "threads", "slots")
+    _require_at_least(args, 0, "seed")
 
 
 def cmd_run(args) -> int:
-    _require_positive(args, "threads", "slots")
+    _check_run_flags(args)
     scen = load_scenario(args.scenario)
     if args.seed is not None:
         scen.master_seed = args.seed
@@ -226,7 +231,7 @@ def _sweep_rows_solved(args, scen: Scenario, curve: BeamSplitterCurve):
 
 
 def cmd_sweep(args) -> int:
-    _require_positive(args, "threads", "slots")
+    _check_run_flags(args)
     if args.points < 1:
         raise ConfigError("sweep needs at least one grid point")
     if args.scenario:

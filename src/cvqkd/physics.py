@@ -17,7 +17,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import CurveRangeError
+from .errors import ConfigError, CurveRangeError
 
 
 class PulsePath(enum.Enum):
@@ -80,16 +80,36 @@ def load_curve(path, nominal_ratio: str | None = None) -> BeamSplitterCurve:
     """Read a curve from the plain-text table format.
 
     One header line, then rows ``wavelength_nm transmittance`` in ascending
-    wavelength order.
+    wavelength order. A row without exactly two cells, a cell that is not a
+    finite number, a transmittance outside (0, 1) or a wavelength not above
+    the previous row's raises a ConfigError naming the file and the line.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    rows = [ln.split() for ln in lines[1:]]
-    wl = np.array([float(r[0]) for r in rows])
-    tr = np.array([float(r[1]) for r in rows])
+        lines = [(n, ln.split()) for n, ln in enumerate(fh, start=1) if ln.strip()]
+    wl: list[float] = []
+    tr: list[float] = []
+    for lineno, cells in lines[1:]:
+        try:
+            w, t = map(float, cells)  # a non-number or a row of other length both raise
+        except ValueError:
+            raise ConfigError(f"curve file {path}: expected two numbers "
+                              f"'wavelength_nm transmittance', got {' '.join(cells)!r}",
+                              lineno) from None
+        if not (math.isfinite(w) and math.isfinite(t)):
+            raise ConfigError(f"curve file {path}: expected finite numbers, "
+                              f"got {' '.join(cells)!r}", lineno)
+        if not 0.0 < t < 1.0:
+            raise ConfigError(f"curve file {path}: transmittance {t!r} outside (0, 1)", lineno)
+        if wl and w <= wl[-1]:
+            raise ConfigError(f"curve file {path}: wavelength {w!r} nm does not ascend "
+                              f"from {wl[-1]!r} nm", lineno)
+        wl.append(w)
+        tr.append(t)
+    if len(wl) < 2:
+        raise ConfigError(f"curve file {path}: needs >= 2 (wavelength, transmittance) rows")
     if nominal_ratio is None:
         nominal_ratio = str(path)
-    return BeamSplitterCurve(nominal_ratio, wl, tr)
+    return BeamSplitterCurve(nominal_ratio, np.array(wl), np.array(tr))
 
 
 _BUILTIN_FILES = {"50:50": "bs_50_50.txt", "10:90": "bs_10_90.txt"}

@@ -1,4 +1,4 @@
-"""Honest Gaussian-modulated coherent-state session and its parameter estimators.
+"""Honest Gaussian-modulated coherent-state session, the slot sampler, and the estimators.
 
 Conventions: Alice's quadrature x is stored pre-channel in sqrt(N0)
 normalization, so Var(x) = V_A * N0 with N0 = eta * I_LO the shot-noise unit.
@@ -9,15 +9,24 @@ whose conditional variance at attenuation ratio r is
 That makes Var(y | r) affine in r for an honest session, which is exactly the
 assumption the real-time shot-noise estimator rests on.
 
+One sampler serves honest and attacked sessions: ``sample_session`` draws
+slots from a ``NoiseTable``, the per-(ratio, injected-pulse set) gain on x,
+noise sd, mean offset and LO-monitor level. Each chunk of
+``rng.CHUNK_SLOTS`` slots first draws its per-(ratio, quadrature) cell counts
+with one multinomial, then its columns in cell order, so every cell is one
+contiguous block reduced with contiguous two-pass sums. A records run then
+draws a permutation of the chunk's cell labels, after every other draw, and
+writes the cell-ordered slots at those positions: the written sequence is
+i.i.d. and the moments are bit-identical with and without records.
+
 Every estimator reads ``RatioMoments``: per (ratio, quadrature) the slot
-count, mean and M2 of y and the sum of x*y. The samplers reduce each Philox
-chunk to its moments where it is drawn and merge the chunks' moments in chunk
-order with the pairwise update of Chan, Golub & LeVeque (1983), so a session
-needs memory for a few chunks, not for its slots, and its moments are
-bit-identical for any thread count. A ``RecordBatch`` is built only when the
-slots themselves are asked for; a batch read back from a records file is cut
-at the same chunk boundaries and reduced by the same code, so it reproduces
-the session's moments bit for bit.
+count, mean and M2 of y and the sum of x*y. The chunks' moments are merged in
+chunk order with the pairwise update of Chan, Golub & LeVeque (1983), so a
+session needs memory for a few chunks, not for its slots, and its moments are
+bit-identical for any thread count. A batch read back from a records file is
+cut at the same chunk boundaries, each chunk's slots are put back in cell
+order with a stable sort of their cell ids, and the same reduction runs, so
+it reproduces the session's moments bit for bit.
 """
 
 from __future__ import annotations
@@ -147,40 +156,53 @@ class RatioMoments:
         self.lo_sum = lo_sum
 
     @classmethod
-    def of_chunk(cls, ratios, k, quad, alice_x, bob_y, lo_observed=None) -> "RatioMoments":
-        """Moments of one chunk of slots; slot i was measured at ``ratios[k[i]]``.
+    def of_cells(cls, ratios, counts, alice_x, bob_y, lo_observed=None,
+                 scratch=None) -> "RatioMoments":
+        """Moments of slots stored cell by cell.
 
-        Two passes over the chunk: the group means first, then the squared
-        deviations from them.
+        Cell ``c = 2*k + q`` (ratio ``ratios[k]``, quadrature q) holds the
+        next ``counts[c]`` slots of the columns, cells in ascending order.
+        Each block is reduced with contiguous two-pass sums (``np.add.reduce``,
+        which never threads): the mean first, then the squared deviations from
+        it. ``scratch``, as long as the columns, is overwritten.
         """
-        shape = (len(ratios), 2)
-        size = 2 * len(ratios)
-        group = 2 * k + quad
-        count = np.bincount(group, minlength=size)
-        mean = np.bincount(group, weights=bob_y, minlength=size) / np.maximum(count, 1)
-        dev = bob_y - mean[group]
-        m2 = np.bincount(group, weights=dev * dev, minlength=size)
-        sxy = np.bincount(group, weights=alice_x * bob_y, minlength=size)
-        lo = None
-        if lo_observed is not None:
-            lo = np.bincount(group, weights=lo_observed, minlength=size).reshape(shape)
-        return cls(ratios, count.reshape(shape), mean.reshape(shape), m2.reshape(shape),
-                   sxy.reshape(shape), lo)
+        size = counts.size
+        mean, m2, sxy = np.zeros(size), np.zeros(size), np.zeros(size)
+        lo = None if lo_observed is None else np.zeros(size)
+        t = np.empty(bob_y.size) if scratch is None else scratch
+        stop = np.cumsum(counts)
+        for c in np.flatnonzero(counts):
+            a, b = stop[c] - counts[c], stop[c]
+            y = bob_y[a:b]
+            mean[c] = np.add.reduce(y) / counts[c]
+            dev = np.subtract(y, mean[c], out=t[a:b])
+            m2[c] = np.add.reduce(np.multiply(dev, dev, out=dev))
+            sxy[c] = np.add.reduce(np.multiply(alice_x[a:b], y, out=t[a:b]))
+            if lo is not None:
+                lo[c] = np.add.reduce(lo_observed[a:b])
+        shape = (size // 2, 2)
+        return cls(ratios, counts.reshape(shape), mean.reshape(shape), m2.reshape(shape),
+                   sxy.reshape(shape), None if lo is None else lo.reshape(shape))
 
     @classmethod
     def of_batch(cls, batch: "RecordBatch") -> "RatioMoments":
         """Moments of a record batch, cut at the sessions' chunk boundaries.
 
-        Each chunk is reduced and merged exactly as the samplers do it, so the
-        records of a session give back the session's moments bit for bit.
+        Within each chunk a stable sort of the cell ids puts the slots back in
+        the cell order they were drawn in, and ``of_cells`` reduces them, so
+        the records of a session give back the session's moments bit for bit.
         """
         ratios, k = np.unique(batch.ratio, return_inverse=True)
+        size = 2 * len(ratios)
+        cell = (2 * k + batch.quad).astype(np.min_scalar_type(max(size - 1, 0)))
         lo = batch.lo_observed
         parts = []
         for start in range(0, max(len(batch), 1), _rng.CHUNK_SLOTS):
             cut = slice(start, start + _rng.CHUNK_SLOTS)
-            parts.append(cls.of_chunk(ratios, k[cut], batch.quad[cut], batch.alice_x[cut],
-                                      batch.bob_y[cut], None if lo is None else lo[cut]))
+            order = np.argsort(cell[cut], kind="stable")
+            parts.append(cls.of_cells(ratios, np.bincount(cell[cut], minlength=size),
+                                      batch.alice_x[cut][order], batch.bob_y[cut][order],
+                                      None if lo is None else lo[cut][order]))
         return cls.fold(parts)
 
     @staticmethod
@@ -331,61 +353,143 @@ def honest_variance(params: SystemParams, ratio: float) -> float:
             + n0 + params.detector.electronic_noise)
 
 
-def ratio_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Index of the ratio that each uniform draw ``u`` picks from cumulative probabilities.
+@dataclass(frozen=True)
+class NoiseTable:
+    """The law of one slot, per attenuation ratio k and injected-pulse set j.
 
-    Counts the entries of ``cum`` at or below ``u``, capped at the last ratio:
-    the same as ``np.searchsorted(cum, u, side="right")`` clipped to the
-    table, in one comparison pass per ratio.
+    Ratio k is picked with ``probabilities[k]``, the quadrature with 1/2
+    each and, when ``sd`` has two columns, pulse set j with 1/2 each. Alice
+    draws x ~ N(0, sig_x^2). Under attack Eve reads x_e = x + N(0,
+    sig_intercept^2) and resends from it; honest sessions have no intercept
+    (``sig_intercept`` None) and x_e = x. Bob reads
+        y = gain[k] * x_e + offset[k, j] + sd[k, j] * z,    z ~ N(0, 1),
+    where ``sd`` sums the variances of every independent Gaussian noise term,
+    and an LO-intensity monitor reads ``lo_level[j]`` (None: no monitor).
     """
-    idx = np.zeros(u.size, np.intp)
-    for c in cum[:-1]:
-        idx += u >= c
-    return idx
+
+    ratios: np.ndarray          # (K,)
+    probabilities: np.ndarray   # (K,)
+    sig_x: float
+    gain: np.ndarray            # (K,)
+    sd: np.ndarray              # (K, J), J = 1 or 2 pulse sets
+    offset: np.ndarray          # (K, J)
+    sig_intercept: float | None = None
+    lo_level: np.ndarray | None = None  # (J,)
+
+    def __post_init__(self):
+        if self.sd.shape[1] not in (1, 2):
+            raise ValueError(f"a noise table has one or two pulse sets, got {self.sd.shape[1]}")
 
 
-def run_honest_session(params: SystemParams, slots: int, master_seed: int,
-                       *, threads: int = 1, records: bool = True):
-    """Simulate ``slots`` honest protocol slots; reproducible in (seed, slots).
+def sample_session(table: NoiseTable, slots: int, master_seed: int,
+                   *, threads: int = 1, records: bool = True):
+    """Draw ``slots`` slots from ``table``; reproducible in (seed, slots).
 
-    Returns a RecordBatch carrying the session's streamed moments, or with
+    Per chunk, in this order: the multinomial cell counts; then, each column
+    over the whole chunk in cell order, x, Eve's heterodyne noise (with an
+    intercept), the pulse-set bits (with two pulse sets) and Bob's noise
+    normal; last, with ``records``, the permutation of the cell labels that
+    places the slots. Each chunk allocates its columns once, as one block,
+    and every draw and product writes into it.
+
+    Returns a RecordBatch carrying the session's moments, or with
     ``records=False`` only the RatioMoments, in memory that does not grow
     with ``slots``.
     """
-    ratios = params.schedule.ratios
-    cum = np.cumsum(params.schedule.probabilities)
-    eta = params.detector.efficiency
-    eta_ch = params.channel_transmittance
-    n0 = params.shot_noise_unit
-    v_el = params.detector.electronic_noise
-    sig_x = math.sqrt(params.modulation_variance * n0)
-    # per-ratio lookup tables keep the inner loop to gathers and two normals
-    gain_t = np.sqrt(ratios * eta * eta_ch)
-    noise_t = np.sqrt(ratios * eta * eta_ch * params.excess_noise * n0 + n0 + v_el)
+    ratios = table.ratios
+    size = 2 * len(ratios)
+    p_cell = np.repeat(table.probabilities / 2.0, 2)  # cell 2k + q
+    label_type = np.min_scalar_type(size - 1)
+    two_sets = table.sd.shape[1] == 2
+    intercept = table.sig_intercept is not None
+    monitor = table.lo_level is not None
 
     if records:
         quad = np.empty(slots, np.uint8)
         ratio = np.empty(slots)
         x_col = np.empty(slots)
         y_col = np.empty(slots)
+        xe_col = np.empty(slots) if intercept else None
+        lo_col = np.empty(slots) if monitor else None
 
     def fill(gen, start, stop):
         m = stop - start
-        idx = ratio_index(cum, gen.random(m))
-        q = (gen.random(m) < 0.5).view(np.uint8)
-        x = gen.normal(0.0, sig_x, m) if sig_x > 0 else np.zeros(m)
-        y = gain_t[idx] * x + gen.normal(0.0, 1.0, m) * noise_t[idx]
+        x, xe, y, t, lo = np.empty((5, m))  # one block, drawn into with out=
+        bit = np.empty(m, bool)
+        counts = gen.multinomial(m, p_cell)
+        if table.sig_x > 0:
+            gen.standard_normal(out=x)
+            x *= table.sig_x
+        else:
+            x.fill(0.0)
+        if intercept:
+            gen.standard_normal(out=xe)
+            xe *= table.sig_intercept
+            xe += x
+        else:
+            xe = x
+        if two_sets:
+            gen.random(out=t)
+            np.less(t, 0.5, out=bit)
+        gen.standard_normal(out=y)
+        stop_c = np.cumsum(counts)
+        for c in np.flatnonzero(counts):
+            k = c >> 1
+            a, b = stop_c[c] - counts[c], stop_c[c]
+            yc, tc = y[a:b], t[a:b]
+            if two_sets:
+                tc.fill(table.sd[k, 0])
+                np.copyto(tc, table.sd[k, 1], where=bit[a:b])
+                yc *= tc
+                tc.fill(table.offset[k, 0])
+                np.copyto(tc, table.offset[k, 1], where=bit[a:b])
+                yc += tc
+            else:
+                yc *= table.sd[k, 0]
+                if table.offset[k, 0] != 0.0:
+                    yc += table.offset[k, 0]
+            yc += np.multiply(xe[a:b], table.gain[k], out=tc)
+        if monitor:
+            lo.fill(table.lo_level[0])
+            if two_sets:
+                np.copyto(lo, table.lo_level[1], where=bit)
+        moments = RatioMoments.of_cells(ratios, counts, x, y, lo if monitor else None, t)
         if records:
-            quad[start:stop] = q
-            ratio[start:stop] = ratios[idx]
-            x_col[start:stop] = x
-            y_col[start:stop] = y
-        return RatioMoments.of_chunk(ratios, idx, q, x, y)
+            # numpy shuffles intp faster than uint8, and sorts uint8 faster than intp
+            labels = gen.permutation(np.repeat(np.arange(size), counts))
+            place = start + np.argsort(labels.astype(label_type), kind="stable")
+            quad[start:stop] = labels & 1
+            ratio[start:stop] = ratios.take(labels >> 1)
+            x_col[place] = x
+            y_col[place] = y
+            if intercept:
+                xe_col[place] = xe
+            if monitor:
+                lo_col[place] = lo
+        return moments
 
     moments = RatioMoments.fold(_rng.run_chunked(slots, master_seed, fill, threads=threads))
     if not records:
         return moments
-    return RecordBatch(None, quad, ratio, x_col, y_col, moments=moments)
+    return RecordBatch(None, quad, ratio, x_col, y_col, xe_col, lo_col, moments=moments)
+
+
+def run_honest_session(params: SystemParams, slots: int, master_seed: int,
+                       *, threads: int = 1, records: bool = True):
+    """Simulate ``slots`` honest protocol slots; reproducible in (seed, slots).
+
+    One pulse set with no offset, no intercept and no LO monitor. Returns a
+    RecordBatch carrying the session's moments, or with ``records=False`` only
+    the RatioMoments (see ``sample_session``).
+    """
+    ratios = params.schedule.ratios
+    n0 = params.shot_noise_unit
+    ree = ratios * params.detector.efficiency * params.channel_transmittance
+    noise_var = ree * params.excess_noise * n0 + n0 + params.detector.electronic_noise
+    table = NoiseTable(ratios, params.schedule.probabilities,
+                       math.sqrt(params.modulation_variance * n0), np.sqrt(ree),
+                       np.sqrt(noise_var)[:, None], np.zeros((len(ratios), 1)))
+    return sample_session(table, slots, master_seed, threads=threads, records=records)
 
 
 def two_point_from_variances(v1: float, v2: float, r1: float, r2: float,

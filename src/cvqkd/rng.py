@@ -1,14 +1,15 @@
-"""Counter-based, reproducible randomness for slot simulation.
+"""Reproducible, independently seeded randomness for slot simulation.
 
 Slots are partitioned into fixed-size chunks and every chunk owns an
-independent Philox stream keyed by (master_seed, stream_id, chunk_index).
+independent SFC64 stream seeded by
+``SeedSequence(entropy=master_seed, spawn_key=(stream_id, chunk_index))``.
 The mapping never depends on thread count or execution order, so a session
 is bit-identical however the chunks are scheduled. Within a chunk the
-simulation draws its per-slot columns in a fixed sequence, making each
-slot's randomness a pure function of the master seed and the slot index.
+sampler draws its columns in a fixed sequence (see ``protocol``), making a
+chunk's slots a pure function of the master seed and the chunk index.
 
-The samplers reduce each chunk to its per-ratio moments inside ``fill`` and
-merge the list ``run_chunked`` returns in chunk-index order, so the merged
+The sampler reduces each chunk to its per-ratio moments inside ``fill`` and
+merges the list ``run_chunked`` returns in chunk-index order, so the merged
 floating-point sums do not depend on the thread count either.
 """
 
@@ -26,9 +27,9 @@ STREAM_TEST = 7
 
 
 def chunk_generator(master_seed: int, stream: int, chunk_index: int) -> np.random.Generator:
-    """Philox generator for one chunk of one stream."""
+    """SFC64 generator for one chunk of one stream."""
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(stream, chunk_index))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def chunk_bounds(n_slots: int, chunk_slots: int = CHUNK_SLOTS):

@@ -235,7 +235,11 @@ def parse_scenario(text: str) -> Scenario:
         slots = _parse_int(*run["slots"], "slots")
         if slots <= 0:
             raise ConfigError(f"slots must be > 0, got {slots}", run["slots"][1])
-    seed = _parse_int(*run["master_seed"], "master_seed") if "master_seed" in run else 1
+    seed = 1
+    if "master_seed" in run:
+        seed = _parse_int(*run["master_seed"], "master_seed")
+        if seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {seed}", run["master_seed"][1])
 
     return _located(
         headers.get("attack"), Scenario,

@@ -5,13 +5,13 @@ import pytest
 
 from cvqkd.attack import (AttackPlan, DEFAULT_WAVELENGTHS, StrategyA, StrategyB,
                           WavelengthPlan, attack_variance, coarse_displacement_guess,
-                          heterodyne_intercept, inject_part2, part2_variance,
+                          heterodyne_intercept, inject_part2, noise_table, part2_variance,
                           predicted_two_point, realistic_shot_noise, resend_strategy_a,
                           resend_strategy_b, run_attacked_session, shot_coefficients,
                           solve_attack_parameters)
 from cvqkd.errors import InfeasibleAttackError
-from cvqkd.physics import builtin_curve
-from cvqkd.protocol import (AttenuationSchedule, SystemParams,
+from cvqkd.physics import DetectorConfig, builtin_curve
+from cvqkd.protocol import (THREE_RATIO_SCHEDULE, AttenuationSchedule, SystemParams,
                             estimate_covariance_transmittance, estimate_two_point,
                             variances_by_ratio)
 from cvqkd.rng import chunk_generator
@@ -248,6 +248,54 @@ def test_attacked_session_variances_match_analytic():
         s2 = expected - delta2
         sigma = math.sqrt((2 * s2 * s2 + 4 * s2 * delta2) / n)
         assert abs(var - expected) < 4 * sigma
+
+
+def _noisy_attack(kind, injected):
+    """Strategy A or B, with or without a wavelength plan, electronic noise on, three ratios."""
+    params = SystemParams(channel_transmittance=0.9 if kind == "A" else 0.5,
+                          detector=DetectorConfig(electronic_noise=5e6),
+                          schedule=THREE_RATIO_SCHEDULE)
+    if injected:
+        return params, solve_attack_parameters(kind, params, CURVE)
+    strategy = StrategyA(20.0) if kind == "A" else StrategyB(0.47, 0.5 / 0.47)
+    return params, AttackPlan(strategy, None)
+
+
+_NOISY_CASES = pytest.mark.parametrize("kind, injected", [
+    ("A", True), ("A", False), ("B", True), ("B", False)],
+    ids=["A-plan", "A-no-plan", "B-plan", "B-no-plan"])
+
+
+@_NOISY_CASES
+def test_attacked_variances_match_analytic_with_electronic_noise(kind, injected):
+    # the sampler draws one normal with the summed variance of part-1 noise,
+    # electronic noise (outside strategy B's slope) and both pulses' shot
+    # noise; |z| < 5 on 12 comparisons gives a false-failure rate below 7e-6
+    params, plan = _noisy_attack(kind, injected)
+    moments = run_attacked_session(params, plan, 400_000, 31, records=False)
+    for r, (var, n) in variances_by_ratio(moments).items():
+        expected = attack_variance(params, plan, r)
+        delta2 = (1 - r) ** 2 * plan.displacement ** 2
+        s2 = expected - delta2
+        sigma = math.sqrt((2 * s2 * s2 + 4 * s2 * delta2) / n)
+        assert abs(var - expected) < 5 * sigma
+
+
+@_NOISY_CASES
+def test_noise_table_sums_to_the_analytic_variance(kind, injected):
+    # exact: gain^2 * Var(x_e) + Var(offset) + E[sd^2] over the pulse sets, so
+    # every term of the summed noise is checked, also those too small to see
+    # statistically
+    params, plan = _noisy_attack(kind, injected)
+    table = noise_table(params, plan)
+    var_xe = table.sig_x ** 2 + table.sig_intercept ** 2
+    for k, r in enumerate(table.ratios):
+        population = (table.gain[k] ** 2 * var_xe + np.var(table.offset[k])
+                      + np.mean(table.sd[k] ** 2))
+        assert population == pytest.approx(attack_variance(params, plan, r), rel=1e-12)
+    # compensated, the monitor reads the part-1 LO on average
+    part1_lo = params.lo_intensity / (plan.strategy.amplification if kind == "A" else 1.0)
+    assert np.mean(table.lo_level) == pytest.approx(part1_lo, rel=1e-12)
 
 
 def test_attacked_session_fools_two_point_estimators():

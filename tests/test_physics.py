@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from cvqkd.errors import CurveRangeError
+from cvqkd.errors import ConfigError, CurveRangeError
 from cvqkd.physics import (BeamSplitterCurve, DetectorConfig, ForeignPulse, PulsePath,
                            balanced_homodyne_stats, builtin_curve, foreign_pulse_response,
                            load_curve, sample_foreign_current, transmittance_at,
@@ -197,3 +197,30 @@ def test_detector_config_validation():
         DetectorConfig(amplification=0.0)
     with pytest.raises(ValueError):
         ForeignPulse(1550, -1.0, PulsePath.LO)
+
+
+@pytest.mark.parametrize("rows, line, match", [
+    ("1300 0.49\n1400\n", 3, "wavelength_nm transmittance"),
+    ("1300 0.49 7\n1400 0.51\n", 2, "wavelength_nm transmittance"),
+    ("1300 abc\n1400 0.51\n", 2, "two numbers"),
+    ("1300 nan\n1400 0.51\n", 2, "finite"),
+    ("inf 0.49\n1400 0.51\n", 2, "finite"),
+    ("1300 0.49\n1400 1.5\n", 3, r"outside \(0, 1\)"),
+    ("1400 0.49\n1300 0.51\n", 3, "does not ascend"),
+    ("1300 0.49\n1300 0.51\n", 3, "does not ascend"),
+], ids=["short-row", "long-row", "non-numeric", "nan", "inf", "out-of-range",
+        "descending", "repeated"])
+def test_load_curve_rejects_malformed_rows_with_file_and_line(tmp_path, rows, line, match):
+    path = tmp_path / "bad_curve.txt"
+    path.write_text("wavelength_nm transmittance\n" + rows)
+    with pytest.raises(ConfigError, match=match) as err:
+        load_curve(path)
+    assert err.value.line == line
+    assert "bad_curve.txt" in str(err.value)
+
+
+def test_load_curve_needs_two_rows(tmp_path):
+    path = tmp_path / "one_row.txt"
+    path.write_text("wavelength_nm transmittance\n1300 0.49\n")
+    with pytest.raises(ConfigError, match="one_row.txt.*>= 2"):
+        load_curve(path)

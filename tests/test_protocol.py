@@ -306,3 +306,20 @@ def test_session_memory_does_not_grow_with_slots():
     small, large = peak(1 << 20), peak(1 << 22)
     assert large < 16 * 2**20
     assert abs(large - small) < 2 * 2**20
+
+
+def test_records_are_not_written_in_cell_order():
+    # chi-square test of independence between a slot's (ratio, quadrature) cell
+    # and the half of its chunk it is written to, pooled over 16 chunks; 5
+    # degrees of freedom, cut at 35.89, so an i.i.d. record sequence fails it
+    # with probability 1e-6, cell-ordered records with certainty
+    plan = solve_attack_parameters("A", THREE_RATIO_PARAMS, builtin_curve("50:50"))
+    batch = run_attacked_session(THREE_RATIO_PARAMS, plan, 1 << 20, 19)
+    _, k = np.unique(batch.ratio, return_inverse=True)
+    cell = 2 * k + batch.quad
+    half = (np.arange(len(batch)) % CHUNK_SLOTS) >= CHUNK_SLOTS // 2
+    table = np.stack([np.bincount(cell[~half], minlength=6),
+                      np.bincount(cell[half], minlength=6)]).astype(float)
+    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
+    chi2 = float(((table - expected) ** 2 / expected).sum())
+    assert chi2 < 35.89

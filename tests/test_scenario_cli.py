@@ -307,6 +307,46 @@ def test_cli_rejects_non_positive_threads_and_slots(tmp_path, capsys, command, f
     assert not any(tmp_path.iterdir())
 
 
+def test_negative_master_seed_rejected_with_line():
+    with pytest.raises(ConfigError, match="master_seed must be >= 0") as err:
+        parse_scenario("[run]\nslots = 10\nmaster_seed = -5\n")
+    assert err.value.line == 3
+
+
+def test_cli_run_rejects_negative_scenario_seed_before_writing(tmp_path, capsys):
+    scen = tmp_path / "neg.scenario"
+    scen.write_text(MINIMAL.replace("master_seed = 3", "master_seed = -5"))
+    rc = main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "line 8: master_seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_rejects_negative_seed_flag(tmp_path, capsys, command):
+    if command == "run":
+        argv = ["run", "--scenario", str(SCENARIOS / "honest.scenario")]
+    else:
+        argv = ["sweep", "--variable", "N", "--start", "5", "--stop", "10",
+                "--points", "2", "--mc"]
+    rc = main(argv + ["--out", str(tmp_path / "out"), "--seed", "-1"])
+    assert rc == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_with_malformed_curve_file_exits_2(tmp_path, capsys):
+    curve = tmp_path / "short.txt"
+    curve.write_text("wavelength_nm transmittance\n1300 0.49\n1400\n")
+    scen = tmp_path / "bad_curve.scenario"
+    scen.write_text(MINIMAL.replace("[system]\n", f"[system]\ncurve = {curve}\n"))
+    rc = main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: curve file ") and "short.txt" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key, value", [("modulation_variance", "nan"),
                                         ("lo_intensity", "inf"),
                                         ("excess_noise", "-inf")])
