@@ -135,6 +135,29 @@ def _chan(na, ma, m2a, nb, mb, m2b):
     return n, ma + delta * wb, m2a + m2b + delta * delta * na * wb
 
 
+def distinct_values(values: np.ndarray):
+    """Sorted distinct values of a 1-D array and each element's index among them.
+
+    The result of ``np.unique(values, return_inverse=True)``, found with one
+    pass per distinct value instead of a sort, for columns that hold a few
+    values such as attenuation ratios. Equal floats group together (-0.0 with
+    0.0, represented by the first seen). Past 64 distinct values it sorts.
+    Raises ValueError on NaN.
+    """
+    found = []
+    rest = values
+    while rest.size:
+        if len(found) == 64:
+            return np.unique(values, return_inverse=True)
+        first = rest[0]
+        if first != first:
+            raise ValueError("cannot group NaN values")
+        found.append(first)
+        rest = rest[rest != first]
+    table = np.sort(np.array(found, values.dtype))
+    return table, np.searchsorted(table, values)
+
+
 class RatioMoments:
     """Sufficient statistics of a slot stream per (attenuation ratio, quadrature).
 
@@ -192,7 +215,7 @@ class RatioMoments:
         the cell order they were drawn in, and ``of_cells`` reduces them, so
         the records of a session give back the session's moments bit for bit.
         """
-        ratios, k = np.unique(batch.ratio, return_inverse=True)
+        ratios, k = distinct_values(batch.ratio)
         size = 2 * len(ratios)
         cell = (2 * k + batch.quad).astype(np.min_scalar_type(max(size - 1, 0)))
         lo = batch.lo_observed
@@ -206,10 +229,11 @@ class RatioMoments:
         return cls.fold(parts)
 
     @staticmethod
-    def fold(parts: list["RatioMoments"]) -> "RatioMoments":
+    def fold(parts: Iterable["RatioMoments"]) -> "RatioMoments":
         """Merge per-chunk moments left to right, in the order given (chunk order)."""
-        total = parts[0]
-        for part in parts[1:]:
+        parts = iter(parts)
+        total = next(parts)
+        for part in parts:
             total = total.merge(part)
         return total
 

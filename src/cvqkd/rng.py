@@ -9,12 +9,14 @@ sampler draws its columns in a fixed sequence (see ``protocol``), making a
 chunk's slots a pure function of the master seed and the chunk index.
 
 The sampler reduces each chunk to its per-ratio moments inside ``fill`` and
-merges the list ``run_chunked`` returns in chunk-index order, so the merged
-floating-point sums do not depend on the thread count either.
+folds the results ``run_chunked`` yields as they arrive, in chunk-index
+order, so the merged floating-point sums do not depend on the thread count
+either, and a session holds a bounded number of chunks' results at a time.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -39,21 +41,30 @@ def chunk_bounds(n_slots: int, chunk_slots: int = CHUNK_SLOTS):
 
 
 def run_chunked(n_slots: int, master_seed: int, fill, *, stream: int = STREAM_SESSION,
-                threads: int = 1, chunk_slots: int = CHUNK_SLOTS) -> list:
-    """Evaluate ``fill(rng, start, stop)`` once per chunk, in chunk order.
+                threads: int = 1, chunk_slots: int = CHUNK_SLOTS):
+    """Evaluate ``fill(rng, start, stop)`` once per chunk; yield the results in chunk order.
 
     ``fill`` returns the chunk's result (the samplers: its moments) and may
     also write into preallocated [start:stop) slices; chunks are disjoint, so
-    threaded execution is safe. ``threads`` only affects scheduling; results
-    come back ordered by chunk index regardless.
+    threaded execution is safe. ``threads`` only affects scheduling: with
+    more than one, at most ``2 * threads`` chunks are submitted ahead of the
+    one the caller waits for, so results held in flight do not grow with
+    the chunk count.
     """
-    bounds = list(chunk_bounds(n_slots, chunk_slots))
+    bounds = chunk_bounds(n_slots, chunk_slots)
 
     def one(args):
         j, start, stop = args
         return fill(chunk_generator(master_seed, stream, j), start, stop)
 
-    if threads <= 1 or len(bounds) <= 1:
-        return [one(b) for b in bounds]
+    if threads <= 1 or n_slots <= chunk_slots:
+        yield from map(one, bounds)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, bounds))
+        ahead = deque()
+        for b in bounds:
+            ahead.append(pool.submit(one, b))
+            if len(ahead) > 2 * threads:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()

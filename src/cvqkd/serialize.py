@@ -17,6 +17,7 @@ batch reads back bit for bit.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import warnings
 from typing import Iterable
@@ -25,7 +26,7 @@ import numpy as np
 
 from .attack import AttackPlan, StrategyA, StrategyB, WavelengthPlan
 from .physics import BeamSplitterCurve, DetectorConfig, ForeignPulse, PulsePath
-from .protocol import RecordBatch
+from .protocol import RecordBatch, distinct_values
 
 RECORDS_FORMAT = "records-v1"
 REPORT_FORMAT = "report-v1"
@@ -64,28 +65,266 @@ def fmt_value(value) -> str:
 
 
 _RECORDS_COLUMNS = ["slot", "quad", "ratio", "alice_x", "bob_y"]
-_RECORDS_BLOCK = 1 << 16
-_RECORDS_DTYPE = np.dtype([("slot", np.int64), ("quad", np.uint8), ("ratio", float),
+_RECORDS_BLOCK = 1 << 14
+_RECORDS_DTYPE = np.dtype([("slot", np.int64), ("quad", "S2"), ("ratio", float),
                            ("alice_x", float), ("bob_y", float)])
+
+_U64 = np.uint64
+_M32 = _U64(0xFFFFFFFF)
+_M63 = _U64((1 << 63) - 1)
+_K_MIN, _K_MAX = -324, 292  # decimal exponents of the power-of-ten table
+_REPR_WIDTH = 24            # the longest repr: -1.2345678901234567e-308
+_SRC_WIDTH = 32             # bytes of one value's source row (see _repr_templates)
+_SRC_PAD = 31               # the source byte that is always 0
+
+
+@functools.cache
+def _repr_tables():
+    """The float kernel's tables, built on first use (a few milliseconds).
+
+    - ``g``: for each decimal exponent k, g = floor(10^-k 2^-r) + 1 with
+      2^125 <= g < 2^126, as its high 63 bits g1 (32-bit halves, and whole)
+      and its low 63 bits g0 (32-bit halves);
+    - ``digits4``: the ASCII text of 0000..9999, four bytes to a uint32;
+    - ``lead4``: the same without leading zeros (0 bytes instead), 0 as
+      empty, then once more with 0 as "0";
+    - ``last4``: per digit group position j = 0..3 and group value, the
+      1-based position of the group's last non-zero digit in a 17-digit
+      string whose group j follows the lead digit (0 if the group is 0);
+    - ``pow10``: 10^0 .. 10^19;
+    - the layout templates of ``_repr_templates``.
+    """
+    g = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        if k <= 0:
+            p = 10 ** -k
+            r = p.bit_length() - 126
+            g.append((p >> r if r >= 0 else p << -r) + 1)
+        else:
+            p = 10 ** k
+            g.append((1 << (125 + p.bit_length())) // p + 1)
+    g1 = np.array([x >> 63 for x in g], np.uint64)
+    g0 = np.array([x & ((1 << 63) - 1) for x in g], np.uint64)
+    g = (g1 >> _U64(32), g1 & _M32, g0 >> _U64(32), g0 & _M32, g1)
+
+    i = np.arange(10000)
+    chars = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1) + 48
+    digits4 = np.ascontiguousarray(chars, np.uint8).view(np.uint32).ravel()
+    leading = i[:, None] < np.array([1000, 100, 10, 1])
+    lead4 = np.where(leading, 0, chars).astype(np.uint8)
+    lead4 = np.concatenate([digits4, lead4.view(np.uint32).ravel(), lead4.view(np.uint32).ravel()])
+    lead4[2 * 10000] = digits4[0] & np.uint32(0xFF000000)  # the last group of 0 is "0"
+    trailing = (i % 10 == 0).astype(int) + (i % 100 == 0) + (i % 1000 == 0)
+    last4 = np.concatenate([np.where(i == 0, 0, 4 * j + 5 - trailing) for j in range(4)])
+    pow10 = np.array([10 ** j for j in range(20)], np.uint64)
+    template, lengths = _repr_templates()
+    return g, digits4, lead4, last4.astype(np.uint8), pow10, template, lengths
+
+
+def _repr_templates():
+    """Which source bytes spell each layout of ``repr``, and how many.
+
+    A value's source row holds the 17 significant digits (byte 3, then bytes
+    4..19), ``0.e`` and the exponent's sign (bytes 20..23), the exponent's
+    absolute value as four digits (bytes 24..27), ``-`` (byte 28) and a 0
+    byte (31). Layouts are numbered by sign (374 apart), then 340 positional
+    ones by decimal-point position decpt = -3..16 and digit count n = 1..17,
+    then 34 exponential ones by exponent width (2 or 3 digits) and n.
+    """
+    digit = [3] + list(range(4, 20))
+    rows = []
+    for sign in ([], [28]):
+        for decpt in range(-3, 17):
+            for n in range(1, 18):
+                if decpt <= 0:
+                    body = [20, 21] + [20] * -decpt + digit[:n]
+                elif decpt < n:
+                    body = digit[:decpt] + [21] + digit[decpt:n]
+                else:
+                    body = digit[:n] + [20] * (decpt - n) + [21, 20]
+                rows.append(sign + body)
+        for exponent in ([26, 27], [25, 26, 27]):
+            for n in range(1, 18):
+                fraction = [21] + digit[1:n] if n > 1 else []
+                rows.append(sign + digit[:1] + fraction + [22, 23] + exponent)
+    template = np.full((len(rows), _REPR_WIDTH), _SRC_PAD, np.uint8)
+    for out, row in zip(template, rows):
+        out[:len(row)] = row
+    return template, np.array([len(row) for row in rows], np.uint8)
+
+
+def _mul_hi(ah, al, bh, bl):
+    """High 64 bits of the 128-bit product of a = ah 2^32 + al and b = bh 2^32 + bl."""
+    ll = al * bl
+    hl = ah * bl
+    lh = al * bh
+    mid = (ll >> _U64(32)) + (hl & _M32) + (lh & _M32)
+    return ah * bh + (hl >> _U64(32)) + (lh >> _U64(32)) + (mid >> _U64(32))
+
+
+def _round_to_odd(g, cp):
+    """floor(g cp 2^-127), with its lowest bit set if any bit below was (cp < 2^63)."""
+    g1h, g1l, g0h, g0l, g1 = g
+    ch, cl = cp >> _U64(32), cp & _M32
+    z = ((g1 * cp) >> _U64(1)) + _mul_hi(g0h, g0l, ch, cl)
+    return (_mul_hi(g1h, g1l, ch, cl) + (z >> _U64(63))) | (((z & _M63) + _M63) >> _U64(63))
+
+
+def _shortest_decimal(bits, g):
+    """(d, e) with d 10^e the shortest decimal that rounds to each finite double.
+
+    Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020):
+    scale the value and its rounding interval's two ends by 10^-k with three
+    round-to-odd products, then take the multiple of 10^(k+1) in the
+    interval if there is one, else the one of floor and ceiling in it, else
+    the nearer of the two (the even one on a tie). The interval's ends count
+    when the significand is even, as round-half-even reading needs. Whole
+    numbers below 2^53 are their own shortest decimal. Zero gives (0, 0).
+    """
+    exp2 = ((bits >> _U64(52)) & _U64(0x7FF)).astype(np.int64)
+    frac = bits & _U64((1 << 52) - 1)
+    c = frac | ((exp2 != 0).astype(np.uint64) << _U64(52))
+    q = np.maximum(exp2, 1) - 1075
+    # at a power of two the interval below is half as wide
+    irregular = (frac == 0) & (exp2 > 1)
+    k = (q * 661971961083 - irregular * 274743187321) >> 41  # floor(log10(2^q)), or of 3/4 2^q
+    h = (q + ((-k * 913124641741) >> 38) + 2).astype(np.uint64)  # + floor(log2(10^-k))
+    g = [part.take(k - _K_MIN) for part in g]
+    cb = c << _U64(2)
+    vb = _round_to_odd(g, cb << h)
+    vbl = _round_to_odd(g, (cb - _U64(2) + irregular) << h)
+    vbr = _round_to_odd(g, (cb + _U64(2)) << h)
+    odd = c & _U64(1)
+    s = vb >> _U64(2)
+    s10 = s // _U64(10) * _U64(10)
+    u10 = vbl + odd <= s10 << _U64(2)
+    w10 = ((s10 + _U64(10)) << _U64(2)) + odd <= vbr
+    u = vbl + odd <= s << _U64(2)
+    w = ((s + _U64(1)) << _U64(2)) + odd <= vbr
+    mid = (s << _U64(2)) + _U64(2)
+    up = (vb > mid) | ((vb == mid) & (s & _U64(1)).astype(bool))
+    one = u != w
+    d = s + (one & w | ~one & up)
+    d ^= (d ^ (s10 + _U64(10) * w10)) & (_U64(0) - (u10 != w10))
+    shift = np.clip(-q, 0, 63).astype(np.uint64)
+    whole = c >> shift
+    is_whole = ((whole << shift) == c) & (q > -53) & (q < 0)
+    d ^= (d ^ whole) & (_U64(0) - is_whole)
+    d *= c != 0
+    return d, k * ~(is_whole | (c == 0))
+
+
+def _repr_chars(values):
+    """``repr`` of each finite float64 as a (n, width) uint8 array, 0-padded.
+
+    ``width`` is the longest text among the values. Digits come from
+    ``_shortest_decimal``; they are placed by the layout rule of ``repr``:
+    positional when -4 < decpt <= 16 (``.0`` after whole numbers), else
+    ``d.ddde±XX``, and ``-`` before negative values, -0.0 included.
+    """
+    g, digits4, _, last4, pow10, template, lengths = _repr_tables()
+    m = values.size
+    bits = values.view(np.uint64)
+    d, e = _shortest_decimal(bits, g)
+    zero = d == 0
+    d |= zero  # zero is laid out as the digits of 1, then cleared
+    log2 = (d.astype(np.float64).view(np.uint64) >> _U64(52)).astype(np.int64) - 1022
+    nd = log2 * 1233 >> 12  # digit count of d, or one less
+    nd += d >= pow10.take(nd)
+    decpt = nd + e
+    d = d * pow10.take(17 - nd) * ~zero  # 17 digits
+    lead = d // _U64(10 ** 16)
+    d -= lead * _U64(10 ** 16)
+    hi = d // _U64(10 ** 8)
+    lo = d - hi * _U64(10 ** 8)
+    groups = (hi // _U64(10000), hi % _U64(10000), lo // _U64(10000), lo % _U64(10000))
+    src = np.empty((m, _SRC_WIDTH // 4), np.uint32)
+    src[:, 0] = (lead.astype(np.uint32) + np.uint32(48)) << np.uint32(24)
+    n = np.ones(m, np.uint8)
+    for j, group in enumerate(groups):
+        src[:, j + 1] = digits4.take(group)
+        np.maximum(n, last4.take(group + _U64(10000 * j)), out=n)
+    exp10 = decpt - 1
+    src[:, 5] = np.uint32(int.from_bytes(b"0.e+", "little")) + (
+        (exp10 < 0).astype(np.uint32) << np.uint32(25))  # "+" + 2 = "-"
+    src[:, 6] = digits4.take(np.abs(exp10))
+    src[:, 7] = np.uint32(ord("-"))
+    positional = (decpt > -4) & (decpt <= 16)
+    layout = np.where(positional, (decpt + 3) * 17, 340 + 17 * (np.abs(exp10) >= 100)) + n - 1
+    layout += 374 * (bits >> _U64(63)).astype(np.int64)
+    width = int(lengths.take(layout).max(initial=1))
+    index = template[:, :width].copy().view(f"V{width}").ravel().take(layout)
+    index = np.add(index.view(np.uint8).reshape(m, width),
+                   np.arange(0, m * _SRC_WIDTH, _SRC_WIDTH)[:, None], dtype=np.intp)
+    return src.view(np.uint8).ravel().take(index)
+
+
+def _int_chars(values):
+    """``str`` of each int64 as a (n, width) uint8 array, right-aligned, 0-padded."""
+    _, _, lead4, _, pow10, _, _ = _repr_tables()
+    neg = values < 0
+    u = values.view(np.uint64).copy()
+    np.negative(u, out=u, where=neg)  # |int64 min| = 2^63 is still exact
+    words = np.empty((values.size, 5), np.uint32)
+    for j in range(5):
+        group = u // pow10[16 - 4 * j] % _U64(10000)
+        # leading zeros are blank unless a higher group has digits; the last shows 0
+        blank = _U64(10000) if j == 0 else (u < pow10[20 - 4 * j]) * _U64(20000 if j == 4 else 10000)
+        words[:, j] = lead4.take(group + blank)
+    chars = words.view(np.uint8)
+    width = len(str(int(u.max(initial=0)))) + bool(neg.any())
+    if neg.any():
+        rows = np.flatnonzero(neg)
+        chars[rows, 19 - np.count_nonzero(chars[rows], axis=1)] = ord("-")
+    return chars[:, 20 - width:]
+
+
+def _records_rows(slot, quad, ratio, alice_x, bob_y) -> np.ndarray:
+    """The records-v1 rows of one block as one uint8 buffer.
+
+    Each row is laid out in a fixed-width row of a (rows, width) matrix whose
+    unused bytes are 0, and the matrix is then compacted in row order.
+    """
+    m = slot.size
+    slot_text = _int_chars(slot)
+    # ratios take few values: repr each distinct bit pattern (-0.0 and 0.0 differ)
+    bits, which = distinct_values(ratio.view(np.int64))
+    texts = [repr(r).encode() for r in bits.view(float).tolist()]
+    rw = max(map(len, texts))
+    ratio_text = np.array(texts, f"S{rw}").view(f"V{rw}").take(which)
+    xy = _repr_chars(np.concatenate([alice_x, bob_y]))
+    sw, vw = slot_text.shape[1], xy.shape[1]
+    cols = np.cumsum([0, sw, 3, rw, 1, vw, 1, vw, 2])
+    rows = np.empty((m, cols[-1]), np.uint8)
+    rows[:, cols[0]:cols[1]] = slot_text
+    rows[:, cols[1]:cols[2]] = np.frombuffer(b",X,", np.uint8)
+    rows[:, cols[1] + 1] = np.frombuffer(b"XP", np.uint8).take(quad)
+    rows[:, cols[2]:cols[3]] = ratio_text.view(np.uint8).reshape(m, rw)
+    rows[:, cols[4] - 1] = ord(",")
+    rows[:, cols[4]:cols[5]] = xy[:m]
+    rows[:, cols[6] - 1] = ord(",")
+    rows[:, cols[6]:cols[7]] = xy[m:]
+    rows[:, cols[7]:] = np.frombuffer(b"\r\n", np.uint8)
+    flat = rows.ravel()
+    return flat[flat != 0]
 
 
 def write_records_csv(path, batch: RecordBatch, scenario_hash: str, seed: int) -> None:
-    """Stream a record batch as slot,quad,ratio,alice_x,bob_y rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(meta_line(RECORDS_FORMAT, scenario_hash, seed) + "\n")
-        fh.write(",".join(_RECORDS_COLUMNS) + "\r\n")
+    """Stream a record batch as slot,quad,ratio,alice_x,bob_y rows.
+
+    Raises ValueError, before the file is opened, when ratio, alice_x or
+    bob_y holds a value that is not finite: the reader would reject it.
+    """
+    for name in ("ratio", "alice_x", "bob_y"):
+        if not np.isfinite(getattr(batch, name)).all():
+            raise ValueError(f"cannot write records: non-finite {name}")
+    with open(path, "wb") as fh:
+        fh.write((meta_line(RECORDS_FORMAT, scenario_hash, seed) + "\n").encode())
+        fh.write((",".join(_RECORDS_COLUMNS) + "\r\n").encode())
         for start in range(0, len(batch), _RECORDS_BLOCK):
             block = slice(start, start + _RECORDS_BLOCK)
-            # Unique bit patterns, not values: -0.0 and 0.0 print differently.
-            bits, which = np.unique(batch.ratio[block].view(np.int64), return_inverse=True)
-            ratio_text = [repr(r) for r in bits.view(float).tolist()]
-            rows = zip(map(str, batch.slot[block].tolist()),
-                       map(_QUAD_NAMES.__getitem__, batch.quad[block].tolist()),
-                       map(ratio_text.__getitem__, which.tolist()),
-                       map(repr, batch.alice_x[block].tolist()),
-                       map(repr, batch.bob_y[block].tolist()))
-            fh.write("\r\n".join(map(",".join, rows)))
-            fh.write("\r\n")
+            fh.write(_records_rows(batch.slot[block], batch.quad[block], batch.ratio[block],
+                                   batch.alice_x[block], batch.bob_y[block]))
 
 
 def read_records_csv(path) -> RecordBatch:
@@ -106,14 +345,19 @@ def read_records_csv(path) -> RecordBatch:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 rows = np.loadtxt(fh, dtype=_RECORDS_DTYPE, delimiter=",", comments=None,
-                                  usecols=range(5), ndmin=1,
-                                  converters={1: {"X": 0, "P": 1}.__getitem__})
+                                  usecols=range(5), ndmin=1)
         except ValueError as exc:
             raise ValueError(f"malformed records CSV {path}: {exc}") from exc
+    quad = rows["quad"] == b"P"
+    bad = np.flatnonzero(~quad & (rows["quad"] != b"X"))
+    if bad.size:
+        raise ValueError(f"malformed records CSV {path}: quadrature "
+                         f"{rows['quad'][bad[0]].decode(errors='replace')!r} is not X or P")
     for name in ("ratio", "alice_x", "bob_y"):
         if not np.isfinite(rows[name]).all():
             raise ValueError(f"malformed records CSV {path}: non-finite {name}")
-    return RecordBatch(*(np.ascontiguousarray(rows[name]) for name in _RECORDS_COLUMNS))
+    return RecordBatch(np.ascontiguousarray(rows["slot"]), quad.view(np.uint8),
+                       *(np.ascontiguousarray(rows[name]) for name in _RECORDS_COLUMNS[2:]))
 
 
 def write_report(path, items: Iterable[tuple[str, object]], scenario_hash: str,

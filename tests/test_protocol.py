@@ -9,7 +9,8 @@ from cvqkd.errors import EstimationError, ScheduleError
 from cvqkd.physics import DetectorConfig, builtin_curve
 from cvqkd.protocol import (AttenuationSchedule, PulseRecord, RatioMoments, RecordBatch,
                             SystemParams, THREE_RATIO_SCHEDULE, TWO_POINT_SCHEDULE,
-                            alice_modulate, estimate_covariance_transmittance, estimate_two_point,
+                            alice_modulate, distinct_values, estimate_covariance_transmittance,
+                            estimate_two_point,
                             honest_measure, honest_variance, run_honest_session,
                             two_point_from_variances, variances_by_ratio)
 from cvqkd.rng import CHUNK_SLOTS, chunk_generator
@@ -323,3 +324,24 @@ def test_records_are_not_written_in_cell_order():
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
     chi2 = float(((table - expected) ** 2 / expected).sum())
     assert chi2 < 35.89
+
+
+@pytest.mark.parametrize("values", [
+    [1.0, 0.5, 0.001, 1.0, 1.0, 0.5],
+    [0.25],
+    [-0.0, 0.0, 1.0, 0.0],
+    np.random.default_rng(4).choice([1.0, 0.5, 0.001, 2.0], 10_000),
+    np.random.default_rng(5).normal(size=500),  # past 64 distinct values it sorts
+], ids=["three", "one", "signed-zeros", "many-slots", "many-values"])
+def test_distinct_values_matches_np_unique(values):
+    values = np.asarray(values, dtype=float)
+    table, inverse = distinct_values(values)
+    want_table, want_inverse = np.unique(values, return_inverse=True)
+    assert np.array_equal(table, want_table)
+    assert np.array_equal(inverse, want_inverse) and inverse.dtype == want_inverse.dtype
+
+
+def test_distinct_values_rejects_nan():
+    batch = RecordBatch(None, [0, 1, 0], [1.0, np.nan, 0.5], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="NaN"):
+        RatioMoments.of_batch(batch)

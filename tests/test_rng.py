@@ -32,7 +32,7 @@ def test_run_chunked_thread_count_invariance():
         def fill(gen, start, stop):
             out[start:stop] = gen.normal(size=stop - start)
 
-        run_chunked(n, 42, fill, threads=threads)
+        list(run_chunked(n, 42, fill, threads=threads))
         return out
 
     base = make(1)
@@ -42,5 +42,20 @@ def test_run_chunked_thread_count_invariance():
 
 def test_run_chunked_results_in_chunk_order():
     n = CHUNK_SLOTS + 10
-    parts = run_chunked(n, 0, lambda gen, start, stop: (start, stop), threads=4)
+    parts = list(run_chunked(n, 0, lambda gen, start, stop: (start, stop), threads=4))
     assert parts == [(0, CHUNK_SLOTS), (CHUNK_SLOTS, n)]
+
+
+def test_run_chunked_bounds_chunks_submitted_ahead():
+    threads, n = 2, 200
+    started = []
+
+    def fill(gen, start, stop):
+        started.append(start)  # list.append is atomic
+        return start
+
+    seen = []
+    for j in run_chunked(n, 3, fill, threads=threads, chunk_slots=1):
+        seen.append(j)
+        assert max(started) <= j + 2 * threads
+    assert seen == list(range(n))

@@ -279,9 +279,15 @@ def test_cli_thread_count_does_not_change_bytes(tmp_path):
                                  "0,Q,1.0,2.0,3.0",
                                  "0,X,1.0,abc,3.0",
                                  "1,X,nan,2.0,3.0",
-                                 "1,X,1.0,2.0,inf"],
+                                 "1,X,1.0,2.0,inf",
+                                 "1,XX,1.0,2.0,3.0",
+                                 "1,x,1.0,2.0,3.0",
+                                 "1,,1.0,2.0,3.0",
+                                 "1, X,1.0,2.0,3.0"],
                          ids=["short-row", "unknown-quadrature", "non-numeric",
-                              "nan-ratio", "inf-outcome"])
+                              "nan-ratio", "inf-outcome", "doubled-quadrature",
+                              "lower-case-quadrature", "empty-quadrature",
+                              "padded-quadrature"])
 def test_cli_detect_malformed_records_exit_2(tmp_path, capsys, row):
     path = tmp_path / "bad.csv"
     path.write_text("# format=records-v1 scenario=x seed=0\n"

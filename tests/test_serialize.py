@@ -6,8 +6,9 @@ import pytest
 from cvqkd.attack import AttackPlan, StrategyA, solve_attack_parameters
 from cvqkd.physics import builtin_curve
 from cvqkd.protocol import RecordBatch, SystemParams, run_honest_session
-from cvqkd.serialize import (csv_text, load_plan, plan_items, read_records_csv,
-                             read_report, write_plan, write_records_csv, write_report)
+from cvqkd.serialize import (_int_chars, _repr_chars, csv_text, load_plan, plan_items,
+                             read_records_csv, read_report, write_plan, write_records_csv,
+                             write_report)
 
 CURVE = builtin_curve("50:50")
 
@@ -143,3 +144,74 @@ def test_csv_text_header_and_rows():
     assert lines[0] == "# format=sweep-v1 scenario=dd seed=5"
     assert lines[1] == "a,b,c"
     assert lines[2] == "1,2.5,x"
+
+
+def _repr_bytes(values):
+    """The float kernel's text for each value, as bytes objects."""
+    chars = _repr_chars(np.ascontiguousarray(values, dtype=float))
+    return chars.view(f"S{chars.shape[1]}").ravel().tolist()
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(20201)
+    bits = rng.integers(0, 1 << 64, 800_000, dtype=np.uint64, endpoint=False)
+    # one in eight patterns gets exponent field 0: subnormals and both zeros
+    bits[::8] &= np.uint64((1 << 63) | ((1 << 52) - 1))
+    patterns = bits.view(float)
+    patterns = patterns[np.isfinite(patterns)]
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max,
+                      np.finfo(float).tiny, np.nextafter(np.finfo(float).tiny, 0.0)])
+    powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                             np.array([float(f"1e{k}") for k in range(-323, 309)])])
+    with np.errstate(over="ignore"):
+        powers = np.concatenate([powers, np.nextafter(powers, np.inf),
+                                 np.nextafter(powers, -np.inf)])
+    powers = powers[np.isfinite(powers) & (powers > 0)]
+    whole = np.concatenate([rng.integers(0, 1 << 53, 100_000).astype(float),
+                            2.0 ** 53 + np.arange(-64, 65), 10.0 ** 15 + np.arange(-9, 10),
+                            10.0 ** 16 + np.arange(-8, 9, 2)])
+    # first digit at 10^-4, 10^-5 (decpt -3, -4) and at 10^15, 10^16 (decpt 16, 17)
+    scale = 10.0 ** np.array([-4, -5, 15, 16])
+    near = (rng.uniform(1.0, 10.0, (25_000, 4)) * scale).ravel()
+    cases = np.concatenate([patterns, edges, powers, whole, near, rng.normal(0.0, 3e4, 50_000)])
+    return np.concatenate([cases, -cases])
+
+
+def test_float_kernel_matches_repr():
+    values = _kernel_cases()
+    assert values.size >= 1_000_000
+    got = _repr_bytes(values)
+    want = [repr(v).encode() for v in values.tolist()]
+    bad = [(w, g) for w, g in zip(want, got) if w != g]
+    assert not bad, bad[:5]
+
+
+def test_float_kernel_layout_boundaries():
+    values = [1e-4, 1e-5, 0.00012, 1.2e-05, 1e15, 1e16, 1234567890123456.0,
+              1.2345678901234567e16, 5e-324, 1.7976931348623157e308, 1e100, 1e-100, 0.0, -0.0]
+    assert _repr_bytes(values) == [repr(v).encode() for v in values]
+    assert _repr_bytes([-0.0, 0.0, 1e16, 1e-5, 123.0]) == [
+        b"-0.0", b"0.0", b"1e+16", b"1e-05", b"123.0"]
+
+
+def test_int_kernel_matches_str():
+    info = np.iinfo(np.int64)
+    tens = 10 ** np.arange(19, dtype=np.int64)
+    values = np.concatenate([[0, 1, -1, info.max, info.min, info.min + 1], tens, tens - 1,
+                             tens + 1, -tens, np.random.default_rng(3).integers(
+                                 info.min, info.max, 10_000)]).astype(np.int64)
+    chars = _int_chars(values)
+    # right-aligned: a leading 0 byte would end the string early, so drop them first
+    got = [bytes(row[row != 0]) for row in chars]
+    assert got == [str(v).encode() for v in values.tolist()]
+
+
+@pytest.mark.parametrize("name", ["ratio", "alice_x", "bob_y"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_records_rejects_non_finite_before_opening(tmp_path, name, bad):
+    batch = _edge_batch(10)
+    getattr(batch, name)[3] = bad
+    path = tmp_path / "r.csv"
+    with pytest.raises(ValueError, match=f"non-finite {name}"):
+        write_records_csv(path, batch, "h", 0)
+    assert not path.exists()
