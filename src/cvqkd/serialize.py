@@ -20,7 +20,7 @@ import csv
 import functools
 import io
 import warnings
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -65,7 +65,7 @@ def fmt_value(value) -> str:
 
 
 _RECORDS_COLUMNS = ["slot", "quad", "ratio", "alice_x", "bob_y"]
-_RECORDS_BLOCK = 1 << 14
+_RECORDS_BLOCK = 1 << 12
 _RECORDS_DTYPE = np.dtype([("slot", np.int64), ("quad", "S2"), ("ratio", float),
                            ("alice_x", float), ("bob_y", float)])
 
@@ -74,25 +74,30 @@ _M32 = _U64(0xFFFFFFFF)
 _M63 = _U64((1 << 63) - 1)
 _K_MIN, _K_MAX = -324, 292  # decimal exponents of the power-of-ten table
 _REPR_WIDTH = 24            # the longest repr: -1.2345678901234567e-308
-_SRC_WIDTH = 32             # bytes of one value's source row (see _repr_templates)
-_SRC_PAD = 31               # the source byte that is always 0
+_SRC_PAD = 31               # the byte of a value's source row that is always 0
+
+
+class _Tables(NamedTuple):
+    g: tuple             # per decimal exponent: g1 high, g1 low, g0 high, g0 low, g1
+    digits4: np.ndarray  # uint32: the four ASCII digits of 0000..9999
+    blank4: np.ndarray   # uint32: digits4; then leading zeros blank, 0 blank; then 0 as "0"
+    last4: np.ndarray    # uint8: per digit group j, last non-zero digit position
+    pow10: np.ndarray    # uint64: 10^0 .. 10^19
+    lengths: np.ndarray  # uint8: text length of each layout
+    right: np.ndarray    # uint8: per layout, source bytes of the text and ",", right-aligned
+    left: np.ndarray     # uint8: per layout, source bytes of the text and "\r\n", left-aligned
 
 
 @functools.cache
-def _repr_tables():
-    """The float kernel's tables, built on first use (a few milliseconds).
+def _repr_tables() -> _Tables:
+    """The float and integer kernels' tables, built on first use (a few milliseconds).
 
-    - ``g``: for each decimal exponent k, g = floor(10^-k 2^-r) + 1 with
-      2^125 <= g < 2^126, as its high 63 bits g1 (32-bit halves, and whole)
-      and its low 63 bits g0 (32-bit halves);
-    - ``digits4``: the ASCII text of 0000..9999, four bytes to a uint32;
-    - ``lead4``: the same without leading zeros (0 bytes instead), 0 as
-      empty, then once more with 0 as "0";
-    - ``last4``: per digit group position j = 0..3 and group value, the
-      1-based position of the group's last non-zero digit in a 17-digit
-      string whose group j follows the lead digit (0 if the group is 0);
-    - ``pow10``: 10^0 .. 10^19;
-    - the layout templates of ``_repr_templates``.
+    ``g`` holds, for each decimal exponent k, g = floor(10^-k 2^-r) + 1 with
+    2^125 <= g < 2^126, split into its high 63 bits g1 and low 63 bits g0,
+    each also as 32-bit halves. ``last4[10000 j + v]`` is the 1-based position
+    of the last non-zero digit of group value v in a 17-digit string whose
+    group j (of four) follows the lead digit, or 0 when v is 0. Blank bytes
+    are 0.
     """
     g = []
     for k in range(_K_MIN, _K_MAX + 1):
@@ -105,31 +110,33 @@ def _repr_tables():
             g.append((1 << (125 + p.bit_length())) // p + 1)
     g1 = np.array([x >> 63 for x in g], np.uint64)
     g0 = np.array([x & ((1 << 63) - 1) for x in g], np.uint64)
-    g = (g1 >> _U64(32), g1 & _M32, g0 >> _U64(32), g0 & _M32, g1)
 
     i = np.arange(10000)
     chars = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1) + 48
     digits4 = np.ascontiguousarray(chars, np.uint8).view(np.uint32).ravel()
-    leading = i[:, None] < np.array([1000, 100, 10, 1])
-    lead4 = np.where(leading, 0, chars).astype(np.uint8)
-    lead4 = np.concatenate([digits4, lead4.view(np.uint32).ravel(), lead4.view(np.uint32).ravel()])
-    lead4[2 * 10000] = digits4[0] & np.uint32(0xFF000000)  # the last group of 0 is "0"
+    blank = np.where(i[:, None] < np.array([1000, 100, 10, 1]), 0, chars).astype(np.uint8)
+    blank = blank.view(np.uint32).ravel()
+    blank4 = np.concatenate([digits4, blank, blank])
+    blank4[20000] = digits4[0] & np.uint32(0xFF000000)  # "0" in the last byte
     trailing = (i % 10 == 0).astype(int) + (i % 100 == 0) + (i % 1000 == 0)
     last4 = np.concatenate([np.where(i == 0, 0, 4 * j + 5 - trailing) for j in range(4)])
-    pow10 = np.array([10 ** j for j in range(20)], np.uint64)
-    template, lengths = _repr_templates()
-    return g, digits4, lead4, last4.astype(np.uint8), pow10, template, lengths
+    return _Tables((g1 >> _U64(32), g1 & _M32, g0 >> _U64(32), g0 & _M32, g1),
+                   digits4, blank4, last4.astype(np.uint8),
+                   np.array([10 ** j for j in range(20)], np.uint64), *_repr_templates())
 
 
 def _repr_templates():
-    """Which source bytes spell each layout of ``repr``, and how many.
+    """Which source bytes spell each layout of ``repr``, two ways.
 
-    A value's source row holds the 17 significant digits (byte 3, then bytes
-    4..19), ``0.e`` and the exponent's sign (bytes 20..23), the exponent's
-    absolute value as four digits (bytes 24..27), ``-`` (byte 28) and a 0
-    byte (31). Layouts are numbered by sign (374 apart), then 340 positional
-    ones by decimal-point position decpt = -3..16 and digit count n = 1..17,
-    then 34 exponential ones by exponent width (2 or 3 digits) and n.
+    A value's source row (``_repr_source``) holds ``,\r\n`` (bytes 0..2), the
+    17 significant digits (byte 3, then bytes 4..19), ``0.e`` and the
+    exponent's sign (bytes 20..23), the exponent's absolute value as four
+    digits (bytes 24..27), ``-`` (byte 28) and a 0 byte (31). Layouts are
+    numbered by sign (374 apart), then 340 positional ones by decimal-point
+    position decpt = -3..16 and digit count n = 1..17, then 34 exponential
+    ones by exponent width (2 or 3 digits) and n. Returns the layouts' text
+    lengths and two templates: text then "," right-aligned, and text then
+    "\r\n" left-aligned, both padded with the 0 byte.
     """
     digit = [3] + list(range(4, 20))
     rows = []
@@ -147,10 +154,12 @@ def _repr_templates():
             for n in range(1, 18):
                 fraction = [21] + digit[1:n] if n > 1 else []
                 rows.append(sign + digit[:1] + fraction + [22, 23] + exponent)
-    template = np.full((len(rows), _REPR_WIDTH), _SRC_PAD, np.uint8)
-    for out, row in zip(template, rows):
-        out[:len(row)] = row
-    return template, np.array([len(row) for row in rows], np.uint8)
+    right = np.full((len(rows), _REPR_WIDTH + 1), _SRC_PAD, np.uint8)
+    left = np.full((len(rows), _REPR_WIDTH + 2), _SRC_PAD, np.uint8)
+    for r, row in enumerate(rows):
+        right[r, _REPR_WIDTH - len(row):] = row + [0]
+        left[r, :len(row) + 2] = row + [1, 2]
+    return np.array([len(row) for row in rows], np.uint8), right, left
 
 
 def _mul_hi(ah, al, bh, bl):
@@ -206,7 +215,7 @@ def _shortest_decimal(bits, g):
     one = u != w
     d = s + (one & w | ~one & up)
     d ^= (d ^ (s10 + _U64(10) * w10)) & (_U64(0) - (u10 != w10))
-    shift = np.clip(-q, 0, 63).astype(np.uint64)
+    shift = (-q).astype(np.uint64)  # only 0 < -q < 53 is used; numpy shifts by >= 64 give 0
     whole = c >> shift
     is_whole = ((whole << shift) == c) & (q > -53) & (q < 0)
     d ^= (d ^ whole) & (_U64(0) - is_whole)
@@ -214,97 +223,106 @@ def _shortest_decimal(bits, g):
     return d, k * ~(is_whole | (c == 0))
 
 
-def _repr_chars(values):
-    """``repr`` of each finite float64 as a (n, width) uint8 array, 0-padded.
+def _repr_source(values):
+    """Per finite float64: its source row (see ``_repr_templates``) and layout number.
 
-    ``width`` is the longest text among the values. Digits come from
-    ``_shortest_decimal``; they are placed by the layout rule of ``repr``:
+    Digits come from ``_shortest_decimal``; the layout follows ``repr``:
     positional when -4 < decpt <= 16 (``.0`` after whole numbers), else
     ``d.ddde±XX``, and ``-`` before negative values, -0.0 included.
     """
-    g, digits4, _, last4, pow10, template, lengths = _repr_tables()
+    t = _repr_tables()
     m = values.size
     bits = values.view(np.uint64)
-    d, e = _shortest_decimal(bits, g)
+    d, e = _shortest_decimal(bits, t.g)
     zero = d == 0
     d |= zero  # zero is laid out as the digits of 1, then cleared
     log2 = (d.astype(np.float64).view(np.uint64) >> _U64(52)).astype(np.int64) - 1022
     nd = log2 * 1233 >> 12  # digit count of d, or one less
-    nd += d >= pow10.take(nd)
+    nd += d >= t.pow10.take(nd)
     decpt = nd + e
-    d = d * pow10.take(17 - nd) * ~zero  # 17 digits
+    d = d * t.pow10.take(17 - nd) * ~zero  # 17 digits
     lead = d // _U64(10 ** 16)
     d -= lead * _U64(10 ** 16)
     hi = d // _U64(10 ** 8)
     lo = d - hi * _U64(10 ** 8)
     groups = (hi // _U64(10000), hi % _U64(10000), lo // _U64(10000), lo % _U64(10000))
-    src = np.empty((m, _SRC_WIDTH // 4), np.uint32)
-    src[:, 0] = (lead.astype(np.uint32) + np.uint32(48)) << np.uint32(24)
+    src = np.empty((m, 8), np.uint32)
+    src[:, 0] = (lead.astype(np.uint32) << np.uint32(24)) + np.uint32(
+        int.from_bytes(b",\r\n0", "little"))
     n = np.ones(m, np.uint8)
     for j, group in enumerate(groups):
-        src[:, j + 1] = digits4.take(group)
-        np.maximum(n, last4.take(group + _U64(10000 * j)), out=n)
+        src[:, j + 1] = t.digits4.take(group)
+        np.maximum(n, t.last4.take(group + _U64(10000 * j)), out=n)
     exp10 = decpt - 1
     src[:, 5] = np.uint32(int.from_bytes(b"0.e+", "little")) + (
         (exp10 < 0).astype(np.uint32) << np.uint32(25))  # "+" + 2 = "-"
-    src[:, 6] = digits4.take(np.abs(exp10))
+    src[:, 6] = t.digits4.take(np.abs(exp10))
     src[:, 7] = np.uint32(ord("-"))
     positional = (decpt > -4) & (decpt <= 16)
     layout = np.where(positional, (decpt + 3) * 17, 340 + 17 * (np.abs(exp10) >= 100)) + n - 1
     layout += 374 * (bits >> _U64(63)).astype(np.int64)
-    width = int(lengths.take(layout).max(initial=1))
-    index = template[:, :width].copy().view(f"V{width}").ravel().take(layout)
+    return src.view(np.uint8), layout
+
+
+def _spell(src, layout, template):
+    """Gather each source row's bytes through its layout's template row."""
+    m, width = layout.size, template.shape[1]
+    index = np.ascontiguousarray(template).view(f"V{width}").ravel().take(layout)
     index = np.add(index.view(np.uint8).reshape(m, width),
-                   np.arange(0, m * _SRC_WIDTH, _SRC_WIDTH)[:, None], dtype=np.intp)
-    return src.view(np.uint8).ravel().take(index)
+                   np.arange(0, src.size, src.shape[1])[:, None], dtype=np.intp)
+    return src.ravel().take(index)
 
 
 def _int_chars(values):
     """``str`` of each int64 as a (n, width) uint8 array, right-aligned, 0-padded."""
-    _, _, lead4, _, pow10, _, _ = _repr_tables()
+    t = _repr_tables()
     neg = values < 0
     u = values.view(np.uint64).copy()
     np.negative(u, out=u, where=neg)  # |int64 min| = 2^63 is still exact
-    words = np.empty((values.size, 5), np.uint32)
-    for j in range(5):
-        group = u // pow10[16 - 4 * j] % _U64(10000)
-        # leading zeros are blank unless a higher group has digits; the last shows 0
-        blank = _U64(10000) if j == 0 else (u < pow10[20 - 4 * j]) * _U64(20000 if j == 4 else 10000)
-        words[:, j] = lead4.take(group + blank)
-    chars = words.view(np.uint8)
     width = len(str(int(u.max(initial=0)))) + bool(neg.any())
+    groups = -(-width // 4)
+    words = np.empty((values.size, groups), np.uint32)
+    for j in range(5 - groups, 5):
+        group = u // t.pow10[16 - 4 * j] % _U64(10000)
+        # leading zeros are blank unless a higher group has digits; the last shows 0
+        blank = _U64(10000) if j == 0 else (u < t.pow10[20 - 4 * j]) * _U64(20000 if j == 4 else 10000)
+        words[:, j - 5 + groups] = t.blank4.take(group + blank)
+    chars = words.view(np.uint8)
     if neg.any():
         rows = np.flatnonzero(neg)
-        chars[rows, 19 - np.count_nonzero(chars[rows], axis=1)] = ord("-")
-    return chars[:, 20 - width:]
+        chars[rows, 4 * groups - 1 - np.count_nonzero(chars[rows], axis=1)] = ord("-")
+    return chars[:, 4 * groups - width:]
 
 
 def _records_rows(slot, quad, ratio, alice_x, bob_y) -> np.ndarray:
     """The records-v1 rows of one block as one uint8 buffer.
 
     Each row is laid out in a fixed-width row of a (rows, width) matrix whose
-    unused bytes are 0, and the matrix is then compacted in row order.
+    unused bytes are 0, and the matrix is compacted in row order. The padding
+    sits only after the ratio and after the row, which keeps the compaction
+    to two runs of bytes per row: slot (right-aligned), ``,X,`` or ``,P,``,
+    the ratio and ``,``; then x and ``,`` (right-aligned), y and ``\r\n``.
     """
+    t = _repr_tables()
     m = slot.size
     slot_text = _int_chars(slot)
     # ratios take few values: repr each distinct bit pattern (-0.0 and 0.0 differ)
     bits, which = distinct_values(ratio.view(np.int64))
-    texts = [repr(r).encode() for r in bits.view(float).tolist()]
+    texts = [repr(r).encode() + b"," for r in bits.view(float).tolist()]
     rw = max(map(len, texts))
     ratio_text = np.array(texts, f"S{rw}").view(f"V{rw}").take(which)
-    xy = _repr_chars(np.concatenate([alice_x, bob_y]))
-    sw, vw = slot_text.shape[1], xy.shape[1]
-    cols = np.cumsum([0, sw, 3, rw, 1, vw, 1, vw, 2])
-    rows = np.empty((m, cols[-1]), np.uint8)
-    rows[:, cols[0]:cols[1]] = slot_text
-    rows[:, cols[1]:cols[2]] = np.frombuffer(b",X,", np.uint8)
-    rows[:, cols[1] + 1] = np.frombuffer(b"XP", np.uint8).take(quad)
-    rows[:, cols[2]:cols[3]] = ratio_text.view(np.uint8).reshape(m, rw)
-    rows[:, cols[4] - 1] = ord(",")
-    rows[:, cols[4]:cols[5]] = xy[:m]
-    rows[:, cols[6] - 1] = ord(",")
-    rows[:, cols[6]:cols[7]] = xy[m:]
-    rows[:, cols[7]:] = np.frombuffer(b"\r\n", np.uint8)
+    src, layout = _repr_source(np.concatenate([alice_x, bob_y]))
+    width = int(t.lengths.take(layout).max(initial=1))
+    x_text = _spell(src[:m], layout[:m], t.right[:, _REPR_WIDTH - width:])
+    y_text = _spell(src[m:], layout[m:], t.left[:, :width + 2])
+    sw = slot_text.shape[1]
+    rows = np.empty((m, sw + 3 + rw + 2 * width + 3), np.uint8)
+    rows[:, :sw] = slot_text
+    rows[:, sw:sw + 3] = np.frombuffer(b",X,", np.uint8)
+    rows[:, sw + 1] = np.frombuffer(b"XP", np.uint8).take(quad)
+    rows[:, sw + 3:sw + 3 + rw] = ratio_text.view(np.uint8).reshape(m, rw)
+    rows[:, sw + 3 + rw:sw + 4 + rw + width] = x_text
+    rows[:, sw + 4 + rw + width:] = y_text
     flat = rows.ravel()
     return flat[flat != 0]
 

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ import pytest
 from cvqkd.attack import AttackPlan, StrategyA, solve_attack_parameters
 from cvqkd.physics import builtin_curve
 from cvqkd.protocol import RecordBatch, SystemParams, run_honest_session
-from cvqkd.serialize import (_int_chars, _repr_chars, csv_text, load_plan, plan_items,
-                             read_records_csv, read_report, write_plan, write_records_csv,
-                             write_report)
+from cvqkd.serialize import (_int_chars, _repr_source, _repr_tables, _spell, csv_text,
+                             load_plan, plan_items, read_records_csv, read_report, write_plan,
+                             write_records_csv, write_report)
 
 CURVE = builtin_curve("50:50")
 
@@ -148,13 +149,18 @@ def test_csv_text_header_and_rows():
 
 def _repr_bytes(values):
     """The float kernel's text for each value, as bytes objects."""
-    chars = _repr_chars(np.ascontiguousarray(values, dtype=float))
-    return chars.view(f"S{chars.shape[1]}").ravel().tolist()
+    values = np.ascontiguousarray(values, dtype=float)
+    out = []
+    for start in range(0, values.size, 1 << 14):
+        src, layout = _repr_source(values[start:start + (1 << 14)])
+        chars = _spell(src, layout, _repr_tables().left)
+        out += [text[:-2] for text in chars.view(f"S{chars.shape[1]}").ravel().tolist()]
+    return out
 
 
 def _kernel_cases():
     rng = np.random.default_rng(20201)
-    bits = rng.integers(0, 1 << 64, 800_000, dtype=np.uint64, endpoint=False)
+    bits = rng.integers(0, 1 << 64, 700_000, dtype=np.uint64, endpoint=False)
     # one in eight patterns gets exponent field 0: subnormals and both zeros
     bits[::8] &= np.uint64((1 << 63) | ((1 << 52) - 1))
     patterns = bits.view(float)
@@ -170,11 +176,20 @@ def _kernel_cases():
     whole = np.concatenate([rng.integers(0, 1 << 53, 100_000).astype(float),
                             2.0 ** 53 + np.arange(-64, 65), 10.0 ** 15 + np.arange(-9, 10),
                             10.0 ** 16 + np.arange(-8, 9, 2)])
+    # doubles whose rounding interval ends at a short decimal t 10^j 2^a, so the
+    # half-even rule decides whether that end belongs to the interval
+    ends = []
+    for j in range(1, 23):
+        lo, hi = -(-(1 << 53) // 5 ** j), (1 << 54) // 5 ** j
+        for t in range(lo | 1, min(hi, lo + 400), 2):
+            for c in ((t * 5 ** j - 1) // 2, (t * 5 ** j + 1) // 2):
+                if (1 << 52) <= c < (1 << 53):
+                    ends += [math.ldexp(c, j + 1 + a) for a in range(6)]
     # first digit at 10^-4, 10^-5 (decpt -3, -4) and at 10^15, 10^16 (decpt 16, 17)
     scale = 10.0 ** np.array([-4, -5, 15, 16])
     near = (rng.uniform(1.0, 10.0, (25_000, 4)) * scale).ravel()
-    cases = np.concatenate([patterns, edges, powers, whole, near, rng.normal(0.0, 3e4, 50_000)])
-    return np.concatenate([cases, -cases])
+    cases = np.concatenate([edges, powers, whole, ends, near, rng.normal(0.0, 3e4, 50_000)])
+    return np.concatenate([patterns, cases, -cases])
 
 
 def test_float_kernel_matches_repr():
