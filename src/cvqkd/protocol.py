@@ -232,7 +232,9 @@ class RatioMoments:
     def fold(parts: Iterable["RatioMoments"]) -> "RatioMoments":
         """Merge per-chunk moments left to right, in the order given (chunk order)."""
         parts = iter(parts)
-        total = next(parts)
+        total = next(parts, None)
+        if total is None:
+            raise ValueError("no moments to fold")
         for part in parts:
             total = total.merge(part)
         return total
