@@ -6,7 +6,7 @@ configuration that produced them. Floats are written as repr() writes them,
 which round-trips exactly, and CSV uses comma separators with '.' decimal
 points.
 
-Records CSVs (``records-v1``) are written 4096 rows at a time, each block as
+Records CSVs (``records-v1``) are written 2048 rows at a time, each block as
 one uint8 buffer passed to one ``write``. The floats of x and y come from a
 numpy kernel that spells exactly what ``repr`` spells. Schubfach (R.
 Giulietti, "The Schubfach way to render doubles", 2020) finds the shortest
@@ -18,11 +18,16 @@ the sign and the exponent as ``repr`` does. Slot indices take their digits
 from the same table of 4-digit groups, and each distinct ratio bit pattern of
 a block is spelled by ``repr`` once. The block's rows are laid out in a
 zero-padded (rows, width) matrix that one boolean compaction turns into the
-block's bytes. The block is 4096 rows because the kernel's temporaries then
-stay near 64 KiB each: at 16384 rows they are large enough that glibc hands
-the heap back between blocks, and the writer took about 130k more minor page
-faults and 20 % more time per 1e6 rows. The kernel's tables are built on
-first use, in a few milliseconds, so importing this module builds nothing.
+block's bytes. The kernel's tables are built on first use, in a few
+milliseconds, so importing this module builds nothing.
+
+The block size keeps a block's temporaries (about 2 MB) small for glibc's
+heap. Larger blocks either get the heap handed back to the system after
+every block, so every block faults its pages in again (16384 rows: about
+130k more minor page faults and 10-20 % more time per 1e6 rows), or leave it
+held for the rest of the process (4096 rows: a `scenario_run` benchmark
+process peaked 12 MiB higher). Writing 2048 rows at a time takes about 10 %
+more time than 4096.
 
 The metadata line ends in ``\n``; the column header and every row end in
 ``\r\n``, as ``csv.writer`` writes them. The reader checks the column header
@@ -30,6 +35,7 @@ and parses the body with one ``np.loadtxt`` call, whose float conversion is
 correctly rounded, so a written batch reads back bit for bit. The quadrature
 column is read as two-byte strings and checked and mapped as one column.
 """
+
 from __future__ import annotations
 
 import csv
@@ -81,7 +87,7 @@ def fmt_value(value) -> str:
 
 
 _RECORDS_COLUMNS = ["slot", "quad", "ratio", "alice_x", "bob_y"]
-_RECORDS_BLOCK = 1 << 12
+_RECORDS_BLOCK = 1 << 11
 _RECORDS_DTYPE = np.dtype([("slot", np.int64), ("quad", "S2"), ("ratio", float),
                            ("alice_x", float), ("bob_y", float)])
 
@@ -385,7 +391,7 @@ def read_records_csv(path) -> RecordBatch:
     quad = rows["quad"] == b"P"
     bad = np.flatnonzero(~quad & (rows["quad"] != b"X"))
     if bad.size:
-        raise ValueError(f"malformed records CSV {path}: quadrature "
+        raise ValueError(f"malformed records CSV {path}: data row {bad[0] + 1}: quadrature "
                          f"{rows['quad'][bad[0]].decode(errors='replace')!r} is not X or P")
     for name in ("ratio", "alice_x", "bob_y"):
         if not np.isfinite(rows[name]).all():
