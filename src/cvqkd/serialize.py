@@ -53,8 +53,6 @@ REPORT_FORMAT = "report-v1"
 PLAN_FORMAT = "plan-v1"
 SWEEP_FORMAT = "sweep-v1"
 
-_QUAD_NAMES = ("X", "P")
-
 
 def meta_line(fmt: str, scenario_hash: str, seed: int) -> str:
     return f"# format={fmt} scenario={scenario_hash} seed={seed}"
