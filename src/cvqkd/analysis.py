@@ -4,20 +4,26 @@ Total noise versus attenuation ratio is a second-order polynomial
 a*r^2 + b*r + c. Honest sessions are affine (a = 0); injected signal-path
 power shows up as a positive quadratic term of order D^2, so requiring
 a << c closes the loophole the two-ratio shot-noise measurement leaves open.
+
+The model is the noise table the sampler draws from
+(``protocol.honest_noise_table``, ``attack.noise_table``). The analytic
+variance, the estimator sd and the population polynomial are derivations
+of it: each builds the table at the ratios it needs and reads its moments.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .attack import AttackPlan, attack_variance, realistic_shot_noise
+from .attack import AttackPlan, noise_table
 from .errors import CountermeasureError
-from .protocol import (AttenuationSchedule, RatioMoments, RecordBatch, SystemParams,
-                       honest_variance, ratio_moments, variances_by_ratio)
+from .protocol import (AttenuationSchedule, NoiseTable, RatioMoments, RecordBatch, SystemParams,
+                       honest_noise_table, ratio_moments, variances_by_ratio)
 
 
 @dataclass(frozen=True)
@@ -84,27 +90,27 @@ class DetectionVerdict:
 DEFAULT_DETECTION_THRESHOLD = 0.05
 
 
+def _table_at(params: SystemParams, plan: AttackPlan | None, ratio: float) -> NoiseTable:
+    """The session's noise table with every slot at one attenuation ratio."""
+    point = dataclasses.replace(params, schedule=AttenuationSchedule(((ratio, 1.0),)))
+    return honest_noise_table(point) if plan is None else noise_table(point, plan)
+
+
 def analytic_variance(params: SystemParams, plan: AttackPlan | None, ratio: float) -> float:
     """Population variance of Bob's outcome at one ratio, honest or attacked."""
-    if plan is None:
-        return honest_variance(params, ratio)
-    return attack_variance(params, plan, ratio)
+    return float(_table_at(params, plan, ratio).outcome_moments()[0][0])
 
 
 def variance_estimator_std(params: SystemParams, plan: AttackPlan | None,
                            ratio: float, count: int) -> float:
     """Standard deviation of the per-ratio sample variance at this slot count.
 
-    The attacked outcome at ratio r is a +-(1-r)*D coin flip plus a Gaussian,
-    so Var(V_hat) = (2*s^4 + 4*s^2*delta^2)/n with s^2 the Gaussian part and
-    delta the flip amplitude (delta = 0 honestly, giving the usual 2*V^2/n).
+    sqrt((m4 - V^2)/n), with V and m4 the outcome's variance and fourth
+    central moment at the ratio; for a Gaussian outcome (honestly) that is
+    V*sqrt(2/n).
     """
-    v = analytic_variance(params, plan, ratio)
-    delta2 = 0.0
-    if plan is not None and plan.wavelength is not None:
-        delta2 = (1.0 - ratio) ** 2 * plan.wavelength.displacement ** 2
-    s2 = v - delta2
-    return math.sqrt((2.0 * s2 * s2 + 4.0 * s2 * delta2) / count)
+    (v,), (m4,) = _table_at(params, plan, ratio).outcome_moments()
+    return math.sqrt((m4 - v * v) / count)
 
 
 def fit_variance_summaries(per_ratio: dict[float, tuple[float, int]]) -> NoisePolynomial:
@@ -161,8 +167,8 @@ def detect(poly: NoisePolynomial, threshold: float = DEFAULT_DETECTION_THRESHOLD
            lo_monitor: LoMonitorInput | None = None,
            band_check: BandCheck | None = None) -> DetectionVerdict:
     """Combine the a << c test with the optional physical monitors."""
-    if threshold <= 0.0:
-        raise ValueError("detection threshold must be > 0")
+    if not 0.0 < threshold < math.inf:
+        raise ValueError(f"detection threshold must be finite and > 0, got {threshold!r}")
     lo_flag = False
     if lo_monitor is not None:
         lo_flag = monitor_lo_intensity(lo_monitor.observed, lo_monitor.expected,
@@ -233,22 +239,13 @@ def analytic_noise_polynomial(params: SystemParams,
                               plan: AttackPlan | None) -> NoisePolynomial:
     """Exact polynomial coefficients of the population noise model.
 
-    Honest sessions have a = 0. An attack contributes a = D^2 + c_signal*D
-    (within a few percent of D^2 alone for the solved plans), pushes the
-    slope down by 2*D^2, and inflates the constant back up to the honest
-    shot-noise level.
+    The table's gain^2 and sd^2 are at most quadratic in r and its offsets
+    affine, so the variance is exactly the quadratic through its values at
+    r = 0, 1/2 and 1. Honest sessions have a = 0 (up to rounding). An attack
+    contributes a = D^2 + c_signal*D (within a few percent of D^2 alone for the
+    solved plans), pushes the slope down by 2*D^2, and inflates the constant
+    back up to the honest shot-noise level.
     """
-    n0 = params.shot_noise_unit
-    ee = params.detector.efficiency * params.channel_transmittance
-    v_el = params.detector.electronic_noise
-    signal_slope = ee * (params.modulation_variance + params.excess_noise) * n0
-    if plan is None:
-        return NoisePolynomial(0.0, signal_slope, n0 + v_el, 0.0)
-    d = plan.displacement
-    wl = plan.wavelength
-    c_lo = wl.shot_coeff_lo if wl is not None else 0.0
-    c_s = wl.shot_coeff_signal if wl is not None else 0.0
-    a = d * d + c_s * d
-    b = ee * (params.modulation_variance + 2.0 + params.excess_noise) * n0 - 2.0 * d * d
-    c = realistic_shot_noise(params, plan) + v_el + d * d + c_lo * d
-    return NoisePolynomial(a, b, c, 0.0)
+    v0, v_half, v1 = (analytic_variance(params, plan, r) for r in (0.0, 0.5, 1.0))
+    return NoisePolynomial(2.0 * (v1 - 2.0 * v_half + v0), 4.0 * v_half - v1 - 3.0 * v0,
+                           v0, 0.0)

@@ -10,7 +10,9 @@ polarizations; the wavelength-dependent split ratio converts their intensity
 into a differential-current offset of size D whose sign flips slot by slot,
 inflating the shot-noise estimate back up to its honest value. The solver
 picks (D, N) or (D, gamma) so the two-point estimates come out at exactly
-(N0, 0).
+(N0, 0). ``noise_table`` is the attacked model, which the sampler draws from
+and ``analysis`` derives every analytic variance and moment from; the solver
+and ``predicted_two_point`` share one excess-noise numerator.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ class StrategyA:
     amplification: float  # N >= 1; N = 1 degenerates to plain intercept-resend
 
     def __post_init__(self):
-        if self.amplification < 1.0:
-            raise ValueError("strategy A amplification must be >= 1")
+        if not 1.0 <= self.amplification < math.inf:  # false for NaN too
+            raise ValueError(f"amplification must be finite and >= 1, got {self.amplification!r}")
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,11 @@ class StrategyB:
     fake_channel: float
 
     def __post_init__(self):
+        # each check is false for NaN, so NaN fails it too
         if not (0.0 < self.slope_factor <= 1.0):
             raise ValueError("slope factor must be in (0, 1]")
-        if self.fake_channel <= 0.0:
-            raise ValueError("fake channel scaling must be > 0")
+        if not 0.0 < self.fake_channel < math.inf:
+            raise ValueError(f"fake_channel must be finite and > 0, got {self.fake_channel!r}")
 
     def check_consistency(self, channel_transmittance: float) -> None:
         if not math.isclose(self.slope_factor * self.fake_channel,
@@ -184,73 +187,25 @@ def shot_coefficients(curve: BeamSplitterCurve,
     return c_lo, c_s
 
 
-def heterodyne_intercept(rng: np.random.Generator, alice_x: float, alice_p: float,
-                         params: SystemParams) -> tuple[float, float]:
-    """Eve's heterodyne measurement of both quadratures.
-
-    Splitting the signal for simultaneous X and P readout costs one vacuum unit
-    on top of the coherent-state unit, so each outcome carries an extra 2*N0 of
-    noise in the pre-channel normalization.
-    """
-    n0 = params.shot_noise_unit
-    sigma = math.sqrt(2.0 * n0)
-    return (alice_x + float(rng.normal(0.0, sigma)),
-            alice_p + float(rng.normal(0.0, sigma)))
-
-
-def resend_strategy_a(plan: StrategyA, x_e: float, p_e: float,
-                      params: SystemParams) -> tuple[float, float]:
-    """Amplitude scale and LO intensity Eve sends for strategy A.
-
-    Relative to the regular intercept-resend state the signal amplitude grows
-    by sqrt(N) and the local oscillator intensity drops to I_LO / N, leaving
-    the measured covariance untouched while the realistic shot noise becomes
-    N0 / N.
-    """
-    return math.sqrt(plan.amplification), params.lo_intensity / plan.amplification
-
-
-def resend_strategy_b(plan: StrategyB, x_e: float, p_e: float,
-                      params: SystemParams) -> tuple[float, float]:
-    """Amplitude scale and effective shot noise for strategy B.
-
-    The calibration attack is abstracted into the slope factor gamma; the
-    resent amplitude uses the fake channel so gamma * fake_channel matches the
-    honest transmittance. Effective shot noise is gamma * N0.
-    """
-    plan.check_consistency(params.channel_transmittance)
-    scale = math.sqrt(plan.fake_channel / params.channel_transmittance)
-    return scale, plan.slope_factor * params.shot_noise_unit
+def _injected(wl: WavelengthPlan, ratios: np.ndarray):
+    """Per (ratio, pulse set): the injected pulses' mean current, the LO-path
+    shot variance and the signal-path shot variance. The attenuator scales only
+    the signal path, its current by r and its shot variance by r^2."""
+    r = ratios[:, None]
+    var_s = np.array([wl.shot_variances[0], wl.shot_variances[2]])
+    var_lo = np.array([wl.shot_variances[1], wl.shot_variances[3]])
+    offset = np.array([wl.means[1], wl.means[3]]) + r * np.array([wl.means[0], wl.means[2]])
+    return offset, var_lo, r * r * var_s
 
 
 def part2_variance(plan: WavelengthPlan | None, ratio: float) -> float:
     """Population variance added by the injected pulses at one attenuation ratio."""
     if plan is None:
         return 0.0
-    d = plan.displacement
-    return ((1.0 - ratio) ** 2 * d * d
-            + (plan.shot_coeff_lo + plan.shot_coeff_signal * ratio * ratio) * d)
-
-
-def inject_part2(rng: np.random.Generator, plan: WavelengthPlan, ratio: float,
-                 *, include_shot_noise: bool = True) -> float:
-    """One slot's differential-current contribution from the injected pulses.
-
-    Picks set 1 or 2 with equal probability, then adds the LO-path current plus
-    ``ratio`` times the signal-path current (the attenuator only touches the
-    signal path). ``include_shot_noise=False`` returns the deterministic means,
-    which cancel exactly at ratio 1.
-    """
-    j = 0 if rng.random() < 0.5 else 1
-    m_s = plan.means[2 * j]
-    m_lo = plan.means[2 * j + 1]
-    if not include_shot_noise:
-        return m_lo + ratio * m_s
-    v_s = plan.shot_variances[2 * j]
-    v_lo = plan.shot_variances[2 * j + 1]
-    cur_lo = rng.normal(m_lo, math.sqrt(v_lo))
-    cur_s = rng.normal(m_s, math.sqrt(v_s))
-    return float(cur_lo + ratio * cur_s)
+    ratios = np.array([float(ratio)])
+    offset, var_lo, var_s = _injected(plan, ratios)
+    alone = NoiseTable(ratios, np.ones(1), 0.0, np.zeros(1), np.sqrt(var_lo + var_s), offset)
+    return float(alone.outcome_moments()[0][0])
 
 
 def realistic_shot_noise(params: SystemParams, plan: AttackPlan) -> float:
@@ -259,25 +214,6 @@ def realistic_shot_noise(params: SystemParams, plan: AttackPlan) -> float:
     if isinstance(plan.strategy, StrategyA):
         return n0 / plan.strategy.amplification
     return plan.strategy.slope_factor * n0
-
-
-def attack_variance(params: SystemParams, plan: AttackPlan, ratio: float) -> float:
-    """Population variance of Bob's outcome at one ratio under a full attack."""
-    n0 = params.shot_noise_unit
-    eta = params.detector.efficiency
-    v_el = params.detector.electronic_noise
-    v_a = params.modulation_variance
-    xi = params.excess_noise
-    if isinstance(plan.strategy, StrategyA):
-        part1 = (ratio * eta * params.channel_transmittance * (v_a + 2.0 + xi) * n0
-                 + n0 / plan.strategy.amplification + v_el)
-    else:
-        s = plan.strategy
-        s.check_consistency(params.channel_transmittance)
-        part1 = (s.slope_factor
-                 * (ratio * eta * s.fake_channel * (v_a + 2.0 + xi) + 1.0) * n0
-                 + v_el)
-    return part1 + part2_variance(plan.wavelength, ratio)
 
 
 def predicted_two_point(params: SystemParams, plan: AttackPlan,
@@ -298,8 +234,6 @@ def predicted_two_point(params: SystemParams, plan: AttackPlan,
         r1 = float(ratios.min()) if r1 is None else r1
         r2 = float(ratios.max()) if r2 is None else r2
     n0 = params.shot_noise_unit
-    ee = params.detector.efficiency * params.channel_transmittance
-    xi = params.excess_noise
     d = plan.displacement
     if plan.wavelength is None:
         c_lo = c_s = 0.0
@@ -308,25 +242,21 @@ def predicted_two_point(params: SystemParams, plan: AttackPlan,
         c_s = plan.wavelength.shot_coeff_signal
     shot = realistic_shot_noise(params, plan)
     n0_est = shot + (1.0 - r1 * r2) * d * d + (c_lo - c_s * r1 * r2) * d
-    numerator = ((2.0 + xi) * n0
-                 + (r1 + r2 - 2.0) * d * d / ee
-                 + c_s * (r1 + r2) * d)
+    numerator = _excess_numerator(params, c_s, d, r1, r2)
     if isinstance(plan.strategy, StrategyB):
         numerator += params.modulation_variance * (n0 - n0_est)
     return n0_est, numerator / n0_est
 
 
-def coarse_displacement_guess(strategy_kind: str, params: SystemParams) -> float:
-    """First-order displacement targets (shot-noise balance only, no pulse shot terms).
-
-    Matching the strong-attenuation variance alone asks for D^2 = (1 - 1/N)*N0
-    (strategy A, N0 in the large-N limit) or D^2 = N0/3 (strategy B); the solver
-    treats these purely as scale anchors, the exact system supersedes them.
-    """
-    n0 = params.shot_noise_unit
-    if strategy_kind == "A":
-        return math.sqrt(n0)
-    return math.sqrt(n0 / 3.0)
+def _excess_numerator(params: SystemParams, c_s: float, d: float,
+                      r1: float, r2: float) -> float:
+    """Numerator of the two-point excess-noise estimate under attack at
+    displacement ``d``, before strategy B's modulation term; its
+    denominator is the shot-noise estimate (see ``predicted_two_point``)."""
+    ee = params.detector.efficiency * params.channel_transmittance
+    return ((2.0 + params.excess_noise) * params.shot_noise_unit
+            + (r1 + r2 - 2.0) * d * d / ee
+            + c_s * (r1 + r2) * d)
 
 
 def solve_attack_parameters(strategy_kind: str, params: SystemParams,
@@ -350,24 +280,17 @@ def solve_attack_parameters(strategy_kind: str, params: SystemParams,
     if r1 >= r2:
         raise InfeasibleAttackError("need two distinct estimation ratios with r1 < r2")
     n0 = params.shot_noise_unit
-    ee = params.detector.efficiency * params.channel_transmittance
-    xi = params.excess_noise
     c_lo, c_s = shot_coefficients(curve, wavelengths)
 
-    def excess_numerator(d: float) -> float:
-        return ((2.0 + xi) * n0
-                + (r1 + r2 - 2.0) * d * d / ee
-                + c_s * (r1 + r2) * d)
-
     d_hi = math.sqrt(3.0 * n0)
-    if excess_numerator(d_hi) >= 0.0:
+    if _excess_numerator(params, c_s, d_hi, r1, r2) >= 0.0:
         raise InfeasibleAttackError(
             "no displacement in [0, sqrt(3*N0)] nulls the excess-noise estimate "
             f"(channel transmittance {params.channel_transmittance} too high for the bracket)")
     lo, hi = 0.0, d_hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if excess_numerator(mid) > 0.0:
+        if _excess_numerator(params, c_s, mid, r1, r2) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -439,12 +362,9 @@ def noise_table(params: SystemParams, plan: AttackPlan,
     # the slope scales the resent state's response, not the electronic noise
     part1_var = slope * (reff * params.excess_noise * n0 + shot) + params.detector.electronic_noise
 
-    r = ratios[:, None]
     if wl is not None:
-        var_s = np.array([wl.shot_variances[0], wl.shot_variances[2]])
-        var_lo = np.array([wl.shot_variances[1], wl.shot_variances[3]])
-        sd = np.sqrt(part1_var[:, None] + var_lo + r * r * var_s)
-        offset = np.array([wl.means[1], wl.means[3]]) + r * np.array([wl.means[0], wl.means[2]])
+        offset, var_lo, var_s = _injected(wl, ratios)
+        sd = np.sqrt(part1_var[:, None] + var_lo + var_s)
         monitor_base = lo_base - (wl.mean_lo_intensity if compensate_lo else 0.0)
         lo_level = monitor_base + np.array([wl.lo1.intensity, wl.lo2.intensity])
     else:

@@ -8,6 +8,8 @@ configuration or feasibility errors, with a diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -65,9 +67,22 @@ def _require_at_least(args, minimum: int, *names: str) -> None:
             raise ConfigError(f"--{name} must be >= {minimum}, got {value}")
 
 
+def _require_finite(args, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{name.replace('_', '-')} must be a finite number, got {value!r}")
+
+
 def _check_run_flags(args) -> None:
     _require_at_least(args, 1, "threads", "slots")
     _require_at_least(args, 0, "seed")
+    _check_threshold(args)
+
+
+def _check_threshold(args) -> None:
+    if not 0.0 < args.threshold < math.inf:
+        raise ConfigError(f"--threshold must be finite and > 0, got {args.threshold!r}")
 
 
 def cmd_run(args) -> int:
@@ -80,8 +95,6 @@ def cmd_run(args) -> int:
     curve = scen.load_curve()
     shash = scen.scenario_hash()
     seed = scen.master_seed
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     outputs = scen.outputs
     records = "records" in outputs
@@ -100,54 +113,55 @@ def cmd_run(args) -> int:
     items = _report_items(scen, moments, plan)
     for key, value in items:
         print(f"{key} = {serialize.fmt_value(value)}")
+    # everything that can fail is computed before the first artifact is written
+    poly = verdict = None
+    if "polynomial" in outputs or "verdict" in outputs:
+        poly = analysis.fit_noise_polynomial(moments)
+    if "verdict" in outputs:
+        lo_monitor = None
+        if moments.lo_sum is not None:
+            lo_monitor = analysis.LoMonitorInput(moments, scen.params.lo_intensity)
+        verdict = analysis.detect(poly, threshold=args.threshold, lo_monitor=lo_monitor)
 
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     if records:
         serialize.write_records_csv(outdir / outputs["records"], session, shash, seed)
     if "report" in outputs:
         serialize.write_report(outdir / outputs["report"], items, shash, seed)
-    if "polynomial" in outputs or "verdict" in outputs:
-        poly = analysis.fit_noise_polynomial(moments)
-        if "polynomial" in outputs:
-            serialize.write_report(outdir / outputs["polynomial"], poly.as_items(),
-                                   shash, seed)
-        if "verdict" in outputs:
-            lo_monitor = None
-            if moments.lo_sum is not None:
-                lo_monitor = analysis.LoMonitorInput(moments, scen.params.lo_intensity)
-            verdict = analysis.detect(poly, threshold=args.threshold,
-                                      lo_monitor=lo_monitor)
-            serialize.write_report(outdir / outputs["verdict"], verdict.as_items(),
-                                   shash, seed)
-            print(f"attacked = {str(verdict.attacked).lower()}")
-    if "plan" in outputs:
-        if plan is None:
-            raise ConfigError("a plan output was requested but the scenario is honest")
+    if "polynomial" in outputs:
+        serialize.write_report(outdir / outputs["polynomial"], poly.as_items(), shash, seed)
+    if verdict is not None:
+        serialize.write_report(outdir / outputs["verdict"], verdict.as_items(), shash, seed)
+        print(f"attacked = {str(verdict.attacked).lower()}")
+    if "plan" in outputs:  # the parser refuses a plan output for an honest scenario
         serialize.write_plan(outdir / outputs["plan"], plan, scen.curve_name, shash, seed)
     return 0
 
 
+def _scenario_or_default(args) -> Scenario:
+    return load_scenario(args.scenario) if args.scenario else Scenario(params=SystemParams())
+
+
 def _params_from_flags(args) -> tuple[Scenario, SystemParams]:
-    if args.scenario:
-        scen = load_scenario(args.scenario)
-    else:
-        scen = Scenario(params=SystemParams())
+    scen = _scenario_or_default(args)
     p = scen.params
     det = p.detector
     eta = args.eta if args.eta is not None else det.efficiency
     v_el = args.v_el if args.v_el is not None else det.electronic_noise
-    params = SystemParams(
-        modulation_variance=p.modulation_variance,
+    params = dataclasses.replace(
+        p,
         channel_transmittance=args.eta_ch if args.eta_ch is not None else p.channel_transmittance,
         excess_noise=args.xi if args.xi is not None else p.excess_noise,
         detector=DetectorConfig(eta, v_el, det.amplification),
         lo_intensity=args.lo_intensity if args.lo_intensity is not None else p.lo_intensity,
-        schedule=p.schedule,
     )
     scen.params = params
     return scen, params
 
 
 def cmd_solve(args) -> int:
+    _require_finite(args, "r1", "r2")
     scen, params = _params_from_flags(args)
     curve = scen.load_curve()
     plan = attack.solve_attack_parameters(args.strategy, params, curve,
@@ -180,14 +194,9 @@ def _sweep_rows_part1(args, scen: Scenario):
                                                   eta_ch, xi)
         row = [args.variable, float(value), est]
         if args.mc:
-            mc_params = SystemParams(
-                modulation_variance=params.modulation_variance,
-                channel_transmittance=eta_ch,
-                excess_noise=xi,
-                detector=params.detector,
-                lo_intensity=params.lo_intensity,
-                schedule=AttenuationSchedule(((1.0, 1.0),)),
-            )
+            mc_params = dataclasses.replace(params, channel_transmittance=eta_ch,
+                                            excess_noise=xi,
+                                            schedule=AttenuationSchedule(((1.0, 1.0),)))
             plan = attack.AttackPlan(attack.StrategyA(n_amp), None)
             moments = attack.run_attacked_session(mc_params, plan, args.slots,
                                                   scen.master_seed, threads=args.threads,
@@ -210,11 +219,7 @@ def _sweep_rows_solved(args, scen: Scenario, curve: BeamSplitterCurve):
     for value in values:
         eta_ch = float(value) if args.variable == "eta_ch" else params.channel_transmittance
         xi = float(value) if args.variable == "xi" else params.excess_noise
-        point = SystemParams(
-            modulation_variance=params.modulation_variance,
-            channel_transmittance=eta_ch, excess_noise=xi,
-            detector=params.detector, lo_intensity=params.lo_intensity,
-            schedule=params.schedule)
+        point = dataclasses.replace(params, channel_transmittance=eta_ch, excess_noise=xi)
         try:
             plan = attack.solve_attack_parameters(args.strategy, point, curve,
                                                   scen.wavelengths)
@@ -232,12 +237,10 @@ def _sweep_rows_solved(args, scen: Scenario, curve: BeamSplitterCurve):
 
 def cmd_sweep(args) -> int:
     _check_run_flags(args)
+    _require_finite(args, "start", "stop", "n_amp")
     if args.points < 1:
         raise ConfigError("sweep needs at least one grid point")
-    if args.scenario:
-        scen = load_scenario(args.scenario)
-    else:
-        scen = Scenario(params=SystemParams())
+    scen = _scenario_or_default(args)
     if args.seed is not None:
         scen.master_seed = args.seed
     if args.mc:
@@ -265,6 +268,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    _check_threshold(args)
     batch = serialize.read_records_csv(args.records)
     poly = analysis.fit_noise_polynomial(batch)
     verdict = analysis.detect(poly, threshold=args.threshold)

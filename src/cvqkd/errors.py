@@ -6,7 +6,7 @@ class CurveRangeError(ValueError):
 
 
 class ScheduleError(ValueError):
-    """Invalid attenuation schedule, or a ratio used that the schedule does not contain."""
+    """Invalid attenuation schedule."""
 
 
 class EstimationError(ValueError):

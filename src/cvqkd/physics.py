@@ -1,11 +1,10 @@
-"""Beam-splitter and homodyne-detection statistics.
+"""Beam-splitter curves, the detector, and the response to injected foreign pulses.
 
-The homodyne arm is modelled at the Gaussian level: every quadrature and
-vacuum mode is a zero-mean unit-variance normal variate, so all operations
-here reduce to first and second moments of the differential photocurrent.
+The homodyne arm is modelled at the Gaussian level, so a foreign pulse
+reduces to the mean and variance of the differential current it adds.
 Currents and intensities are expressed in photo-electron numbers throughout
 (amplification factor fixed to 1); electronic noise is *not* added here, the
-protocol layer owns it.
+noise table owns it (``protocol.NoiseTable``).
 """
 
 from __future__ import annotations
@@ -140,12 +139,14 @@ class DetectorConfig:
     efficiency_overrides: dict[float, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        # each check is false for NaN, so NaN fails it too
         if not (0.0 < self.efficiency <= 1.0):
             raise ValueError("detector efficiency must be in (0, 1]")
-        if self.electronic_noise < 0.0:
-            raise ValueError("electronic noise must be >= 0")
-        if self.amplification <= 0.0:
-            raise ValueError("amplification must be > 0")
+        if not 0.0 <= self.electronic_noise < math.inf:
+            raise ValueError("electronic_noise must be finite and >= 0, "
+                             f"got {self.electronic_noise!r}")
+        if not 0.0 < self.amplification < math.inf:
+            raise ValueError(f"amplification must be finite and > 0, got {self.amplification!r}")
 
     def efficiency_at(self, wavelength_nm: float) -> float:
         return self.efficiency_overrides.get(wavelength_nm, self.efficiency)
@@ -162,56 +163,6 @@ class ForeignPulse:
     def __post_init__(self):
         if self.intensity < 0.0:
             raise ValueError("pulse intensity must be >= 0")
-
-
-@dataclass(frozen=True)
-class HomodyneSample:
-    """One differential-current outcome, in photo-electron units."""
-
-    value: float
-
-
-def balanced_homodyne_stats(detector: DetectorConfig, lo_intensity: float,
-                            quad_mean: float, quad_variance: float) -> tuple[float, float]:
-    """Moments of the differential current for an exactly balanced splitter.
-
-    Returns (mean, variance) with mean = eta * sqrt(lo_intensity) * quad_mean
-    and variance = eta * quad_variance * N0 + N0, where N0 = eta * lo_intensity
-    is the shot-noise unit. Electronic noise is added by the caller.
-    """
-    if lo_intensity <= 0.0:
-        raise ValueError("local-oscillator intensity must be > 0")
-    if quad_variance < 0.0:
-        raise ValueError("quadrature variance must be >= 0")
-    eta = detector.efficiency
-    n0 = eta * lo_intensity
-    mean = eta * math.sqrt(lo_intensity) * quad_mean
-    variance = eta * quad_variance * n0 + n0
-    return mean, variance
-
-
-def unbalanced_variance(detector: DetectorConfig, transmittance: float,
-                        lo_intensity: float, quad_second_moment: float) -> tuple[float, float]:
-    """Moments of the differential current for an unbalanced splitter.
-
-    The strong local oscillator leaks a deterministic term
-    eta * lo_intensity * (2T - 1) into the current; the fluctuating part has
-    variance
-        eta^2 I (2T-1)^2 + 4 eta^2 I T(1-T) (<X^2> + 1) + eta (1-eta) I.
-    """
-    if not (0.0 < transmittance < 1.0):
-        raise ValueError("transmittance must be in (0, 1)")
-    if lo_intensity <= 0.0:
-        raise ValueError("local-oscillator intensity must be > 0")
-    eta = detector.efficiency
-    i_lo = lo_intensity
-    k = 2.0 * transmittance - 1.0
-    mean = eta * i_lo * k
-    variance = (eta * eta * i_lo * k * k
-                + 4.0 * eta * eta * i_lo * transmittance * (1.0 - transmittance)
-                * (quad_second_moment + 1.0)
-                + eta * (1.0 - eta) * i_lo)
-    return mean, variance
 
 
 def foreign_pulse_response(detector: DetectorConfig, curve: BeamSplitterCurve,
@@ -231,12 +182,3 @@ def foreign_pulse_response(detector: DetectorConfig, curve: BeamSplitterCurve,
         mean = eta * (1.0 - 2.0 * t) * pulse.intensity
     shot_variance = eta * pulse.intensity
     return mean, shot_variance
-
-
-def sample_foreign_current(rng: np.random.Generator,
-                           response: tuple[float, float]) -> HomodyneSample:
-    """Draw one Gaussian differential-current sample from (mean, variance)."""
-    mean, shot_variance = response
-    if shot_variance < 0.0:
-        raise ValueError("shot variance must be >= 0")
-    return HomodyneSample(float(rng.normal(mean, math.sqrt(shot_variance))))

@@ -9,9 +9,10 @@ whose conditional variance at attenuation ratio r is
 That makes Var(y | r) affine in r for an honest session, which is exactly the
 assumption the real-time shot-noise estimator rests on.
 
-One sampler serves honest and attacked sessions: ``sample_session`` draws
-slots from a ``NoiseTable``, the per-(ratio, injected-pulse set) gain on x,
-noise sd, mean offset and LO-monitor level. Each chunk of
+``NoiseTable`` is the noise model: per (ratio, injected-pulse set) the gain
+on x, noise sd, mean offset and LO-monitor level. ``sample_session`` draws
+honest and attacked slots from it, and every analytic variance and moment is
+read off it (``NoiseTable.outcome_moments``). Each chunk of
 ``rng.CHUNK_SLOTS`` slots first draws its per-(ratio, quadrature) cell counts
 with one multinomial, then its columns in cell order, so every cell is one
 contiguous block reduced with contiguous two-pass sums. A records run then
@@ -72,9 +73,6 @@ class AttenuationSchedule:
     def probabilities(self) -> np.ndarray:
         return np.array([p for _, p in self.entries])
 
-    def contains(self, ratio: float) -> bool:
-        return any(r == ratio for r, _ in self.entries)
-
     def discard_fraction(self) -> float:
         """Probability mass on ratios != 1, i.e. pulses lost to attenuation."""
         return float(sum(p for r, p in self.entries if r != 1.0))
@@ -96,31 +94,20 @@ class SystemParams:
     schedule: AttenuationSchedule = TWO_POINT_SCHEDULE
 
     def __post_init__(self):
-        if self.modulation_variance < 0.0:
-            raise ValueError("modulation variance must be >= 0")
+        # each check is false for NaN, so NaN fails it too
+        if not 0.0 <= self.modulation_variance < math.inf:
+            raise ValueError("modulation_variance must be finite and >= 0, "
+                             f"got {self.modulation_variance!r}")
         if not (0.0 < self.channel_transmittance <= 1.0):
             raise ValueError("channel transmittance must be in (0, 1]")
-        if self.excess_noise < 0.0:
-            raise ValueError("excess noise must be >= 0")
-        if self.lo_intensity <= 0.0:
-            raise ValueError("local-oscillator intensity must be > 0")
+        if not 0.0 <= self.excess_noise < math.inf:
+            raise ValueError(f"excess_noise must be finite and >= 0, got {self.excess_noise!r}")
+        if not 0.0 < self.lo_intensity < math.inf:
+            raise ValueError(f"lo_intensity must be finite and > 0, got {self.lo_intensity!r}")
 
     @property
     def shot_noise_unit(self) -> float:
         return self.detector.efficiency * self.lo_intensity
-
-
-@dataclass(frozen=True)
-class PulseRecord:
-    """One protocol slot as seen by the estimators."""
-
-    slot_index: int
-    quadrature_choice: str  # "X" or "P"
-    ratio_applied: float
-    alice_quadrature: float
-    bob_outcome: float
-    eve_quadrature: float | None = None  # ground-truth attack annotation
-    lo_observed: float | None = None
 
 
 def _chan(na, ma, m2a, nb, mb, m2b):
@@ -291,43 +278,12 @@ class RecordBatch:
     def __len__(self) -> int:
         return self.quad.size
 
-    def record(self, i: int) -> PulseRecord:
-        return PulseRecord(
-            slot_index=int(self.slot[i]),
-            quadrature_choice="X" if self.quad[i] == 0 else "P",
-            ratio_applied=float(self.ratio[i]),
-            alice_quadrature=float(self.alice_x[i]),
-            bob_outcome=float(self.bob_y[i]),
-            eve_quadrature=None if self.eve_x is None else float(self.eve_x[i]),
-            lo_observed=None if self.lo_observed is None else float(self.lo_observed[i]),
-        )
 
-    def __iter__(self):
-        return (self.record(i) for i in range(len(self)))
-
-    @classmethod
-    def from_records(cls, records: Iterable[PulseRecord]) -> "RecordBatch":
-        recs = list(records)
-        return cls(
-            [r.slot_index for r in recs],
-            [0 if r.quadrature_choice == "X" else 1 for r in recs],
-            [r.ratio_applied for r in recs],
-            [r.alice_quadrature for r in recs],
-            [r.bob_outcome for r in recs],
-        )
-
-
-def _as_batch(records) -> RecordBatch:
-    if isinstance(records, RecordBatch):
-        return records
-    return RecordBatch.from_records(records)
-
-
-def ratio_moments(records) -> RatioMoments:
-    """The per-ratio moments of a session result: moments, a batch or records."""
+def ratio_moments(records: RatioMoments | RecordBatch) -> RatioMoments:
+    """The per-ratio moments of a session result: its moments, or a record batch."""
     if isinstance(records, RatioMoments):
         return records
-    return _as_batch(records).moments
+    return records.moments
 
 
 @dataclass(frozen=True)
@@ -349,34 +305,6 @@ class EstimatorReport:
         items.append(("excess_noise_est", self.excess_noise_est))
         items.append(("covariance_xy", self.covariance_xy))
         return items
-
-
-def alice_modulate(rng: np.random.Generator, params: SystemParams) -> float:
-    """One Gaussian quadrature draw, variance V_A * N0."""
-    sigma = math.sqrt(params.modulation_variance * params.shot_noise_unit)
-    return float(rng.normal(0.0, sigma))
-
-
-def honest_measure(rng: np.random.Generator, params: SystemParams,
-                   alice_x: float, ratio: float, quadrature: str = "X",
-                   slot_index: int = 0) -> PulseRecord:
-    """Bob's homodyne outcome for one honest slot at the given attenuation ratio."""
-    if not params.schedule.contains(ratio):
-        raise ScheduleError(f"ratio {ratio!r} is not part of the active schedule")
-    eta = params.detector.efficiency
-    n0 = params.shot_noise_unit
-    ree = ratio * eta * params.channel_transmittance
-    noise_var = ree * params.excess_noise * n0 + n0 + params.detector.electronic_noise
-    y = math.sqrt(ree) * alice_x + rng.normal(0.0, math.sqrt(noise_var))
-    return PulseRecord(slot_index, quadrature, ratio, alice_x, float(y))
-
-
-def honest_variance(params: SystemParams, ratio: float) -> float:
-    """Population variance of Bob's outcome at one attenuation ratio, honest session."""
-    n0 = params.shot_noise_unit
-    ree = ratio * params.detector.efficiency * params.channel_transmittance
-    return (ree * (params.modulation_variance + params.excess_noise) * n0
-            + n0 + params.detector.electronic_noise)
 
 
 @dataclass(frozen=True)
@@ -405,6 +333,33 @@ class NoiseTable:
     def __post_init__(self):
         if self.sd.shape[1] not in (1, 2):
             raise ValueError(f"a noise table has one or two pulse sets, got {self.sd.shape[1]}")
+
+    def outcome_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per ratio, the population variance V and fourth central moment m4 of y.
+
+        Given pulse set j, y is Gaussian with mean offset[k, j] and variance
+        var_j = gain[k]^2 (sig_x^2 + sig_intercept^2) + sd[k, j]^2. Over the
+        equally likely sets, with dev_j = offset[k, j] - mean_j(offset[k]):
+            V = mean_j[var_j + dev_j^2],
+            m4 = mean_j[dev_j^4 + 6 dev_j^2 var_j + 3 var_j^2].
+        """
+        var_xe = self.sig_x ** 2 + (self.sig_intercept or 0.0) ** 2
+        var = (self.gain ** 2 * var_xe)[:, None] + self.sd ** 2
+        dev2 = (self.offset - self.offset.mean(axis=1, keepdims=True)) ** 2
+        return (np.mean(var + dev2, axis=1),
+                np.mean(dev2 * dev2 + 6.0 * dev2 * var + 3.0 * var * var, axis=1))
+
+
+def honest_noise_table(params: SystemParams) -> NoiseTable:
+    """The per-ratio law of one honest slot: one pulse set with no offset, no
+    intercept and no LO monitor."""
+    ratios = params.schedule.ratios
+    n0 = params.shot_noise_unit
+    ree = ratios * params.detector.efficiency * params.channel_transmittance
+    noise_var = ree * params.excess_noise * n0 + n0 + params.detector.electronic_noise
+    return NoiseTable(ratios, params.schedule.probabilities,
+                      math.sqrt(params.modulation_variance * n0), np.sqrt(ree),
+                      np.sqrt(noise_var)[:, None], np.zeros((len(ratios), 1)))
 
 
 def sample_session(table: NoiseTable, slots: int, master_seed: int,
@@ -502,20 +457,14 @@ def sample_session(table: NoiseTable, slots: int, master_seed: int,
 
 def run_honest_session(params: SystemParams, slots: int, master_seed: int,
                        *, threads: int = 1, records: bool = True):
-    """Simulate ``slots`` honest protocol slots; reproducible in (seed, slots).
+    """Simulate ``slots`` honest protocol slots drawn from ``honest_noise_table``;
+    reproducible in (seed, slots).
 
-    One pulse set with no offset, no intercept and no LO monitor. Returns a
-    RecordBatch carrying the session's moments, or with ``records=False`` only
-    the RatioMoments (see ``sample_session``).
+    Returns a RecordBatch carrying the session's moments, or with
+    ``records=False`` only the RatioMoments (see ``sample_session``).
     """
-    ratios = params.schedule.ratios
-    n0 = params.shot_noise_unit
-    ree = ratios * params.detector.efficiency * params.channel_transmittance
-    noise_var = ree * params.excess_noise * n0 + n0 + params.detector.electronic_noise
-    table = NoiseTable(ratios, params.schedule.probabilities,
-                       math.sqrt(params.modulation_variance * n0), np.sqrt(ree),
-                       np.sqrt(noise_var)[:, None], np.zeros((len(ratios), 1)))
-    return sample_session(table, slots, master_seed, threads=threads, records=records)
+    return sample_session(honest_noise_table(params), slots, master_seed,
+                          threads=threads, records=records)
 
 
 def two_point_from_variances(v1: float, v2: float, r1: float, r2: float,

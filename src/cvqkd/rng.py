@@ -25,7 +25,6 @@ CHUNK_SLOTS = 1 << 16
 
 # stream ids keep unrelated consumers of the same master seed independent
 STREAM_SESSION = 0
-STREAM_TEST = 7
 
 
 def chunk_generator(master_seed: int, stream: int, chunk_index: int) -> np.random.Generator:

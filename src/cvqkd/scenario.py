@@ -230,6 +230,12 @@ def parse_scenario(text: str) -> Scenario:
     if "compensate_lo" in attack:
         compensate = _parse_bool(*attack["compensate_lo"], "compensate_lo")
 
+    attack_kind = attack["strategy"][0] if "strategy" in attack else "none"
+    outputs = entries["outputs"]
+    if "plan" in outputs and attack_kind == "none":
+        raise ConfigError("a plan output needs an attack, but the scenario is honest",
+                          outputs["plan"][1])
+
     slots = 1_000_000
     if "slots" in run:
         slots = _parse_int(*run["slots"], "slots")
@@ -245,7 +251,7 @@ def parse_scenario(text: str) -> Scenario:
         headers.get("attack"), Scenario,
         params=params,
         curve_name=system["curve"][0] if "curve" in system else "50:50",
-        attack_kind=attack["strategy"][0] if "strategy" in attack else "none",
+        attack_kind=attack_kind,
         attack_mode=mode,
         plan_path=attack["plan"][0] if "plan" in attack else None,
         fixed_amplification=fixed_n,
@@ -253,7 +259,7 @@ def parse_scenario(text: str) -> Scenario:
         wavelengths=wavelengths,  # type: ignore[arg-type]
         slots=slots,
         master_seed=seed,
-        outputs={k: v for k, (v, _) in entries["outputs"].items()},
+        outputs={k: v for k, (v, _) in outputs.items()},
         source_text=text,
     )
 

@@ -9,12 +9,12 @@ from cvqkd.analysis import (BandCheck, DetectionVerdict, LoMonitorInput, NoisePo
                             monitor_lo_intensity, part1_only_excess_estimate,
                             part1_zero_crossing, schedule_key_rate_overhead,
                             single_point_excess_estimate, variance_estimator_std)
-from cvqkd.attack import (AttackPlan, StrategyA, WavelengthPlan, attack_variance,
-                          run_attacked_session, solve_attack_parameters)
+from cvqkd.attack import (AttackPlan, StrategyA, WavelengthPlan, run_attacked_session,
+                          solve_attack_parameters)
 from cvqkd.errors import CountermeasureError
 from cvqkd.physics import builtin_curve
 from cvqkd.protocol import (AttenuationSchedule, RecordBatch, SystemParams,
-                            THREE_RATIO_SCHEDULE, honest_variance, run_honest_session,
+                            THREE_RATIO_SCHEDULE, run_honest_session,
                             two_point_from_variances)
 
 CURVE = builtin_curve("50:50")
@@ -53,7 +53,7 @@ def test_fit_needs_three_ratios():
 
 def test_fit_weighted_least_squares_over_four_ratios():
     # exact affine data over 4 ratios: weighted fit must return a = 0
-    per_ratio = {r: (honest_variance(P_CM, r), 1000 + 100 * i)
+    per_ratio = {r: (analytic_variance(P_CM, None, r), 1000 + 100 * i)
                  for i, r in enumerate((0.001, 0.3, 0.7, 1.0))}
     poly = fit_variance_summaries(per_ratio)
     assert abs(poly.a) < 1e-9 * poly.c
@@ -63,7 +63,7 @@ def test_fit_weighted_least_squares_over_four_ratios():
 
 def test_population_polynomial_honest_and_attacked():
     honest = analytic_noise_polynomial(P_CM, None)
-    assert honest.a == 0.0
+    assert abs(honest.a) <= 1e-12 * honest.c
     assert honest.c == pytest.approx(5e7)
     plan = solve_attack_parameters("A", P_CM, CURVE)
     attacked = analytic_noise_polynomial(P_CM, plan)
@@ -73,7 +73,7 @@ def test_population_polynomial_honest_and_attacked():
     # polynomial evaluates to the closed-form variance at every ratio
     for r in (0.0, 0.001, 0.5, 1.0):
         value = attacked.a * r * r + attacked.b * r + attacked.c
-        assert value == pytest.approx(attack_variance(P_CM, plan, r), rel=1e-12)
+        assert value == pytest.approx(analytic_variance(P_CM, plan, r), rel=1e-12)
 
 
 def test_analytic_variance_honest_example():
@@ -86,7 +86,7 @@ def test_attacked_variances_invert_to_nominal_shot_noise():
     plan = solve_attack_parameters("A", P_CM, CURVE)
     r1, r2 = 0.001, 1.0
     n0_est, _ = two_point_from_variances(
-        attack_variance(P_CM, plan, r1), attack_variance(P_CM, plan, r2), r1, r2,
+        analytic_variance(P_CM, plan, r1), analytic_variance(P_CM, plan, r2), r1, r2,
         0.5, 0.9, 0.0, 5.0)
     assert n0_est == pytest.approx(5e7, rel=1e-9)
 
@@ -154,7 +154,7 @@ def test_part1_only_excess_estimate_curve():
 
 def test_single_point_consistent_with_part1_formula():
     plan = AttackPlan(StrategyA(10.0), None)
-    v = attack_variance(P_CM, plan, 1.0)
+    v = analytic_variance(P_CM, plan, 1.0)
     est = single_point_excess_estimate(v, P_CM)
     assert est == pytest.approx(part1_only_excess_estimate(10.0, 0.5, 0.9, 0.1), rel=1e-9)
 
@@ -173,7 +173,7 @@ def test_honest_mc_fit_stays_affine_within_statistics():
 
 
 def test_variance_estimator_std_honest_limit():
-    v = honest_variance(P_CM, 1.0)
+    v = analytic_variance(P_CM, None, 1.0)
     assert variance_estimator_std(P_CM, None, 1.0, 10_000) == pytest.approx(
         v * math.sqrt(2 / 10_000), rel=1e-12)
 

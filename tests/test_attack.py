@@ -3,18 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from cvqkd.attack import (AttackPlan, DEFAULT_WAVELENGTHS, StrategyA, StrategyB,
-                          WavelengthPlan, attack_variance, coarse_displacement_guess,
-                          heterodyne_intercept, inject_part2, noise_table, part2_variance,
-                          predicted_two_point, realistic_shot_noise, resend_strategy_a,
-                          resend_strategy_b, run_attacked_session, shot_coefficients,
-                          solve_attack_parameters)
+from cvqkd.analysis import analytic_noise_polynomial, analytic_variance, variance_estimator_std
+from cvqkd.attack import (AttackPlan, StrategyA, StrategyB, WavelengthPlan, noise_table,
+                          part2_variance, predicted_two_point, realistic_shot_noise,
+                          run_attacked_session, shot_coefficients, solve_attack_parameters)
 from cvqkd.errors import InfeasibleAttackError
 from cvqkd.physics import DetectorConfig, builtin_curve
 from cvqkd.protocol import (THREE_RATIO_SCHEDULE, AttenuationSchedule, SystemParams,
                             estimate_covariance_transmittance, estimate_two_point,
                             variances_by_ratio)
-from cvqkd.rng import chunk_generator
 
 CURVE = builtin_curve("50:50")
 P_A = SystemParams()                              # eta_ch = 0.9 regime
@@ -35,6 +32,12 @@ def test_strategy_dataclass_validation():
     with pytest.raises(InfeasibleAttackError, match="inconsistent"):
         StrategyB(0.5, 0.8).check_consistency(0.9)
     StrategyB(0.5, 1.8).check_consistency(0.9)  # gamma * fake == eta_ch is fine
+    for build, field in ((lambda v: StrategyA(v), "amplification"),
+                         (lambda v: StrategyB(v, 1.0), "slope factor"),
+                         (lambda v: StrategyB(0.5, v), "fake_channel")):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=field):
+                build(value)
 
 
 def test_shot_coefficients_recomputed_from_curve():
@@ -68,30 +71,27 @@ def test_wavelength_plan_validates_displacement_match():
 
 
 def test_heterodyne_intercept_penalty_and_determinism():
-    gen = chunk_generator(0, 7, 0)
-    n = 100_000
-    xs = np.zeros(n)
-    xe = np.array([heterodyne_intercept(gen, 0.0, 0.0, P_A)[0] for _ in range(n)])
-    assert np.var(xe - xs) == pytest.approx(2 * 5e7, rel=0.02)
-    a = heterodyne_intercept(chunk_generator(1, 7, 0), 1.0, 2.0, P_A)
-    b = heterodyne_intercept(chunk_generator(1, 7, 0), 1.0, 2.0, P_A)
-    assert a == b
-
-
-def test_heterodyne_quadrature_noises_uncorrelated():
-    gen = chunk_generator(2, 7, 0)
-    n = 100_000
-    pairs = np.array([heterodyne_intercept(gen, 0.0, 0.0, P_A) for _ in range(n)])
-    corr = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
-    assert abs(corr) < 0.01
+    # splitting the signal for simultaneous X and P readout costs Eve one
+    # vacuum unit on top of the coherent-state unit: 2*N0 on her x, either strategy
+    for params, strategy in ((P_A, StrategyA(10.0)), (P_B, StrategyB(0.47, 0.5 / 0.47))):
+        table = noise_table(params, AttackPlan(strategy, None))
+        assert table.sig_intercept ** 2 == pytest.approx(2 * 5e7, rel=1e-12)
+    plan = AttackPlan(StrategyA(10.0), None)
+    a = run_attacked_session(P_A, plan, 1000, 7)
+    b = run_attacked_session(P_A, plan, 1000, 7)
+    assert np.array_equal(a.eve_x, b.eve_x)
 
 
 def test_resend_strategy_a_scalings():
-    scale, lo_out = resend_strategy_a(StrategyA(10.0), 0.0, 0.0, P_A)
-    assert scale == pytest.approx(math.sqrt(10.0))
-    assert lo_out == pytest.approx(1e7)
-    scale, lo_out = resend_strategy_a(StrategyA(1.0), 0.0, 0.0, P_A)
-    assert (scale, lo_out) == (1.0, 1e8)  # N = 1 is plain intercept-resend
+    # the resent amplitude grows by sqrt(N) while the LO drops to I_LO / N: the
+    # receiver's gain on x stays sqrt(r * eta * eta_ch), the monitor reads I_LO / N
+    for n_amp, lo in ((10.0, 1e7), (1.0, 1e8)):  # N = 1 is plain intercept-resend
+        table = noise_table(P_A, AttackPlan(StrategyA(n_amp), None))
+        assert table.gain ** 2 == pytest.approx(table.ratios * 0.5 * 0.9, rel=1e-12)
+        assert table.lo_level == pytest.approx([lo], rel=1e-12)
+    plan = solve_attack_parameters("A", P_A, CURVE)
+    assert np.mean(noise_table(P_A, plan).lo_level) == pytest.approx(
+        1e8 / plan.strategy.amplification, rel=1e-12)
 
 
 def test_strategy_b_realistic_shot_noise_floor():
@@ -107,36 +107,50 @@ def test_strategy_b_realistic_shot_noise_floor():
 
 
 def test_resend_strategy_b_scalings():
-    scale, shot = resend_strategy_b(StrategyB(1.0, 0.9), 0.0, 0.0, P_A)
-    assert scale == pytest.approx(1.0)
-    assert shot == pytest.approx(5e7)
-    with pytest.raises(InfeasibleAttackError):
-        resend_strategy_b(StrategyB(0.5, 0.9), 0.0, 0.0, P_A)
-    scale, shot = resend_strategy_b(StrategyB(0.5, 1.8), 0.0, 0.0, P_A)
-    assert scale == pytest.approx(math.sqrt(2.0))
-    assert shot == pytest.approx(0.5 * 5e7)
+    # gamma * fake_channel = eta_ch keeps the gain on x honest while the
+    # receiver's shot noise becomes gamma * N0 (no excess noise here)
+    params = SystemParams(excess_noise=0.0,
+                          schedule=AttenuationSchedule(((0.0, 0.5), (1.0, 0.5))))
+    for gamma, fake in ((1.0, 0.9), (0.5, 1.8)):
+        table = noise_table(params, AttackPlan(StrategyB(gamma, fake), None))
+        assert table.gain ** 2 == pytest.approx(table.ratios * 0.5 * 0.9, rel=1e-12)
+        assert table.sd[:, 0] ** 2 == pytest.approx([gamma * 5e7] * 2, rel=1e-12)
+    with pytest.raises(InfeasibleAttackError, match="inconsistent"):
+        noise_table(params, AttackPlan(StrategyB(0.5, 0.9), None))
+
+
+def _table_with_pulses(d):
+    wl = WavelengthPlan.design(CURVE, P_A.detector, d)
+    params = SystemParams(schedule=THREE_RATIO_SCHEDULE)
+    return wl, noise_table(params, AttackPlan(StrategyA(20.0), wl))
 
 
 def test_inject_part2_cancels_exactly_at_full_transmission():
-    plan = WavelengthPlan.design(CURVE, P_A.detector, 6886.0)
-    for chunk in range(20):
-        gen = chunk_generator(3, 7, chunk)
-        assert inject_part2(gen, plan, 1.0, include_shot_noise=False) == pytest.approx(0.0, abs=1e-9)
+    d = 6886.0
+    _, table = _table_with_pulses(d)
+    assert np.abs(table.offset[table.ratios == 1.0]).max() <= 1e-9 * d
 
 
 def test_inject_part2_strong_attenuation_variance():
     d = 6886.0
-    plan = WavelengthPlan.design(CURVE, P_A.detector, d)
-    expected = (0.999 ** 2) * d * d + (plan.shot_coeff_lo
-                                       + plan.shot_coeff_signal * 0.001 ** 2) * d
-    assert expected == pytest.approx(4.76e7, rel=2e-3)
-    gen = chunk_generator(4, 7, 0)
-    n = 200_000
-    draws = np.array([inject_part2(gen, plan, 0.001) for _ in range(n)])
-    assert np.var(draws, ddof=1) == pytest.approx(expected, rel=0.01)
-    # zero statistical average over the two sets
-    sigma_mean = math.sqrt(expected / n)
-    assert abs(draws.mean()) < 3 * sigma_mean
+    wl, table = _table_with_pulses(d)
+    assert part2_variance(wl, 0.001) == pytest.approx(4.76e7, rel=2e-3)
+    # the two pulse sets push the current by -+(1 - r) * D, zero on average
+    offsets = table.offset[table.ratios == 0.001][0]
+    assert offsets == pytest.approx([-0.999 * d, 0.999 * d], rel=1e-9)
+    assert abs(offsets.mean()) <= 1e-9 * d
+
+
+def test_noise_table_carries_foreign_pulse_shot_variance():
+    # each injected pulse adds its shot variance eta * I: the LO-path pulse in
+    # full, the signal-path pulse scaled by r^2 through the attenuator
+    wl, table = _table_with_pulses(6886.0)
+    bare = noise_table(SystemParams(schedule=THREE_RATIO_SCHEDULE),
+                       AttackPlan(StrategyA(20.0), None))
+    r = table.ratios[:, None]
+    added = 0.5 * (np.array([wl.lo1.intensity, wl.lo2.intensity])
+                   + r * r * np.array([wl.signal1.intensity, wl.signal2.intensity]))
+    assert table.sd ** 2 - bare.sd ** 2 == pytest.approx(added, rel=1e-12)
 
 
 def test_part2_variance_closed_form_matches_plan_terms():
@@ -209,27 +223,18 @@ def test_solver_accepts_alternative_wavelength_sets():
     assert abs(xi_est) < 1e-9
 
 
-def test_coarse_guesses_bracket_the_exact_solutions():
-    assert coarse_displacement_guess("A", P_A) == pytest.approx(math.sqrt(5e7))
-    assert coarse_displacement_guess("B", P_B) == pytest.approx(math.sqrt(5e7 / 3))
-    # the exact solutions sit within a factor ~2 of the first-order anchors
-    assert 0.5 < solve_attack_parameters("A", P_A, CURVE).displacement \
-        / coarse_displacement_guess("A", P_A) < 2.0
-
-
 def test_attack_variance_reductions():
     # D = 0, N = 1 is plain intercept-resend: honest model with xi -> 2 + xi
-    from cvqkd.protocol import honest_variance
     plan = AttackPlan(StrategyA(1.0), None)
     boosted = SystemParams(excess_noise=P_A.excess_noise + 2.0)
     for r in (0.001, 0.3, 1.0):
-        assert attack_variance(P_A, plan, r) == pytest.approx(
-            honest_variance(boosted, r), rel=1e-12)
+        assert analytic_variance(P_A, plan, r) == pytest.approx(
+            analytic_variance(boosted, None, r), rel=1e-12)
     # strategy B with gamma = 1 and honest fake channel reduces the same way
     plan_b = AttackPlan(StrategyB(1.0, 0.9), None)
     for r in (0.001, 1.0):
-        assert attack_variance(P_A, plan_b, r) == pytest.approx(
-            honest_variance(boosted, r), rel=1e-12)
+        assert analytic_variance(P_A, plan_b, r) == pytest.approx(
+            analytic_variance(boosted, None, r), rel=1e-12)
 
 
 def test_predicted_two_point_plain_intercept_resend():
@@ -243,17 +248,17 @@ def test_attacked_session_variances_match_analytic():
     plan = solve_attack_parameters("A", P_A, CURVE)
     batch = run_attacked_session(P_A, plan, 400_000, 21)
     for r, (var, n) in variances_by_ratio(batch).items():
-        expected = attack_variance(P_A, plan, r)
+        expected = analytic_variance(P_A, plan, r)
         delta2 = (1 - r) ** 2 * plan.displacement ** 2
         s2 = expected - delta2
         sigma = math.sqrt((2 * s2 * s2 + 4 * s2 * delta2) / n)
         assert abs(var - expected) < 4 * sigma
 
 
-def _noisy_attack(kind, injected):
+def _noisy_attack(kind, injected, v_el=5e6):
     """Strategy A or B, with or without a wavelength plan, electronic noise on, three ratios."""
     params = SystemParams(channel_transmittance=0.9 if kind == "A" else 0.5,
-                          detector=DetectorConfig(electronic_noise=5e6),
+                          detector=DetectorConfig(electronic_noise=v_el),
                           schedule=THREE_RATIO_SCHEDULE)
     if injected:
         return params, solve_attack_parameters(kind, params, CURVE)
@@ -274,7 +279,7 @@ def test_attacked_variances_match_analytic_with_electronic_noise(kind, injected)
     params, plan = _noisy_attack(kind, injected)
     moments = run_attacked_session(params, plan, 400_000, 31, records=False)
     for r, (var, n) in variances_by_ratio(moments).items():
-        expected = attack_variance(params, plan, r)
+        expected = analytic_variance(params, plan, r)
         delta2 = (1 - r) ** 2 * plan.displacement ** 2
         s2 = expected - delta2
         sigma = math.sqrt((2 * s2 * s2 + 4 * s2 * delta2) / n)
@@ -292,10 +297,81 @@ def test_noise_table_sums_to_the_analytic_variance(kind, injected):
     for k, r in enumerate(table.ratios):
         population = (table.gain[k] ** 2 * var_xe + np.var(table.offset[k])
                       + np.mean(table.sd[k] ** 2))
-        assert population == pytest.approx(attack_variance(params, plan, r), rel=1e-12)
+        assert population == pytest.approx(_reference_variance(params, plan, r), rel=1e-12)
     # compensated, the monitor reads the part-1 LO on average
     part1_lo = params.lo_intensity / (plan.strategy.amplification if kind == "A" else 1.0)
     assert np.mean(table.lo_level) == pytest.approx(part1_lo, rel=1e-12)
+
+
+def _reference_variance(params, plan, ratio):
+    """Population variance of Bob's outcome at one ratio, written out per strategy."""
+    n0 = params.shot_noise_unit
+    eta = params.detector.efficiency
+    v_el = params.detector.electronic_noise
+    v_a, xi = params.modulation_variance, params.excess_noise
+    if plan is None:
+        return ratio * eta * params.channel_transmittance * (v_a + xi) * n0 + n0 + v_el
+    if isinstance(plan.strategy, StrategyA):
+        part1 = (ratio * eta * params.channel_transmittance * (v_a + 2.0 + xi) * n0
+                 + n0 / plan.strategy.amplification + v_el)
+    else:
+        s = plan.strategy
+        part1 = s.slope_factor * (ratio * eta * s.fake_channel * (v_a + 2.0 + xi) + 1.0) * n0 + v_el
+    if plan.wavelength is None:
+        return part1
+    d, wl = plan.displacement, plan.wavelength
+    return (part1 + (1.0 - ratio) ** 2 * d * d
+            + (wl.shot_coeff_lo + wl.shot_coeff_signal * ratio * ratio) * d)
+
+
+def _reference_polynomial(params, plan):
+    """(a, b, c): an attack adds a = D^2 + c_signal*D, takes 2*D^2 off the slope
+    and D^2 + c_lo*D on top of the realistic shot noise."""
+    n0 = params.shot_noise_unit
+    ee = params.detector.efficiency * params.channel_transmittance
+    v_el = params.detector.electronic_noise
+    if plan is None:
+        return 0.0, ee * (params.modulation_variance + params.excess_noise) * n0, n0 + v_el
+    d = plan.displacement
+    c_lo = c_s = 0.0
+    if plan.wavelength is not None:
+        c_lo, c_s = plan.wavelength.shot_coeff_lo, plan.wavelength.shot_coeff_signal
+    b = ee * (params.modulation_variance + 2.0 + params.excess_noise) * n0 - 2.0 * d * d
+    return d * d + c_s * d, b, realistic_shot_noise(params, plan) + v_el + d * d + c_lo * d
+
+
+def _reference_estimator_std(params, plan, ratio, count):
+    """The outcome as a +-(1-r)*D coin flip plus a Gaussian of variance s^2:
+    Var(V_hat) = (2*s^4 + 4*s^2*delta^2)/n."""
+    v = _reference_variance(params, plan, ratio)
+    delta2 = 0.0 if plan is None else (1.0 - ratio) ** 2 * plan.displacement ** 2
+    s2 = v - delta2
+    return math.sqrt((2.0 * s2 * s2 + 4.0 * s2 * delta2) / count)
+
+
+@pytest.mark.parametrize("v_el", [0.0, 5e6])
+@pytest.mark.parametrize("kind, injected", [
+    ("honest", False), ("A", True), ("A", False), ("B", True), ("B", False)],
+    ids=["honest", "A-plan", "A-no-plan", "B-plan", "B-no-plan"])
+def test_table_derivations_match_closed_forms(kind, injected, v_el):
+    # the analytic variance, polynomial and estimator sd are read off the noise
+    # table; the closed forms above state the same model independently
+    if kind == "honest":
+        params = SystemParams(detector=DetectorConfig(electronic_noise=v_el),
+                              schedule=THREE_RATIO_SCHEDULE)
+        plan = None
+    else:
+        params, plan = _noisy_attack(kind, injected, v_el)
+    for r in (0.0, 0.001, 0.5, 1.0):
+        assert analytic_variance(params, plan, r) == pytest.approx(
+            _reference_variance(params, plan, r), rel=1e-12)
+        assert variance_estimator_std(params, plan, r, 10_000) == pytest.approx(
+            _reference_estimator_std(params, plan, r, 10_000), rel=1e-5)
+    poly = analytic_noise_polynomial(params, plan)
+    a, b, c = _reference_polynomial(params, plan)
+    assert poly.c == pytest.approx(c, rel=1e-12)
+    assert poly.b == pytest.approx(b, rel=1e-12)
+    assert poly.a == pytest.approx(a, rel=1e-12, abs=1e-12 * c)  # a = 0 without pulses
 
 
 def test_attacked_session_fools_two_point_estimators():

@@ -4,11 +4,13 @@ import time
 import numpy as np
 import pytest
 
+from cvqkd.analysis import analytic_variance
 from cvqkd.errors import ConfigError, CurveRangeError
 from cvqkd.physics import (BeamSplitterCurve, DetectorConfig, ForeignPulse, PulsePath,
-                           balanced_homodyne_stats, builtin_curve, foreign_pulse_response,
-                           load_curve, sample_foreign_current, transmittance_at,
-                           unbalanced_variance)
+                           builtin_curve, foreign_pulse_response, load_curve,
+                           transmittance_at)
+from cvqkd.protocol import (AttenuationSchedule, NoiseTable, SystemParams,
+                            honest_noise_table, sample_session)
 
 # measured transmittances of the two couplers, 1270..1610 nm in 20 nm steps
 TABLE_50_50 = [0.5327, 0.5253, 0.5144, 0.5052, 0.5011, 0.4965, 0.4931, 0.4862,
@@ -75,59 +77,70 @@ def test_lookup_speed_is_sub_millisecond():
     assert time.perf_counter() - start < 1e-3
 
 
+def _vacuum_receiver(eta, lo_intensity, modulation_variance=0.0):
+    """An honest system whose outcome at r = 1 is a balanced homodyne of Alice's state."""
+    return SystemParams(modulation_variance=modulation_variance, channel_transmittance=1.0,
+                        excess_noise=0.0, detector=DetectorConfig(efficiency=eta),
+                        lo_intensity=lo_intensity, schedule=AttenuationSchedule(((1.0, 1.0),)))
+
+
 def test_balanced_homodyne_examples():
-    det = DetectorConfig(efficiency=0.5)
-    assert balanced_homodyne_stats(det, 1e8, 0.0, 0.0) == (0.0, pytest.approx(5e7))
-    det1 = DetectorConfig(efficiency=1.0)
-    assert balanced_homodyne_stats(det1, 1.0, 0.0, 3.0) == (0.0, pytest.approx(4.0))
-    _, var = balanced_homodyne_stats(det, 1e8, 0.0, 5.0)
-    assert var == pytest.approx(1.75e8)
+    # at full transmission and no excess noise the honest noise table is a
+    # balanced homodyne: variance eta * V * N0 + N0 with N0 = eta * I_LO
+    assert analytic_variance(_vacuum_receiver(0.5, 1e8), None, 1.0) == pytest.approx(5e7)
+    assert analytic_variance(_vacuum_receiver(1.0, 1.0, 3.0), None, 1.0) == pytest.approx(4.0)
+    assert analytic_variance(_vacuum_receiver(0.5, 1e8, 5.0), None, 1.0) == pytest.approx(1.75e8)
 
 
 def test_balanced_homodyne_mean_scaling():
-    det = DetectorConfig(efficiency=0.5)
-    mean, _ = balanced_homodyne_stats(det, 1e8, 2.0, 0.0)
-    assert mean == pytest.approx(0.5 * math.sqrt(1e8) * 2.0)
+    # a quadrature q in vacuum units is stored as x = q * sqrt(N0), so the
+    # current gain * x reads eta * sqrt(I_LO) * q
+    params = _vacuum_receiver(0.5, 1e8)
+    gain = honest_noise_table(params).gain[0]
+    assert gain * 2.0 * math.sqrt(params.shot_noise_unit) == pytest.approx(
+        0.5 * math.sqrt(1e8) * 2.0)
 
 
 def test_balanced_homodyne_rejects_bad_inputs():
-    det = DetectorConfig()
     with pytest.raises(ValueError):
-        balanced_homodyne_stats(det, 0.0, 0.0, 1.0)
+        _vacuum_receiver(0.5, 0.0)
     with pytest.raises(ValueError):
-        balanced_homodyne_stats(det, 1e8, 0.0, -1.0)
+        _vacuum_receiver(0.5, 1e8, -1.0)
 
 
 def test_unbalanced_variance_examples():
-    det1 = DetectorConfig(efficiency=1.0)
-    assert unbalanced_variance(det1, 0.5, 1.0, 0.0) == (0.0, pytest.approx(1.0))
-    det = DetectorConfig(efficiency=0.5)
-    mean, var = unbalanced_variance(det, 0.5, 1e8, 0.0)
-    assert mean == 0.0
-    assert var == pytest.approx(5e7)
-    # LO-path pulse of the second wavelength pair: deterministic leakage term
-    mean, _ = unbalanced_variance(det, 0.4873, 5.4e5, 0.0)
-    assert mean == pytest.approx(0.5 * 5.4e5 * (2 * 0.4873 - 1), rel=1e-12)
+    # an injected pulse is an unbalanced homodyne with vacuum in the other port:
+    # it leaks eta * I * (2T - 1) and adds eta^2 I (2T-1)^2 + 4 eta^2 I T(1-T)
+    # + eta (1 - eta) I of shot variance; LO-path pulse of the second pair
+    eta, t, i = 0.5, 0.4873, 5.4e5
+    mean, var = foreign_pulse_response(DetectorConfig(efficiency=eta), builtin_curve("50:50"),
+                                       ForeignPulse(1490.0, i, PulsePath.LO))
+    assert mean == pytest.approx(eta * i * (2 * t - 1), rel=1e-12)
     assert mean == pytest.approx(-6858, rel=1e-3)
+    assert var == pytest.approx(eta * eta * i * (2 * t - 1) ** 2 + 4 * eta * eta * i * t * (1 - t)
+                                + eta * (1 - eta) * i, rel=1e-12)
 
 
 def test_unbalanced_variance_rejects_t_outside_unit_interval():
-    det = DetectorConfig()
+    # the splitter's transmittance comes from a curve, which refuses T outside (0, 1)
     for t in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(ValueError):
-            unbalanced_variance(det, t, 1e8, 0.0)
+            BeamSplitterCurve("x", [1300.0, 1400.0], [t, 0.5])
 
 
 def test_unbalanced_reduces_to_balanced_at_half():
+    # on a balanced splitter an LO-path pulse leaks nothing and adds eta * I,
+    # the shot noise of a balanced homodyne of vacuum with that LO
+    half = BeamSplitterCurve("flat", [1300.0, 1400.0], [0.5, 0.5])
     rng = np.random.default_rng(3)
     for _ in range(50):
         eta = rng.uniform(0.1, 1.0)
         i_lo = 10 ** rng.uniform(2, 9)
-        v = rng.uniform(0.0, 10.0)
-        det = DetectorConfig(efficiency=eta)
-        _, var_u = unbalanced_variance(det, 0.5, i_lo, v)
-        _, var_b = balanced_homodyne_stats(det, i_lo, 0.0, v)
-        assert var_u == pytest.approx(var_b, rel=1e-12)
+        mean, var = foreign_pulse_response(DetectorConfig(efficiency=eta), half,
+                                           ForeignPulse(1350.0, i_lo, PulsePath.LO))
+        assert mean == 0.0
+        assert var == pytest.approx(
+            analytic_variance(_vacuum_receiver(eta, i_lo), None, 1.0), rel=1e-12)
 
 
 def test_foreign_pulse_response_examples():
@@ -171,18 +184,23 @@ def test_foreign_pulse_uses_per_wavelength_efficiency_override():
     assert shot == pytest.approx(0.25 * 5e5)
 
 
+def _foreign_current_table(mean, variance):
+    """A noise table whose outcome is one foreign pulse's current alone."""
+    return NoiseTable(np.array([1.0]), np.array([1.0]), 0.0, np.zeros(1),
+                      np.array([[math.sqrt(variance)]]), np.array([[mean]]))
+
+
 def test_sample_foreign_current_degenerate_and_deterministic():
-    assert sample_foreign_current(np.random.default_rng(0), (0.0, 0.0)).value == 0.0
-    a = sample_foreign_current(np.random.default_rng(5), (6900.0, 2.5e5)).value
-    b = sample_foreign_current(np.random.default_rng(5), (6900.0, 2.5e5)).value
-    assert a == b
+    assert not sample_session(_foreign_current_table(0.0, 0.0), 1000, 0).bob_y.any()
+    table = _foreign_current_table(6900.0, 2.5e5)
+    a = sample_session(table, 1000, 5).bob_y
+    b = sample_session(table, 1000, 5).bob_y
+    assert np.array_equal(a, b)
 
 
 def test_sample_foreign_current_statistics():
-    rng = np.random.default_rng(17)
     n = 100_000
-    draws = np.array([sample_foreign_current(rng, (6900.0, 2.5e5)).value
-                      for _ in range(n)])
+    draws = sample_session(_foreign_current_table(6900.0, 2.5e5), n, 17).bob_y
     assert abs(draws.mean() - 6900.0) < 3.0 * math.sqrt(2.5e5 / n)
     # empirical variance within 1% (variance >= 1e4 regime)
     assert np.var(draws, ddof=1) == pytest.approx(2.5e5, rel=0.01)
@@ -195,6 +213,10 @@ def test_detector_config_validation():
         DetectorConfig(electronic_noise=-1.0)
     with pytest.raises(ValueError):
         DetectorConfig(amplification=0.0)
+    for field in ("efficiency", "electronic_noise", "amplification"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=field):
+                DetectorConfig(**{field: value})
     with pytest.raises(ValueError):
         ForeignPulse(1550, -1.0, PulsePath.LO)
 

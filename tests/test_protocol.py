@@ -4,16 +4,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cvqkd.analysis import analytic_variance
 from cvqkd.attack import run_attacked_session, solve_attack_parameters
 from cvqkd.errors import EstimationError, ScheduleError
 from cvqkd.physics import DetectorConfig, builtin_curve
-from cvqkd.protocol import (AttenuationSchedule, PulseRecord, RatioMoments, RecordBatch,
+from cvqkd.protocol import (AttenuationSchedule, RatioMoments, RecordBatch,
                             SystemParams, THREE_RATIO_SCHEDULE, TWO_POINT_SCHEDULE,
-                            alice_modulate, distinct_values, estimate_covariance_transmittance,
-                            estimate_two_point,
-                            honest_measure, honest_variance, run_honest_session,
+                            distinct_values, estimate_covariance_transmittance,
+                            estimate_two_point, honest_noise_table, run_honest_session,
                             two_point_from_variances, variances_by_ratio)
-from cvqkd.rng import CHUNK_SLOTS, chunk_generator
+from cvqkd.rng import CHUNK_SLOTS
+from cvqkd.serialize import read_records_csv, write_records_csv
 
 P_DEFAULT = SystemParams()  # V_A=5, eta=0.5, eta_ch=0.9, xi=0.1, I_LO=1e8
 THREE_RATIO_PARAMS = SystemParams(schedule=THREE_RATIO_SCHEDULE)
@@ -45,42 +46,40 @@ def test_system_params_validation_and_shot_noise():
         SystemParams(excess_noise=-0.1)
     with pytest.raises(ValueError):
         SystemParams(lo_intensity=0.0)
+    for field in ("modulation_variance", "channel_transmittance", "excess_noise",
+                  "lo_intensity"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=field.replace("_", "[_ ]")):
+                SystemParams(**{field: value})
 
 
 def test_alice_modulate_zero_variance_and_determinism():
     params = SystemParams(modulation_variance=0.0)
-    gen = chunk_generator(0, 7, 0)
-    assert all(alice_modulate(gen, params) == 0.0 for _ in range(10))
-    a = [alice_modulate(chunk_generator(1, 7, i), P_DEFAULT) for i in range(5)]
-    b = [alice_modulate(chunk_generator(1, 7, i), P_DEFAULT) for i in range(5)]
-    assert a == b
+    assert honest_noise_table(params).sig_x == 0.0
+    assert not run_honest_session(params, 1000, 0).alice_x.any()
+    a = run_honest_session(P_DEFAULT, 1000, 1)
+    b = run_honest_session(P_DEFAULT, 1000, 1)
+    assert np.array_equal(a.alice_x, b.alice_x) and np.array_equal(a.bob_y, b.bob_y)
 
 
 def test_alice_modulate_empirical_variance():
-    gen = chunk_generator(2, 7, 0)
-    sigma = math.sqrt(5 * 5e7)
-    draws = gen.normal(0.0, sigma, 1_000_000)  # same distribution the op draws from
-    assert np.var(draws) == pytest.approx(2.5e8, rel=0.01)
-    # spot-check the op itself against the distribution scale
-    vals = np.array([alice_modulate(chunk_generator(3, 7, i), P_DEFAULT)
-                     for i in range(2000)])
-    assert np.var(vals) == pytest.approx(2.5e8, rel=0.15)
+    # Var(x) = V_A * N0: exact in the table, within 7 sigma in a session
+    assert honest_noise_table(P_DEFAULT).sig_x ** 2 == pytest.approx(2.5e8, rel=1e-12)
+    batch = run_honest_session(P_DEFAULT, 1_000_000, 2)
+    assert np.var(batch.alice_x) == pytest.approx(2.5e8, rel=0.01)
 
 
 def test_honest_measure_requires_scheduled_ratio():
-    gen = chunk_generator(0, 7, 0)
-    with pytest.raises(ScheduleError, match="not part of the active schedule"):
-        honest_measure(gen, P_DEFAULT, 0.0, 0.7)
+    # every slot is measured at a ratio of the active schedule
+    batch = run_honest_session(P_DEFAULT, 10_000, 0)
+    assert set(np.unique(batch.ratio)) == {0.001, 1.0}
 
 
 def test_honest_measure_record_fields():
-    gen = chunk_generator(0, 7, 1)
-    rec = honest_measure(gen, P_DEFAULT, 123.0, 1.0, quadrature="P", slot_index=9)
-    assert isinstance(rec, PulseRecord)
-    assert rec.ratio_applied == 1.0
-    assert rec.alice_quadrature == 123.0
-    assert rec.quadrature_choice == "P"
-    assert rec.slot_index == 9
+    batch = run_honest_session(P_DEFAULT, 1000, 1)
+    assert np.array_equal(batch.slot, np.arange(1000))
+    assert set(np.unique(batch.quad)) == {0, 1}  # X and P
+    assert batch.eve_x is None and batch.lo_observed is None  # no attack annotations
 
 
 def test_honest_session_pure_shot_noise_when_silent():
@@ -101,9 +100,9 @@ def test_honest_session_variance_and_covariance_at_full_transmission():
 
 
 def test_honest_variance_formula():
-    assert honest_variance(P_DEFAULT, 1.0) == pytest.approx(0.45 * 5.1 * 5e7 + 5e7)
+    assert analytic_variance(P_DEFAULT, None, 1.0) == pytest.approx(0.45 * 5.1 * 5e7 + 5e7)
     params = SystemParams(detector=DetectorConfig(electronic_noise=1e6))
-    assert honest_variance(params, 0.0) == pytest.approx(5e7 + 1e6)
+    assert analytic_variance(params, None, 0.0) == pytest.approx(5e7 + 1e6)
 
 
 def test_two_point_inversion_is_exact_on_population_values():
@@ -112,7 +111,7 @@ def test_two_point_inversion_is_exact_on_population_values():
                           modulation_variance=4.0, lo_intensity=2e8)
     r1, r2 = 0.01, 0.9
     n0_est, xi_est = two_point_from_variances(
-        honest_variance(params, r1), honest_variance(params, r2), r1, r2,
+        analytic_variance(params, None, r1), analytic_variance(params, None, r2), r1, r2,
         0.6, 0.8, 2e5, 4.0)
     assert n0_est == pytest.approx(params.shot_noise_unit, rel=1e-12)
     assert xi_est == pytest.approx(0.3, rel=1e-12)
@@ -193,13 +192,13 @@ def test_two_point_covariance_uses_the_requested_quadrature():
     assert estimate_two_point(batch, P_DEFAULT).covariance_xy == pytest.approx(22 / 6)
 
 
-def test_record_batch_round_trip_and_lazy_slots():
+def test_record_batch_round_trip_and_lazy_slots(tmp_path):
     batch = run_honest_session(P_DEFAULT, 100, 14)
     assert len(batch) == 100
+    assert batch._slot is None
     assert np.array_equal(batch.slot, np.arange(100))
-    rec = batch.record(3)
-    assert rec.slot_index == 3
-    rebuilt = RecordBatch.from_records(list(batch))
+    write_records_csv(tmp_path / "records.csv", batch, "0" * 16, 14)
+    rebuilt = read_records_csv(tmp_path / "records.csv")
     assert np.array_equal(rebuilt.bob_y, batch.bob_y)
     assert np.array_equal(rebuilt.quad, batch.quad)
 

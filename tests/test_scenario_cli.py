@@ -179,7 +179,8 @@ def test_cli_sweep_mc_tracks_analytic(tmp_path):
     import csv
     import math
 
-    from cvqkd.attack import AttackPlan, StrategyA, attack_variance
+    from cvqkd.analysis import analytic_variance
+    from cvqkd.attack import AttackPlan, StrategyA
     from cvqkd.protocol import AttenuationSchedule
 
     slots = 100_000
@@ -196,7 +197,7 @@ def test_cli_sweep_mc_tracks_analytic(tmp_path):
         params = SystemParams(channel_transmittance=eta_ch,
                               schedule=AttenuationSchedule(((1.0, 1.0),)))
         plan = AttackPlan(StrategyA(10.0), None)
-        v = attack_variance(params, plan, 1.0)
+        v = analytic_variance(params, plan, 1.0)
         # the estimate is an affine map of the sampled variance at ratio 1
         sigma = v * math.sqrt(2.0 / slots) / (0.5 * eta_ch * 5e7)
         assert abs(float(row["excess_noise_mc"])
@@ -311,6 +312,59 @@ def test_cli_rejects_non_positive_threads_and_slots(tmp_path, capsys, command, f
     assert rc == 2
     assert f"{flag} must be >= 1" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "detect"])
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_cli_rejects_bad_threshold_before_writing(tmp_path, capsys, command, value):
+    argv = {"run": ["run", "--scenario", str(SCENARIOS / "honest.scenario"), "--slots", "1000"],
+            "sweep": ["sweep", "--variable", "eta_ch", "--start", "0.5", "--stop", "0.9",
+                      "--points", "2", "--mode", "solved"],
+            "detect": ["detect", "--records", str(tmp_path / "missing.csv")]}[command]
+    rc = main(argv + ["--out", str(tmp_path / "out"), "--threshold", value])
+    assert rc == 2
+    assert "--threshold must be finite and > 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_honest_scenario_with_plan_output_names_the_line(tmp_path, capsys):
+    scen = tmp_path / "honest_plan.scenario"
+    scen.write_text(MINIMAL + "[outputs]\nreport = report.txt\nplan = plan.txt\n")
+    rc = main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "line 11: a plan output needs an attack" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_that_cannot_fit_writes_nothing(tmp_path, capsys):
+    # a two-ratio schedule has no polynomial; the run fails before any artifact
+    scen = tmp_path / "two_ratio.scenario"
+    scen.write_text(MINIMAL + "[outputs]\nrecords = records.csv\npolynomial = poly.txt\n")
+    rc = main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert ">= 3 distinct ratios" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--strategy", "A", "--lo-intensity", "inf"],
+     "lo_intensity must be finite and > 0, got inf"),
+    (["solve", "--strategy", "B", "--eta-ch", "0.5", "--v-el", "nan"],
+     "electronic_noise must be finite and >= 0, got nan"),
+    (["solve", "--strategy", "A", "--r1", "nan"], "--r1 must be a finite"),
+    (["sweep", "--variable", "xi", "--start", "nan", "--stop", "0.5", "--points", "3"],
+     "--start must be a finite"),
+    (["sweep", "--variable", "eta_ch", "--start", "0.5", "--stop", "inf", "--points", "3"],
+     "--stop must be a finite"),
+    (["sweep", "--variable", "eta_ch", "--start", "0.5", "--stop", "0.9", "--points", "3",
+      "--n-amp", "nan"], "--n-amp must be a finite"),
+], ids=["solve-lo-intensity-inf", "solve-v-el-nan", "solve-r1-nan", "sweep-start-nan",
+        "sweep-stop-inf", "sweep-n-amp-nan"])
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, argv, message):
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_master_seed_rejected_with_line():
