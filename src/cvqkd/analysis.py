@@ -20,8 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .attack import AttackPlan, noise_table
+from .attack import AttackPlan, StrategyA, noise_table
 from .errors import CountermeasureError
+from .physics import DetectorConfig
 from .protocol import (AttenuationSchedule, NoiseTable, RatioMoments, RecordBatch, SystemParams,
                        honest_noise_table, ratio_moments, variances_by_ratio)
 
@@ -205,34 +206,28 @@ def part1_only_excess_estimate(amplification: float, eta: float, eta_ch: float,
                                xi: float) -> float:
     """Estimated excess noise (shot-noise units) for the bare amplified resend.
 
-    With the LO divided by N and no injected pulses, the single-point estimate
-    evaluates to 2 + xi + (1/N - 1)/(eta*eta_ch); for N = 10, eta = 0.5,
-    xi = 0.1 this is the curve 2.1 - 1.8/eta_ch.
+    The single-point estimate of the strategy-A table at r = 1 with the LO
+    divided by N and no injected pulses. It evaluates to
+    2 + xi + (1/N - 1)/(eta*eta_ch); for N = 10, eta = 0.5, xi = 0.1 this is
+    the curve 2.1 - 1.8/eta_ch.
     """
-    if amplification < 1.0:
-        raise ValueError("amplification must be >= 1")
-    return 2.0 + xi + (1.0 / amplification - 1.0) / (eta * eta_ch)
+    params = SystemParams(channel_transmittance=eta_ch, excess_noise=xi,
+                          detector=DetectorConfig(eta))
+    plan = AttackPlan(StrategyA(amplification), None)
+    return single_point_excess_estimate(analytic_variance(params, plan, 1.0), params)
 
 
 def part1_zero_crossing(amplification: float, eta: float, xi: float,
                         lo: float = 0.05, hi: float = 1.0) -> float:
-    """Channel transmittance where the bare-resend excess estimate crosses zero."""
-    def f(ec):
-        return part1_only_excess_estimate(amplification, eta, ec, xi)
+    """Channel transmittance where the bare-resend excess estimate crosses zero.
 
-    f_lo = f(lo)
-    if f_lo * f(hi) > 0.0:
+    The root of 2 + xi + (1/N - 1)/(eta*eta_ch), (1 - 1/N)/(eta*(2 + xi)).
+    Raises ValueError when it lies outside [lo, hi].
+    """
+    crossing = (1.0 - 1.0 / amplification) / (eta * (2.0 + xi))
+    if not lo <= crossing <= hi:
         raise ValueError(f"no zero crossing in [{lo}, {hi}]")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_lo * f_mid <= 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-        if hi - lo <= 1e-15:
-            break
-    return 0.5 * (lo + hi)
+    return crossing
 
 
 def analytic_noise_polynomial(params: SystemParams,

@@ -10,9 +10,10 @@ polarizations; the wavelength-dependent split ratio converts their intensity
 into a differential-current offset of size D whose sign flips slot by slot,
 inflating the shot-noise estimate back up to its honest value. The solver
 picks (D, N) or (D, gamma) so the two-point estimates come out at exactly
-(N0, 0). ``noise_table`` is the attacked model, which the sampler draws from
-and ``analysis`` derives every analytic variance and moment from; the solver
-and ``predicted_two_point`` share one excess-noise numerator.
+(N0, 0). Both conditions are quadratics in D, stated once in
+``_two_point_model``, so the solver takes their roots in closed form.
+``noise_table`` is the attacked model, which the sampler draws from and
+``analysis`` derives every analytic variance and moment from.
 """
 
 from __future__ import annotations
@@ -143,9 +144,7 @@ class WavelengthPlan:
         names = ("signal1", "lo1", "signal2", "lo2")
         pulses = []
         for name, wl, path, target in zip(names, wavelengths, paths, targets):
-            t = curve.transmittance_at(wl)
-            eta = detector.efficiency_at(wl)
-            gain = eta * (1.0 - 2.0 * t) if path is PulsePath.SIGNAL else eta * (2.0 * t - 1.0)
+            gain, _ = foreign_pulse_response(detector, curve, ForeignPulse(wl, 1.0, path))
             if gain == 0.0:
                 raise InfeasibleAttackError(
                     f"{name} wavelength {wl} nm hits transmittance 1/2 exactly; "
@@ -175,16 +174,13 @@ def shot_coefficients(curve: BeamSplitterCurve,
     """Linear-in-D shot-noise coefficients (LO-path, signal-path) for a wavelength set.
 
     For equal-probability sets, the mean injected shot variance is
-    (c_lo + c_signal * r^2) * D with c = (1/|1-2T_a| + 1/|1-2T_b|)/2; the
-    detector efficiencies cancel between intensity and shot variance.
+    (c_lo + c_signal * r^2) * D. These are the coefficients of the plan
+    designed at unit displacement, (1/|1-2T_a| + 1/|1-2T_b|)/2 per path: the
+    detector efficiency cancels between a pulse's intensity and its shot
+    variance, so any detector gives them.
     """
-    t = [curve.transmittance_at(wl) for wl in wavelengths]
-    gaps = [abs(1.0 - 2.0 * ti) for ti in t]
-    if any(g == 0.0 for g in gaps):
-        raise InfeasibleAttackError("a plan wavelength hits transmittance 1/2 exactly")
-    c_s = 0.5 * (1.0 / gaps[0] + 1.0 / gaps[2])
-    c_lo = 0.5 * (1.0 / gaps[1] + 1.0 / gaps[3])
-    return c_lo, c_s
+    plan = WavelengthPlan.design(curve, DetectorConfig(), 1.0, wavelengths)
+    return plan.shot_coeff_lo, plan.shot_coeff_signal
 
 
 def _injected(wl: WavelengthPlan, ratios: np.ndarray):
@@ -229,34 +225,50 @@ def predicted_two_point(params: SystemParams, plan: AttackPlan,
     +0.011 (strategy B) shot-noise units; the sample estimator lands at those
     small offsets, far below any detection threshold.
     """
-    if r1 is None or r2 is None:
-        ratios = params.schedule.ratios
-        r1 = float(ratios.min()) if r1 is None else r1
-        r2 = float(ratios.max()) if r2 is None else r2
+    ratios = params.schedule.ratios
+    r1 = float(ratios.min()) if r1 is None else r1
+    r2 = float(ratios.max()) if r2 is None else r2
     n0 = params.shot_noise_unit
     d = plan.displacement
-    if plan.wavelength is None:
-        c_lo = c_s = 0.0
-    else:
-        c_lo = plan.wavelength.shot_coeff_lo
-        c_s = plan.wavelength.shot_coeff_signal
-    shot = realistic_shot_noise(params, plan)
-    n0_est = shot + (1.0 - r1 * r2) * d * d + (c_lo - c_s * r1 * r2) * d
-    numerator = _excess_numerator(params, c_s, d, r1, r2)
+    wl = plan.wavelength
+    c_lo, c_s = (0.0, 0.0) if wl is None else (wl.shot_coeff_lo, wl.shot_coeff_signal)
+    bias, numerator = _two_point_model(params, c_lo, c_s, r1, r2)
+    n0_est = realistic_shot_noise(params, plan) + _evaluate(bias, d)
+    excess = _evaluate(numerator, d)
     if isinstance(plan.strategy, StrategyB):
-        numerator += params.modulation_variance * (n0 - n0_est)
-    return n0_est, numerator / n0_est
+        excess += params.modulation_variance * (n0 - n0_est)
+    return n0_est, excess / n0_est
 
 
-def _excess_numerator(params: SystemParams, c_s: float, d: float,
-                      r1: float, r2: float) -> float:
-    """Numerator of the two-point excess-noise estimate under attack at
-    displacement ``d``, before strategy B's modulation term; its
-    denominator is the shot-noise estimate (see ``predicted_two_point``)."""
+def _two_point_model(params: SystemParams, c_lo: float, c_s: float,
+                     r1: float, r2: float):
+    """The two-point estimates under attack as coefficient triples (D^2, D, 1).
+
+    ``bias`` is the shot-noise bias S(D) the injected pulses add to the
+    realistic shot noise in the shot-noise estimate. ``numerator`` is the
+    excess-noise estimate's numerator before strategy B's modulation term;
+    its denominator is the shot-noise estimate (see ``predicted_two_point``).
+    """
     ee = params.detector.efficiency * params.channel_transmittance
-    return ((2.0 + params.excess_noise) * params.shot_noise_unit
-            + (r1 + r2 - 2.0) * d * d / ee
-            + c_s * (r1 + r2) * d)
+    bias = (1.0 - r1 * r2, c_lo - c_s * r1 * r2, 0.0)
+    numerator = ((r1 + r2 - 2.0) / ee, c_s * (r1 + r2),
+                 (2.0 + params.excess_noise) * params.shot_noise_unit)
+    return bias, numerator
+
+
+def _evaluate(coeffs: tuple[float, float, float], d: float) -> float:
+    a, b, c = coeffs
+    return (a * d + b) * d + c
+
+
+def _positive_root(a: float, b: float, c: float) -> float:
+    """The one positive root of a*x^2 + b*x + c when a and c differ in sign.
+
+    q = -(b + sign(b) sqrt(b^2 - 4ac))/2 adds two terms of one sign, so no
+    digits cancel; the roots are q/a and c/q.
+    """
+    q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
+    return max(q / a, c / q)
 
 
 def solve_attack_parameters(strategy_kind: str, params: SystemParams,
@@ -266,11 +278,13 @@ def solve_attack_parameters(strategy_kind: str, params: SystemParams,
                             ) -> AttackPlan:
     """Choose (N, D) or (gamma, D) nulling the two-point estimates.
 
-    Solves {shot-noise estimate = N0, excess-noise estimate = 0} by bisecting
-    the excess-noise numerator over D in [0, sqrt(3*N0)] (it is positive at 0
-    and monotone decreasing past its vertex), then back-substituting the
-    realistic shot noise into N or gamma. Raises InfeasibleAttackError naming
-    the violated constraint when no valid solution exists.
+    Solves {shot-noise estimate = N0, excess-noise estimate = 0} in closed
+    form. The excess-noise numerator is a quadratic in D that is positive at
+    0 and opens downward, so D is its one positive root; back-substituting D
+    into the shot-noise condition gives the realistic shot noise, hence N or
+    gamma. That shot noise is positive only below the feasibility boundary,
+    the positive root of S(D) = N0. Raises InfeasibleAttackError naming the
+    violated constraint when no valid solution exists.
     """
     if strategy_kind not in ("A", "B"):
         raise ValueError("strategy_kind must be 'A' or 'B'")
@@ -279,28 +293,18 @@ def solve_attack_parameters(strategy_kind: str, params: SystemParams,
     r2 = float(ratios.max()) if r2 is None else float(r2)
     if r1 >= r2:
         raise InfeasibleAttackError("need two distinct estimation ratios with r1 < r2")
+    if r1 + r2 >= 2.0:
+        raise InfeasibleAttackError(
+            f"the excess-noise estimate stays positive at every displacement when "
+            f"r1 + r2 >= 2 (r1 = {r1!r}, r2 = {r2!r})")
     n0 = params.shot_noise_unit
     c_lo, c_s = shot_coefficients(curve, wavelengths)
+    bias, numerator = _two_point_model(params, c_lo, c_s, r1, r2)
+    d = _positive_root(*numerator)
 
-    d_hi = math.sqrt(3.0 * n0)
-    if _excess_numerator(params, c_s, d_hi, r1, r2) >= 0.0:
-        raise InfeasibleAttackError(
-            "no displacement in [0, sqrt(3*N0)] nulls the excess-noise estimate "
-            f"(channel transmittance {params.channel_transmittance} too high for the bracket)")
-    lo, hi = 0.0, d_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _excess_numerator(params, c_s, mid, r1, r2) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * d_hi:
-            break
-    d = 0.5 * (lo + hi)
-
-    shot = n0 - (1.0 - r1 * r2) * d * d - (c_lo - c_s * r1 * r2) * d
+    shot = n0 - _evaluate(bias, d)
     if shot <= 0.0:
-        d_boundary = _max_feasible_displacement(n0, c_lo, c_s, r1, r2)
+        d_boundary = _positive_root(bias[0], bias[1], bias[2] - n0)
         raise InfeasibleAttackError(
             "nulling the excess-noise estimate needs a realistic shot noise <= 0 "
             f"(required displacement {d:.1f} exceeds the feasibility boundary "
@@ -320,13 +324,6 @@ def solve_attack_parameters(strategy_kind: str, params: SystemParams,
             f"solver residuals too large: shot-noise ratio {n0_est / n0!r}, "
             f"excess estimate {xi_est!r}")
     return plan
-
-
-def _max_feasible_displacement(n0, c_lo, c_s, r1, r2) -> float:
-    """Largest D keeping the required realistic shot noise positive."""
-    a = 1.0 - r1 * r2
-    b = c_lo - c_s * r1 * r2
-    return (-b + math.sqrt(b * b + 4.0 * a * n0)) / (2.0 * a)
 
 
 def noise_table(params: SystemParams, plan: AttackPlan,
@@ -351,16 +348,15 @@ def noise_table(params: SystemParams, plan: AttackPlan,
         lo_base = params.lo_intensity / strategy.amplification
         eta_eff = params.channel_transmittance
         slope = 1.0
-        shot = n0 / strategy.amplification
     else:
         strategy.check_consistency(params.channel_transmittance)
         lo_base = params.lo_intensity
         eta_eff = strategy.fake_channel
         slope = strategy.slope_factor
-        shot = n0
     reff = ratios * params.detector.efficiency * eta_eff
     # the slope scales the resent state's response, not the electronic noise
-    part1_var = slope * (reff * params.excess_noise * n0 + shot) + params.detector.electronic_noise
+    part1_var = (slope * reff * params.excess_noise * n0 + realistic_shot_noise(params, plan)
+                 + params.detector.electronic_noise)
 
     if wl is not None:
         offset, var_lo, var_s = _injected(wl, ratios)

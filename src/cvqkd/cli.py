@@ -153,7 +153,7 @@ def _params_from_flags(args) -> tuple[Scenario, SystemParams]:
         p,
         channel_transmittance=args.eta_ch if args.eta_ch is not None else p.channel_transmittance,
         excess_noise=args.xi if args.xi is not None else p.excess_noise,
-        detector=DetectorConfig(eta, v_el, det.amplification),
+        detector=DetectorConfig(eta, v_el),
         lo_intensity=args.lo_intensity if args.lo_intensity is not None else p.lo_intensity,
     )
     scen.params = params
@@ -181,28 +181,20 @@ def _sweep_rows_part1(args, scen: Scenario):
     values = np.linspace(args.start, args.stop, args.points)
     rows = []
     for value in values:
-        eta_ch = params.channel_transmittance
-        xi = params.excess_noise
-        n_amp = args.n_amp
-        if args.variable == "eta_ch":
-            eta_ch = float(value)
-        elif args.variable == "xi":
-            xi = float(value)
-        else:
-            n_amp = float(value)
-        est = analysis.part1_only_excess_estimate(n_amp, params.detector.efficiency,
-                                                  eta_ch, xi)
-        row = [args.variable, float(value), est]
+        eta_ch = float(value) if args.variable == "eta_ch" else params.channel_transmittance
+        xi = float(value) if args.variable == "xi" else params.excess_noise
+        n_amp = float(value) if args.variable == "N" else args.n_amp
+        point = dataclasses.replace(params, channel_transmittance=eta_ch, excess_noise=xi,
+                                    schedule=AttenuationSchedule(((1.0, 1.0),)))
+        plan = attack.AttackPlan(attack.StrategyA(n_amp), None)
+        variance = analysis.analytic_variance(point, plan, 1.0)
+        row = [args.variable, float(value), analysis.single_point_excess_estimate(variance, point)]
         if args.mc:
-            mc_params = dataclasses.replace(params, channel_transmittance=eta_ch,
-                                            excess_noise=xi,
-                                            schedule=AttenuationSchedule(((1.0, 1.0),)))
-            plan = attack.AttackPlan(attack.StrategyA(n_amp), None)
-            moments = attack.run_attacked_session(mc_params, plan, args.slots,
+            moments = attack.run_attacked_session(point, plan, args.slots,
                                                   scen.master_seed, threads=args.threads,
                                                   records=False)
             var1 = protocol.variances_by_ratio(moments)[1.0][0]
-            row.append(analysis.single_point_excess_estimate(var1, mc_params))
+            row.append(analysis.single_point_excess_estimate(var1, point))
         rows.append(row)
     header = ["variable", "value", "excess_noise_est"]
     if args.mc:

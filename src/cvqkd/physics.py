@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -127,16 +127,15 @@ def builtin_curve(nominal_ratio: str = "50:50") -> BeamSplitterCurve:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Homodyne detector pair: efficiency, electronic noise, amplification.
+    """Homodyne detector pair: quantum efficiency and electronic noise variance.
 
-    ``efficiency_overrides`` optionally maps wavelength (nm) to a detector
-    efficiency for off-band pulses; everything else sees ``efficiency``.
+    The efficiency is the same at every wavelength, injected foreign pulses
+    included. Currents are photo-electron numbers, so there is no
+    amplification gain (see the module docstring).
     """
 
     efficiency: float = 0.5
     electronic_noise: float = 0.0
-    amplification: float = 1.0
-    efficiency_overrides: dict[float, float] = field(default_factory=dict)
 
     def __post_init__(self):
         # each check is false for NaN, so NaN fails it too
@@ -145,11 +144,6 @@ class DetectorConfig:
         if not 0.0 <= self.electronic_noise < math.inf:
             raise ValueError("electronic_noise must be finite and >= 0, "
                              f"got {self.electronic_noise!r}")
-        if not 0.0 < self.amplification < math.inf:
-            raise ValueError(f"amplification must be finite and > 0, got {self.amplification!r}")
-
-    def efficiency_at(self, wavelength_nm: float) -> float:
-        return self.efficiency_overrides.get(wavelength_nm, self.efficiency)
 
 
 @dataclass(frozen=True)
@@ -175,7 +169,7 @@ def foreign_pulse_response(detector: DetectorConfig, curve: BeamSplitterCurve,
     eta(2T-1)^2 + 4 eta T(1-T) + 1 - eta collapses to 1 for every T.
     """
     t = curve.transmittance_at(pulse.wavelength_nm)
-    eta = detector.efficiency_at(pulse.wavelength_nm)
+    eta = detector.efficiency
     if pulse.path is PulsePath.LO:
         mean = eta * (2.0 * t - 1.0) * pulse.intensity
     else:

@@ -19,7 +19,7 @@ from .protocol import TWO_POINT_SCHEDULE, AttenuationSchedule, SystemParams
 
 _SYSTEM_KEYS = {
     "modulation_variance", "detector_efficiency", "electronic_noise",
-    "channel_transmittance", "excess_noise", "lo_intensity", "amplification", "curve",
+    "channel_transmittance", "excess_noise", "lo_intensity", "curve",
 }
 _ATTACK_KEYS = {
     "strategy", "mode", "plan", "amplification", "compensate_lo",
@@ -198,8 +198,7 @@ def parse_scenario(text: str) -> Scenario:
     system_line = headers.get("system")
     detector = _located(system_line, DetectorConfig,
                         efficiency=sysf("detector_efficiency", 0.5),
-                        electronic_noise=sysf("electronic_noise", 0.0),
-                        amplification=sysf("amplification", 1.0))
+                        electronic_noise=sysf("electronic_noise", 0.0))
     sched = TWO_POINT_SCHEDULE
     if schedule:
         sched = _located(headers.get("schedule"), AttenuationSchedule,

@@ -149,7 +149,13 @@ def test_part1_only_excess_estimate_curve():
     for eta_ch in np.linspace(0.8, 0.95, 20):
         est = part1_only_excess_estimate(10.0, 0.5, float(eta_ch), 0.1)
         assert est == pytest.approx(2.1 - 1.8 / eta_ch, rel=1e-9)
-    assert part1_zero_crossing(10.0, 0.5, 0.1) == pytest.approx(1.8 / 2.1, abs=1e-9)
+    crossing = part1_zero_crossing(10.0, 0.5, 0.1)
+    assert crossing == pytest.approx(1.8 / 2.1, abs=1e-9)
+    assert abs(part1_only_excess_estimate(10.0, 0.5, crossing, 0.1)) <= 1e-12
+    # the crossing does not depend on the search range, which only bounds it
+    assert part1_zero_crossing(10.0, 0.5, 0.1, 0.8, 0.95) == crossing
+    with pytest.raises(ValueError, match="no zero crossing"):
+        part1_zero_crossing(10.0, 0.5, 0.1, 0.9, 1.0)
 
 
 def test_single_point_consistent_with_part1_formula():

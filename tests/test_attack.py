@@ -199,6 +199,57 @@ def test_solver_infeasible_when_channel_too_transparent():
         solve_attack_parameters("B", params, CURVE)
 
 
+def _reference_displacement(params, c_s, r1, r2):
+    """Bisect the excess-noise numerator (2 + xi) N0 + (r1 + r2 - 2) D^2/(eta eta_ch)
+    + c_s (r1 + r2) D down to adjacent doubles, growing the bracket from
+    sqrt(3 N0) until the numerator is negative at its top."""
+    ee = params.detector.efficiency * params.channel_transmittance
+
+    def numerator(d):
+        return ((2.0 + params.excess_noise) * params.shot_noise_unit
+                + (r1 + r2 - 2.0) * d * d / ee + c_s * (r1 + r2) * d)
+
+    lo, hi = 0.0, math.sqrt(3.0 * params.shot_noise_unit)
+    while numerator(hi) >= 0.0:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if numerator(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+@pytest.mark.parametrize("kind", ["A", "B"])
+@pytest.mark.parametrize("r1, r2", [(0.001, 1.0), (0.2, 0.6), (0.9, 1.0)])
+def test_solver_closed_form_matches_bisection(kind, r1, r2):
+    c_lo, c_s = shot_coefficients(CURVE)
+    for eta_ch in (0.1, 0.3, 0.5, 0.7, 0.9, 0.95):
+        for xi in (0.0, 0.1, 0.5):
+            params = SystemParams(channel_transmittance=eta_ch, excess_noise=xi)
+            n0 = params.shot_noise_unit
+            d_ref = _reference_displacement(params, c_s, r1, r2)
+            shot_ref = n0 - (1.0 - r1 * r2) * d_ref ** 2 - (c_lo - c_s * r1 * r2) * d_ref
+            try:
+                plan = solve_attack_parameters(kind, params, CURVE, r1=r1, r2=r2)
+            except InfeasibleAttackError as exc:
+                assert "feasibility boundary" in str(exc)
+                assert shot_ref <= 0.0, (eta_ch, xi)
+                continue
+            assert shot_ref > 0.0
+            assert plan.displacement == pytest.approx(d_ref, rel=1e-12, abs=0.0)
+            n0_est, xi_est = predicted_two_point(params, plan, r1, r2)
+            assert abs(n0_est / n0 - 1.0) < 1e-9
+            assert abs(xi_est) < 1e-9
+
+
+def test_solver_refuses_ratios_whose_numerator_never_vanishes():
+    with pytest.raises(InfeasibleAttackError, match="r1 \\+ r2 >= 2"):
+        solve_attack_parameters("A", P_A, CURVE, r1=0.5, r2=1.5)
+
+
 def test_solver_feasible_at_low_transmittance():
     # the exact system admits a solution even deep in the lossy regime
     params = SystemParams(channel_transmittance=0.1)

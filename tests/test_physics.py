@@ -175,15 +175,6 @@ def test_foreign_pulse_response_propagates_range_error():
         foreign_pulse_response(det, curve, ForeignPulse(900, 1e5, PulsePath.LO))
 
 
-def test_foreign_pulse_uses_per_wavelength_efficiency_override():
-    det = DetectorConfig(efficiency=0.5, efficiency_overrides={1410.0: 0.25})
-    curve = builtin_curve("50:50")
-    mean, shot = foreign_pulse_response(
-        det, curve, ForeignPulse(1410.0, 5e5, PulsePath.SIGNAL))
-    assert mean == pytest.approx(0.25 * (1 - 2 * 0.4862) * 5e5, rel=1e-12)
-    assert shot == pytest.approx(0.25 * 5e5)
-
-
 def _foreign_current_table(mean, variance):
     """A noise table whose outcome is one foreign pulse's current alone."""
     return NoiseTable(np.array([1.0]), np.array([1.0]), 0.0, np.zeros(1),
@@ -211,9 +202,7 @@ def test_detector_config_validation():
         DetectorConfig(efficiency=0.0)
     with pytest.raises(ValueError):
         DetectorConfig(electronic_noise=-1.0)
-    with pytest.raises(ValueError):
-        DetectorConfig(amplification=0.0)
-    for field in ("efficiency", "electronic_noise", "amplification"):
+    for field in ("efficiency", "electronic_noise"):
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match=field):
                 DetectorConfig(**{field: value})

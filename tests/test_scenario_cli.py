@@ -45,6 +45,14 @@ def test_unknown_key_reports_line_number():
     assert "bogus_key" in str(err.value)
 
 
+def test_system_amplification_key_is_refused_with_its_line():
+    # the detector has no amplification gain; [attack] amplification is strategy A's N
+    text = "[system]\nchannel_transmittance = 0.5\namplification = 7\n"
+    with pytest.raises(ConfigError, match="unknown \\[system\\] key 'amplification'") as err:
+        parse_scenario(text)
+    assert err.value.line == 3
+
+
 def test_unknown_section_and_malformed_lines():
     with pytest.raises(ConfigError, match="unknown section"):
         parse_scenario("[nope]\n")
@@ -164,6 +172,14 @@ def test_cli_solve_infeasible_exit(capsys):
     assert "too transparent" in capsys.readouterr().err
 
 
+def test_cli_solve_close_estimation_ratios(capsys):
+    # needs D far above sqrt(3 N0) = 7071
+    assert main(["solve", "--strategy", "A", "--r1", "0.9", "--r2", "1.0"]) == 0
+    kv = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    assert float(kv["amplification"]) == pytest.approx(24.99, abs=0.01)
+    assert float(kv["displacement"]) == pytest.approx(21889.26, abs=0.01)
+
+
 def test_cli_sweep_part1(tmp_path, capsys):
     rc = main(["sweep", "--variable", "eta_ch", "--start", "0.8", "--stop", "0.95",
                "--points", "20", "--out", str(tmp_path)])
@@ -173,6 +189,31 @@ def test_cli_sweep_part1(tmp_path, capsys):
     rows = (tmp_path / "sweep.csv").read_text().splitlines()
     assert rows[1] == "variable,value,excess_noise_est"
     assert len(rows) == 22  # meta + header + 20 points
+
+
+@pytest.mark.parametrize("start, stop, points", [("0", "0.9", "3"), ("0.5", "2", "4")],
+                         ids=["zero", "above-one"])
+@pytest.mark.parametrize("mode", [[], ["--mc", "--slots", "1000"]], ids=["analytic", "mc"])
+def test_cli_sweep_part1_refuses_channel_outside_unit_interval(tmp_path, capsys, start, stop,
+                                                               points, mode):
+    rc = main(["sweep", "--variable", "eta_ch", "--start", start, "--stop", stop,
+               "--points", points, *mode, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: channel transmittance must be in (0, 1]")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_sweep_zero_crossing_does_not_depend_on_the_range(tmp_path, capsys):
+    printed = []
+    for start, stop in (("0.8", "0.95"), ("0.5", "1"), ("0.3", "1")):
+        assert main(["sweep", "--variable", "eta_ch", "--start", start, "--stop", stop,
+                     "--points", "4", "--out", str(tmp_path)]) == 0
+        printed += [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("zero_crossing = ")]
+    # (1 - 1/10)/(0.5 * 2.1) rounded once
+    assert printed == ["zero_crossing = 0.8571428571428571"] * 3
 
 
 def test_cli_sweep_mc_tracks_analytic(tmp_path):
@@ -524,7 +565,7 @@ def test_parser_contract_finite_params_or_line_numbered_error(lines):
     p = scen.params
     values = [p.modulation_variance, p.channel_transmittance, p.excess_noise,
               p.lo_intensity, p.detector.efficiency, p.detector.electronic_noise,
-              p.detector.amplification, *scen.wavelengths]
+              *scen.wavelengths]
     values += [v for entry in p.schedule.entries for v in entry]
     if scen.fixed_amplification is not None:
         values.append(scen.fixed_amplification)
