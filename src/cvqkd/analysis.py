@@ -51,10 +51,10 @@ class NoisePolynomial:
 
 @dataclass(frozen=True)
 class LoMonitorInput:
-    """Observed LO-path intensity (a stream, or moments carrying its sum) with the
-    expected level and tolerance."""
+    """A session's moments or record batch, whose LO-path intensity sum is
+    monitored, with the expected level and tolerance."""
 
-    observed: Sequence[float] | np.ndarray | RatioMoments
+    observed: RatioMoments | RecordBatch
     expected: float
     tolerance: float = 1e-3
 
@@ -145,22 +145,16 @@ def fit_noise_polynomial(records) -> NoisePolynomial:
 def monitor_lo_intensity(observed, expected: float, tolerance: float = 1e-3) -> bool:
     """Flag a relative deviation of the mean LO-path intensity beyond tolerance.
 
-    ``observed`` is an intensity stream, or the moments or record batch of a
-    session; a session without an LO monitor is never flagged.
+    ``observed`` is the moments or record batch of a session; a session
+    without an LO monitor is never flagged.
     """
     if expected <= 0.0:
         raise ValueError("expected LO intensity must be > 0")
-    if isinstance(observed, (RatioMoments, RecordBatch)):
-        moments = ratio_moments(observed)
-        slots = int(moments.count.sum())
-        if moments.lo_sum is None or slots == 0:
-            return False
-        mean = float(moments.lo_sum.sum()) / slots
-    else:
-        arr = np.asarray(observed, dtype=float)
-        if arr.size == 0:
-            return False
-        mean = float(arr.mean())
+    moments = ratio_moments(observed)
+    slots = int(moments.count.sum())
+    if moments.lo_sum is None or slots == 0:
+        return False
+    mean = float(moments.lo_sum.sum()) / slots
     return bool(abs(mean / expected - 1.0) > tolerance)
 
 

@@ -279,11 +279,12 @@ def solve_attack_parameters(strategy_kind: str, params: SystemParams,
     """Choose (N, D) or (gamma, D) nulling the two-point estimates.
 
     Solves {shot-noise estimate = N0, excess-noise estimate = 0} in closed
-    form. The excess-noise numerator is a quadratic in D that is positive at
-    0 and opens downward, so D is its one positive root; back-substituting D
-    into the shot-noise condition gives the realistic shot noise, hence N or
-    gamma. That shot noise is positive only below the feasibility boundary,
-    the positive root of S(D) = N0. Raises InfeasibleAttackError naming the
+    form. For estimation ratios 0 <= r1 < r2 <= 1 the excess-noise numerator
+    is a quadratic in D that is positive at 0 and opens downward (r1 + r2 <
+    2), so D is its one positive root; back-substituting D into the
+    shot-noise condition gives the realistic shot noise, hence N or gamma.
+    That shot noise is positive only below the feasibility boundary, the
+    positive root of S(D) = N0. Raises InfeasibleAttackError naming the
     violated constraint when no valid solution exists.
     """
     if strategy_kind not in ("A", "B"):
@@ -291,12 +292,9 @@ def solve_attack_parameters(strategy_kind: str, params: SystemParams,
     ratios = params.schedule.ratios
     r1 = float(ratios.min()) if r1 is None else float(r1)
     r2 = float(ratios.max()) if r2 is None else float(r2)
-    if r1 >= r2:
-        raise InfeasibleAttackError("need two distinct estimation ratios with r1 < r2")
-    if r1 + r2 >= 2.0:
+    if not 0.0 <= r1 < r2 <= 1.0:  # false for NaN too
         raise InfeasibleAttackError(
-            f"the excess-noise estimate stays positive at every displacement when "
-            f"r1 + r2 >= 2 (r1 = {r1!r}, r2 = {r2!r})")
+            f"estimation ratios need 0 <= r1 < r2 <= 1, got r1 = {r1!r}, r2 = {r2!r}")
     n0 = params.shot_noise_unit
     c_lo, c_s = shot_coefficients(curve, wavelengths)
     bias, numerator = _two_point_model(params, c_lo, c_s, r1, r2)

@@ -316,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--strategy", choices=("A", "B"), default="A")
     p_sweep.add_argument("--n-amp", dest="n_amp", type=float, default=10.0)
     p_sweep.add_argument("--mc", action="store_true")
-    p_sweep.add_argument("--analytic", dest="mc", action="store_false")
     p_sweep.add_argument("--slots", type=int, default=100_000)
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--threads", type=int, default=1)
@@ -325,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default=analysis.DEFAULT_DETECTION_THRESHOLD)
     p_sweep.add_argument("--out", default=".")
     p_sweep.add_argument("--sweep-file", default="sweep.csv")
-    p_sweep.set_defaults(func=cmd_sweep, mc=False)
+    p_sweep.set_defaults(func=cmd_sweep)
 
     p_detect = sub.add_parser("detect", help="countermeasure verdict for a records CSV")
     p_detect.add_argument("--records", required=True)

@@ -13,21 +13,24 @@ assumption the real-time shot-noise estimator rests on.
 on x, noise sd, mean offset and LO-monitor level. ``sample_session`` draws
 honest and attacked slots from it, and every analytic variance and moment is
 read off it (``NoiseTable.outcome_moments``). Each chunk of
-``rng.CHUNK_SLOTS`` slots first draws its per-(ratio, quadrature) cell counts
-with one multinomial, then its columns in cell order, so every cell is one
+``rng.CHUNK_SLOTS`` slots first draws its per-ratio slot counts with one
+multinomial, then its columns in ratio order, so every ratio's slots are one
 contiguous block reduced with contiguous two-pass sums. A records run then
-draws a permutation of the chunk's cell labels, after every other draw, and
-writes the cell-ordered slots at those positions: the written sequence is
-i.i.d. and the moments are bit-identical with and without records.
+draws a permutation of the chunk's ratio labels, after every other draw, and
+writes the ratio-ordered slots at those positions; last it draws each slot's
+quadrature label, a fair bit that no statistic reads (both quadratures have
+the same law). The written sequence is i.i.d. and the moments are
+bit-identical with and without records.
 
-Every estimator reads ``RatioMoments``: per (ratio, quadrature) the slot
-count, mean and M2 of y and the sum of x*y. The chunks' moments are merged in
-chunk order with the pairwise update of Chan, Golub & LeVeque (1983), so a
-session needs memory for a few chunks, not for its slots, and its moments are
-bit-identical for any thread count. A batch read back from a records file is
-cut at the same chunk boundaries, each chunk's slots are put back in cell
-order with a stable sort of their cell ids, and the same reduction runs, so
-it reproduces the session's moments bit for bit.
+Every estimator reads ``RatioMoments``: per ratio the slot count, mean and M2
+of y and the sum of x*y, both quadratures pooled as the estimators pool them.
+The chunks' moments are merged in chunk order with the pairwise update of
+Chan, Golub & LeVeque (1983), so a session needs memory for a few chunks, not
+for its slots, and its moments are bit-identical for any thread count. A
+batch read back from a records file is cut at the same chunk boundaries, each
+chunk's slots are put back in ratio order with a stable sort of their ratio
+indices, and the same reduction runs, so it reproduces the session's moments
+bit for bit.
 """
 
 from __future__ import annotations
@@ -146,13 +149,12 @@ def distinct_values(values: np.ndarray):
 
 
 class RatioMoments:
-    """Sufficient statistics of a slot stream per (attenuation ratio, quadrature).
+    """Sufficient statistics of a slot stream per attenuation ratio.
 
-    Row k belongs to ``ratios[k]``, column q to quadrature X (0) or P (1). Per
-    cell: the slot count, the mean and M2 (sum of squared deviations from the
-    mean) of Bob's outcome, the sum of Alice's x times Bob's outcome, and the
-    sum of the monitored LO intensity (``lo_sum`` is None when the stream
-    carries no LO monitor).
+    Entry k of each array belongs to ``ratios[k]``: the slot count, the mean
+    and M2 (sum of squared deviations from the mean) of Bob's outcome, the sum
+    of Alice's x times Bob's outcome, and the sum of the monitored LO
+    intensity (``lo_sum`` is None when the stream carries no LO monitor).
     """
 
     __slots__ = ("ratios", "count", "mean", "m2", "sxy", "lo_sum")
@@ -168,49 +170,48 @@ class RatioMoments:
     @classmethod
     def of_cells(cls, ratios, counts, alice_x, bob_y, lo_observed=None,
                  scratch=None) -> "RatioMoments":
-        """Moments of slots stored cell by cell.
+        """Moments of slots stored ratio by ratio.
 
-        Cell ``c = 2*k + q`` (ratio ``ratios[k]``, quadrature q) holds the
-        next ``counts[c]`` slots of the columns, cells in ascending order.
-        Each block is reduced with contiguous two-pass sums (``np.add.reduce``,
-        which never threads): the mean first, then the squared deviations from
-        it. ``scratch``, as long as the columns, is overwritten.
+        Ratio ``ratios[k]`` holds the next ``counts[k]`` slots of the columns,
+        ratios in ascending index order. Each block is reduced with contiguous
+        two-pass sums (``np.add.reduce``, which never threads): the mean
+        first, then the squared deviations from it. ``scratch``, as long as
+        the columns, is overwritten.
         """
         size = counts.size
         mean, m2, sxy = np.zeros(size), np.zeros(size), np.zeros(size)
         lo = None if lo_observed is None else np.zeros(size)
         t = np.empty(bob_y.size) if scratch is None else scratch
         stop = np.cumsum(counts)
-        for c in np.flatnonzero(counts):
-            a, b = stop[c] - counts[c], stop[c]
+        for k in np.flatnonzero(counts):
+            a, b = stop[k] - counts[k], stop[k]
             y = bob_y[a:b]
-            mean[c] = np.add.reduce(y) / counts[c]
-            dev = np.subtract(y, mean[c], out=t[a:b])
-            m2[c] = np.add.reduce(np.multiply(dev, dev, out=dev))
-            sxy[c] = np.add.reduce(np.multiply(alice_x[a:b], y, out=t[a:b]))
+            mean[k] = np.add.reduce(y) / counts[k]
+            dev = np.subtract(y, mean[k], out=t[a:b])
+            m2[k] = np.add.reduce(np.multiply(dev, dev, out=dev))
+            sxy[k] = np.add.reduce(np.multiply(alice_x[a:b], y, out=t[a:b]))
             if lo is not None:
-                lo[c] = np.add.reduce(lo_observed[a:b])
-        shape = (size // 2, 2)
-        return cls(ratios, counts.reshape(shape), mean.reshape(shape), m2.reshape(shape),
-                   sxy.reshape(shape), None if lo is None else lo.reshape(shape))
+                lo[k] = np.add.reduce(lo_observed[a:b])
+        return cls(ratios, counts, mean, m2, sxy, lo)
 
     @classmethod
     def of_batch(cls, batch: "RecordBatch") -> "RatioMoments":
         """Moments of a record batch, cut at the sessions' chunk boundaries.
 
-        Within each chunk a stable sort of the cell ids puts the slots back in
-        the cell order they were drawn in, and ``of_cells`` reduces them, so
-        the records of a session give back the session's moments bit for bit.
+        Within each chunk a stable sort of the ratio indices puts the slots
+        back in the ratio order they were drawn in, and ``of_cells`` reduces
+        them, so the records of a session give back the session's moments bit
+        for bit.
         """
-        ratios, k = distinct_values(batch.ratio)
-        size = 2 * len(ratios)
-        cell = (2 * k + batch.quad).astype(np.min_scalar_type(max(size - 1, 0)))
+        ratios, index = distinct_values(batch.ratio)
+        size = len(ratios)
+        index = index.astype(np.min_scalar_type(max(size - 1, 0)))
         lo = batch.lo_observed
         parts = []
         for start in range(0, max(len(batch), 1), _rng.CHUNK_SLOTS):
             cut = slice(start, start + _rng.CHUNK_SLOTS)
-            order = np.argsort(cell[cut], kind="stable")
-            parts.append(cls.of_cells(ratios, np.bincount(cell[cut], minlength=size),
+            order = np.argsort(index[cut], kind="stable")
+            parts.append(cls.of_cells(ratios, np.bincount(index[cut], minlength=size),
                                       batch.alice_x[cut][order], batch.bob_y[cut][order],
                                       None if lo is None else lo[cut][order]))
         return cls.fold(parts)
@@ -232,15 +233,6 @@ class RatioMoments:
                                 other.count, other.mean, other.m2)
         lo = None if self.lo_sum is None else self.lo_sum + other.lo_sum
         return RatioMoments(self.ratios, count, mean, m2, self.sxy + other.sxy, lo)
-
-    def by_ratio(self, quadrature: str | None = None):
-        """Per-ratio (count, M2, sum of x*y) of one quadrature, or of both pooled."""
-        if quadrature is not None:
-            q = 0 if quadrature == "X" else 1
-            return self.count[:, q], self.m2[:, q], self.sxy[:, q]
-        c, mu, m2 = self.count, self.mean, self.m2
-        count, _, pooled = _chan(c[:, 0], mu[:, 0], m2[:, 0], c[:, 1], mu[:, 1], m2[:, 1])
-        return count, pooled, self.sxy.sum(axis=1)
 
 
 class RecordBatch:
@@ -311,11 +303,11 @@ class EstimatorReport:
 class NoiseTable:
     """The law of one slot, per attenuation ratio k and injected-pulse set j.
 
-    Ratio k is picked with ``probabilities[k]``, the quadrature with 1/2
-    each and, when ``sd`` has two columns, pulse set j with 1/2 each. Alice
-    draws x ~ N(0, sig_x^2). Under attack Eve reads x_e = x + N(0,
-    sig_intercept^2) and resends from it; honest sessions have no intercept
-    (``sig_intercept`` None) and x_e = x. Bob reads
+    Ratio k is picked with ``probabilities[k]`` and, when ``sd`` has two
+    columns, pulse set j with 1/2 each; the quadrature, X or P with 1/2 each,
+    does not change the law. Alice draws x ~ N(0, sig_x^2). Under attack Eve
+    reads x_e = x + N(0, sig_intercept^2) and resends from it; honest sessions
+    have no intercept (``sig_intercept`` None) and x_e = x. Bob reads
         y = gain[k] * x_e + offset[k, j] + sd[k, j] * z,    z ~ N(0, 1),
     where ``sd`` sums the variances of every independent Gaussian noise term,
     and an LO-intensity monitor reads ``lo_level[j]`` (None: no monitor).
@@ -366,20 +358,20 @@ def sample_session(table: NoiseTable, slots: int, master_seed: int,
                    *, threads: int = 1, records: bool = True):
     """Draw ``slots`` slots from ``table``; reproducible in (seed, slots).
 
-    Per chunk, in this order: the multinomial cell counts; then, each column
-    over the whole chunk in cell order, x, Eve's heterodyne noise (with an
-    intercept), the pulse-set bits (with two pulse sets) and Bob's noise
-    normal; last, with ``records``, the permutation of the cell labels that
-    places the slots. Each chunk allocates its columns once, as one block,
-    and every draw and product writes into it.
+    Per chunk, in this order: the multinomial per-ratio counts; then, each
+    column over the whole chunk in ratio order, x, Eve's heterodyne noise
+    (with an intercept), the pulse-set bits (with two pulse sets) and Bob's
+    noise normal; last, with ``records``, the permutation of the ratio labels
+    that places the slots and then one quadrature bit per slot. Each chunk
+    allocates its columns once, as one block, and every draw and product
+    writes into it.
 
     Returns a RecordBatch carrying the session's moments, or with
     ``records=False`` only the RatioMoments, in memory that does not grow
     with ``slots``.
     """
     ratios = table.ratios
-    size = 2 * len(ratios)
-    p_cell = np.repeat(table.probabilities / 2.0, 2)  # cell 2k + q
+    size = len(ratios)
     label_type = np.min_scalar_type(size - 1)
     two_sets = table.sd.shape[1] == 2
     intercept = table.sig_intercept is not None
@@ -397,7 +389,7 @@ def sample_session(table: NoiseTable, slots: int, master_seed: int,
         m = stop - start
         x, xe, y, t, lo = np.empty((5, m))  # one block, drawn into with out=
         bit = np.empty(m, bool)
-        counts = gen.multinomial(m, p_cell)
+        counts = gen.multinomial(m, table.probabilities)
         if table.sig_x > 0:
             gen.standard_normal(out=x)
             x *= table.sig_x
@@ -414,9 +406,8 @@ def sample_session(table: NoiseTable, slots: int, master_seed: int,
             np.less(t, 0.5, out=bit)
         gen.standard_normal(out=y)
         stop_c = np.cumsum(counts)
-        for c in np.flatnonzero(counts):
-            k = c >> 1
-            a, b = stop_c[c] - counts[c], stop_c[c]
+        for k in np.flatnonzero(counts):
+            a, b = stop_c[k] - counts[k], stop_c[k]
             yc, tc = y[a:b], t[a:b]
             if two_sets:
                 tc.fill(table.sd[k, 0])
@@ -439,14 +430,14 @@ def sample_session(table: NoiseTable, slots: int, master_seed: int,
             # numpy shuffles intp faster than uint8, and sorts uint8 faster than intp
             labels = gen.permutation(np.repeat(np.arange(size), counts))
             place = start + np.argsort(labels.astype(label_type), kind="stable")
-            quad[start:stop] = labels & 1
-            ratio[start:stop] = ratios.take(labels >> 1)
+            ratio[start:stop] = ratios.take(labels)
             x_col[place] = x
             y_col[place] = y
             if intercept:
                 xe_col[place] = xe
             if monitor:
                 lo_col[place] = lo
+            quad[start:stop] = gen.integers(0, 2, m, dtype=np.uint8)
         return moments
 
     moments = RatioMoments.fold(_rng.run_chunked(slots, master_seed, fill, threads=threads))
@@ -484,31 +475,29 @@ def two_point_from_variances(v1: float, v2: float, r1: float, r2: float,
     return n0_est, xi_est
 
 
-def variances_by_ratio(records, quadrature: str | None = None) -> dict[float, tuple[float, int]]:
-    """Per-ratio sample variance (ddof=1) and count, optionally one quadrature only."""
+def variances_by_ratio(records) -> dict[float, tuple[float, int]]:
+    """Per-ratio sample variance (ddof=1) and count."""
     moments = ratio_moments(records)
-    count, m2, _ = moments.by_ratio(quadrature)
     out: dict[float, tuple[float, int]] = {}
     for k in np.argsort(moments.ratios):
-        n = int(count[k])
+        n = int(moments.count[k])
         if n == 0:
             continue
         r = float(moments.ratios[k])
         if n < 2:
             raise EstimationError(f"need >= 2 records at ratio {r!r} (got {n})")
-        out[r] = (float(m2[k] / (n - 1)), n)
+        out[r] = (float(moments.m2[k] / (n - 1)), n)
     return out
 
 
-def estimate_two_point(records, params: SystemParams,
-                       quadrature: str | None = None) -> EstimatorReport:
+def estimate_two_point(records, params: SystemParams) -> EstimatorReport:
     """Run the two-extreme-ratio estimation over a record stream.
 
     The minimum and maximum ratios present act as (r1, r2); middle ratios
     contribute to the per-ratio variance map but not to the two-point inversion.
     """
     moments = ratio_moments(records)
-    per_ratio = variances_by_ratio(moments, quadrature)
+    per_ratio = variances_by_ratio(moments)
     if len(per_ratio) < 2:
         raise EstimationError("two-point estimation needs records at >= 2 distinct ratios")
     r1, r2 = min(per_ratio), max(per_ratio)
@@ -518,8 +507,7 @@ def estimate_two_point(records, params: SystemParams,
         v1, v2, r1, r2,
         params.detector.efficiency, params.channel_transmittance,
         params.detector.electronic_noise, params.modulation_variance)
-    _, _, sxy = moments.by_ratio(quadrature)
-    cov = float(sxy[moments.ratios == r2].sum() / n2)
+    cov = float(moments.sxy[moments.ratios == r2].sum() / n2)
     return EstimatorReport(per_ratio, n0_est, xi_est, cov)
 
 
@@ -529,13 +517,12 @@ def estimate_covariance_transmittance(records, params: SystemParams) -> float:
     Uses Cov(x, y) = sqrt(eta*eta_ch) * V_A * N0 over the r = 1 records.
     """
     moments = ratio_moments(records)
-    count, _, sxy = moments.by_ratio()
     top = moments.ratios == 1.0
-    n = int(count[top].sum())
+    n = int(moments.count[top].sum())
     if n < 2:
         raise EstimationError("transmittance estimation needs >= 2 records at ratio 1")
     if params.modulation_variance <= 0.0:
         raise EstimationError("transmittance estimation is degenerate at zero modulation")
-    cov = float(sxy[top].sum() / n)
+    cov = float(moments.sxy[top].sum() / n)
     scaled = cov / (params.modulation_variance * params.shot_noise_unit)
     return scaled * scaled / params.detector.efficiency

@@ -2,11 +2,12 @@
 
 Slots are partitioned into fixed-size chunks and every chunk owns an
 independent SFC64 stream seeded by
-``SeedSequence(entropy=master_seed, spawn_key=(stream_id, chunk_index))``.
+``SeedSequence(entropy=master_seed, spawn_key=(STREAM_SESSION, chunk_index))``.
 The mapping never depends on thread count or execution order, so a session
 is bit-identical however the chunks are scheduled. Within a chunk the
-sampler draws its columns in a fixed sequence (see ``protocol``), making a
-chunk's slots a pure function of the master seed and the chunk index.
+sampler draws its per-ratio counts and then its columns in a fixed sequence
+(see ``protocol``), making a chunk's slots a pure function of the master seed
+and the chunk index.
 
 The sampler reduces each chunk to its per-ratio moments inside ``fill`` and
 folds the results ``run_chunked`` yields as they arrive, in chunk-index
@@ -39,8 +40,8 @@ def chunk_bounds(n_slots: int, chunk_slots: int = CHUNK_SLOTS):
         yield j, j * chunk_slots, min((j + 1) * chunk_slots, n_slots)
 
 
-def run_chunked(n_slots: int, master_seed: int, fill, *, stream: int = STREAM_SESSION,
-                threads: int = 1, chunk_slots: int = CHUNK_SLOTS):
+def run_chunked(n_slots: int, master_seed: int, fill, *, threads: int = 1,
+                chunk_slots: int = CHUNK_SLOTS):
     """Evaluate ``fill(rng, start, stop)`` once per chunk; yield the results in chunk order.
 
     ``fill`` returns the chunk's result (the samplers: its moments) and may
@@ -54,7 +55,7 @@ def run_chunked(n_slots: int, master_seed: int, fill, *, stream: int = STREAM_SE
 
     def one(args):
         j, start, stop = args
-        return fill(chunk_generator(master_seed, stream, j), start, stop)
+        return fill(chunk_generator(master_seed, STREAM_SESSION, j), start, stop)
 
     if threads <= 1 or n_slots <= chunk_slots:
         yield from map(one, bounds)

@@ -108,7 +108,7 @@ class _Tables(NamedTuple):
 
 @functools.cache
 def _repr_tables() -> _Tables:
-    """The float and integer kernels' tables, built on first use (a few milliseconds).
+    """The float and integer kernels' tables, built once at import (a few milliseconds).
 
     ``g`` holds, for each decimal exponent k, g = floor(10^-k 2^-r) + 1 with
     2^125 <= g < 2^126, split into its high 63 bits g1 and low 63 bits g0,
@@ -178,6 +178,11 @@ def _repr_templates():
         right[r, _REPR_WIDTH - len(row):] = row + [0]
         left[r, :len(row) + 2] = row + [1, 2]
     return np.array([len(row) for row in rows], np.uint8), right, left
+
+
+# Built at import: built lazily in the first records write, the tables can sit
+# on the heap above that run's columns and keep their freed pages resident.
+_repr_tables()
 
 
 def _mul_hi(ah, al, bh, bl):

@@ -13,7 +13,7 @@ from cvqkd.attack import (AttackPlan, StrategyA, WavelengthPlan, run_attacked_se
                           solve_attack_parameters)
 from cvqkd.errors import CountermeasureError
 from cvqkd.physics import builtin_curve
-from cvqkd.protocol import (AttenuationSchedule, RecordBatch, SystemParams,
+from cvqkd.protocol import (AttenuationSchedule, RatioMoments, RecordBatch, SystemParams,
                             THREE_RATIO_SCHEDULE, run_honest_session,
                             two_point_from_variances)
 
@@ -104,9 +104,16 @@ def test_detect_thresholding_and_monotonicity():
             assert not (later and not earlier)
 
 
+def _lo_moments(level: float, slots: int) -> RatioMoments:
+    """Moments of ``slots`` slots at one ratio whose LO monitor reads ``level``."""
+    zero = np.zeros(1)
+    return RatioMoments(np.ones(1), np.array([slots]), zero, zero, zero,
+                        np.array([slots * level]))
+
+
 def test_detect_verdict_composition():
     poly = NoisePolynomial(0.0, 0.0, 5e7, 0.0)
-    lo_bad = LoMonitorInput(np.full(100, 1.006e8), 1e8, 1e-3)
+    lo_bad = LoMonitorInput(_lo_moments(1.006e8, 100), 1e8, 1e-3)
     verdict = detect(poly, 0.05, lo_monitor=lo_bad)
     assert verdict.attacked and verdict.lo_intensity_anomaly
     band_bad = BandCheck([1410.0, 1550.0], 1540.0, 1560.0)
@@ -119,11 +126,11 @@ def test_detect_verdict_composition():
 
 
 def test_monitor_lo_intensity_modes():
-    assert not monitor_lo_intensity(np.full(1000, 1e8), 1e8, 1e-3)
+    assert not monitor_lo_intensity(_lo_moments(1e8, 1000), 1e8, 1e-3)
     # 0.5% shift against a 0.1% tolerance
-    assert monitor_lo_intensity(np.full(1000, 1.005e8), 1e8, 1e-3)
+    assert monitor_lo_intensity(_lo_moments(1.005e8, 1000), 1e8, 1e-3)
     with pytest.raises(ValueError):
-        monitor_lo_intensity([1.0], 0.0)
+        monitor_lo_intensity(_lo_moments(1.0, 1), 0.0)
 
 
 def test_lo_monitoring_attacked_sessions():
@@ -131,10 +138,11 @@ def test_lo_monitoring_attacked_sessions():
     plan = solve_attack_parameters("B", params, CURVE)
     compensated = run_attacked_session(params, plan, 50_000, 31, compensate_lo=True)
     exposed = run_attacked_session(params, plan, 50_000, 31, compensate_lo=False)
-    assert not monitor_lo_intensity(compensated.lo_observed, 1e8, 1e-3)
-    assert monitor_lo_intensity(exposed.lo_observed, 1e8, 1e-3)
-    # record batches are accepted directly; honest batches carry no stream
-    assert monitor_lo_intensity(exposed, 1e8, 1e-3)
+    for observed in (compensated, compensated.moments):
+        assert not monitor_lo_intensity(observed, 1e8, 1e-3)
+    for observed in (exposed, exposed.moments):
+        assert monitor_lo_intensity(observed, 1e8, 1e-3)
+    # honest sessions carry no LO monitor
     assert not monitor_lo_intensity(run_honest_session(params, 100, 1), 1e8, 1e-3)
 
 

@@ -246,8 +246,16 @@ def test_solver_closed_form_matches_bisection(kind, r1, r2):
 
 
 def test_solver_refuses_ratios_whose_numerator_never_vanishes():
-    with pytest.raises(InfeasibleAttackError, match="r1 \\+ r2 >= 2"):
+    # r2 > 1 is no attenuation ratio; within [0, 1], r1 + r2 < 2 always holds
+    with pytest.raises(InfeasibleAttackError, match="r1 = 0.5, r2 = 1.5"):
         solve_attack_parameters("A", P_A, CURVE, r1=0.5, r2=1.5)
+
+
+@pytest.mark.parametrize("r1, r2", [(-0.5, 1.0), (-3.0, -0.5), (0.6, 0.6), (0.9, 0.1),
+                                    (math.nan, 1.0)])
+def test_solver_requires_ordered_ratios_in_the_unit_interval(r1, r2):
+    with pytest.raises(InfeasibleAttackError, match="0 <= r1 < r2 <= 1"):
+        solve_attack_parameters("A", P_A, CURVE, r1=r1, r2=r2)
 
 
 def test_solver_feasible_at_low_transmittance():

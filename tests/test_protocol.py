@@ -167,28 +167,13 @@ def test_estimate_covariance_transmittance_errors():
         estimate_covariance_transmittance(batch2, silent)
 
 
-def test_quadrature_pooling_and_per_quadrature_split():
-    batch = run_honest_session(P_DEFAULT, 400_000, 13)
-    full = variances_by_ratio(batch)
-    x_only = variances_by_ratio(batch, quadrature="X")
-    p_only = variances_by_ratio(batch, quadrature="P")
-    for r in full:
-        assert full[r][1] == x_only[r][1] + p_only[r][1]
-        # symmetric model: both quadratures share the same statistics
-        assert x_only[r][0] == pytest.approx(p_only[r][0],
-                                             rel=6 * math.sqrt(2 / min(x_only[r][1],
-                                                                       p_only[r][1])))
-
-
-def test_two_point_covariance_uses_the_requested_quadrature():
+def test_two_point_covariance_pools_both_quadratures():
     # at the top ratio, the X records have <xy> = 28/3 and the P records -2
     ratio = [1.0] * 6 + [0.5] * 4
     quad = [0, 0, 0, 1, 1, 1, 0, 0, 1, 1]
     alice_x = [1.0, 2.0, 3.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
     bob_y = [2.0, 4.0, 6.0, -1.0, -2.0, -3.0, 10.0, -10.0, 20.0, -20.0]
     batch = RecordBatch(None, quad, ratio, alice_x, bob_y)
-    assert estimate_two_point(batch, P_DEFAULT, "X").covariance_xy == pytest.approx(28 / 3)
-    assert estimate_two_point(batch, P_DEFAULT, "P").covariance_xy == pytest.approx(-2.0)
     assert estimate_two_point(batch, P_DEFAULT).covariance_xy == pytest.approx(22 / 6)
 
 
@@ -217,14 +202,11 @@ def test_monte_carlo_convergence_rate():
 
 
 
-def _reference_variances(batch, quadrature=None):
+def _reference_variances(batch):
     """The per-ratio reduction written directly over the columns: np.unique and np.var."""
-    sel = np.ones(len(batch), bool)
-    if quadrature is not None:
-        sel = batch.quad == (0 if quadrature == "X" else 1)
     out = {}
-    for r in np.unique(batch.ratio[sel]):
-        y = batch.bob_y[sel & (batch.ratio == r)]
+    for r in np.unique(batch.ratio):
+        y = batch.bob_y[batch.ratio == r]
         out[float(r)] = (float(np.var(y, ddof=1)), y.size)
     return out
 
@@ -232,19 +214,15 @@ def _reference_variances(batch, quadrature=None):
 def test_streamed_moments_match_direct_column_reductions():
     plan = solve_attack_parameters("A", THREE_RATIO_PARAMS, builtin_curve("50:50"))
     batch = run_attacked_session(THREE_RATIO_PARAMS, plan, 3 * CHUNK_SLOTS + 777, 15)
-    for quadrature in (None, "X", "P"):
-        got = variances_by_ratio(batch, quadrature)
-        want = _reference_variances(batch, quadrature)
-        assert list(got) == list(want)
-        for r in want:
-            assert got[r][1] == want[r][1]
-            assert got[r][0] == pytest.approx(want[r][0], rel=1e-12)
-        top = batch.ratio == 1.0
-        if quadrature is not None:
-            top &= batch.quad == (0 if quadrature == "X" else 1)
-        cov = estimate_two_point(batch, THREE_RATIO_PARAMS, quadrature).covariance_xy
-        assert cov == pytest.approx(np.mean(batch.alice_x[top] * batch.bob_y[top]), rel=1e-12)
+    got = variances_by_ratio(batch)
+    want = _reference_variances(batch)
+    assert list(got) == list(want)
+    for r in want:
+        assert got[r][1] == want[r][1]
+        assert got[r][0] == pytest.approx(want[r][0], rel=1e-12)
     top = batch.ratio == 1.0
+    cov = estimate_two_point(batch, THREE_RATIO_PARAMS).covariance_xy
+    assert cov == pytest.approx(np.mean(batch.alice_x[top] * batch.bob_y[top]), rel=1e-12)
     scaled = (np.mean(batch.alice_x[top] * batch.bob_y[top])
               / (THREE_RATIO_PARAMS.modulation_variance * THREE_RATIO_PARAMS.shot_noise_unit))
     assert estimate_covariance_transmittance(batch, THREE_RATIO_PARAMS) == pytest.approx(
@@ -255,11 +233,10 @@ def test_moments_stay_accurate_far_from_zero_mean():
     # a one-pass sum-of-squares variance loses about ten digits at this offset
     batch = run_honest_session(THREE_RATIO_PARAMS, 4 * CHUNK_SLOTS + 321, 16)
     shifted = RecordBatch(None, batch.quad, batch.ratio, batch.alice_x, batch.bob_y + 1e9)
-    for quadrature in (None, "X", "P"):
-        got = variances_by_ratio(shifted, quadrature)
-        for r, (var, n) in _reference_variances(shifted, quadrature).items():
-            assert got[r][1] == n
-            assert got[r][0] == pytest.approx(var, rel=1e-9)
+    got = variances_by_ratio(shifted)
+    for r, (var, n) in _reference_variances(shifted).items():
+        assert got[r][1] == n
+        assert got[r][0] == pytest.approx(var, rel=1e-9)
 
 
 def _sorted_moments(m: RatioMoments) -> list[np.ndarray]:
@@ -323,6 +300,20 @@ def test_records_are_not_written_in_cell_order():
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
     chi2 = float(((table - expected) ** 2 / expected).sum())
     assert chi2 < 35.89
+
+
+def test_records_quadrature_is_a_fair_bit_independent_of_the_ratio():
+    # chi-square of the 2 x K (quadrature, ratio) table against 1/2 of each
+    # ratio's count: K = 3 degrees of freedom, cut at 30.66, so a fair bit drawn
+    # independently of the ratio fails it with probability 1e-6
+    plan = solve_attack_parameters("A", THREE_RATIO_PARAMS, builtin_curve("50:50"))
+    batch = run_attacked_session(THREE_RATIO_PARAMS, plan, 1 << 20, 20)
+    assert batch.quad.dtype == np.uint8 and set(np.unique(batch.quad)) == {0, 1}
+    _, k = np.unique(batch.ratio, return_inverse=True)
+    table = np.stack([np.bincount(k[batch.quad == q], minlength=3) for q in (0, 1)])
+    expected = table.sum(axis=0) / 2.0
+    chi2 = float(((table - expected) ** 2 / expected).sum())
+    assert chi2 < 30.66
 
 
 @pytest.mark.parametrize("values", [

@@ -180,6 +180,16 @@ def test_cli_solve_close_estimation_ratios(capsys):
     assert float(kv["displacement"]) == pytest.approx(21889.26, abs=0.01)
 
 
+@pytest.mark.parametrize("r1, r2", [("-0.5", "1"), ("-3", "-0.5"), ("0.5", "1.5")])
+def test_cli_solve_refuses_ratios_outside_the_unit_interval(capsys, r1, r2):
+    rc = main(["solve", "--strategy", "A", f"--r1={r1}", f"--r2={r2}"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert f"r1 = {float(r1)!r}, r2 = {float(r2)!r}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cli_sweep_part1(tmp_path, capsys):
     rc = main(["sweep", "--variable", "eta_ch", "--start", "0.8", "--stop", "0.95",
                "--points", "20", "--out", str(tmp_path)])
