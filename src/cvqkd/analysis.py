@@ -1,4 +1,4 @@
-"""Analytic noise model, the three-ratio countermeasure, and auxiliary monitors.
+"""Analytic noise model, the three-ratio countermeasure, and the LO-intensity monitor.
 
 Total noise versus attenuation ratio is a second-order polynomial
 a*r^2 + b*r + c. Honest sessions are affine (a = 0); injected signal-path
@@ -16,15 +16,14 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .attack import AttackPlan, StrategyA, noise_table
 from .errors import CountermeasureError
 from .physics import DetectorConfig
-from .protocol import (AttenuationSchedule, NoiseTable, RatioMoments, RecordBatch, SystemParams,
-                       honest_noise_table, ratio_moments, variances_by_ratio)
+from .protocol import (AttenuationSchedule, NoiseTable, SystemParams, honest_noise_table,
+                       ratio_moments, variances_by_ratio)
 
 
 @dataclass(frozen=True)
@@ -50,28 +49,6 @@ class NoisePolynomial:
 
 
 @dataclass(frozen=True)
-class LoMonitorInput:
-    """A session's moments or record batch, whose LO-path intensity sum is
-    monitored, with the expected level and tolerance."""
-
-    observed: RatioMoments | RecordBatch
-    expected: float
-    tolerance: float = 1e-3
-
-
-@dataclass(frozen=True)
-class BandCheck:
-    """Wavelengths present at the receiver against the accepted filter band (nm)."""
-
-    wavelengths_nm: Sequence[float]
-    low_nm: float
-    high_nm: float
-
-    def violated(self) -> bool:
-        return any(not (self.low_nm <= wl <= self.high_nm) for wl in self.wavelengths_nm)
-
-
-@dataclass(frozen=True)
 class DetectionVerdict:
     """Outcome of the countermeasure checks on one session."""
 
@@ -79,16 +56,16 @@ class DetectionVerdict:
     threshold: float
     attacked: bool
     lo_intensity_anomaly: bool = False
-    wavelength_band_violation: bool = False
 
     def as_items(self) -> list[tuple[str, object]]:
         return [("a_over_c", self.ratio_a_over_c), ("threshold", self.threshold),
                 ("attacked", self.attacked),
-                ("lo_intensity_anomaly", self.lo_intensity_anomaly),
-                ("wavelength_band_violation", self.wavelength_band_violation)]
+                ("lo_intensity_anomaly", self.lo_intensity_anomaly)]
 
 
 DEFAULT_DETECTION_THRESHOLD = 0.05
+# relative deviation of the mean LO-path intensity that the monitor flags
+LO_TOLERANCE = 1e-3
 
 
 def _table_at(params: SystemParams, plan: AttackPlan | None, ratio: float) -> NoiseTable:
@@ -142,8 +119,8 @@ def fit_noise_polynomial(records) -> NoisePolynomial:
     return fit_variance_summaries(variances_by_ratio(records))
 
 
-def monitor_lo_intensity(observed, expected: float, tolerance: float = 1e-3) -> bool:
-    """Flag a relative deviation of the mean LO-path intensity beyond tolerance.
+def monitor_lo_intensity(observed, expected: float) -> bool:
+    """Flag a relative deviation of the mean LO-path intensity beyond ``LO_TOLERANCE``.
 
     ``observed`` is the moments or record batch of a session; a session
     without an LO monitor is never flagged.
@@ -155,33 +132,23 @@ def monitor_lo_intensity(observed, expected: float, tolerance: float = 1e-3) -> 
     if moments.lo_sum is None or slots == 0:
         return False
     mean = float(moments.lo_sum.sum()) / slots
-    return bool(abs(mean / expected - 1.0) > tolerance)
+    return bool(abs(mean / expected - 1.0) > LO_TOLERANCE)
 
 
 def detect(poly: NoisePolynomial, threshold: float = DEFAULT_DETECTION_THRESHOLD,
-           lo_monitor: LoMonitorInput | None = None,
-           band_check: BandCheck | None = None) -> DetectionVerdict:
-    """Combine the a << c test with the optional physical monitors."""
+           lo_anomaly: bool = False) -> DetectionVerdict:
+    """Combine the a << c test with the LO-intensity monitor's flag."""
     if not 0.0 < threshold < math.inf:
         raise ValueError(f"detection threshold must be finite and > 0, got {threshold!r}")
-    lo_flag = False
-    if lo_monitor is not None:
-        lo_flag = monitor_lo_intensity(lo_monitor.observed, lo_monitor.expected,
-                                       lo_monitor.tolerance)
-    band_flag = band_check.violated() if band_check is not None else False
     ratio = poly.ratio_a_over_c
-    return DetectionVerdict(
-        ratio_a_over_c=ratio,
-        threshold=threshold,
-        attacked=(ratio > threshold) or lo_flag or band_flag,
-        lo_intensity_anomaly=lo_flag,
-        wavelength_band_violation=band_flag,
-    )
+    return DetectionVerdict(ratio_a_over_c=ratio, threshold=threshold,
+                            attacked=(ratio > threshold) or lo_anomaly,
+                            lo_intensity_anomaly=lo_anomaly)
 
 
 def schedule_key_rate_overhead(schedule: AttenuationSchedule) -> float:
     """Fraction of pulses lost to the countermeasure (mass on ratios != 1)."""
-    return schedule.discard_fraction()
+    return float(sum(p for r, p in schedule.entries if r != 1.0))
 
 
 def single_point_excess_estimate(variance: float, params: SystemParams) -> float:

@@ -118,10 +118,8 @@ def cmd_run(args) -> int:
     if "polynomial" in outputs or "verdict" in outputs:
         poly = analysis.fit_noise_polynomial(moments)
     if "verdict" in outputs:
-        lo_monitor = None
-        if moments.lo_sum is not None:
-            lo_monitor = analysis.LoMonitorInput(moments, scen.params.lo_intensity)
-        verdict = analysis.detect(poly, threshold=args.threshold, lo_monitor=lo_monitor)
+        lo_anomaly = analysis.monitor_lo_intensity(moments, scen.params.lo_intensity)
+        verdict = analysis.detect(poly, threshold=args.threshold, lo_anomaly=lo_anomaly)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -253,7 +251,7 @@ def cmd_sweep(args) -> int:
     text = serialize.csv_text(rows, header, scen.scenario_hash(), scen.master_seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / scen.outputs.get("sweep", args.sweep_file)
+    path = outdir / args.sweep_file
     path.write_text(text, encoding="utf-8")
     print(f"wrote {path} ({len(rows)} rows)")
     return 0

@@ -16,21 +16,23 @@ read off it (``NoiseTable.outcome_moments``). Each chunk of
 ``rng.CHUNK_SLOTS`` slots first draws its per-ratio slot counts with one
 multinomial, then its columns in ratio order, so every ratio's slots are one
 contiguous block reduced with contiguous two-pass sums. A records run then
-draws a permutation of the chunk's ratio labels, after every other draw, and
-writes the ratio-ordered slots at those positions; last it draws each slot's
-quadrature label, a fair bit that no statistic reads (both quadratures have
-the same law). The written sequence is i.i.d. and the moments are
-bit-identical with and without records.
+draws a permutation of the chunk's ratio labels, after every other draw,
+keeps it as the batch's ratio index (a ``RecordBatch`` holds the ratio table
+and one label per slot; a slot is its row number), and writes the
+ratio-ordered slots at those positions; last it draws each slot's quadrature
+label, a fair bit that no statistic reads (both quadratures have the same
+law). The written sequence is i.i.d. and the moments are bit-identical with
+and without records.
 
 Every estimator reads ``RatioMoments``: per ratio the slot count, mean and M2
 of y and the sum of x*y, both quadratures pooled as the estimators pool them.
 The chunks' moments are merged in chunk order with the pairwise update of
 Chan, Golub & LeVeque (1983), so a session needs memory for a few chunks, not
 for its slots, and its moments are bit-identical for any thread count. A
-batch read back from a records file is cut at the same chunk boundaries, each
-chunk's slots are put back in ratio order with a stable sort of their ratio
-indices, and the same reduction runs, so it reproduces the session's moments
-bit for bit.
+batch, whether the sampler's or one read back from a records file, is cut at
+the same chunk boundaries, each chunk's slots are put back in ratio order
+with a stable sort of their ratio index, and the same reduction runs, so it
+reproduces the session's moments bit for bit.
 """
 
 from __future__ import annotations
@@ -76,10 +78,6 @@ class AttenuationSchedule:
     def probabilities(self) -> np.ndarray:
         return np.array([p for _, p in self.entries])
 
-    def discard_fraction(self) -> float:
-        """Probability mass on ratios != 1, i.e. pulses lost to attenuation."""
-        return float(sum(p for r, p in self.entries if r != 1.0))
-
 
 TWO_POINT_SCHEDULE = AttenuationSchedule(((0.001, 0.5), (1.0, 0.5)))
 THREE_RATIO_SCHEDULE = AttenuationSchedule(((1.0, 0.90), (0.5, 0.05), (0.001, 0.05)))
@@ -123,29 +121,6 @@ def _chan(na, ma, m2a, nb, mb, m2b):
     wb = nb / np.maximum(n, 1)
     delta = mb - ma
     return n, ma + delta * wb, m2a + m2b + delta * delta * na * wb
-
-
-def distinct_values(values: np.ndarray):
-    """Sorted distinct values of a 1-D array and each element's index among them.
-
-    The result of ``np.unique(values, return_inverse=True)``, found with one
-    pass per distinct value instead of a sort, for columns that hold a few
-    values such as attenuation ratios. Equal floats group together (-0.0 with
-    0.0, represented by the first seen). Past 64 distinct values it sorts.
-    Raises ValueError on NaN.
-    """
-    found = []
-    rest = values
-    while rest.size:
-        if len(found) == 64:
-            return np.unique(values, return_inverse=True)
-        first = rest[0]
-        if first != first:
-            raise ValueError("cannot group NaN values")
-        found.append(first)
-        rest = rest[rest != first]
-    table = np.sort(np.array(found, values.dtype))
-    return table, np.searchsorted(table, values)
 
 
 class RatioMoments:
@@ -203,15 +178,14 @@ class RatioMoments:
         them, so the records of a session give back the session's moments bit
         for bit.
         """
-        ratios, index = distinct_values(batch.ratio)
-        size = len(ratios)
-        index = index.astype(np.min_scalar_type(max(size - 1, 0)))
+        index = batch.ratio_index
         lo = batch.lo_observed
         parts = []
         for start in range(0, max(len(batch), 1), _rng.CHUNK_SLOTS):
             cut = slice(start, start + _rng.CHUNK_SLOTS)
             order = np.argsort(index[cut], kind="stable")
-            parts.append(cls.of_cells(ratios, np.bincount(index[cut], minlength=size),
+            parts.append(cls.of_cells(batch.ratios,
+                                      np.bincount(index[cut], minlength=batch.ratios.size),
                                       batch.alice_x[cut][order], batch.bob_y[cut][order],
                                       None if lo is None else lo[cut][order]))
         return cls.fold(parts)
@@ -238,28 +212,24 @@ class RatioMoments:
 class RecordBatch:
     """Columnar store of pulse records (one numpy array per field).
 
-    ``slot`` may be passed as None for consecutively numbered slots; the
-    index column then materializes on first access. ``moments`` are the
-    columns' RatioMoments: the sampler passes the ones it streamed, otherwise
-    they are reduced from the columns on first use.
+    Slot i is row i. Its attenuation ratio is ``ratios[ratio_index[i]]``: the
+    batch holds the table of ratios and one label per slot, of the smallest
+    unsigned type that indexes the table (uint8 up to 256 ratios).
+    ``moments`` are the columns' RatioMoments: the sampler passes the ones it
+    streamed, otherwise they are reduced from the columns on first use.
     """
 
-    def __init__(self, slot, quad, ratio, alice_x, bob_y, eve_x=None, lo_observed=None,
-                 *, moments: RatioMoments | None = None):
-        self._slot = None if slot is None else np.asarray(slot, dtype=np.int64)
+    def __init__(self, quad, ratios, ratio_index, alice_x, bob_y, eve_x=None,
+                 lo_observed=None, *, moments: RatioMoments | None = None):
         self.quad = np.asarray(quad, dtype=np.uint8)  # 0 = X, 1 = P
-        self.ratio = np.asarray(ratio, dtype=float)
+        self.ratios = np.asarray(ratios, dtype=float)
+        self.ratio_index = np.asarray(ratio_index,
+                                      np.min_scalar_type(max(self.ratios.size - 1, 0)))
         self.alice_x = np.asarray(alice_x, dtype=float)
         self.bob_y = np.asarray(bob_y, dtype=float)
         self.eve_x = None if eve_x is None else np.asarray(eve_x, dtype=float)
         self.lo_observed = None if lo_observed is None else np.asarray(lo_observed, dtype=float)
         self._moments = moments
-
-    @property
-    def slot(self) -> np.ndarray:
-        if self._slot is None:
-            self._slot = np.arange(self.quad.size, dtype=np.int64)
-        return self._slot
 
     @property
     def moments(self) -> RatioMoments:
@@ -379,7 +349,7 @@ def sample_session(table: NoiseTable, slots: int, master_seed: int,
 
     if records:
         quad = np.empty(slots, np.uint8)
-        ratio = np.empty(slots)
+        ratio_index = np.empty(slots, label_type)
         x_col = np.empty(slots)
         y_col = np.empty(slots)
         xe_col = np.empty(slots) if intercept else None
@@ -428,9 +398,8 @@ def sample_session(table: NoiseTable, slots: int, master_seed: int,
         moments = RatioMoments.of_cells(ratios, counts, x, y, lo if monitor else None, t)
         if records:
             # numpy shuffles intp faster than uint8, and sorts uint8 faster than intp
-            labels = gen.permutation(np.repeat(np.arange(size), counts))
-            place = start + np.argsort(labels.astype(label_type), kind="stable")
-            ratio[start:stop] = ratios.take(labels)
+            ratio_index[start:stop] = gen.permutation(np.repeat(np.arange(size), counts))
+            place = start + np.argsort(ratio_index[start:stop], kind="stable")
             x_col[place] = x
             y_col[place] = y
             if intercept:
@@ -443,7 +412,8 @@ def sample_session(table: NoiseTable, slots: int, master_seed: int,
     moments = RatioMoments.fold(_rng.run_chunked(slots, master_seed, fill, threads=threads))
     if not records:
         return moments
-    return RecordBatch(None, quad, ratio, x_col, y_col, xe_col, lo_col, moments=moments)
+    return RecordBatch(quad, ratios, ratio_index, x_col, y_col, xe_col, lo_col,
+                       moments=moments)
 
 
 def run_honest_session(params: SystemParams, slots: int, master_seed: int,

@@ -26,7 +26,7 @@ _ATTACK_KEYS = {
     "set1_signal_nm", "set1_lo_nm", "set2_signal_nm", "set2_lo_nm",
 }
 _RUN_KEYS = {"slots", "master_seed"}
-_OUTPUT_KEYS = {"records", "report", "polynomial", "verdict", "plan", "sweep"}
+_OUTPUT_KEYS = {"records", "report", "polynomial", "verdict", "plan"}
 
 
 def _parse_float(value: str, line: int, key: str) -> float:

@@ -14,12 +14,13 @@ decimal that rounds back to each double with fixed-width integer arithmetic:
 a table of 126-bit powers of ten split into 63-bit halves, and three
 round-to-odd 64x64->128-bit products per value built from 32-bit halves in
 ``np.uint64``. A table of layouts then places the digits, the decimal point,
-the sign and the exponent as ``repr`` does. Slot indices take their digits
-from the same table of 4-digit groups, and each distinct ratio bit pattern of
-a block is spelled by ``repr`` once. The block's rows are laid out in a
+the sign and the exponent as ``repr`` does. A slot is its row number, whose
+digits come from the same table of 4-digit groups. Each entry of the batch's
+ratio table is spelled by ``repr`` once per file, and the rows' ratio text is
+gathered by the batch's ratio index. The block's rows are laid out in a
 zero-padded (rows, width) matrix that one boolean compaction turns into the
-block's bytes. The kernel's tables are built on first use, in a few
-milliseconds, so importing this module builds nothing.
+block's bytes. The kernel's tables are built at import, in a few
+milliseconds.
 
 The block size keeps a block's temporaries (about 4 MB) small enough that
 glibc keeps reusing the same heap pages: from 8192 rows up it hands the heap
@@ -31,7 +32,10 @@ The metadata line ends in ``\n``; the column header and every row end in
 ``\r\n``, as ``csv.writer`` writes them. The reader checks the column header
 and parses the body with one ``np.loadtxt`` call, whose float conversion is
 correctly rounded, so a written batch reads back bit for bit. The quadrature
-column is read as two-byte strings and checked and mapped as one column.
+column is read as two-byte strings and checked and mapped as one column, the
+slot column must read 0, 1, 2, ... in order, and the reader is the one place
+that groups ratio values (``distinct_values``), because there they come from
+outside the program.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import numpy as np
 
 from .attack import AttackPlan, StrategyA, StrategyB, WavelengthPlan
 from .physics import BeamSplitterCurve, DetectorConfig, ForeignPulse, PulsePath
-from .protocol import RecordBatch, distinct_values
+from .protocol import RecordBatch
 
 RECORDS_FORMAT = "records-v1"
 REPORT_FORMAT = "report-v1"
@@ -297,12 +301,11 @@ def _spell(src, layout, template):
 
 
 def _int_chars(values):
-    """``str`` of each int64 as a (n, width) uint8 array, right-aligned, 0-padded."""
+    """``str`` of each non-negative int64 as a (n, width) uint8 array, right-aligned,
+    0-padded."""
     t = _repr_tables()
-    neg = values < 0
-    u = values.view(np.uint64).copy()
-    np.negative(u, out=u, where=neg)  # |int64 min| = 2^63 is still exact
-    width = len(str(int(u.max(initial=0)))) + bool(neg.any())
+    u = values.astype(np.uint64)
+    width = len(str(int(u.max(initial=0))))
     groups = -(-width // 4)
     words = np.empty((values.size, groups), np.uint32)
     for j in range(5 - groups, 5):
@@ -310,30 +313,23 @@ def _int_chars(values):
         # leading zeros are blank unless a higher group has digits; the last shows 0
         blank = _U64(10000) if j == 0 else (u < t.pow10[20 - 4 * j]) * _U64(20000 if j == 4 else 10000)
         words[:, j - 5 + groups] = t.blank4.take(group + blank)
-    chars = words.view(np.uint8)
-    if neg.any():
-        rows = np.flatnonzero(neg)
-        chars[rows, 4 * groups - 1 - np.count_nonzero(chars[rows], axis=1)] = ord("-")
-    return chars[:, 4 * groups - width:]
+    return words.view(np.uint8)[:, 4 * groups - width:]
 
 
-def _records_rows(slot, quad, ratio, alice_x, bob_y) -> np.ndarray:
+def _records_rows(first_slot, quad, ratio_text, alice_x, bob_y) -> np.ndarray:
     """The records-v1 rows of one block as one uint8 buffer.
 
-    Each row is laid out in a fixed-width row of a (rows, width) matrix whose
-    unused bytes are 0, and the matrix is compacted in row order. The padding
-    sits only after the ratio and after the row, which keeps the compaction
-    to two runs of bytes per row: slot (right-aligned), ``,X,`` or ``,P,``,
-    the ratio and ``,``; then x and ``,`` (right-aligned), y and ``\r\n``.
+    Slots are numbered from ``first_slot``; ``ratio_text`` holds each row's
+    ratio and ``,``, 0-padded. Each row is laid out in a fixed-width row of a
+    (rows, width) matrix whose unused bytes are 0, and the matrix is
+    compacted in row order. The padding sits only after the ratio and after
+    the row, which keeps the compaction to two runs of bytes per row: slot
+    (right-aligned), ``,X,`` or ``,P,``, the ratio and ``,``; then x and
+    ``,`` (right-aligned), y and ``\r\n``.
     """
     t = _repr_tables()
-    m = slot.size
-    slot_text = _int_chars(slot)
-    # ratios take few values: repr each distinct bit pattern (-0.0 and 0.0 differ)
-    bits, which = distinct_values(ratio.view(np.int64))
-    texts = [repr(r).encode() + b"," for r in bits.view(float).tolist()]
-    rw = max(map(len, texts))
-    ratio_text = np.array(texts, f"S{rw}").view(f"V{rw}").take(which)
+    m, rw = ratio_text.shape
+    slot_text = _int_chars(np.arange(first_slot, first_slot + m))
     src, layout = _repr_source(np.concatenate([alice_x, bob_y]))
     width = int(t.lengths.take(layout).max(initial=1))
     x_text = _spell(src[:m], layout[:m], t.right[:, _REPR_WIDTH - width:])
@@ -343,7 +339,7 @@ def _records_rows(slot, quad, ratio, alice_x, bob_y) -> np.ndarray:
     rows[:, :sw] = slot_text
     rows[:, sw:sw + 3] = np.frombuffer(b",X,", np.uint8)
     rows[:, sw + 1] = np.frombuffer(b"XP", np.uint8).take(quad)
-    rows[:, sw + 3:sw + 3 + rw] = ratio_text.view(np.uint8).reshape(m, rw)
+    rows[:, sw + 3:sw + 3 + rw] = ratio_text
     rows[:, sw + 3 + rw:sw + 4 + rw + width] = x_text
     rows[:, sw + 4 + rw + width:] = y_text
     flat = rows.ravel()
@@ -353,27 +349,60 @@ def _records_rows(slot, quad, ratio, alice_x, bob_y) -> np.ndarray:
 def write_records_csv(path, batch: RecordBatch, scenario_hash: str, seed: int) -> None:
     """Stream a record batch as slot,quad,ratio,alice_x,bob_y rows.
 
-    Raises ValueError, before the file is opened, when ratio, alice_x or
-    bob_y holds a value that is not finite: the reader would reject it.
+    The slot is the row number, and each entry of the batch's ratio table is
+    spelled by ``repr`` once. Raises ValueError, before the file is opened,
+    when the ratio table, alice_x or bob_y holds a value that is not finite:
+    the reader would reject it.
     """
-    for name in ("ratio", "alice_x", "bob_y"):
-        if not np.isfinite(getattr(batch, name)).all():
+    for name, values in (("ratio", batch.ratios), ("alice_x", batch.alice_x),
+                         ("bob_y", batch.bob_y)):
+        if not np.isfinite(values).all():
             raise ValueError(f"cannot write records: non-finite {name}")
+    texts = [repr(r).encode() + b"," for r in batch.ratios.tolist()]
+    rw = max(map(len, texts), default=1)
+    ratio_text = np.array(texts, f"S{rw}").view(np.uint8).reshape(-1, rw)
     with open(path, "wb") as fh:
         fh.write((meta_line(RECORDS_FORMAT, scenario_hash, seed) + "\n").encode())
         fh.write((",".join(_RECORDS_COLUMNS) + "\r\n").encode())
         for start in range(0, len(batch), _RECORDS_BLOCK):
             block = slice(start, start + _RECORDS_BLOCK)
-            fh.write(_records_rows(batch.slot[block], batch.quad[block], batch.ratio[block],
+            fh.write(_records_rows(start, batch.quad[block], ratio_text[batch.ratio_index[block]],
                                    batch.alice_x[block], batch.bob_y[block]))
+
+
+def distinct_values(values: np.ndarray):
+    """Sorted distinct values of a 1-D array and each element's index among them.
+
+    The result of ``np.unique(values, return_inverse=True)``, found with one
+    pass per distinct value instead of a sort, for columns that hold a few
+    values such as attenuation ratios. Equal floats group together (-0.0 with
+    0.0, represented by the first seen). Past 64 distinct values it sorts.
+    Raises ValueError on NaN.
+    """
+    found = []
+    rest = values
+    while rest.size:
+        if len(found) == 64:
+            return np.unique(values, return_inverse=True)
+        first = rest[0]
+        if first != first:
+            raise ValueError("cannot group NaN values")
+        found.append(first)
+        rest = rest[rest != first]
+    table = np.sort(np.array(found, values.dtype))
+    return table, np.searchsorted(table, values)
+
+
 
 
 def read_records_csv(path) -> RecordBatch:
     """Load a records CSV back into a columnar batch (metadata line skipped).
 
     Raises ValueError for a wrong column header or any malformed row: a short
-    row, a quadrature other than X or P, a cell that is not a number, or a
-    ratio, x or y that is not finite.
+    row, a quadrature other than X or P, a cell that is not a number, a
+    ratio, x or y that is not finite, or a slot that is not its row number
+    (0, 1, 2, ... in order). The distinct ratio values become the batch's
+    ratio table.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         line = fh.readline()
@@ -397,8 +426,15 @@ def read_records_csv(path) -> RecordBatch:
     for name in ("ratio", "alice_x", "bob_y"):
         if not np.isfinite(rows[name]).all():
             raise ValueError(f"malformed records CSV {path}: non-finite {name}")
-    return RecordBatch(np.ascontiguousarray(rows["slot"]), quad.view(np.uint8),
-                       *(np.ascontiguousarray(rows[name]) for name in _RECORDS_COLUMNS[2:]))
+    bad = np.flatnonzero(rows["slot"] != np.arange(rows.size))
+    if bad.size:
+        raise ValueError(f"malformed records CSV {path}: data row {bad[0] + 1}: slot "
+                         f"{rows['slot'][bad[0]]} is not the row number {bad[0]}")
+    ratios, index = distinct_values(rows["ratio"])
+    # narrow the labels before x and y are copied out, so the intp ones are gone
+    index = index.astype(np.min_scalar_type(max(ratios.size - 1, 0)))
+    return RecordBatch(quad.view(np.uint8), ratios, index,
+                       np.ascontiguousarray(rows["alice_x"]), np.ascontiguousarray(rows["bob_y"]))
 
 
 def write_report(path, items: Iterable[tuple[str, object]], scenario_hash: str,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cvqkd.analysis import (BandCheck, DetectionVerdict, LoMonitorInput, NoisePolynomial,
+from cvqkd.analysis import (LO_TOLERANCE, DetectionVerdict, NoisePolynomial,
                             analytic_noise_polynomial, analytic_variance, detect,
                             fit_noise_polynomial, fit_variance_summaries,
                             monitor_lo_intensity, part1_only_excess_estimate,
@@ -23,16 +23,16 @@ P_CM = SystemParams(schedule=THREE_RATIO_SCHEDULE)
 
 def records_with_exact_variances(targets: dict[float, float]) -> RecordBatch:
     """Two records per ratio whose ddof=1 sample variance hits the target exactly."""
-    slot, quad, ratio, ax, by = [], [], [], [], []
-    for i, (r, v) in enumerate(sorted(targets.items())):
-        d = math.sqrt(v / 2.0)
+    ratios = sorted(targets)
+    quad, index, ax, by = [], [], [], []
+    for i, r in enumerate(ratios):
+        d = math.sqrt(targets[r] / 2.0)
         for sign in (-1.0, 1.0):
-            slot.append(len(slot))
             quad.append(i % 2)
-            ratio.append(r)
+            index.append(i)
             ax.append(0.0)
             by.append(sign * d)
-    return RecordBatch(slot, quad, ratio, ax, by)
+    return RecordBatch(quad, ratios, index, ax, by)
 
 
 def test_fit_interpolates_three_exact_points():
@@ -113,22 +113,24 @@ def _lo_moments(level: float, slots: int) -> RatioMoments:
 
 def test_detect_verdict_composition():
     poly = NoisePolynomial(0.0, 0.0, 5e7, 0.0)
-    lo_bad = LoMonitorInput(_lo_moments(1.006e8, 100), 1e8, 1e-3)
-    verdict = detect(poly, 0.05, lo_monitor=lo_bad)
+    lo_bad = monitor_lo_intensity(_lo_moments(1.006e8, 100), 1e8)
+    verdict = detect(poly, 0.05, lo_anomaly=lo_bad)
     assert verdict.attacked and verdict.lo_intensity_anomaly
-    band_bad = BandCheck([1410.0, 1550.0], 1540.0, 1560.0)
-    verdict = detect(poly, 0.05, band_check=band_bad)
-    assert verdict.attacked and verdict.wavelength_band_violation
-    verdict = detect(poly, 0.05, band_check=BandCheck([1550.0], 1540.0, 1560.0))
-    assert not verdict.attacked
+    verdict = detect(poly, 0.05, lo_anomaly=monitor_lo_intensity(_lo_moments(1e8, 100), 1e8))
+    assert not verdict.attacked and not verdict.lo_intensity_anomaly
+    assert verdict == detect(poly, 0.05)
+    assert [key for key, _ in verdict.as_items()] == [
+        "a_over_c", "threshold", "attacked", "lo_intensity_anomaly"]
     with pytest.raises(ValueError):
         detect(poly, 0.0)
 
 
 def test_monitor_lo_intensity_modes():
-    assert not monitor_lo_intensity(_lo_moments(1e8, 1000), 1e8, 1e-3)
+    assert LO_TOLERANCE == 1e-3
+    assert not monitor_lo_intensity(_lo_moments(1e8, 1000), 1e8)
+    assert not monitor_lo_intensity(_lo_moments(1.0005e8, 1000), 1e8)
     # 0.5% shift against a 0.1% tolerance
-    assert monitor_lo_intensity(_lo_moments(1.005e8, 1000), 1e8, 1e-3)
+    assert monitor_lo_intensity(_lo_moments(1.005e8, 1000), 1e8)
     with pytest.raises(ValueError):
         monitor_lo_intensity(_lo_moments(1.0, 1), 0.0)
 
@@ -139,11 +141,11 @@ def test_lo_monitoring_attacked_sessions():
     compensated = run_attacked_session(params, plan, 50_000, 31, compensate_lo=True)
     exposed = run_attacked_session(params, plan, 50_000, 31, compensate_lo=False)
     for observed in (compensated, compensated.moments):
-        assert not monitor_lo_intensity(observed, 1e8, 1e-3)
+        assert not monitor_lo_intensity(observed, 1e8)
     for observed in (exposed, exposed.moments):
-        assert monitor_lo_intensity(observed, 1e8, 1e-3)
+        assert monitor_lo_intensity(observed, 1e8)
     # honest sessions carry no LO monitor
-    assert not monitor_lo_intensity(run_honest_session(params, 100, 1), 1e8, 1e-3)
+    assert not monitor_lo_intensity(run_honest_session(params, 100, 1), 1e8)
 
 
 def test_schedule_overhead_examples():

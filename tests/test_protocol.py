@@ -10,11 +10,11 @@ from cvqkd.errors import EstimationError, ScheduleError
 from cvqkd.physics import DetectorConfig, builtin_curve
 from cvqkd.protocol import (AttenuationSchedule, RatioMoments, RecordBatch,
                             SystemParams, THREE_RATIO_SCHEDULE, TWO_POINT_SCHEDULE,
-                            distinct_values, estimate_covariance_transmittance,
+                            estimate_covariance_transmittance,
                             estimate_two_point, honest_noise_table, run_honest_session,
                             two_point_from_variances, variances_by_ratio)
 from cvqkd.rng import CHUNK_SLOTS
-from cvqkd.serialize import read_records_csv, write_records_csv
+from cvqkd.serialize import distinct_values, read_records_csv, write_records_csv
 
 P_DEFAULT = SystemParams()  # V_A=5, eta=0.5, eta_ch=0.9, xi=0.1, I_LO=1e8
 THREE_RATIO_PARAMS = SystemParams(schedule=THREE_RATIO_SCHEDULE)
@@ -29,13 +29,6 @@ def test_schedule_validation():
         AttenuationSchedule(((1.5, 1.0),))
     with pytest.raises(ScheduleError):
         AttenuationSchedule(())
-
-
-def test_schedule_discard_fraction():
-    assert THREE_RATIO_SCHEDULE.discard_fraction() == pytest.approx(0.10, abs=1e-15)
-    assert AttenuationSchedule(((1.0, 1.0),)).discard_fraction() == 0.0
-    sched = AttenuationSchedule(((1.0, 0.8), (0.5, 0.1), (0.001, 0.1)))
-    assert sched.discard_fraction() == pytest.approx(0.20, abs=1e-15)
 
 
 def test_system_params_validation_and_shot_noise():
@@ -72,12 +65,14 @@ def test_alice_modulate_empirical_variance():
 def test_honest_measure_requires_scheduled_ratio():
     # every slot is measured at a ratio of the active schedule
     batch = run_honest_session(P_DEFAULT, 10_000, 0)
-    assert set(np.unique(batch.ratio)) == {0.001, 1.0}
+    assert set(np.unique(batch.ratios[batch.ratio_index])) == {0.001, 1.0}
 
 
 def test_honest_measure_record_fields():
     batch = run_honest_session(P_DEFAULT, 1000, 1)
-    assert np.array_equal(batch.slot, np.arange(1000))
+    # one row per slot in every column: the slot is the row number
+    assert all(column.shape == (1000,) for column in
+               (batch.quad, batch.ratio_index, batch.alice_x, batch.bob_y))
     assert set(np.unique(batch.quad)) == {0, 1}  # X and P
     assert batch.eve_x is None and batch.lo_observed is None  # no attack annotations
 
@@ -142,7 +137,7 @@ def test_estimate_two_point_needs_two_ratios():
 def test_estimators_are_permutation_invariant():
     batch = run_honest_session(P_DEFAULT, 4000, 9)
     perm = np.random.default_rng(0).permutation(len(batch))
-    shuffled = RecordBatch(batch.slot[perm], batch.quad[perm], batch.ratio[perm],
+    shuffled = RecordBatch(batch.quad[perm], batch.ratios, batch.ratio_index[perm],
                            batch.alice_x[perm], batch.bob_y[perm])
     a = estimate_two_point(batch, P_DEFAULT)
     b = estimate_two_point(shuffled, P_DEFAULT)
@@ -169,21 +164,23 @@ def test_estimate_covariance_transmittance_errors():
 
 def test_two_point_covariance_pools_both_quadratures():
     # at the top ratio, the X records have <xy> = 28/3 and the P records -2
-    ratio = [1.0] * 6 + [0.5] * 4
+    ratio_index = [0] * 6 + [1] * 4  # ratios 1.0, then 0.5
     quad = [0, 0, 0, 1, 1, 1, 0, 0, 1, 1]
     alice_x = [1.0, 2.0, 3.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
     bob_y = [2.0, 4.0, 6.0, -1.0, -2.0, -3.0, 10.0, -10.0, 20.0, -20.0]
-    batch = RecordBatch(None, quad, ratio, alice_x, bob_y)
+    batch = RecordBatch(quad, [1.0, 0.5], ratio_index, alice_x, bob_y)
     assert estimate_two_point(batch, P_DEFAULT).covariance_xy == pytest.approx(22 / 6)
 
 
 def test_record_batch_round_trip_and_lazy_slots(tmp_path):
     batch = run_honest_session(P_DEFAULT, 100, 14)
     assert len(batch) == 100
-    assert batch._slot is None
-    assert np.array_equal(batch.slot, np.arange(100))
     write_records_csv(tmp_path / "records.csv", batch, "0" * 16, 14)
+    # the slot column is written from the row numbers
+    rows = (tmp_path / "records.csv").read_text().splitlines()[2:]
+    assert [int(row.split(",")[0]) for row in rows] == list(range(100))
     rebuilt = read_records_csv(tmp_path / "records.csv")
+    assert np.array_equal(rebuilt.ratios[rebuilt.ratio_index], batch.ratios[batch.ratio_index])
     assert np.array_equal(rebuilt.bob_y, batch.bob_y)
     assert np.array_equal(rebuilt.quad, batch.quad)
 
@@ -205,8 +202,9 @@ def test_monte_carlo_convergence_rate():
 def _reference_variances(batch):
     """The per-ratio reduction written directly over the columns: np.unique and np.var."""
     out = {}
-    for r in np.unique(batch.ratio):
-        y = batch.bob_y[batch.ratio == r]
+    ratio = batch.ratios[batch.ratio_index]
+    for r in np.unique(ratio):
+        y = batch.bob_y[ratio == r]
         out[float(r)] = (float(np.var(y, ddof=1)), y.size)
     return out
 
@@ -220,7 +218,7 @@ def test_streamed_moments_match_direct_column_reductions():
     for r in want:
         assert got[r][1] == want[r][1]
         assert got[r][0] == pytest.approx(want[r][0], rel=1e-12)
-    top = batch.ratio == 1.0
+    top = batch.ratios[batch.ratio_index] == 1.0
     cov = estimate_two_point(batch, THREE_RATIO_PARAMS).covariance_xy
     assert cov == pytest.approx(np.mean(batch.alice_x[top] * batch.bob_y[top]), rel=1e-12)
     scaled = (np.mean(batch.alice_x[top] * batch.bob_y[top])
@@ -232,7 +230,8 @@ def test_streamed_moments_match_direct_column_reductions():
 def test_moments_stay_accurate_far_from_zero_mean():
     # a one-pass sum-of-squares variance loses about ten digits at this offset
     batch = run_honest_session(THREE_RATIO_PARAMS, 4 * CHUNK_SLOTS + 321, 16)
-    shifted = RecordBatch(None, batch.quad, batch.ratio, batch.alice_x, batch.bob_y + 1e9)
+    shifted = RecordBatch(batch.quad, batch.ratios, batch.ratio_index, batch.alice_x,
+                          batch.bob_y + 1e9)
     got = variances_by_ratio(shifted)
     for r, (var, n) in _reference_variances(shifted).items():
         assert got[r][1] == n
@@ -292,7 +291,7 @@ def test_records_are_not_written_in_cell_order():
     # with probability 1e-6, cell-ordered records with certainty
     plan = solve_attack_parameters("A", THREE_RATIO_PARAMS, builtin_curve("50:50"))
     batch = run_attacked_session(THREE_RATIO_PARAMS, plan, 1 << 20, 19)
-    _, k = np.unique(batch.ratio, return_inverse=True)
+    k = batch.ratio_index.astype(int)
     cell = 2 * k + batch.quad
     half = (np.arange(len(batch)) % CHUNK_SLOTS) >= CHUNK_SLOTS // 2
     table = np.stack([np.bincount(cell[~half], minlength=6),
@@ -309,7 +308,7 @@ def test_records_quadrature_is_a_fair_bit_independent_of_the_ratio():
     plan = solve_attack_parameters("A", THREE_RATIO_PARAMS, builtin_curve("50:50"))
     batch = run_attacked_session(THREE_RATIO_PARAMS, plan, 1 << 20, 20)
     assert batch.quad.dtype == np.uint8 and set(np.unique(batch.quad)) == {0, 1}
-    _, k = np.unique(batch.ratio, return_inverse=True)
+    k = batch.ratio_index.astype(int)
     table = np.stack([np.bincount(k[batch.quad == q], minlength=3) for q in (0, 1)])
     expected = table.sum(axis=0) / 2.0
     chi2 = float(((table - expected) ** 2 / expected).sum())
@@ -332,6 +331,24 @@ def test_distinct_values_matches_np_unique(values):
 
 
 def test_distinct_values_rejects_nan():
-    batch = RecordBatch(None, [0, 1, 0], [1.0, np.nan, 0.5], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="NaN"):
-        RatioMoments.of_batch(batch)
+        distinct_values(np.array([1.0, np.nan, 0.5]))
+
+
+@pytest.mark.parametrize("attacked", [False, True], ids=["honest", "attacked"])
+def test_records_batch_holds_the_sampler_ratio_index(attacked):
+    # the batch keeps the schedule as its ratio table and the sampler's labels
+    # as one uint8 per slot; no slot column and no float ratio column
+    n = 2 * CHUNK_SLOTS + 5
+    if attacked:
+        plan = solve_attack_parameters("A", THREE_RATIO_PARAMS, builtin_curve("50:50"))
+        batch = run_attacked_session(THREE_RATIO_PARAMS, plan, n, 21)
+    else:
+        batch = run_honest_session(THREE_RATIO_PARAMS, n, 21)
+    assert batch.ratio_index.dtype == np.uint8
+    assert np.array_equal(batch.ratios, THREE_RATIO_SCHEDULE.ratios)
+    assert np.array_equal(np.bincount(batch.ratio_index, minlength=3), batch.moments.count)
+    per_slot = sum(v.nbytes for v in vars(batch).values() if isinstance(v, np.ndarray))
+    per_slot -= batch.ratios.nbytes
+    # quad and ratio index 1 B each, x and y 8 B each, Eve's x and the LO monitor 8 B each
+    assert per_slot == (34 if attacked else 18) * n

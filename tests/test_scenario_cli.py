@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvqkd.analysis import schedule_key_rate_overhead
 from cvqkd.cli import main
 from cvqkd.errors import ConfigError
 from cvqkd.scenario import (_ATTACK_KEYS, _OUTPUT_KEYS, _RUN_KEYS, _SYSTEM_KEYS, Scenario,
@@ -119,7 +120,7 @@ def test_shipped_scenarios_parse():
     for name in ("honest.scenario", "attack_a.scenario", "attack_b.scenario"):
         scen = load_scenario(SCENARIOS / name)
         assert scen.slots == 1_000_000
-        assert scen.params.schedule.discard_fraction() == pytest.approx(0.10)
+        assert schedule_key_rate_overhead(scen.params.schedule) == pytest.approx(0.10)
 
 
 def test_cli_run_honest_writes_outputs(tmp_path, capsys):
@@ -271,6 +272,21 @@ def test_cli_sweep_single_point(tmp_path):
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 3
 
 
+def test_outputs_sweep_key_is_refused_and_sweep_file_names_the_grid(tmp_path, capsys):
+    # the sweep's output path has one knob, --sweep-file; [outputs] sweep is unknown
+    with pytest.raises(ConfigError, match="sweep") as err:
+        parse_scenario(MINIMAL + "[outputs]\nsweep = grid.csv\n")
+    assert err.value.line == 10
+    scen = tmp_path / "s.scenario"
+    scen.write_text(MINIMAL + "[outputs]\nsweep = grid.csv\n")
+    argv = ["sweep", "--variable", "xi", "--start", "0.1", "--stop", "0.2", "--points", "2",
+            "--out", str(tmp_path)]
+    assert main(argv + ["--scenario", str(scen), "--sweep-file", "mine.csv"]) == 2
+    assert "line 10" in capsys.readouterr().err
+    assert main(argv + ["--sweep-file", "mine.csv"]) == 0
+    assert (tmp_path / "mine.csv").exists() and not (tmp_path / "grid.csv").exists()
+
+
 def test_cli_sweep_empty_range_rejected(capsys):
     rc = main(["sweep", "--variable", "xi", "--start", "0.1", "--stop", "0.2",
                "--points", "0", "--out", "/tmp"])
@@ -327,27 +343,30 @@ def test_cli_thread_count_does_not_change_bytes(tmp_path):
         assert filecmp.cmp(out1 / name, out8 / name, shallow=False), name
 
 
-@pytest.mark.parametrize("row", ["1,P,1.0",
-                                 "0,Q,1.0,2.0,3.0",
-                                 "0,X,1.0,abc,3.0",
-                                 "1,X,nan,2.0,3.0",
-                                 "1,X,1.0,2.0,inf",
-                                 "1,XX,1.0,2.0,3.0",
-                                 "1,x,1.0,2.0,3.0",
-                                 "1,,1.0,2.0,3.0",
-                                 "1, X,1.0,2.0,3.0"],
+@pytest.mark.parametrize("row, message", [("1,P,1.0", "columns"),
+                                          ("0,Q,1.0,2.0,3.0", "quadrature"),
+                                          ("0,X,1.0,abc,3.0", "abc"),
+                                          ("1,X,nan,2.0,3.0", "non-finite ratio"),
+                                          ("1,X,1.0,2.0,inf", "non-finite bob_y"),
+                                          ("1,XX,1.0,2.0,3.0", "quadrature"),
+                                          ("1,x,1.0,2.0,3.0", "quadrature"),
+                                          ("1,,1.0,2.0,3.0", "quadrature"),
+                                          ("1, X,1.0,2.0,3.0", "quadrature"),
+                                          ("5,X,1.0,2.0,3.0", "data row 2: slot 5"),
+                                          ("0,X,1.0,2.0,3.0", "data row 2: slot 0")],
                          ids=["short-row", "unknown-quadrature", "non-numeric",
                               "nan-ratio", "inf-outcome", "doubled-quadrature",
                               "lower-case-quadrature", "empty-quadrature",
-                              "padded-quadrature"])
-def test_cli_detect_malformed_records_exit_2(tmp_path, capsys, row):
+                              "padded-quadrature", "out-of-order-slot", "repeated-slot"])
+def test_cli_detect_malformed_records_exit_2(tmp_path, capsys, row, message):
     path = tmp_path / "bad.csv"
     path.write_text("# format=records-v1 scenario=x seed=0\n"
                     "slot,quad,ratio,alice_x,bob_y\r\n"
                     "0,X,1.0,2.0,3.0\r\n" + row + "\r\n", newline="")
     rc = main(["detect", "--records", str(path)])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
