@@ -95,7 +95,9 @@ def fit_variance_summaries(per_ratio: dict[float, tuple[float, int]]) -> NoisePo
     """Weighted LS of sample variances against (r^2, r, 1).
 
     Weights follow the Gaussian variance-of-variance, count/(2*variance^2).
-    Exactly three ratios interpolate regardless of the weights.
+    Exactly three ratios interpolate regardless of the weights. Raises
+    CountermeasureError unless the shot-noise floor c is finite and > 0, since
+    a/c then means nothing.
     """
     if len(per_ratio) < 3:
         raise CountermeasureError(
@@ -108,6 +110,9 @@ def fit_variance_summaries(per_ratio: dict[float, tuple[float, int]]) -> NoisePo
     design = np.column_stack([ratios ** 2, ratios, np.ones_like(ratios)])
     sw = np.sqrt(w)
     coef, *_ = np.linalg.lstsq(design * sw[:, None], v * sw, rcond=None)
+    if not 0.0 < coef[2] < math.inf:
+        raise CountermeasureError(f"the fitted shot-noise floor c must be finite and > 0, "
+                                  f"got {float(coef[2])!r}")
     fitted = design @ coef
     residual = float(np.sum(w * (v - fitted) ** 2))
     counts = {float(r): int(per_ratio[float(r)][1]) for r in ratios}

@@ -1,8 +1,9 @@
 """Batch front end: honest/attacked runs, parameter solving, sweeps, detection.
 
 Everything user-visible is a pure function of (scenario file, master seed);
-``--threads`` only reschedules work. Exit status is 0 on success and 2 on
-configuration or feasibility errors, with a diagnostic on stderr.
+``--threads`` only reschedules work. Numeric flags are checked against
+``_FLAG_DOMAINS`` before any work. Exit status is 0 on success and 2 on
+configuration, feasibility or file errors, with a diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, attack, protocol, serialize
-from .errors import ConfigError, CountermeasureError, EstimationError, InfeasibleAttackError
+from .errors import ConfigError, EstimationError, InfeasibleAttackError
 from .physics import BeamSplitterCurve, DetectorConfig
 from .scenario import Scenario, load_scenario
 from .protocol import AttenuationSchedule, SystemParams
@@ -28,8 +29,6 @@ def _resolve_plan(scen: Scenario, curve: BeamSplitterCurve) -> attack.AttackPlan
             scen.attack_kind, scen.params, curve, scen.wavelengths)
     if scen.attack_mode == "plan":
         return serialize.load_plan(scen.plan_path, curve, scen.params.detector)
-    if scen.attack_kind != "A":
-        raise ConfigError("fixed-amplification mode only applies to strategy A")
     return attack.AttackPlan(attack.StrategyA(scen.fixed_amplification), None)
 
 
@@ -38,18 +37,16 @@ def _report_items(scen: Scenario, moments, plan) -> list[tuple[str, object]]:
     n0 = params.shot_noise_unit
     items: list[tuple[str, object]] = [("slots", scen.slots),
                                        ("shot_noise_nominal", n0)]
-    try:
+    per_ratio = protocol.variances_by_ratio(moments)
+    for r, (v, n) in sorted(per_ratio.items()):
+        items += [(f"variance[r={r!r}]", v), (f"count[r={r!r}]", float(n))]
+    if len(per_ratio) >= 2:
         report = protocol.estimate_two_point(moments, params)
         items += report.as_items()
         items.append(("shot_noise_ratio", report.shot_noise_est / n0))
-    except EstimationError:
-        per_ratio = protocol.variances_by_ratio(moments)
-        for r in sorted(per_ratio):
-            v, n = per_ratio[r]
-            items += [(f"variance[r={r!r}]", v), (f"count[r={r!r}]", float(n))]
-        if 1.0 in per_ratio:
-            items.append(("excess_noise_single_point",
-                          analysis.single_point_excess_estimate(per_ratio[1.0][0], params)))
+    elif 1.0 in per_ratio:
+        items.append(("excess_noise_single_point",
+                      analysis.single_point_excess_estimate(per_ratio[1.0][0], params)))
     try:
         items.append(("channel_transmittance_est",
                       protocol.estimate_covariance_transmittance(moments, params)))
@@ -60,33 +57,7 @@ def _report_items(scen: Scenario, moments, plan) -> list[tuple[str, object]]:
     return items
 
 
-def _require_at_least(args, minimum: int, *names: str) -> None:
-    for name in names:
-        value = getattr(args, name)
-        if value is not None and value < minimum:
-            raise ConfigError(f"--{name} must be >= {minimum}, got {value}")
-
-
-def _require_finite(args, *names: str) -> None:
-    for name in names:
-        value = getattr(args, name)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"--{name.replace('_', '-')} must be a finite number, got {value!r}")
-
-
-def _check_run_flags(args) -> None:
-    _require_at_least(args, 1, "threads", "slots")
-    _require_at_least(args, 0, "seed")
-    _check_threshold(args)
-
-
-def _check_threshold(args) -> None:
-    if not 0.0 < args.threshold < math.inf:
-        raise ConfigError(f"--threshold must be finite and > 0, got {args.threshold!r}")
-
-
 def cmd_run(args) -> int:
-    _check_run_flags(args)
     scen = load_scenario(args.scenario)
     if args.seed is not None:
         scen.master_seed = args.seed
@@ -159,7 +130,6 @@ def _params_from_flags(args) -> tuple[Scenario, SystemParams]:
 
 
 def cmd_solve(args) -> int:
-    _require_finite(args, "r1", "r2")
     scen, params = _params_from_flags(args)
     curve = scen.load_curve()
     plan = attack.solve_attack_parameters(args.strategy, params, curve,
@@ -174,62 +144,44 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _sweep_rows_part1(args, scen: Scenario):
-    params = scen.params
-    values = np.linspace(args.start, args.stop, args.points)
-    rows = []
-    for value in values:
-        eta_ch = float(value) if args.variable == "eta_ch" else params.channel_transmittance
-        xi = float(value) if args.variable == "xi" else params.excess_noise
-        n_amp = float(value) if args.variable == "N" else args.n_amp
-        point = dataclasses.replace(params, channel_transmittance=eta_ch, excess_noise=xi,
-                                    schedule=AttenuationSchedule(((1.0, 1.0),)))
-        plan = attack.AttackPlan(attack.StrategyA(n_amp), None)
-        variance = analysis.analytic_variance(point, plan, 1.0)
-        row = [args.variable, float(value), analysis.single_point_excess_estimate(variance, point)]
-        if args.mc:
-            moments = attack.run_attacked_session(point, plan, args.slots,
-                                                  scen.master_seed, threads=args.threads,
-                                                  records=False)
-            var1 = protocol.variances_by_ratio(moments)[1.0][0]
-            row.append(analysis.single_point_excess_estimate(var1, point))
-        rows.append(row)
-    header = ["variable", "value", "excess_noise_est"]
+def _grid(args, params: SystemParams):
+    """Each grid value, with the system it sweeps: ``params`` with the value
+    as eta_ch or xi, or ``params`` itself when the value is N."""
+    swept = {"eta_ch": "channel_transmittance", "xi": "excess_noise"}.get(args.variable)
+    for value in np.linspace(args.start, args.stop, args.points):
+        value = float(value)
+        yield value, dataclasses.replace(params, **{swept: value}) if swept else params
+
+
+def _part1_row(args, scen: Scenario, curve: BeamSplitterCurve, value: float,
+               point: SystemParams) -> list:
+    point = dataclasses.replace(point, schedule=AttenuationSchedule(((1.0, 1.0),)))
+    n_amp = value if args.variable == "N" else args.n_amp
+    plan = attack.AttackPlan(attack.StrategyA(n_amp), None)
+    variance = analysis.analytic_variance(point, plan, 1.0)
+    row = [args.variable, value, analysis.single_point_excess_estimate(variance, point)]
     if args.mc:
-        header.append("excess_noise_mc")
-    return rows, header
+        moments = attack.run_attacked_session(point, plan, args.slots,
+                                              scen.master_seed, threads=args.threads,
+                                              records=False)
+        var1 = protocol.variances_by_ratio(moments)[1.0][0]
+        row.append(analysis.single_point_excess_estimate(var1, point))
+    return row
 
 
-def _sweep_rows_solved(args, scen: Scenario, curve: BeamSplitterCurve):
-    if args.variable == "N":
-        raise ConfigError("solved-mode sweeps vary eta_ch or xi; the solver fixes N")
-    params = scen.params
-    values = np.linspace(args.start, args.stop, args.points)
-    rows = []
-    for value in values:
-        eta_ch = float(value) if args.variable == "eta_ch" else params.channel_transmittance
-        xi = float(value) if args.variable == "xi" else params.excess_noise
-        point = dataclasses.replace(params, channel_transmittance=eta_ch, excess_noise=xi)
-        try:
-            plan = attack.solve_attack_parameters(args.strategy, point, curve,
-                                                  scen.wavelengths)
-        except InfeasibleAttackError:
-            rows.append([args.variable, float(value), eta_ch, xi,
-                         "", "", "", "", "infeasible"])
-            continue
-        poly = analysis.analytic_noise_polynomial(point, plan)
-        verdict = analysis.detect(poly, threshold=args.threshold)
-        rows.append([args.variable, float(value), eta_ch, xi, poly.a, poly.b, poly.c,
-                     poly.ratio_a_over_c, str(verdict.attacked).lower()])
-    header = ["variable", "value", "eta_ch", "xi", "a", "b", "c", "a_over_c", "verdict"]
-    return rows, header
+def _solved_row(args, scen: Scenario, curve: BeamSplitterCurve, value: float,
+                point: SystemParams) -> list:
+    row = [args.variable, value, point.channel_transmittance, point.excess_noise]
+    try:
+        plan = attack.solve_attack_parameters(args.strategy, point, curve, scen.wavelengths)
+    except InfeasibleAttackError:
+        return row + ["", "", "", "", "infeasible"]
+    poly = analysis.analytic_noise_polynomial(point, plan)
+    verdict = analysis.detect(poly, threshold=args.threshold)
+    return row + [poly.a, poly.b, poly.c, poly.ratio_a_over_c, str(verdict.attacked).lower()]
 
 
 def cmd_sweep(args) -> int:
-    _check_run_flags(args)
-    _require_finite(args, "start", "stop", "n_amp")
-    if args.points < 1:
-        raise ConfigError("sweep needs at least one grid point")
     scen = _scenario_or_default(args)
     if args.seed is not None:
         scen.master_seed = args.seed
@@ -237,17 +189,25 @@ def cmd_sweep(args) -> int:
         scen.slots = args.slots  # the header then names the Monte-Carlo slot count
     curve = scen.load_curve()
     if args.mode == "part1":
-        rows, header = _sweep_rows_part1(args, scen)
-        if args.variable == "eta_ch":
-            try:
-                crossing = analysis.part1_zero_crossing(
-                    args.n_amp, scen.params.detector.efficiency,
-                    scen.params.excess_noise, args.start, args.stop)
-                print(f"zero_crossing = {crossing!r}")
-            except ValueError:
-                pass
+        header = ["variable", "value", "excess_noise_est"]
+        if args.mc:
+            header.append("excess_noise_mc")
+        row_of = _part1_row
+    elif args.variable == "N":
+        raise ConfigError("solved-mode sweeps vary eta_ch or xi; the solver fixes N")
     else:
-        rows, header = _sweep_rows_solved(args, scen, curve)
+        header = ["variable", "value", "eta_ch", "xi", "a", "b", "c", "a_over_c", "verdict"]
+        row_of = _solved_row
+    rows = [row_of(args, scen, curve, value, point)
+            for value, point in _grid(args, scen.params)]
+    if args.mode == "part1" and args.variable == "eta_ch":
+        try:
+            crossing = analysis.part1_zero_crossing(
+                args.n_amp, scen.params.detector.efficiency,
+                scen.params.excess_noise, args.start, args.stop)
+            print(f"zero_crossing = {crossing!r}")
+        except ValueError:
+            pass
     text = serialize.csv_text(rows, header, scen.scenario_hash(), scen.master_seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -258,7 +218,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    _check_threshold(args)
     batch = serialize.read_records_csv(args.records)
     poly = analysis.fit_noise_polynomial(batch)
     verdict = analysis.detect(poly, threshold=args.threshold)
@@ -333,13 +292,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (flags, predicate, requirement): each named flag a command has and was
+# given must satisfy the predicate; main checks them before any work
+_FLAG_DOMAINS = (
+    (("threads", "slots", "points"), lambda v: v >= 1, ">= 1"),
+    (("seed",), lambda v: v >= 0, ">= 0"),
+    (("r1", "r2", "start", "stop", "n_amp"), math.isfinite, "a finite number"),
+    (("threshold",), lambda v: 0.0 < v < math.inf, "finite and > 0"),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        for names, ok, requirement in _FLAG_DOMAINS:
+            for name in names:
+                value = getattr(args, name, None)
+                if value is not None and not ok(value):
+                    raise ConfigError(f"--{name.replace('_', '-')} must be {requirement}, "
+                                      f"got {value!r}")
         return args.func(args)
-    except (ConfigError, InfeasibleAttackError, EstimationError, CountermeasureError,
-            FileNotFoundError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # every project error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

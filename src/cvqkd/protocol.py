@@ -252,21 +252,14 @@ def ratio_moments(records: RatioMoments | RecordBatch) -> RatioMoments:
 class EstimatorReport:
     """Output of the two-point real-time shot-noise estimation."""
 
-    variance_per_ratio: dict[float, tuple[float, int]]
     shot_noise_est: float
     excess_noise_est: float
     covariance_xy: float
 
     def as_items(self) -> list[tuple[str, float]]:
-        items: list[tuple[str, float]] = []
-        for r in sorted(self.variance_per_ratio):
-            v, n = self.variance_per_ratio[r]
-            items.append((f"variance[r={r!r}]", v))
-            items.append((f"count[r={r!r}]", float(n)))
-        items.append(("shot_noise_est", self.shot_noise_est))
-        items.append(("excess_noise_est", self.excess_noise_est))
-        items.append(("covariance_xy", self.covariance_xy))
-        return items
+        return [("shot_noise_est", self.shot_noise_est),
+                ("excess_noise_est", self.excess_noise_est),
+                ("covariance_xy", self.covariance_xy)]
 
 
 @dataclass(frozen=True)
@@ -464,7 +457,7 @@ def estimate_two_point(records, params: SystemParams) -> EstimatorReport:
     """Run the two-extreme-ratio estimation over a record stream.
 
     The minimum and maximum ratios present act as (r1, r2); middle ratios
-    contribute to the per-ratio variance map but not to the two-point inversion.
+    do not enter the two-point inversion.
     """
     moments = ratio_moments(records)
     per_ratio = variances_by_ratio(moments)
@@ -478,7 +471,7 @@ def estimate_two_point(records, params: SystemParams) -> EstimatorReport:
         params.detector.efficiency, params.channel_transmittance,
         params.detector.electronic_noise, params.modulation_variance)
     cov = float(moments.sxy[moments.ratios == r2].sum() / n2)
-    return EstimatorReport(per_ratio, n0_est, xi_est, cov)
+    return EstimatorReport(n0_est, xi_est, cov)
 
 
 def estimate_covariance_transmittance(records, params: SystemParams) -> float:

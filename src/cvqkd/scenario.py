@@ -83,6 +83,8 @@ class Scenario:
             raise ConfigError("attack mode 'plan' needs a plan = <path> entry")
         if self.attack_mode == "fixed" and self.fixed_amplification is None:
             raise ConfigError("attack mode 'fixed' needs amplification = <N>")
+        if self.attack_mode == "fixed" and self.attack_kind == "B":
+            raise ConfigError("fixed-amplification mode only applies to strategy A")
         if not self.source_text:
             self.source_text = self.canonical_text()
 

@@ -400,9 +400,9 @@ def read_records_csv(path) -> RecordBatch:
 
     Raises ValueError for a wrong column header or any malformed row: a short
     row, a quadrature other than X or P, a cell that is not a number, a
-    ratio, x or y that is not finite, or a slot that is not its row number
-    (0, 1, 2, ... in order). The distinct ratio values become the batch's
-    ratio table.
+    ratio, x or y that is not finite, a slot that is not its row number
+    (0, 1, 2, ... in order), or a ratio outside [0, 1]. The distinct ratio
+    values become the batch's ratio table.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         line = fh.readline()
@@ -431,6 +431,10 @@ def read_records_csv(path) -> RecordBatch:
         raise ValueError(f"malformed records CSV {path}: data row {bad[0] + 1}: slot "
                          f"{rows['slot'][bad[0]]} is not the row number {bad[0]}")
     ratios, index = distinct_values(rows["ratio"])
+    if ratios.size and not 0.0 <= ratios[0] <= ratios[-1] <= 1.0:
+        bad = np.flatnonzero((rows["ratio"] < 0.0) | (rows["ratio"] > 1.0))[0]
+        raise ValueError(f"malformed records CSV {path}: data row {bad + 1}: ratio "
+                         f"{float(rows['ratio'][bad])!r} is outside [0, 1]")
     # narrow the labels before x and y are copied out, so the intp ones are gone
     index = index.astype(np.min_scalar_type(max(ratios.size - 1, 0)))
     return RecordBatch(quad.view(np.uint8), ratios, index,
@@ -485,26 +489,30 @@ def write_plan(path, plan: AttackPlan, curve_name: str, scenario_hash: str,
 
 
 def load_plan(path, curve: BeamSplitterCurve, detector: DetectorConfig) -> AttackPlan:
-    """Rebuild a plan from a plan file, revalidating against the active curve."""
+    """Rebuild a plan from a plan file, revalidating against the active curve.
+
+    Raises ValueError naming the file and the key when a key is missing.
+    """
     kv = read_report(path)
-    strategy_kind = kv["strategy"]
-    if strategy_kind == "A":
-        strategy: StrategyA | StrategyB = StrategyA(float(kv["amplification"]))
-    elif strategy_kind == "B":
-        strategy = StrategyB(float(kv["slope_factor"]), float(kv["fake_channel"]))
-    else:
-        raise ValueError(f"unknown strategy {strategy_kind!r} in plan file")
-    displacement = float(kv["displacement"])
-    if displacement == 0.0:
-        return AttackPlan(strategy, None)
-    pulses = []
-    for name, path_kind in zip(("signal1", "lo1", "signal2", "lo2"),
-                               (PulsePath.SIGNAL, PulsePath.LO,
-                                PulsePath.SIGNAL, PulsePath.LO)):
-        pulses.append(ForeignPulse(float(kv[f"{name}_wavelength_nm"]),
-                                   float(kv[f"{name}_intensity"]), path_kind))
-    wl = WavelengthPlan.from_pulses(curve, detector, pulses, displacement)
-    return AttackPlan(strategy, wl)
+    try:
+        strategy_kind = kv["strategy"]
+        if strategy_kind == "A":
+            strategy: StrategyA | StrategyB = StrategyA(float(kv["amplification"]))
+        elif strategy_kind == "B":
+            strategy = StrategyB(float(kv["slope_factor"]), float(kv["fake_channel"]))
+        else:
+            raise ValueError(f"unknown strategy {strategy_kind!r} in plan file")
+        displacement = float(kv["displacement"])
+        if displacement == 0.0:
+            return AttackPlan(strategy, None)
+        pulses = [ForeignPulse(float(kv[f"{name}_wavelength_nm"]),
+                               float(kv[f"{name}_intensity"]), path_kind)
+                  for name, path_kind in zip(("signal1", "lo1", "signal2", "lo2"),
+                                             (PulsePath.SIGNAL, PulsePath.LO,
+                                              PulsePath.SIGNAL, PulsePath.LO))]
+    except KeyError as exc:
+        raise ValueError(f"plan file {path} has no {exc.args[0]!r} key") from None
+    return AttackPlan(strategy, WavelengthPlan.from_pulses(curve, detector, pulses, displacement))
 
 
 def csv_text(rows: list[list], header: list[str], scenario_hash: str, seed: int,

@@ -51,6 +51,13 @@ def test_fit_needs_three_ratios():
         fit_noise_polynomial(records_with_exact_variances(targets))
 
 
+def test_fit_refuses_a_non_positive_shot_noise_floor():
+    # in-range ratios whose variances interpolate to c = -3: a/c would read as "not attacked"
+    per_ratio = {0.001: (1.0, 100), 0.5: (1e6, 100), 1.0: (4e6, 100)}
+    with pytest.raises(CountermeasureError, match="c must be finite and > 0, got -3.0"):
+        fit_variance_summaries(per_ratio)
+
+
 def test_fit_weighted_least_squares_over_four_ratios():
     # exact affine data over 4 ratios: weighted fit must return a = 0
     per_ratio = {r: (analytic_variance(P_CM, None, r), 1000 + 100 * i)

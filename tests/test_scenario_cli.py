@@ -86,6 +86,15 @@ def test_attack_section_modes():
         parse_scenario("[attack]\nstrategy = A\nmode = plan\n")
 
 
+def test_fixed_amplification_with_strategy_b_names_the_attack_line():
+    text = "[run]\nslots = 10\n[attack]\nstrategy = B\namplification = 20\n"
+    with pytest.raises(ConfigError, match="only applies to strategy A") as err:
+        parse_scenario(text)
+    assert err.value.line == 3
+    # an honest scenario keeps ignoring the amplification it never uses
+    assert parse_scenario("[attack]\nstrategy = none\namplification = 20\n").attack_kind == "none"
+
+
 def test_attack_wavelength_overrides():
     text = """\
 [attack]
@@ -291,7 +300,7 @@ def test_cli_sweep_empty_range_rejected(capsys):
     rc = main(["sweep", "--variable", "xi", "--start", "0.1", "--stop", "0.2",
                "--points", "0", "--out", "/tmp"])
     assert rc == 2
-    assert "at least one grid point" in capsys.readouterr().err
+    assert "--points must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_cli_detect_on_attacked_records(tmp_path, capsys):
@@ -331,6 +340,16 @@ report = report.txt
     assert rc == 0
     kv = read_report(tmp_path / "report.txt")
     assert abs(float(kv["shot_noise_ratio"]) - 1.0) < 0.05
+    # the same plan without its amplification is refused, naming the file and the key
+    plan = tmp_path / "a.plan"
+    plan.write_text("".join(line for line in plan.read_text().splitlines(keepends=True)
+                            if not line.startswith("amplification")))
+    capsys.readouterr()
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "a.plan has no 'amplification' key" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_thread_count_does_not_change_bytes(tmp_path):
@@ -353,11 +372,14 @@ def test_cli_thread_count_does_not_change_bytes(tmp_path):
                                           ("1,,1.0,2.0,3.0", "quadrature"),
                                           ("1, X,1.0,2.0,3.0", "quadrature"),
                                           ("5,X,1.0,2.0,3.0", "data row 2: slot 5"),
-                                          ("0,X,1.0,2.0,3.0", "data row 2: slot 0")],
+                                          ("0,X,1.0,2.0,3.0", "data row 2: slot 0"),
+                                          ("1,X,-1.0,2.0,3.0", "data row 2: ratio -1.0 is"),
+                                          ("1,P,7.5,2.0,3.0", "data row 2: ratio 7.5 is")],
                          ids=["short-row", "unknown-quadrature", "non-numeric",
                               "nan-ratio", "inf-outcome", "doubled-quadrature",
                               "lower-case-quadrature", "empty-quadrature",
-                              "padded-quadrature", "out-of-order-slot", "repeated-slot"])
+                              "padded-quadrature", "out-of-order-slot", "repeated-slot",
+                              "negative-ratio", "ratio-above-one"])
 def test_cli_detect_malformed_records_exit_2(tmp_path, capsys, row, message):
     path = tmp_path / "bad.csv"
     path.write_text("# format=records-v1 scenario=x seed=0\n"
@@ -369,18 +391,29 @@ def test_cli_detect_malformed_records_exit_2(tmp_path, capsys, row, message):
     assert err.startswith("error: ") and message in err
 
 
-@pytest.mark.parametrize("command", ["run", "sweep"])
-@pytest.mark.parametrize("flag", ["--threads", "--slots"])
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_cli_rejects_non_positive_threads_and_slots(tmp_path, capsys, command, flag, value):
-    if command == "run":
-        argv = ["run", "--scenario", str(SCENARIOS / "honest.scenario")]
-    else:
-        argv = ["sweep", "--variable", "N", "--start", "5", "--stop", "10",
-                "--points", "2", "--mc"]
-    rc = main(argv + ["--out", str(tmp_path), flag, value])
+_FLAG_COMMANDS = {
+    "run": ["run", "--scenario", str(SCENARIOS / "honest.scenario")],
+    "sweep": ["sweep", "--variable", "N", "--start", "5", "--stop", "10", "--points", "2",
+              "--mc"],
+    "solve": ["solve", "--strategy", "A"],
+}
+_FLAG_REQUIREMENTS = {"--threads": ">= 1", "--slots": ">= 1", "--points": ">= 1",
+                      "--seed": ">= 0", "--n-amp": "a finite number",
+                      "--r2": "a finite number"}
+
+
+@pytest.mark.parametrize("value, flag, command", [
+    *((value, flag, command) for command in ("run", "sweep")
+      for flag in ("--threads", "--slots") for value in ("0", "-1")),
+    ("0", "--points", "sweep"), ("-1", "--seed", "run"), ("nan", "--n-amp", "sweep"),
+    ("inf", "--r2", "solve"),
+])
+def test_cli_rejects_non_positive_threads_and_slots(tmp_path, capsys, value, flag, command):
+    # every flag domain is checked before any work, so no output directory is made
+    rc = main(_FLAG_COMMANDS[command] + ["--out", str(tmp_path / "out"), flag, value])
     assert rc == 2
-    assert f"{flag} must be >= 1" in capsys.readouterr().err
+    expected = f"error: {flag} must be {_FLAG_REQUIREMENTS[flag]}, got {value}\n"
+    assert capsys.readouterr().err == expected
     assert not any(tmp_path.iterdir())
 
 
@@ -393,8 +426,20 @@ def test_cli_rejects_bad_threshold_before_writing(tmp_path, capsys, command, val
             "detect": ["detect", "--records", str(tmp_path / "missing.csv")]}[command]
     rc = main(argv + ["--out", str(tmp_path / "out"), "--threshold", value])
     assert rc == 2
-    assert "--threshold must be finite and > 0" in capsys.readouterr().err
+    expected = f"error: --threshold must be finite and > 0, got {float(value)!r}\n"
+    assert capsys.readouterr().err == expected
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_os_errors_on_user_paths_exit_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for argv in (["detect", "--records", str(tmp_path)],
+                 ["run", "--scenario", str(SCENARIOS / "honest.scenario"), "--slots", "1000",
+                  "--out", str(taken)],
+                 ["run", "--scenario", str(tmp_path)]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: [Errno "), argv
 
 
 def test_cli_run_honest_scenario_with_plan_output_names_the_line(tmp_path, capsys):
