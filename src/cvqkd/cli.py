@@ -1,16 +1,18 @@
 """Batch front end: honest/attacked runs, parameter solving, sweeps, detection.
 
 Everything user-visible is a pure function of (scenario file, master seed);
-``--threads`` only reschedules work. Numeric flags are checked against
-``_FLAG_DOMAINS`` before any work. Exit status is 0 on success and 2 on
-configuration, feasibility or file errors, with a diagnostic on stderr.
+``--threads`` only reschedules work. Numeric flags (``_FLAG_DOMAINS``) and
+``--out`` are checked before any work. Exit status is 0 on success and 2 on
+configuration, feasibility, file or memory errors, with a diagnostic on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -18,8 +20,8 @@ import numpy as np
 
 from . import analysis, attack, protocol, serialize
 from .errors import ConfigError, EstimationError, InfeasibleAttackError
-from .physics import BeamSplitterCurve, DetectorConfig
-from .scenario import Scenario, load_scenario
+from .physics import BeamSplitterCurve
+from .scenario import Scenario, load_scenario, parse_scenario
 from .protocol import AttenuationSchedule, SystemParams
 
 
@@ -57,12 +59,19 @@ def _report_items(scen: Scenario, moments, plan) -> list[tuple[str, object]]:
     return items
 
 
+def _replaced(obj, **overrides):
+    """``obj`` rebuilt, and so validated again, with each override that is not None."""
+    return dataclasses.replace(obj, **{k: v for k, v in overrides.items() if v is not None})
+
+
+def _scenario(args, **overrides) -> Scenario:
+    """The ``--scenario`` file, or the defaults without one, with the flag overrides given."""
+    scen = load_scenario(args.scenario) if args.scenario else parse_scenario("")
+    return _replaced(scen, **overrides)
+
+
 def cmd_run(args) -> int:
-    scen = load_scenario(args.scenario)
-    if args.seed is not None:
-        scen.master_seed = args.seed
-    if args.slots is not None:
-        scen.slots = args.slots
+    scen = _scenario(args, master_seed=args.seed, slots=args.slots)
     curve = scen.load_curve()
     shash = scen.scenario_hash()
     seed = scen.master_seed
@@ -108,31 +117,14 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _scenario_or_default(args) -> Scenario:
-    return load_scenario(args.scenario) if args.scenario else Scenario(params=SystemParams())
-
-
-def _params_from_flags(args) -> tuple[Scenario, SystemParams]:
-    scen = _scenario_or_default(args)
-    p = scen.params
-    det = p.detector
-    eta = args.eta if args.eta is not None else det.efficiency
-    v_el = args.v_el if args.v_el is not None else det.electronic_noise
-    params = dataclasses.replace(
-        p,
-        channel_transmittance=args.eta_ch if args.eta_ch is not None else p.channel_transmittance,
-        excess_noise=args.xi if args.xi is not None else p.excess_noise,
-        detector=DetectorConfig(eta, v_el),
-        lo_intensity=args.lo_intensity if args.lo_intensity is not None else p.lo_intensity,
-    )
-    scen.params = params
-    return scen, params
-
-
 def cmd_solve(args) -> int:
-    scen, params = _params_from_flags(args)
+    scen = _scenario(args)
+    detector = _replaced(scen.params.detector, efficiency=args.eta, electronic_noise=args.v_el)
+    scen = dataclasses.replace(scen, params=_replaced(
+        scen.params, detector=detector, channel_transmittance=args.eta_ch, excess_noise=args.xi,
+        lo_intensity=args.lo_intensity))
     curve = scen.load_curve()
-    plan = attack.solve_attack_parameters(args.strategy, params, curve,
+    plan = attack.solve_attack_parameters(args.strategy, scen.params, curve,
                                           scen.wavelengths, r1=args.r1, r2=args.r2)
     for key, value in serialize.plan_items(plan, scen.curve_name):
         print(f"{key} = {serialize.fmt_value(value)}")
@@ -182,11 +174,8 @@ def _solved_row(args, scen: Scenario, curve: BeamSplitterCurve, value: float,
 
 
 def cmd_sweep(args) -> int:
-    scen = _scenario_or_default(args)
-    if args.seed is not None:
-        scen.master_seed = args.seed
-    if args.mc:
-        scen.slots = args.slots  # the header then names the Monte-Carlo slot count
+    # with --mc the header names the Monte-Carlo slot count
+    scen = _scenario(args, master_seed=args.seed, slots=args.slots if args.mc else None)
     curve = scen.load_curve()
     if args.mode == "part1":
         header = ["variable", "value", "excess_noise_est"]
@@ -311,8 +300,10 @@ def main(argv=None) -> int:
                 if value is not None and not ok(value):
                     raise ConfigError(f"--{name.replace('_', '-')} must be {requirement}, "
                                       f"got {value!r}")
+        if args.out is not None and os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out)
         return args.func(args)
-    except (ValueError, OSError) as exc:  # every project error is a ValueError
+    except (ValueError, OSError, MemoryError) as exc:  # every project error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

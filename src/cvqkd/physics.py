@@ -111,15 +111,15 @@ def load_curve(path, nominal_ratio: str | None = None) -> BeamSplitterCurve:
     return BeamSplitterCurve(nominal_ratio, np.array(wl), np.array(tr))
 
 
-_BUILTIN_FILES = {"50:50": "bs_50_50.txt", "10:90": "bs_10_90.txt"}
+BUILTIN_CURVES = {"50:50": "bs_50_50.txt", "10:90": "bs_10_90.txt"}
 
 
 def builtin_curve(nominal_ratio: str = "50:50") -> BeamSplitterCurve:
     """Shipped measured curves for the 50:50 and 10:90 couplers."""
     try:
-        fname = _BUILTIN_FILES[nominal_ratio]
+        fname = BUILTIN_CURVES[nominal_ratio]
     except KeyError:
-        raise KeyError(f"no builtin curve {nominal_ratio!r}; have {sorted(_BUILTIN_FILES)}")
+        raise KeyError(f"no builtin curve {nominal_ratio!r}; have {sorted(BUILTIN_CURVES)}")
     ref = resources.files("cvqkd.data").joinpath(fname)
     with resources.as_file(ref) as path:
         return load_curve(path, nominal_ratio)

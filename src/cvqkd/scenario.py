@@ -14,19 +14,8 @@ from dataclasses import dataclass, field
 
 from .attack import DEFAULT_WAVELENGTHS
 from .errors import ConfigError
-from .physics import BeamSplitterCurve, DetectorConfig, builtin_curve, load_curve
-from .protocol import TWO_POINT_SCHEDULE, AttenuationSchedule, SystemParams
-
-_SYSTEM_KEYS = {
-    "modulation_variance", "detector_efficiency", "electronic_noise",
-    "channel_transmittance", "excess_noise", "lo_intensity", "curve",
-}
-_ATTACK_KEYS = {
-    "strategy", "mode", "plan", "amplification", "compensate_lo",
-    "set1_signal_nm", "set1_lo_nm", "set2_signal_nm", "set2_lo_nm",
-}
-_RUN_KEYS = {"slots", "master_seed"}
-_OUTPUT_KEYS = {"records", "report", "polynomial", "verdict", "plan"}
+from .physics import BUILTIN_CURVES, BeamSplitterCurve, DetectorConfig, builtin_curve, load_curve
+from .protocol import AttenuationSchedule, SystemParams
 
 
 def _parse_float(value: str, line: int, key: str) -> float:
@@ -55,7 +44,28 @@ def _parse_bool(value: str, line: int, key: str) -> bool:
     raise ConfigError(f"{key}: expected true/false, got {value!r}", line)
 
 
-@dataclass
+def _text(value: str, line: int, key: str) -> str:
+    return value
+
+
+_NM_KEYS = ("set1_signal_nm", "set1_lo_nm", "set2_signal_nm", "set2_lo_nm")
+# section -> key -> parser of its value; [schedule] keys are ratios, parsed apart
+_KEYS = {
+    "system": {
+        "modulation_variance": _parse_float, "detector_efficiency": _parse_float,
+        "electronic_noise": _parse_float, "channel_transmittance": _parse_float,
+        "excess_noise": _parse_float, "lo_intensity": _parse_float, "curve": _text,
+    },
+    "attack": {
+        "strategy": _text, "mode": _text, "plan": _text, "amplification": _parse_float,
+        "compensate_lo": _parse_bool, **dict.fromkeys(_NM_KEYS, _parse_float),
+    },
+    "run": {"slots": _parse_int, "master_seed": _parse_int},
+    "outputs": dict.fromkeys(("records", "report", "polynomial", "verdict", "plan"), _text),
+}
+
+
+@dataclass(frozen=True)
 class Scenario:
     """One fully specified run: system constants, attack request, outputs."""
 
@@ -86,7 +96,7 @@ class Scenario:
         if self.attack_mode == "fixed" and self.attack_kind == "B":
             raise ConfigError("fixed-amplification mode only applies to strategy A")
         if not self.source_text:
-            self.source_text = self.canonical_text()
+            object.__setattr__(self, "source_text", self.canonical_text())
 
     def scenario_hash(self) -> str:
         """Hash of the source text and of the effective configuration.
@@ -98,7 +108,7 @@ class Scenario:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
     def load_curve(self) -> BeamSplitterCurve:
-        if self.curve_name in ("50:50", "10:90"):
+        if self.curve_name in BUILTIN_CURVES:
             return builtin_curve(self.curve_name)
         return load_curve(self.curve_name)
 
@@ -125,6 +135,8 @@ class Scenario:
             if self.fixed_amplification is not None:
                 lines.append(f"amplification = {self.fixed_amplification!r}")
             lines.append(f"compensate_lo = {str(self.compensate_lo).lower()}")
+        if self.wavelengths != DEFAULT_WAVELENGTHS:
+            lines += [f"{k} = {nm!r}" for k, nm in zip(_NM_KEYS, self.wavelengths)]
         lines += ["[run]", f"slots = {self.slots}", f"master_seed = {self.master_seed}"]
         if self.outputs:
             lines.append("[outputs]")
@@ -140,19 +152,24 @@ def _located(line: int | None, build, *args, **kwargs):
         raise ConfigError(str(exc), line) from exc
 
 
+def _given(entries: dict[str, tuple[object, int]], *keys: str, **renamed: str) -> dict:
+    """Each given key's parsed value by field name (``keys`` name their own
+    field, ``renamed`` maps field=key); an omitted key keeps its default."""
+    names = {**{key: key for key in keys}, **renamed}
+    return {name: entries[key][0] for name, key in names.items() if key in entries}
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text, reporting problems with their line numbers.
 
-    A key given twice in one section is an error naming both lines. Errors
-    found when the parameters are put together are reported at the line of
-    the section header they come from.
+    Each value is parsed on its own line, so the first error in line order is
+    the one reported. A key given twice in one section is an error naming
+    both lines. Errors found when the parameters are put together are
+    reported at the line of the section header they come from.
     """
     section = None
     headers: dict[str, int] = {}
-    entries: dict[str, dict[str, tuple[str, int]]] = {
-        "system": {}, "attack": {}, "run": {}, "outputs": {}}
-    allowed = {"system": _SYSTEM_KEYS, "attack": _ATTACK_KEYS, "run": _RUN_KEYS,
-               "outputs": _OUTPUT_KEYS}
+    entries: dict[str, dict[str, tuple[object, int]]] = {name: {} for name in _KEYS}
     schedule: dict[float, tuple[float, int]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -163,7 +180,7 @@ def parse_scenario(text: str) -> Scenario:
             if not line.endswith("]"):
                 raise ConfigError(f"malformed section header {raw.strip()!r}", lineno)
             section = line[1:-1].strip().lower()
-            if section not in ("system", "schedule", "attack", "run", "outputs"):
+            if section != "schedule" and section not in _KEYS:
                 raise ConfigError(f"unknown section [{section}]", lineno)
             headers.setdefault(section, lineno)
             continue
@@ -181,88 +198,45 @@ def parse_scenario(text: str) -> Scenario:
                                   f"line {schedule[ratio][1]}", lineno)
             schedule[ratio] = (prob, lineno)
             continue
-        if key not in allowed[section]:
+        parse = _KEYS[section].get(key)
+        if parse is None:
             raise ConfigError(f"unknown [{section}] key {key!r}", lineno)
         seen = entries[section]
         if key in seen:
             raise ConfigError(f"duplicate [{section}] key {key!r}, first given on "
                               f"line {seen[key][1]}", lineno)
-        seen[key] = (value, lineno)
+        seen[key] = (parse(value, lineno, key), lineno)
 
-    system, attack, run = entries["system"], entries["attack"], entries["run"]
-
-    def sysf(key: str, default: float) -> float:
-        if key not in system:
-            return default
-        value, lineno = system[key]
-        return _parse_float(value, lineno, key)
-
-    system_line = headers.get("system")
-    detector = _located(system_line, DetectorConfig,
-                        efficiency=sysf("detector_efficiency", 0.5),
-                        electronic_noise=sysf("electronic_noise", 0.0))
-    sched = TWO_POINT_SCHEDULE
+    system, attack, run, outputs = (entries[s] for s in ("system", "attack", "run", "outputs"))
+    detector = _located(headers.get("system"), DetectorConfig, **_given(
+        system, "electronic_noise", efficiency="detector_efficiency"))
+    fields = _given(system, "modulation_variance", "channel_transmittance", "excess_noise",
+                    "lo_intensity")
     if schedule:
-        sched = _located(headers.get("schedule"), AttenuationSchedule,
-                         tuple((r, p) for r, (p, _) in schedule.items()))
-    params = _located(system_line, SystemParams,
-                      modulation_variance=sysf("modulation_variance", 5.0),
-                      channel_transmittance=sysf("channel_transmittance", 0.9),
-                      excess_noise=sysf("excess_noise", 0.1),
-                      detector=detector,
-                      lo_intensity=sysf("lo_intensity", 1e8),
-                      schedule=sched)
+        fields["schedule"] = _located(headers.get("schedule"), AttenuationSchedule,
+                                      tuple((r, p) for r, (p, _) in schedule.items()))
+    params = _located(headers.get("system"), SystemParams, detector=detector, **fields)
 
-    if "mode" in attack:
-        mode = attack["mode"][0]
-    elif "amplification" in attack:
-        mode = "fixed"
-    else:
-        mode = "solve"
+    if "slots" in run and run["slots"][0] <= 0:
+        raise ConfigError(f"slots must be > 0, got {run['slots'][0]}", run["slots"][1])
+    if "master_seed" in run and run["master_seed"][0] < 0:
+        raise ConfigError(f"master_seed must be >= 0, got {run['master_seed'][0]}",
+                          run["master_seed"][1])
 
-    wavelengths = tuple(
-        _parse_float(attack[k][0], attack[k][1], k) if k in attack else DEFAULT_WAVELENGTHS[i]
-        for i, k in enumerate(("set1_signal_nm", "set1_lo_nm", "set2_signal_nm", "set2_lo_nm"))
-    )
-    fixed_n = None
-    if "amplification" in attack:
-        fixed_n = _parse_float(*attack["amplification"], "amplification")
-    compensate = True
-    if "compensate_lo" in attack:
-        compensate = _parse_bool(*attack["compensate_lo"], "compensate_lo")
-
-    attack_kind = attack["strategy"][0] if "strategy" in attack else "none"
-    outputs = entries["outputs"]
-    if "plan" in outputs and attack_kind == "none":
+    fields = _given(attack, "compensate_lo", attack_kind="strategy", attack_mode="mode",
+                    plan_path="plan", fixed_amplification="amplification")
+    if "amplification" in attack and "mode" not in attack:
+        fields["attack_mode"] = "fixed"
+    fields["wavelengths"] = tuple(attack[k][0] if k in attack else nm
+                                  for k, nm in zip(_NM_KEYS, Scenario.wavelengths))
+    scen = _located(headers.get("attack"), Scenario, params=params,
+                    outputs={k: v for k, (v, _) in outputs.items()}, source_text=text,
+                    **fields, **_given(system, curve_name="curve"),
+                    **_given(run, "slots", "master_seed"))
+    if "plan" in outputs and scen.attack_kind == "none":
         raise ConfigError("a plan output needs an attack, but the scenario is honest",
                           outputs["plan"][1])
-
-    slots = 1_000_000
-    if "slots" in run:
-        slots = _parse_int(*run["slots"], "slots")
-        if slots <= 0:
-            raise ConfigError(f"slots must be > 0, got {slots}", run["slots"][1])
-    seed = 1
-    if "master_seed" in run:
-        seed = _parse_int(*run["master_seed"], "master_seed")
-        if seed < 0:
-            raise ConfigError(f"master_seed must be >= 0, got {seed}", run["master_seed"][1])
-
-    return _located(
-        headers.get("attack"), Scenario,
-        params=params,
-        curve_name=system["curve"][0] if "curve" in system else "50:50",
-        attack_kind=attack_kind,
-        attack_mode=mode,
-        plan_path=attack["plan"][0] if "plan" in attack else None,
-        fixed_amplification=fixed_n,
-        compensate_lo=compensate,
-        wavelengths=wavelengths,  # type: ignore[arg-type]
-        slots=slots,
-        master_seed=seed,
-        outputs={k: v for k, (v, _) in outputs.items()},
-        source_text=text,
-    )
+    return scen
 
 
 def load_scenario(path) -> Scenario:

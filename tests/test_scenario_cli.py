@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import math
 from pathlib import Path
@@ -6,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvqkd import attack, protocol
 from cvqkd.analysis import schedule_key_rate_overhead
 from cvqkd.cli import main
 from cvqkd.errors import ConfigError
-from cvqkd.scenario import (_ATTACK_KEYS, _OUTPUT_KEYS, _RUN_KEYS, _SYSTEM_KEYS, Scenario,
-                            load_scenario, parse_scenario)
+from cvqkd.scenario import _KEYS as _KEY_TABLE, Scenario, load_scenario, parse_scenario
 from cvqkd.protocol import SystemParams
 from cvqkd.serialize import read_report
 
@@ -108,6 +109,10 @@ set2_lo_nm = 1610
     assert scen.wavelengths == (1450.0, 1390.0, 1570.0, 1610.0)
     assert parse_scenario("[attack]\nstrategy = A\n").wavelengths == \
         (1410.0, 1490.0, 1310.0, 1590.0)
+    # the canonical text keeps custom wavelengths, honest or attacked
+    for text in (text, "[attack]\nset1_signal_nm = 1450\n"):
+        scen = parse_scenario(text)
+        assert parse_scenario(scen.canonical_text()).wavelengths == scen.wavelengths
 
 
 def test_scenario_hash_tracks_content():
@@ -115,6 +120,32 @@ def test_scenario_hash_tracks_content():
     b = parse_scenario(MINIMAL + "\n# trailing comment\n")
     assert a.scenario_hash() != b.scenario_hash()
     assert a.scenario_hash() == parse_scenario(MINIMAL).scenario_hash()
+
+
+@pytest.mark.parametrize("name, digest", [("honest", "01ae2c3a03549da7"),
+                                          ("attack_a", "02a90269f35bcc88"),
+                                          ("attack_b", "01ac8ca84b273bd6"),
+                                          (None, "519046875eae42ee")])
+def test_scenario_hashes_are_pinned(name, digest):
+    # the hash heads every artifact, so the canonical text must not drift
+    scen = load_scenario(SCENARIOS / f"{name}.scenario") if name else parse_scenario("")
+    assert scen.scenario_hash() == digest
+
+
+def test_empty_scenario_takes_every_default_from_the_dataclasses():
+    scen, default = parse_scenario(""), Scenario(params=SystemParams())
+    for f in dataclasses.fields(Scenario):
+        if f.name != "source_text":
+            assert getattr(scen, f.name) == getattr(default, f.name), f.name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scen.slots = 5  # type: ignore[misc]
+
+
+def test_first_error_in_line_order_is_reported():
+    # a bad value is found on its own line, before a later unknown key
+    with pytest.raises(ConfigError, match="expected a number") as err:
+        parse_scenario("[system]\nexcess_noise = abc\nbogus = 1\n")
+    assert err.value.line == 2
 
 
 def test_canonical_text_round_trips():
@@ -442,6 +473,36 @@ def test_cli_os_errors_on_user_paths_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: [Errno "), argv
 
 
+def _sessions_raise(monkeypatch, error):
+    """Make every session draw raise ``error`` instead of drawing."""
+    def sample_session(*args, **kwargs):
+        raise error
+    for module in (protocol, attack):
+        monkeypatch.setattr(module, "sample_session", sample_session)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", str(SCENARIOS / "honest.scenario")],
+    ["sweep", "--variable", "N", "--start", "5", "--stop", "10", "--points", "2", "--mc"],
+], ids=["run", "sweep-mc"])
+def test_cli_refuses_an_existing_file_as_out_before_any_session(tmp_path, capsys,
+                                                                monkeypatch, argv):
+    _sessions_raise(monkeypatch, AssertionError("a session was drawn"))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(argv + ["--out", str(taken)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 17] File exists: {str(taken)!r}\n"
+
+
+def test_cli_allocation_failure_exits_2(tmp_path, capsys, monkeypatch):
+    _sessions_raise(monkeypatch, MemoryError("Unable to allocate 931. GiB for an array"))
+    rc = main(["run", "--scenario", str(SCENARIOS / "honest.scenario"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 931. GiB for an array\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_honest_scenario_with_plan_output_names_the_line(tmp_path, capsys):
     scen = tmp_path / "honest_plan.scenario"
     scen.write_text(MINIMAL + "[outputs]\nreport = report.txt\nplan = plan.txt\n")
@@ -617,7 +678,7 @@ _NUMBERS = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "0", "1", "0.5", "1e-3",
                      "1e8", "abc", "", "1_0", "0x10", "1e", "true", "A", "none"]),
 )
-_KEYS = sorted(_SYSTEM_KEYS | _ATTACK_KEYS | _RUN_KEYS | _OUTPUT_KEYS) + ["bogus"]
+_KEYS = sorted({key for keys in _KEY_TABLE.values() for key in keys}) + ["bogus"]
 _LINES = st.one_of(
     st.sampled_from(["[system]", "[schedule]", "[attack]", "[run]", "[outputs]", "[nope]",
                      "[system", "", "# comment", "no equals sign"]),
