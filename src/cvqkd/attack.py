@@ -33,6 +33,11 @@ from .protocol import NoiseTable, SystemParams, sample_session
 # sides of 1/2, set1 = (signal, lo), set2 = (signal, lo)
 DEFAULT_WAVELENGTHS = (1410.0, 1490.0, 1310.0, 1590.0)
 
+# the four injected pulses in plan-file order, as (name, path, sign of the
+# displacement they produce); set j is (signal j, lo j)
+PULSES = (("signal1", PulsePath.SIGNAL, +1), ("lo1", PulsePath.LO, -1),
+          ("signal2", PulsePath.SIGNAL, -1), ("lo2", PulsePath.LO, +1))
+
 # relative tolerance of the four-way displacement match inside a plan
 _D_MATCH_RTOL = 1e-9
 
@@ -77,60 +82,51 @@ class StrategyB:
                 f"transmittance is {channel_transmittance!r}")
 
 
+STRATEGIES = {"A": StrategyA, "B": StrategyB}  # by their scenario and plan-file letter
+
+
 @dataclass(frozen=True)
 class WavelengthPlan:
     """Two signal/LO foreign-pulse pairs realizing a common displacement D.
 
-    The pulse intensities are chosen so the four differential-current means are
-    (+D, -D, -D, +D) for (signal1, lo1, signal2, lo2); at full transmission the
-    signal- and LO-path contributions of a set cancel exactly, at strong
-    attenuation the LO contribution survives as a +-D coin flip of variance D^2.
+    ``pulses``, ``means`` and ``shot_variances`` run in ``PULSES`` order, signal
+    path at the even positions, and the means are (+D, -D, -D, +D); at full
+    transmission the signal- and LO-path contributions of a set cancel exactly, at
+    strong attenuation the LO contribution survives as a +-D coin flip of variance D^2.
     ``shot_coeff_lo`` and ``shot_coeff_signal`` are the linear-in-D shot-noise
     coefficients recomputed from the active curve (nominally 35.81 and 35.47).
     """
 
-    signal1: ForeignPulse
-    lo1: ForeignPulse
-    signal2: ForeignPulse
-    lo2: ForeignPulse
+    pulses: tuple[ForeignPulse, ...]
     displacement: float
-    means: tuple[float, float, float, float]          # responses of (s1, lo1, s2, lo2)
-    shot_variances: tuple[float, float, float, float]
+    means: tuple[float, ...]
+    shot_variances: tuple[float, ...]
     shot_coeff_lo: float
     shot_coeff_signal: float
 
     def __post_init__(self):
         if self.displacement <= 0.0:
             raise ValueError("displacement must be > 0")
-        d = self.displacement
-        m_s1, m_lo1, m_s2, m_lo2 = self.means
-        for name, value, want in (("signal1", m_s1, d), ("lo1", m_lo1, -d),
-                                  ("signal2", m_s2, -d), ("lo2", m_lo2, d)):
+        for (name, _, sign), value in zip(PULSES, self.means, strict=True):
+            want = sign * self.displacement
             if not math.isclose(value, want, rel_tol=_D_MATCH_RTOL):
                 raise ValueError(
                     f"{name} pulse produces displacement {value!r}, expected {want!r}")
 
     @property
-    def pulses(self) -> tuple[ForeignPulse, ForeignPulse, ForeignPulse, ForeignPulse]:
-        return self.signal1, self.lo1, self.signal2, self.lo2
-
-    @property
     def mean_lo_intensity(self) -> float:
         """Average injected LO-path intensity, what an intensity monitor gains."""
-        return 0.5 * (self.lo1.intensity + self.lo2.intensity)
+        return 0.5 * sum(p.intensity for p in self.pulses[1::2])
 
     @classmethod
     def from_pulses(cls, curve: BeamSplitterCurve, detector: DetectorConfig,
                     pulses: Sequence[ForeignPulse], displacement: float) -> "WavelengthPlan":
-        responses = [foreign_pulse_response(detector, curve, p) for p in pulses]
-        means = tuple(r[0] for r in responses)
-        shot_vars = tuple(r[1] for r in responses)
+        means, shot_vars = zip(*(foreign_pulse_response(detector, curve, p) for p in pulses))
         # shot variance of a foreign pulse is eta*I, so the per-set averages are
         # linear in D with curve-only coefficients
-        c_lo = (shot_vars[1] + shot_vars[3]) / (2.0 * displacement)
-        c_s = (shot_vars[0] + shot_vars[2]) / (2.0 * displacement)
-        return cls(pulses[0], pulses[1], pulses[2], pulses[3], displacement,
-                   means, shot_vars, c_lo, c_s)
+        c_lo = sum(shot_vars[1::2]) / (2.0 * displacement)
+        c_s = sum(shot_vars[0::2]) / (2.0 * displacement)
+        return cls(tuple(pulses), displacement, means, shot_vars, c_lo, c_s)
 
     @classmethod
     def design(cls, curve: BeamSplitterCurve, detector: DetectorConfig,
@@ -139,21 +135,18 @@ class WavelengthPlan:
         """Choose the four intensities that realize ``displacement`` at these wavelengths."""
         if displacement <= 0.0:
             raise InfeasibleAttackError("displacement must be > 0")
-        targets = (displacement, -displacement, -displacement, displacement)
-        paths = (PulsePath.SIGNAL, PulsePath.LO, PulsePath.SIGNAL, PulsePath.LO)
-        names = ("signal1", "lo1", "signal2", "lo2")
         pulses = []
-        for name, wl, path, target in zip(names, wavelengths, paths, targets):
+        for (name, path, sign), wl in zip(PULSES, wavelengths):
             gain, _ = foreign_pulse_response(detector, curve, ForeignPulse(wl, 1.0, path))
             if gain == 0.0:
                 raise InfeasibleAttackError(
                     f"{name} wavelength {wl} nm hits transmittance 1/2 exactly; "
                     "no intensity produces a displacement there")
-            if (gain > 0) != (target > 0):
+            if (gain > 0) != (sign > 0):
                 raise InfeasibleAttackError(
                     f"{name} wavelength {wl} nm sits on the wrong side of "
-                    f"transmittance 1/2 for a displacement of sign {int(math.copysign(1, target))}")
-            pulses.append(ForeignPulse(wl, target / gain, path))
+                    f"transmittance 1/2 for a displacement of sign {sign}")
+            pulses.append(ForeignPulse(wl, sign * displacement / gain, path))
         return cls.from_pulses(curve, detector, pulses, displacement)
 
 
@@ -188,10 +181,8 @@ def _injected(wl: WavelengthPlan, ratios: np.ndarray):
     shot variance and the signal-path shot variance. The attenuator scales only
     the signal path, its current by r and its shot variance by r^2."""
     r = ratios[:, None]
-    var_s = np.array([wl.shot_variances[0], wl.shot_variances[2]])
-    var_lo = np.array([wl.shot_variances[1], wl.shot_variances[3]])
-    offset = np.array([wl.means[1], wl.means[3]]) + r * np.array([wl.means[0], wl.means[2]])
-    return offset, var_lo, r * r * var_s
+    means, shot = np.array(wl.means), np.array(wl.shot_variances)
+    return means[1::2] + r * means[0::2], shot[1::2], r * r * shot[0::2]
 
 
 def part2_variance(plan: WavelengthPlan | None, ratio: float) -> float:
@@ -287,7 +278,7 @@ def solve_attack_parameters(strategy_kind: str, params: SystemParams,
     positive root of S(D) = N0. Raises InfeasibleAttackError naming the
     violated constraint when no valid solution exists.
     """
-    if strategy_kind not in ("A", "B"):
+    if strategy_kind not in STRATEGIES:
         raise ValueError("strategy_kind must be 'A' or 'B'")
     ratios = params.schedule.ratios
     r1 = float(ratios.min()) if r1 is None else float(r1)
@@ -360,7 +351,7 @@ def noise_table(params: SystemParams, plan: AttackPlan,
         offset, var_lo, var_s = _injected(wl, ratios)
         sd = np.sqrt(part1_var[:, None] + var_lo + var_s)
         monitor_base = lo_base - (wl.mean_lo_intensity if compensate_lo else 0.0)
-        lo_level = monitor_base + np.array([wl.lo1.intensity, wl.lo2.intensity])
+        lo_level = monitor_base + np.array([p.intensity for p in wl.pulses[1::2]])
     else:
         sd = np.sqrt(part1_var)[:, None]
         offset = np.zeros_like(sd)

@@ -91,8 +91,7 @@ def cmd_run(args) -> int:
     moments = protocol.ratio_moments(session)
 
     items = _report_items(scen, moments, plan)
-    for key, value in items:
-        print(f"{key} = {serialize.fmt_value(value)}")
+    sys.stdout.write(serialize.report_text(items))
     # everything that can fail is computed before the first artifact is written
     poly = verdict = None
     if "polynomial" in outputs or "verdict" in outputs:
@@ -126,8 +125,7 @@ def cmd_solve(args) -> int:
     curve = scen.load_curve()
     plan = attack.solve_attack_parameters(args.strategy, scen.params, curve,
                                           scen.wavelengths, r1=args.r1, r2=args.r2)
-    for key, value in serialize.plan_items(plan, scen.curve_name):
-        print(f"{key} = {serialize.fmt_value(value)}")
+    sys.stdout.write(serialize.report_text(serialize.plan_items(plan, scen.curve_name)))
     if args.out is not None:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -210,14 +208,13 @@ def cmd_detect(args) -> int:
     batch = serialize.read_records_csv(args.records)
     poly = analysis.fit_noise_polynomial(batch)
     verdict = analysis.detect(poly, threshold=args.threshold)
-    for key, value in poly.as_items() + verdict.as_items():
-        print(f"{key} = {serialize.fmt_value(value)}")
+    items = poly.as_items() + verdict.as_items()
+    sys.stdout.write(serialize.report_text(items))
     if args.out is not None:
         meta = serialize.read_meta(args.records)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        serialize.write_report(outdir / "verdict.txt",
-                               poly.as_items() + verdict.as_items(),
+        serialize.write_report(outdir / "verdict.txt", items,
                                meta.get("scenario", "unknown"),
                                int(meta.get("seed", 0)))
     return 0
@@ -240,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_solve = sub.add_parser("solve", help="derive attack parameters")
-    p_solve.add_argument("--strategy", choices=("A", "B"), required=True)
+    p_solve.add_argument("--strategy", choices=attack.STRATEGIES, required=True)
     p_solve.add_argument("--scenario", default=None)
     p_solve.add_argument("--eta-ch", dest="eta_ch", type=float, default=None)
     p_solve.add_argument("--xi", type=float, default=None)
@@ -259,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--stop", type=float, required=True)
     p_sweep.add_argument("--points", type=int, required=True)
     p_sweep.add_argument("--mode", choices=("part1", "solved"), default="part1")
-    p_sweep.add_argument("--strategy", choices=("A", "B"), default="A")
+    p_sweep.add_argument("--strategy", choices=attack.STRATEGIES, default="A")
     p_sweep.add_argument("--n-amp", dest="n_amp", type=float, default=10.0)
     p_sweep.add_argument("--mc", action="store_true")
     p_sweep.add_argument("--slots", type=int, default=100_000)
@@ -300,8 +297,14 @@ def main(argv=None) -> int:
                 if value is not None and not ok(value):
                     raise ConfigError(f"--{name.replace('_', '-')} must be {requirement}, "
                                       f"got {value!r}")
-        if args.out is not None and os.path.exists(args.out) and not os.path.isdir(args.out):
-            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out)
+        if args.out is not None:
+            # mkdir would fail only after the work unless the nearest existing
+            # path among --out and its parents is a directory
+            out = Path(args.out)
+            found = next(p for p in (out, *out.parents) if p.exists())
+            if not found.is_dir():
+                code = errno.EEXIST if found == out else errno.ENOTDIR
+                raise OSError(code, os.strerror(code), args.out)
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:  # every project error is a ValueError
         print(f"error: {exc}", file=sys.stderr)

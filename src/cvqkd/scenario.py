@@ -12,7 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-from .attack import DEFAULT_WAVELENGTHS
+from .attack import DEFAULT_WAVELENGTHS, STRATEGIES
 from .errors import ConfigError
 from .physics import BUILTIN_CURVES, BeamSplitterCurve, DetectorConfig, builtin_curve, load_curve
 from .protocol import AttenuationSchedule, SystemParams
@@ -85,7 +85,7 @@ class Scenario:
     def __post_init__(self):
         if self.slots <= 0:
             raise ConfigError(f"slots must be > 0, got {self.slots}")
-        if self.attack_kind not in ("none", "A", "B"):
+        if self.attack_kind not in ("none", *STRATEGIES):
             raise ConfigError(f"attack strategy must be none/A/B, got {self.attack_kind!r}")
         if self.attack_mode not in ("solve", "plan", "fixed"):
             raise ConfigError(f"attack mode must be solve/plan/fixed, got {self.attack_mode!r}")

@@ -44,12 +44,13 @@ import csv
 import functools
 import io
 import warnings
+from dataclasses import fields
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .attack import AttackPlan, StrategyA, StrategyB, WavelengthPlan
-from .physics import BeamSplitterCurve, DetectorConfig, ForeignPulse, PulsePath
+from .attack import PULSES, STRATEGIES, AttackPlan, WavelengthPlan
+from .physics import BeamSplitterCurve, DetectorConfig, ForeignPulse
 from .protocol import RecordBatch
 
 RECORDS_FORMAT = "records-v1"
@@ -393,8 +394,6 @@ def distinct_values(values: np.ndarray):
     return table, np.searchsorted(table, values)
 
 
-
-
 def read_records_csv(path) -> RecordBatch:
     """Load a records CSV back into a columnar batch (metadata line skipped).
 
@@ -441,13 +440,16 @@ def read_records_csv(path) -> RecordBatch:
                        np.ascontiguousarray(rows["alice_x"]), np.ascontiguousarray(rows["bob_y"]))
 
 
+def report_text(items: Iterable[tuple[str, object]]) -> str:
+    """The ``key = value`` lines of a report, as written and as printed."""
+    return "".join(f"{key} = {fmt_value(value)}\n" for key, value in items)
+
+
 def write_report(path, items: Iterable[tuple[str, object]], scenario_hash: str,
                  seed: int, fmt: str = REPORT_FORMAT) -> None:
     """Write a flat key = value document."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(meta_line(fmt, scenario_hash, seed) + "\n")
-        for key, value in items:
-            fh.write(f"{key} = {fmt_value(value)}\n")
+        fh.write(meta_line(fmt, scenario_hash, seed) + "\n" + report_text(items))
 
 
 def read_report(path) -> dict[str, str]:
@@ -465,21 +467,16 @@ def read_report(path) -> dict[str, str]:
 
 def plan_items(plan: AttackPlan, curve_name: str) -> list[tuple[str, object]]:
     """Flatten a plan (strategy scalars, D, wavelengths, intensities) for saving."""
-    items: list[tuple[str, object]] = [("curve", curve_name)]
-    if isinstance(plan.strategy, StrategyA):
-        items += [("strategy", "A"), ("amplification", plan.strategy.amplification)]
-    else:
-        items += [("strategy", "B"),
-                  ("slope_factor", plan.strategy.slope_factor),
-                  ("fake_channel", plan.strategy.fake_channel)]
-    wl = plan.wavelength
+    kind = next(k for k, cls in STRATEGIES.items() if isinstance(plan.strategy, cls))
+    items: list[tuple[str, object]] = [("curve", curve_name), ("strategy", kind)]
+    items += [(f.name, getattr(plan.strategy, f.name)) for f in fields(plan.strategy)]
     items.append(("displacement", plan.displacement))
+    wl = plan.wavelength
     if wl is not None:
-        for name, pulse in zip(("signal1", "lo1", "signal2", "lo2"), wl.pulses):
+        for (name, _, _), pulse in zip(PULSES, wl.pulses):
             items.append((f"{name}_wavelength_nm", pulse.wavelength_nm))
             items.append((f"{name}_intensity", pulse.intensity))
-        items.append(("shot_coeff_lo", wl.shot_coeff_lo))
-        items.append(("shot_coeff_signal", wl.shot_coeff_signal))
+        items += [("shot_coeff_lo", wl.shot_coeff_lo), ("shot_coeff_signal", wl.shot_coeff_signal)]
     return items
 
 
@@ -496,20 +493,16 @@ def load_plan(path, curve: BeamSplitterCurve, detector: DetectorConfig) -> Attac
     kv = read_report(path)
     try:
         strategy_kind = kv["strategy"]
-        if strategy_kind == "A":
-            strategy: StrategyA | StrategyB = StrategyA(float(kv["amplification"]))
-        elif strategy_kind == "B":
-            strategy = StrategyB(float(kv["slope_factor"]), float(kv["fake_channel"]))
-        else:
+        if strategy_kind not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy_kind!r} in plan file")
+        cls = STRATEGIES[strategy_kind]
+        strategy = cls(*(float(kv[f.name]) for f in fields(cls)))
         displacement = float(kv["displacement"])
         if displacement == 0.0:
             return AttackPlan(strategy, None)
         pulses = [ForeignPulse(float(kv[f"{name}_wavelength_nm"]),
-                               float(kv[f"{name}_intensity"]), path_kind)
-                  for name, path_kind in zip(("signal1", "lo1", "signal2", "lo2"),
-                                             (PulsePath.SIGNAL, PulsePath.LO,
-                                              PulsePath.SIGNAL, PulsePath.LO))]
+                               float(kv[f"{name}_intensity"]), pulse_path)
+                  for name, pulse_path, _ in PULSES]
     except KeyError as exc:
         raise ValueError(f"plan file {path} has no {exc.args[0]!r} key") from None
     return AttackPlan(strategy, WavelengthPlan.from_pulses(curve, detector, pulses, displacement))

@@ -51,10 +51,10 @@ def test_wavelength_plan_design_geometry():
     plan = WavelengthPlan.design(CURVE, P_A.detector, d)
     assert plan.means == pytest.approx((d, -d, -d, d), rel=1e-12)
     # inversion: intensity = D / (eta * |1 - 2T|)
-    assert plan.signal1.intensity == pytest.approx(d / (0.5 * (1 - 2 * 0.4862)), rel=1e-12)
-    assert plan.lo2.intensity == pytest.approx(d / (0.5 * (2 * 0.5155 - 1)), rel=1e-12)
+    assert plan.pulses[0].intensity == pytest.approx(d / (0.5 * (1 - 2 * 0.4862)), rel=1e-12)
+    assert plan.pulses[3].intensity == pytest.approx(d / (0.5 * (2 * 0.5155 - 1)), rel=1e-12)
     assert plan.mean_lo_intensity == pytest.approx(
-        0.5 * (plan.lo1.intensity + plan.lo2.intensity))
+        0.5 * (plan.pulses[1].intensity + plan.pulses[3].intensity))
 
 
 def test_wavelength_plan_rejects_wrong_side_wavelengths():
@@ -148,8 +148,8 @@ def test_noise_table_carries_foreign_pulse_shot_variance():
     bare = noise_table(SystemParams(schedule=THREE_RATIO_SCHEDULE),
                        AttackPlan(StrategyA(20.0), None))
     r = table.ratios[:, None]
-    added = 0.5 * (np.array([wl.lo1.intensity, wl.lo2.intensity])
-                   + r * r * np.array([wl.signal1.intensity, wl.signal2.intensity]))
+    added = 0.5 * (np.array([wl.pulses[1].intensity, wl.pulses[3].intensity])
+                   + r * r * np.array([wl.pulses[0].intensity, wl.pulses[2].intensity]))
     assert table.sd ** 2 - bare.sd ** 2 == pytest.approx(added, rel=1e-12)
 
 

@@ -13,7 +13,7 @@ from cvqkd.cli import main
 from cvqkd.errors import ConfigError
 from cvqkd.scenario import _KEYS as _KEY_TABLE, Scenario, load_scenario, parse_scenario
 from cvqkd.protocol import SystemParams
-from cvqkd.serialize import read_report
+from cvqkd.serialize import read_meta, read_report
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -305,6 +305,26 @@ def test_cli_sweep_solved_mode_columns(tmp_path):
     assert all(row.endswith(",true") for row in lines[2:])
 
 
+@pytest.mark.parametrize("strategy", ["A", "B"])
+def test_cli_sweep_solved_mode_marks_a_transparent_channel_infeasible(tmp_path, strategy):
+    rc = main(["sweep", "--mode", "solved", "--strategy", strategy, "--variable", "eta_ch",
+               "--start", "0.2", "--stop", "1.0", "--points", "5", "--out", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 7
+    assert lines[-1] == "eta_ch,1.0,1.0,0.1,,,,,infeasible"
+
+
+def test_cli_sweep_solved_mode_refuses_n_and_writes_nothing(tmp_path, capsys):
+    rc = main(["sweep", "--mode", "solved", "--variable", "N", "--start", "5", "--stop", "10",
+               "--points", "2", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: solved-mode sweeps vary eta_ch or xi; the solver fixes N\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_sweep_single_point(tmp_path):
     rc = main(["sweep", "--variable", "xi", "--start", "0.1", "--stop", "0.1",
                "--points", "1", "--out", str(tmp_path)])
@@ -344,6 +364,22 @@ def test_cli_detect_on_attacked_records(tmp_path, capsys):
     assert "attacked = true" in capsys.readouterr().out
 
 
+def test_cli_detect_out_writes_the_printed_verdict_under_the_records_header(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["run", "--scenario", str(SCENARIOS / "attack_a.scenario"), "--slots", "20000",
+                 "--seed", "9", "--out", str(run)]) == 0
+    capsys.readouterr()
+    assert main(["detect", "--records", str(run / "records.csv"),
+                 "--out", str(tmp_path / "det")]) == 0
+    printed = capsys.readouterr().out
+    header, body = (tmp_path / "det" / "verdict.txt").read_text().split("\n", 1)
+    meta = read_meta(run / "records.csv")
+    assert meta["seed"] == "9"
+    assert header == f"# format=report-v1 scenario={meta['scenario']} seed=9"
+    assert body == printed
+    assert "attacked = " in body
+
+
 def test_cli_run_plan_mode_replays_saved_plan(tmp_path, capsys):
     rc = main(["solve", "--strategy", "A", "--eta-ch", "0.9",
                "--out", str(tmp_path), "--plan-file", "a.plan"])
@@ -381,6 +417,44 @@ report = report.txt
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "a.plan has no 'amplification' key" in err
     assert not (tmp_path / "out").exists()
+
+
+def _run_report(tmp_path, capsys, name: str, text: str) -> tuple[str, str]:
+    """Run a scenario given as text; return its stdout and its report without the header."""
+    path = tmp_path / f"{name}.scenario"
+    path.write_text(text + "[outputs]\nreport = report.txt\n")
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / name)]) == 0
+    return capsys.readouterr().out, (tmp_path / name / "report.txt").read_text().split("\n", 1)[1]
+
+
+def test_cli_fixed_mode_equals_a_plan_without_pulses(tmp_path, capsys):
+    # displacement = 0.0 is the plan-file form of mode = fixed
+    plan = tmp_path / "zero.plan"
+    plan.write_text("strategy = A\namplification = 10\ndisplacement = 0.0\n")
+    fixed = _run_report(tmp_path, capsys, "fixed",
+                        MINIMAL + "[attack]\nstrategy = A\nmode = fixed\namplification = 10\n")
+    replay = _run_report(tmp_path, capsys, "plan",
+                         MINIMAL + f"[attack]\nstrategy = A\nmode = plan\nplan = {plan}\n")
+    assert fixed == replay
+    assert "true_realistic_shot_noise = 5000000.0\n" in fixed[1]  # N0 / 10
+
+
+def test_cli_single_ratio_schedule_reports_the_single_point_estimate(tmp_path, capsys):
+    text = MINIMAL.replace("1.0 = 0.5\n0.001 = 0.5\n", "1.0 = 1.0\n")
+    printed, body = _run_report(tmp_path, capsys, "single", text)
+    assert printed == body
+    keys = [line.split(" = ")[0] for line in body.splitlines()]
+    assert keys == ["slots", "shot_noise_nominal", "variance[r=1.0]", "count[r=1.0]",
+                    "excess_noise_single_point", "channel_transmittance_est"]
+
+
+def test_cli_schedule_without_full_transmission_reports_no_channel_estimate(tmp_path, capsys):
+    text = MINIMAL.replace("1.0 = 0.5\n", "0.5 = 0.5\n")
+    printed, body = _run_report(tmp_path, capsys, "attenuated", text)
+    assert printed == body
+    assert "shot_noise_ratio = " in body
+    assert "channel_transmittance_est" not in body
+    assert "excess_noise_single_point" not in body
 
 
 def test_cli_thread_count_does_not_change_bytes(tmp_path):
@@ -481,17 +555,26 @@ def _sessions_raise(monkeypatch, error):
         monkeypatch.setattr(module, "sample_session", sample_session)
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "--scenario", str(SCENARIOS / "honest.scenario")],
-    ["sweep", "--variable", "N", "--start", "5", "--stop", "10", "--points", "2", "--mc"],
-], ids=["run", "sweep-mc"])
+_OUT_COMMANDS = {
+    "run": ["run", "--scenario", str(SCENARIOS / "honest.scenario")],
+    "sweep-mc": ["sweep", "--variable", "N", "--start", "5", "--stop", "10", "--points", "2",
+                 "--mc"],
+}
+
+
+@pytest.mark.parametrize("command, below", [
+    (command, below) for below in ("", "sub", "sub/deeper") for command in _OUT_COMMANDS
+], ids=["run", "sweep-mc", "run-below", "sweep-mc-below", "run-deeper", "sweep-mc-deeper"])
 def test_cli_refuses_an_existing_file_as_out_before_any_session(tmp_path, capsys,
-                                                                monkeypatch, argv):
+                                                                monkeypatch, command, below):
+    # an --out that is, or lies below, an existing file fails before any session
     _sessions_raise(monkeypatch, AssertionError("a session was drawn"))
     taken = tmp_path / "taken"
     taken.write_text("")
-    assert main(argv + ["--out", str(taken)]) == 2
-    assert capsys.readouterr().err == f"error: [Errno 17] File exists: {str(taken)!r}\n"
+    out = str(taken / below)
+    assert main(_OUT_COMMANDS[command] + ["--out", out]) == 2
+    error = "[Errno 20] Not a directory" if below else "[Errno 17] File exists"
+    assert capsys.readouterr() == ("", f"error: {error}: {out!r}\n")
 
 
 def test_cli_allocation_failure_exits_2(tmp_path, capsys, monkeypatch):
