@@ -19,7 +19,7 @@ picks (D, N) or (D, gamma) so the two-point estimates come out at exactly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import InfeasibleAttackError
 from .physics import (BeamSplitterCurve, DetectorConfig, ForeignPulse, PulsePath,
                       foreign_pulse_response)
-from .protocol import NoiseTable, SystemParams, sample_session
+from .protocol import NoiseTable, SystemParams, honest_noise_table, sample_session
 
 # signal/LO wavelength pairs (nm) whose 50:50 transmittances sit on opposite
 # sides of 1/2, set1 = (signal, lo), set2 = (signal, lo)
@@ -191,7 +191,7 @@ def part2_variance(plan: WavelengthPlan | None, ratio: float) -> float:
         return 0.0
     ratios = np.array([float(ratio)])
     offset, var_lo, var_s = _injected(plan, ratios)
-    alone = NoiseTable(ratios, np.ones(1), 0.0, np.zeros(1), np.sqrt(var_lo + var_s), offset)
+    alone = NoiseTable(ratios, np.ones(1), 0.0, np.zeros(1), var_lo + var_s, offset)
     return float(alone.outcome_moments()[0][0])
 
 
@@ -319,46 +319,33 @@ def noise_table(params: SystemParams, plan: AttackPlan,
                 compensate_lo: bool = True) -> NoiseTable:
     """The per-(ratio, pulse set) law of one attacked slot.
 
-    Heterodyne intercept (2*N0 of extra noise on Eve's x), strategy resend,
-    Bob's homodyne draw with the part-1 statistics, plus the injected-pulse
-    contribution of set 1 or 2. Part-1 noise, electronic noise and both
-    injected pulses' shot noise are independent Gaussians, so the table
-    carries their summed variance. The LO level is what an ideal intensity
-    monitor reads: with ``compensate_lo`` the attacker lowers her part-1 LO
-    power by the mean injected intensity and recalibrates the trigger so the
-    homodyne statistics stay on plan; only the monitored intensity changes.
+    Bob's receiver is the honest one (``protocol.honest_noise_table``) at the
+    realistic shot noise the resend leaves him; his gain and excess-noise term
+    stay honest, for strategy B because gamma * fake_channel equals the
+    channel transmittance. Eve changes the rest: her heterodyne intercept adds
+    2*N0 of noise to the x she resends from, and the injected pulses of set 1
+    or 2 add their offset and their independent shot-noise variance. The LO
+    level is what an ideal intensity monitor reads: with ``compensate_lo`` the
+    attacker lowers her part-1 LO power by the mean injected intensity and
+    recalibrates the trigger so the homodyne statistics stay on plan; only
+    the monitored intensity changes.
     """
     strategy = plan.strategy
     wl = plan.wavelength
-    ratios = params.schedule.ratios
-    n0 = params.shot_noise_unit
-
     if isinstance(strategy, StrategyA):
         lo_base = params.lo_intensity / strategy.amplification
-        eta_eff = params.channel_transmittance
-        slope = 1.0
     else:
         strategy.check_consistency(params.channel_transmittance)
         lo_base = params.lo_intensity
-        eta_eff = strategy.fake_channel
-        slope = strategy.slope_factor
-    reff = ratios * params.detector.efficiency * eta_eff
-    # the slope scales the resent state's response, not the electronic noise
-    part1_var = (slope * reff * params.excess_noise * n0 + realistic_shot_noise(params, plan)
-                 + params.detector.electronic_noise)
-
-    if wl is not None:
-        offset, var_lo, var_s = _injected(wl, ratios)
-        sd = np.sqrt(part1_var[:, None] + var_lo + var_s)
-        monitor_base = lo_base - (wl.mean_lo_intensity if compensate_lo else 0.0)
-        lo_level = monitor_base + np.array([p.intensity for p in wl.pulses[1::2]])
-    else:
-        sd = np.sqrt(part1_var)[:, None]
-        offset = np.zeros_like(sd)
-        lo_level = np.array([lo_base])
-    return NoiseTable(ratios, params.schedule.probabilities,
-                      math.sqrt(params.modulation_variance * n0), np.sqrt(slope * reff),
-                      sd, offset, sig_intercept=math.sqrt(2.0 * n0), lo_level=lo_level)
+    table = replace(honest_noise_table(params, realistic_shot_noise(params, plan)),
+                    sig_intercept=math.sqrt(2.0 * params.shot_noise_unit),
+                    lo_level=np.array([lo_base]))
+    if wl is None:
+        return table
+    offset, var_lo, var_s = _injected(wl, params.schedule.ratios)
+    monitor_base = lo_base - (wl.mean_lo_intensity if compensate_lo else 0.0)
+    return replace(table, var=table.var + var_lo + var_s, offset=offset,
+                   lo_level=monitor_base + np.array([p.intensity for p in wl.pulses[1::2]]))
 
 
 def run_attacked_session(params: SystemParams, plan: AttackPlan, slots: int,

@@ -30,7 +30,12 @@ def _resolve_plan(scen: Scenario, curve: BeamSplitterCurve) -> attack.AttackPlan
         return attack.solve_attack_parameters(
             scen.attack_kind, scen.params, curve, scen.wavelengths)
     if scen.attack_mode == "plan":
-        return serialize.load_plan(scen.plan_path, curve, scen.params.detector)
+        plan = serialize.load_plan(scen.plan_path, curve, scen.params.detector)
+        kind = dict(serialize.plan_items(plan, scen.curve_name))["strategy"]
+        if kind != scen.attack_kind:
+            raise ConfigError(f"plan file {scen.plan_path} holds a strategy {kind} plan, "
+                              f"but the scenario names strategy {scen.attack_kind}")
+        return plan
     return attack.AttackPlan(attack.StrategyA(scen.fixed_amplification), None)
 
 
@@ -73,7 +78,8 @@ def _scenario(args, **overrides) -> Scenario:
 def cmd_run(args) -> int:
     scen = _scenario(args, master_seed=args.seed, slots=args.slots)
     curve = scen.load_curve()
-    shash = scen.scenario_hash()
+    replay = scen.attack_kind != "none" and scen.attack_mode == "plan"
+    shash = scen.scenario_hash(Path(scen.plan_path).read_bytes() if replay else b"")
     seed = scen.master_seed
 
     outputs = scen.outputs
@@ -208,7 +214,7 @@ def cmd_detect(args) -> int:
     batch = serialize.read_records_csv(args.records)
     poly = analysis.fit_noise_polynomial(batch)
     verdict = analysis.detect(poly, threshold=args.threshold)
-    items = poly.as_items() + verdict.as_items()
+    items = list((dict(poly.as_items()) | dict(verdict.as_items())).items())  # a_over_c once
     sys.stdout.write(serialize.report_text(items))
     if args.out is not None:
         meta = serialize.read_meta(args.records)

@@ -10,7 +10,7 @@ That makes Var(y | r) affine in r for an honest session, which is exactly the
 assumption the real-time shot-noise estimator rests on.
 
 ``NoiseTable`` is the noise model: per (ratio, injected-pulse set) the gain
-on x, noise sd, mean offset and LO-monitor level. ``sample_session`` draws
+on x, noise variance, mean offset and LO-monitor level. ``sample_session`` draws
 honest and attacked slots from it, and every analytic variance and moment is
 read off it (``NoiseTable.outcome_moments``). Each chunk of
 ``rng.CHUNK_SLOTS`` slots first draws its per-ratio slot counts with one
@@ -266,13 +266,13 @@ class EstimatorReport:
 class NoiseTable:
     """The law of one slot, per attenuation ratio k and injected-pulse set j.
 
-    Ratio k is picked with ``probabilities[k]`` and, when ``sd`` has two
+    Ratio k is picked with ``probabilities[k]`` and, when ``var`` has two
     columns, pulse set j with 1/2 each; the quadrature, X or P with 1/2 each,
     does not change the law. Alice draws x ~ N(0, sig_x^2). Under attack Eve
     reads x_e = x + N(0, sig_intercept^2) and resends from it; honest sessions
     have no intercept (``sig_intercept`` None) and x_e = x. Bob reads
-        y = gain[k] * x_e + offset[k, j] + sd[k, j] * z,    z ~ N(0, 1),
-    where ``sd`` sums the variances of every independent Gaussian noise term,
+        y = gain[k] * x_e + offset[k, j] + sqrt(var[k, j]) * z,    z ~ N(0, 1),
+    where ``var`` sums the variances of every independent Gaussian noise term,
     and an LO-intensity monitor reads ``lo_level[j]`` (None: no monitor).
     """
 
@@ -280,41 +280,43 @@ class NoiseTable:
     probabilities: np.ndarray   # (K,)
     sig_x: float
     gain: np.ndarray            # (K,)
-    sd: np.ndarray              # (K, J), J = 1 or 2 pulse sets
+    var: np.ndarray             # (K, J), J = 1 or 2 pulse sets
     offset: np.ndarray          # (K, J)
     sig_intercept: float | None = None
     lo_level: np.ndarray | None = None  # (J,)
 
     def __post_init__(self):
-        if self.sd.shape[1] not in (1, 2):
-            raise ValueError(f"a noise table has one or two pulse sets, got {self.sd.shape[1]}")
+        if self.var.shape[1] not in (1, 2):
+            raise ValueError(f"a noise table has one or two pulse sets, got {self.var.shape[1]}")
 
     def outcome_moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Per ratio, the population variance V and fourth central moment m4 of y.
 
         Given pulse set j, y is Gaussian with mean offset[k, j] and variance
-        var_j = gain[k]^2 (sig_x^2 + sig_intercept^2) + sd[k, j]^2. Over the
+        var_j = gain[k]^2 (sig_x^2 + sig_intercept^2) + var[k, j]. Over the
         equally likely sets, with dev_j = offset[k, j] - mean_j(offset[k]):
             V = mean_j[var_j + dev_j^2],
             m4 = mean_j[dev_j^4 + 6 dev_j^2 var_j + 3 var_j^2].
         """
         var_xe = self.sig_x ** 2 + (self.sig_intercept or 0.0) ** 2
-        var = (self.gain ** 2 * var_xe)[:, None] + self.sd ** 2
+        var = (self.gain ** 2 * var_xe)[:, None] + self.var
         dev2 = (self.offset - self.offset.mean(axis=1, keepdims=True)) ** 2
         return (np.mean(var + dev2, axis=1),
                 np.mean(dev2 * dev2 + 6.0 * dev2 * var + 3.0 * var * var, axis=1))
 
 
-def honest_noise_table(params: SystemParams) -> NoiseTable:
-    """The per-ratio law of one honest slot: one pulse set with no offset, no
-    intercept and no LO monitor."""
+def honest_noise_table(params: SystemParams, shot_noise: float | None = None) -> NoiseTable:
+    """The per-ratio law of one slot at Bob's receiver with no injected pulse: one
+    pulse set with no offset, no intercept and no LO monitor. ``shot_noise`` is
+    his realistic shot noise, N0 when None; the excess noise stays in units of N0."""
     ratios = params.schedule.ratios
     n0 = params.shot_noise_unit
+    shot = n0 if shot_noise is None else shot_noise
     ree = ratios * params.detector.efficiency * params.channel_transmittance
-    noise_var = ree * params.excess_noise * n0 + n0 + params.detector.electronic_noise
+    noise_var = ree * params.excess_noise * n0 + shot + params.detector.electronic_noise
     return NoiseTable(ratios, params.schedule.probabilities,
                       math.sqrt(params.modulation_variance * n0), np.sqrt(ree),
-                      np.sqrt(noise_var)[:, None], np.zeros((len(ratios), 1)))
+                      noise_var[:, None], np.zeros((len(ratios), 1)))
 
 
 def sample_session(table: NoiseTable, slots: int, master_seed: int,
@@ -336,7 +338,8 @@ def sample_session(table: NoiseTable, slots: int, master_seed: int,
     ratios = table.ratios
     size = len(ratios)
     label_type = np.min_scalar_type(size - 1)
-    two_sets = table.sd.shape[1] == 2
+    sd = np.sqrt(table.var)
+    two_sets = sd.shape[1] == 2
     intercept = table.sig_intercept is not None
     monitor = table.lo_level is not None
 
@@ -373,14 +376,14 @@ def sample_session(table: NoiseTable, slots: int, master_seed: int,
             a, b = stop_c[k] - counts[k], stop_c[k]
             yc, tc = y[a:b], t[a:b]
             if two_sets:
-                tc.fill(table.sd[k, 0])
-                np.copyto(tc, table.sd[k, 1], where=bit[a:b])
+                tc.fill(sd[k, 0])
+                np.copyto(tc, sd[k, 1], where=bit[a:b])
                 yc *= tc
                 tc.fill(table.offset[k, 0])
                 np.copyto(tc, table.offset[k, 1], where=bit[a:b])
                 yc += tc
             else:
-                yc *= table.sd[k, 0]
+                yc *= sd[k, 0]
                 if table.offset[k, 0] != 0.0:
                     yc += table.offset[k, 0]
             yc += np.multiply(xe[a:b], table.gain[k], out=tc)

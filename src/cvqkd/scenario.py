@@ -18,7 +18,7 @@ from .physics import BUILTIN_CURVES, BeamSplitterCurve, DetectorConfig, builtin_
 from .protocol import AttenuationSchedule, SystemParams
 
 
-def _parse_float(value: str, line: int, key: str) -> float:
+def parse_float(value: str, line: int | None, key: str) -> float:
     try:
         x = float(value)
     except ValueError:
@@ -29,7 +29,7 @@ def _parse_float(value: str, line: int, key: str) -> float:
 
 
 def _parse_int(value: str, line: int, key: str) -> int:
-    x = _parse_float(value, line, key)
+    x = parse_float(value, line, key)
     if x != int(x):
         raise ConfigError(f"{key}: expected an integer, got {value!r}", line)
     return int(x)
@@ -52,13 +52,13 @@ _NM_KEYS = ("set1_signal_nm", "set1_lo_nm", "set2_signal_nm", "set2_lo_nm")
 # section -> key -> parser of its value; [schedule] keys are ratios, parsed apart
 _KEYS = {
     "system": {
-        "modulation_variance": _parse_float, "detector_efficiency": _parse_float,
-        "electronic_noise": _parse_float, "channel_transmittance": _parse_float,
-        "excess_noise": _parse_float, "lo_intensity": _parse_float, "curve": _text,
+        "modulation_variance": parse_float, "detector_efficiency": parse_float,
+        "electronic_noise": parse_float, "channel_transmittance": parse_float,
+        "excess_noise": parse_float, "lo_intensity": parse_float, "curve": _text,
     },
     "attack": {
-        "strategy": _text, "mode": _text, "plan": _text, "amplification": _parse_float,
-        "compensate_lo": _parse_bool, **dict.fromkeys(_NM_KEYS, _parse_float),
+        "strategy": _text, "mode": _text, "plan": _text, "amplification": parse_float,
+        "compensate_lo": _parse_bool, **dict.fromkeys(_NM_KEYS, parse_float),
     },
     "run": {"slots": _parse_int, "master_seed": _parse_int},
     "outputs": dict.fromkeys(("records", "report", "polynomial", "verdict", "plan"), _text),
@@ -98,14 +98,15 @@ class Scenario:
         if not self.source_text:
             object.__setattr__(self, "source_text", self.canonical_text())
 
-    def scenario_hash(self) -> str:
+    def scenario_hash(self, plan_file: bytes = b"") -> str:
         """Hash of the source text and of the effective configuration.
 
         The canonical text carries any later override of ``slots`` or
         ``master_seed``, so runs that differ only in those get different hashes.
+        ``plan_file`` holds the bytes of the plan file a plan-mode run replays.
         """
         text = self.source_text + self.canonical_text()
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        return hashlib.sha256(text.encode("utf-8") + plan_file).hexdigest()[:16]
 
     def load_curve(self) -> BeamSplitterCurve:
         if self.curve_name in BUILTIN_CURVES:
@@ -191,8 +192,8 @@ def parse_scenario(text: str) -> Scenario:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if section == "schedule":
-            ratio = _parse_float(key, lineno, "schedule ratio")
-            prob = _parse_float(value, lineno, "schedule probability")
+            ratio = parse_float(key, lineno, "schedule ratio")
+            prob = parse_float(value, lineno, "schedule probability")
             if ratio in schedule:
                 raise ConfigError(f"duplicate schedule ratio {ratio!r}, first given on "
                                   f"line {schedule[ratio][1]}", lineno)

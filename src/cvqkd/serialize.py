@@ -52,6 +52,7 @@ import numpy as np
 from .attack import PULSES, STRATEGIES, AttackPlan, WavelengthPlan
 from .physics import BeamSplitterCurve, DetectorConfig, ForeignPulse
 from .protocol import RecordBatch
+from .scenario import parse_float
 
 RECORDS_FORMAT = "records-v1"
 REPORT_FORMAT = "report-v1"
@@ -453,15 +454,20 @@ def write_report(path, items: Iterable[tuple[str, object]], scenario_hash: str,
 
 
 def read_report(path) -> dict[str, str]:
-    """Parse a key = value document back (values stay strings)."""
+    """Parse a key = value document back (values stay strings); a line without
+    ``=`` or a key given twice raises ValueError naming the file and the line.
+    A line splits at its last ``=``, since keys such as ``count[r=0.5]`` hold one."""
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key, sep, value = (part.strip() for part in line.rpartition("="))
+            if not sep or key in out:
+                problem = f"duplicate key {key!r}" if sep else f"expected key = value, got {line!r}"
+                raise ValueError(f"{path} line {lineno}: {problem}")
+            out[key] = value
     return out
 
 
@@ -488,24 +494,35 @@ def write_plan(path, plan: AttackPlan, curve_name: str, scenario_hash: str,
 def load_plan(path, curve: BeamSplitterCurve, detector: DetectorConfig) -> AttackPlan:
     """Rebuild a plan from a plan file, revalidating against the active curve.
 
-    Raises ValueError naming the file and the key when a key is missing.
+    Raises ValueError naming the file and the key when a key is missing, is
+    not one ``plan_items`` writes for the plan, or holds a number that is not
+    finite (the scenario parser's rule).
     """
     kv = read_report(path)
+
+    def number(key: str) -> float:
+        return parse_float(kv[key], None, f"plan file {path} key {key!r}")
+
     try:
         strategy_kind = kv["strategy"]
         if strategy_kind not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy_kind!r} in plan file")
         cls = STRATEGIES[strategy_kind]
-        strategy = cls(*(float(kv[f.name]) for f in fields(cls)))
-        displacement = float(kv["displacement"])
-        if displacement == 0.0:
-            return AttackPlan(strategy, None)
-        pulses = [ForeignPulse(float(kv[f"{name}_wavelength_nm"]),
-                               float(kv[f"{name}_intensity"]), pulse_path)
-                  for name, pulse_path, _ in PULSES]
+        plan = AttackPlan(cls(*(number(f.name) for f in fields(cls))), None)
+        displacement = number("displacement")
+        if displacement != 0.0:
+            pulses = [ForeignPulse(number(f"{name}_wavelength_nm"),
+                                   number(f"{name}_intensity"), pulse_path)
+                      for name, pulse_path, _ in PULSES]
+            plan = AttackPlan(plan.strategy, WavelengthPlan.from_pulses(
+                curve, detector, pulses, displacement))
     except KeyError as exc:
         raise ValueError(f"plan file {path} has no {exc.args[0]!r} key") from None
-    return AttackPlan(strategy, WavelengthPlan.from_pulses(curve, detector, pulses, displacement))
+    written = dict(plan_items(plan, ""))
+    unknown = [key for key in kv if key not in written]
+    if unknown:
+        raise ValueError(f"plan file {path} has unknown key {unknown[0]!r}")
+    return plan
 
 
 def csv_text(rows: list[list], header: list[str], scenario_hash: str, seed: int,

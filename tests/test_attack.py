@@ -11,7 +11,7 @@ from cvqkd.errors import InfeasibleAttackError
 from cvqkd.physics import DetectorConfig, builtin_curve
 from cvqkd.protocol import (THREE_RATIO_SCHEDULE, AttenuationSchedule, SystemParams,
                             estimate_covariance_transmittance, estimate_two_point,
-                            variances_by_ratio)
+                            honest_noise_table, variances_by_ratio)
 
 CURVE = builtin_curve("50:50")
 P_A = SystemParams()                              # eta_ch = 0.9 regime
@@ -114,7 +114,7 @@ def test_resend_strategy_b_scalings():
     for gamma, fake in ((1.0, 0.9), (0.5, 1.8)):
         table = noise_table(params, AttackPlan(StrategyB(gamma, fake), None))
         assert table.gain ** 2 == pytest.approx(table.ratios * 0.5 * 0.9, rel=1e-12)
-        assert table.sd[:, 0] ** 2 == pytest.approx([gamma * 5e7] * 2, rel=1e-12)
+        assert table.var[:, 0] == pytest.approx([gamma * 5e7] * 2, rel=1e-12)
     with pytest.raises(InfeasibleAttackError, match="inconsistent"):
         noise_table(params, AttackPlan(StrategyB(0.5, 0.9), None))
 
@@ -150,7 +150,7 @@ def test_noise_table_carries_foreign_pulse_shot_variance():
     r = table.ratios[:, None]
     added = 0.5 * (np.array([wl.pulses[1].intensity, wl.pulses[3].intensity])
                    + r * r * np.array([wl.pulses[0].intensity, wl.pulses[2].intensity]))
-    assert table.sd ** 2 - bare.sd ** 2 == pytest.approx(added, rel=1e-12)
+    assert table.var - bare.var == pytest.approx(added, rel=1e-12)
 
 
 def test_part2_variance_closed_form_matches_plan_terms():
@@ -347,7 +347,7 @@ def test_attacked_variances_match_analytic_with_electronic_noise(kind, injected)
 
 @_NOISY_CASES
 def test_noise_table_sums_to_the_analytic_variance(kind, injected):
-    # exact: gain^2 * Var(x_e) + Var(offset) + E[sd^2] over the pulse sets, so
+    # exact: gain^2 * Var(x_e) + Var(offset) + E[var] over the pulse sets, so
     # every term of the summed noise is checked, also those too small to see
     # statistically
     params, plan = _noisy_attack(kind, injected)
@@ -355,11 +355,20 @@ def test_noise_table_sums_to_the_analytic_variance(kind, injected):
     var_xe = table.sig_x ** 2 + table.sig_intercept ** 2
     for k, r in enumerate(table.ratios):
         population = (table.gain[k] ** 2 * var_xe + np.var(table.offset[k])
-                      + np.mean(table.sd[k] ** 2))
+                      + np.mean(table.var[k]))
         assert population == pytest.approx(_reference_variance(params, plan, r), rel=1e-12)
     # compensated, the monitor reads the part-1 LO on average
     part1_lo = params.lo_intensity / (plan.strategy.amplification if kind == "A" else 1.0)
     assert np.mean(table.lo_level) == pytest.approx(part1_lo, rel=1e-12)
+    # bit for bit, the table is Bob's honest receiver at the realistic shot
+    # noise, plus the intercept's 2*N0 and the pulses' shot variances
+    var = honest_noise_table(params, realistic_shot_noise(params, plan)).var
+    if injected:
+        shot, r = np.array(plan.wavelength.shot_variances), table.ratios[:, None]
+        var = var + shot[1::2] + r * r * shot[0::2]
+    assert np.array_equal(table.var, var)
+    assert np.array_equal(table.gain, honest_noise_table(params).gain)
+    assert table.sig_intercept == math.sqrt(2.0 * params.shot_noise_unit)
 
 
 def _reference_variance(params, plan, ratio):

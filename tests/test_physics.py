@@ -178,7 +178,7 @@ def test_foreign_pulse_response_propagates_range_error():
 def _foreign_current_table(mean, variance):
     """A noise table whose outcome is one foreign pulse's current alone."""
     return NoiseTable(np.array([1.0]), np.array([1.0]), 0.0, np.zeros(1),
-                      np.array([[math.sqrt(variance)]]), np.array([[mean]]))
+                      np.array([[variance]]), np.array([[mean]]))
 
 
 def test_sample_foreign_current_degenerate_and_deterministic():

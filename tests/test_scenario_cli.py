@@ -439,6 +439,60 @@ def test_cli_fixed_mode_equals_a_plan_without_pulses(tmp_path, capsys):
     assert "true_realistic_shot_noise = 5000000.0\n" in fixed[1]  # N0 / 10
 
 
+def _plan_scenario(tmp_path, plan, strategy: str = "A") -> Path:
+    path = tmp_path / "replay.scenario"
+    path.write_text(MINIMAL + f"[attack]\nstrategy = {strategy}\nmode = plan\nplan = {plan}\n"
+                    "[outputs]\nreport = report.txt\n")
+    return path
+
+
+_INFINITE_PULSES = "".join(f"{name}_wavelength_nm = {nm!r}\n{name}_intensity = inf\n"
+                           for (name, _, _), nm in zip(attack.PULSES, attack.DEFAULT_WAVELENGTHS))
+
+
+@pytest.mark.parametrize("body, message", [
+    ("amplification = 10\namplification = 20\ndisplacement = 0.0\n",
+     "line 3: duplicate key 'amplification'"),
+    ("amplification = 10\ndisplacement = 0.0\nno equals sign\n",
+     "line 4: expected key = value, got 'no equals sign'"),
+    ("amplification = 10\ndisplacement = 0.0\nbogus_key = 3\n", "unknown key 'bogus_key'"),
+    ("amplification = 10\ndisplacement = inf\n" + _INFINITE_PULSES,
+     "'displacement': expected a finite number, got 'inf'"),
+], ids=["repeated-key", "no-equals", "unknown-key", "infinite"])
+def test_cli_plan_mode_refuses_a_malformed_plan_file(tmp_path, capsys, body, message):
+    # a plan file gets the scenario file's input checks, and nothing is written
+    plan = tmp_path / "bad.plan"
+    plan.write_text("strategy = A\n" + body)
+    scen = _plan_scenario(tmp_path, plan)
+    assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(plan) in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_plan_mode_states_its_attack_once(tmp_path, capsys):
+    # the plan's strategy must be the scenario's, and the header hash covers the plan's bytes
+    plan = tmp_path / "b.plan"
+
+    def run(strategy, slope, fake, out):
+        plan.write_text(f"strategy = B\nslope_factor = {slope}\nfake_channel = {fake}\n"
+                        "displacement = 0.0\n")
+        scen = _plan_scenario(tmp_path, plan, strategy)
+        return main(["run", "--scenario", str(scen), "--out", str(tmp_path / out)])
+
+    assert run("A", 0.5, 1.6, "mismatch") == 2
+    assert (f"plan file {plan} holds a strategy B plan, but the scenario names strategy A"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "mismatch").exists()
+    assert run("B", 0.5, 1.6, "half") == 0
+    assert run("B", 0.25, 3.2, "quarter") == 0
+    half, quarter = (read_report(tmp_path / out / "report.txt") for out in ("half", "quarter"))
+    assert float(half["true_realistic_shot_noise"]) == 2 * float(
+        quarter["true_realistic_shot_noise"])
+    assert (read_meta(tmp_path / "half" / "report.txt")["scenario"]
+            != read_meta(tmp_path / "quarter" / "report.txt")["scenario"])
+
+
 def test_cli_single_ratio_schedule_reports_the_single_point_estimate(tmp_path, capsys):
     text = MINIMAL.replace("1.0 = 0.5\n0.001 = 0.5\n", "1.0 = 1.0\n")
     printed, body = _run_report(tmp_path, capsys, "single", text)
@@ -752,7 +806,8 @@ def test_cli_detect_reproduces_the_run_a_over_c(tmp_path, capsys):
     assert main(["detect", "--records", str(tmp_path / "records.csv")]) == 0
     detected = [line for line in capsys.readouterr().out.splitlines()
                 if line.startswith("a_over_c = ")]
-    assert detected[0] == f"a_over_c = {read_report(tmp_path / 'polynomial.txt')['a_over_c']}"
+    # printed once, from the polynomial: the verdict repeats no key
+    assert detected == [f"a_over_c = {read_report(tmp_path / 'polynomial.txt')['a_over_c']}"]
 
 
 _NUMBERS = st.one_of(
