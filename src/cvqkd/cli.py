@@ -9,6 +9,7 @@ configuration, feasibility, file or memory errors, with a diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import errno
 import math
@@ -83,33 +84,32 @@ def cmd_run(args) -> int:
     seed = scen.master_seed
 
     outputs = scen.outputs
-    records = "records" in outputs
-    plan = None
-    if scen.attack_kind == "none":
-        session = protocol.run_honest_session(scen.params, scen.slots, seed,
-                                              threads=args.threads, records=records)
-    else:
-        plan = _resolve_plan(scen, curve)
-        session = attack.run_attacked_session(scen.params, plan, scen.slots, seed,
-                                              threads=args.threads,
-                                              compensate_lo=scen.compensate_lo,
-                                              records=records)
-    moments = protocol.ratio_moments(session)
-
-    items = _report_items(scen, moments, plan)
-    sys.stdout.write(serialize.report_text(items))
-    # everything that can fail is computed before the first artifact is written
-    poly = verdict = None
-    if "polynomial" in outputs or "verdict" in outputs:
-        poly = analysis.fit_noise_polynomial(moments)
-    if "verdict" in outputs:
-        lo_anomaly = analysis.monitor_lo_intensity(moments, scen.params.lo_intensity)
-        verdict = analysis.detect(poly, threshold=args.threshold, lo_anomaly=lo_anomaly)
-
     outdir = Path(args.out)
+    plan = None
+    if scen.attack_kind != "none":
+        plan = _resolve_plan(scen, curve)
+    # records stream into a file that replaces the target once nothing can fail
+    writer = (serialize.records_writer(outdir / outputs["records"], shash, seed)
+              if "records" in outputs else contextlib.nullcontext(False))
+    with writer as records:
+        if plan is None:
+            moments = protocol.run_honest_session(scen.params, scen.slots, seed,
+                                                  threads=args.threads, records=records)
+        else:
+            moments = attack.run_attacked_session(scen.params, plan, scen.slots, seed,
+                                                  threads=args.threads,
+                                                  compensate_lo=scen.compensate_lo,
+                                                  records=records)
+        items = _report_items(scen, moments, plan)
+        sys.stdout.write(serialize.report_text(items))
+        poly = verdict = None
+        if "polynomial" in outputs or "verdict" in outputs:
+            poly = analysis.fit_noise_polynomial(moments)
+        if "verdict" in outputs:
+            lo_anomaly = analysis.monitor_lo_intensity(moments, scen.params.lo_intensity)
+            verdict = analysis.detect(poly, threshold=args.threshold, lo_anomaly=lo_anomaly)
+
     outdir.mkdir(parents=True, exist_ok=True)
-    if records:
-        serialize.write_records_csv(outdir / outputs["records"], session, shash, seed)
     if "report" in outputs:
         serialize.write_report(outdir / outputs["report"], items, shash, seed)
     if "polynomial" in outputs:
@@ -211,8 +211,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    batch = serialize.read_records_csv(args.records)
-    poly = analysis.fit_noise_polynomial(batch)
+    moments = serialize.read_records_csv(args.records, records=False)
+    poly = analysis.fit_noise_polynomial(moments)
     verdict = analysis.detect(poly, threshold=args.threshold)
     items = list((dict(poly.as_items()) | dict(verdict.as_items())).items())  # a_over_c once
     sys.stdout.write(serialize.report_text(items))

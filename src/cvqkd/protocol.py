@@ -17,12 +17,12 @@ read off it (``NoiseTable.outcome_moments``). Each chunk of
 multinomial, then its columns in ratio order, so every ratio's slots are one
 contiguous block reduced with contiguous two-pass sums. A records run then
 draws a permutation of the chunk's ratio labels, after every other draw,
-keeps it as the batch's ratio index (a ``RecordBatch`` holds the ratio table
-and one label per slot; a slot is its row number), and writes the
+keeps it as the chunk's ratio index (a ``RecordBatch`` holds the ratio table
+and one label per slot; a slot is its row number), and places the
 ratio-ordered slots at those positions; last it draws each slot's quadrature
 label, a fair bit that no statistic reads (both quadratures have the same
-law). The written sequence is i.i.d. and the moments are bit-identical with
-and without records.
+law). The chunks' batches are handed on in chunk order, to the records
+writer or joined. The sequence is i.i.d. and the moments are bit-identical.
 
 Every estimator reads ``RatioMoments``: per ratio the slot count, mean and M2
 of y and the sum of x*y, both quadratures pooled as the estimators pool them.
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -202,7 +202,12 @@ class RatioMoments:
         return total
 
     def merge(self, other: "RatioMoments") -> "RatioMoments":
-        """Moments of this stream followed by ``other``, over the same ratio table."""
+        """Moments of this stream followed by ``other``, whose ratio table begins
+        with this one's: this stream has no slots at the ratios ``other`` adds."""
+        grow = (0, other.ratios.size - self.ratios.size)
+        if grow[1]:
+            return RatioMoments(other.ratios, *(None if v is None else np.pad(v, grow) for v in (
+                self.count, self.mean, self.m2, self.sxy, self.lo_sum))).merge(other)
         count, mean, m2 = _chan(self.count, self.mean, self.m2,
                                 other.count, other.mean, other.m2)
         lo = None if self.lo_sum is None else self.lo_sum + other.lo_sum
@@ -230,6 +235,30 @@ class RecordBatch:
         self.eve_x = None if eve_x is None else np.asarray(eve_x, dtype=float)
         self.lo_observed = None if lo_observed is None else np.asarray(lo_observed, dtype=float)
         self._moments = moments
+
+    @classmethod
+    def collect(cls, chunks: Iterable["RecordBatch"], records=True):
+        """Fold the moments of batches of consecutive slots, in slot order, handing
+        each to ``records`` when that is a callable. Returns the RatioMoments, or
+        with ``records=True`` one batch of all the slots carrying them. A batch's
+        ratio table begins with the earlier ones'."""
+        kept = []
+
+        def each():
+            for chunk in chunks:
+                if callable(records):
+                    records(chunk)
+                elif records:
+                    kept.append(chunk)
+                yield chunk.moments
+
+        moments = RatioMoments.fold(each())
+        if records is not True:
+            return moments
+        columns = {name: None if getattr(kept[0], name) is None
+                   else np.concatenate([getattr(chunk, name) for chunk in kept])
+                   for name in ("quad", "ratio_index", "alice_x", "bob_y", "eve_x", "lo_observed")}
+        return cls(ratios=kept[-1].ratios, moments=moments, **columns)
 
     @property
     def moments(self) -> RatioMoments:
@@ -320,20 +349,22 @@ def honest_noise_table(params: SystemParams, shot_noise: float | None = None) ->
 
 
 def sample_session(table: NoiseTable, slots: int, master_seed: int,
-                   *, threads: int = 1, records: bool = True):
+                   *, threads: int = 1, records: bool | Callable = True):
     """Draw ``slots`` slots from ``table``; reproducible in (seed, slots).
 
     Per chunk, in this order: the multinomial per-ratio counts; then, each
     column over the whole chunk in ratio order, x, Eve's heterodyne noise
     (with an intercept), the pulse-set bits (with two pulse sets) and Bob's
-    noise normal; last, with ``records``, the permutation of the ratio labels
+    noise normal; last, with records, the permutation of the ratio labels
     that places the slots and then one quadrature bit per slot. Each chunk
     allocates its columns once, as one block, and every draw and product
     writes into it.
 
-    Returns a RecordBatch carrying the session's moments, or with
-    ``records=False`` only the RatioMoments, in memory that does not grow
-    with ``slots``.
+    With records, each chunk's slots become a RecordBatch in slot order, and
+    the batches go, in chunk order, to ``records`` when it is a callable, or
+    else into the returned batch, which carries the session's moments. With a
+    callable or ``records=False`` it returns only the RatioMoments, in memory
+    that does not grow with ``slots``.
     """
     ratios = table.ratios
     size = len(ratios)
@@ -342,14 +373,6 @@ def sample_session(table: NoiseTable, slots: int, master_seed: int,
     two_sets = sd.shape[1] == 2
     intercept = table.sig_intercept is not None
     monitor = table.lo_level is not None
-
-    if records:
-        quad = np.empty(slots, np.uint8)
-        ratio_index = np.empty(slots, label_type)
-        x_col = np.empty(slots)
-        y_col = np.empty(slots)
-        xe_col = np.empty(slots) if intercept else None
-        lo_col = np.empty(slots) if monitor else None
 
     def fill(gen, start, stop):
         m = stop - start
@@ -392,33 +415,33 @@ def sample_session(table: NoiseTable, slots: int, master_seed: int,
             if two_sets:
                 np.copyto(lo, table.lo_level[1], where=bit)
         moments = RatioMoments.of_cells(ratios, counts, x, y, lo if monitor else None, t)
-        if records:
-            # numpy shuffles intp faster than uint8, and sorts uint8 faster than intp
-            ratio_index[start:stop] = gen.permutation(np.repeat(np.arange(size), counts))
-            place = start + np.argsort(ratio_index[start:stop], kind="stable")
-            x_col[place] = x
-            y_col[place] = y
-            if intercept:
-                xe_col[place] = xe
-            if monitor:
-                lo_col[place] = lo
-            quad[start:stop] = gen.integers(0, 2, m, dtype=np.uint8)
-        return moments
+        if not records:
+            return moments
+        # numpy shuffles intp faster than uint8, and sorts uint8 faster than intp
+        ratio_index = gen.permutation(np.repeat(np.arange(size), counts)).astype(label_type)
+        place = np.argsort(ratio_index, kind="stable")
 
-    moments = RatioMoments.fold(_rng.run_chunked(slots, master_seed, fill, threads=threads))
-    if not records:
-        return moments
-    return RecordBatch(quad, ratios, ratio_index, x_col, y_col, xe_col, lo_col,
-                       moments=moments)
+        def placed(values):
+            column = np.empty(m)
+            column[place] = values
+            return column
+
+        return RecordBatch(gen.integers(0, 2, m, dtype=np.uint8), ratios, ratio_index,
+                           placed(x), placed(y), placed(xe) if intercept else None,
+                           placed(lo) if monitor else None, moments=moments)
+
+    chunks = _rng.run_chunked(slots, master_seed, fill, threads=threads)
+    return RecordBatch.collect(chunks, records) if records else RatioMoments.fold(chunks)
 
 
 def run_honest_session(params: SystemParams, slots: int, master_seed: int,
-                       *, threads: int = 1, records: bool = True):
+                       *, threads: int = 1, records: bool | Callable = True):
     """Simulate ``slots`` honest protocol slots drawn from ``honest_noise_table``;
     reproducible in (seed, slots).
 
-    Returns a RecordBatch carrying the session's moments, or with
-    ``records=False`` only the RatioMoments (see ``sample_session``).
+    Returns a RecordBatch carrying the session's moments, or, with
+    ``records`` False or a callable that takes each chunk's records, only
+    the RatioMoments (see ``sample_session``).
     """
     return sample_session(honest_noise_table(params), slots, master_seed,
                           threads=threads, records=records)

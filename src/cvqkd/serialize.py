@@ -29,8 +29,9 @@ again (16384 rows: about 130k more minor page faults and 10-20 % more time
 per 1e6 rows). 2048 rows took about 10 % more time than 4096.
 
 The metadata line ends in ``\n``; the column header and every row end in
-``\r\n``, as ``csv.writer`` writes them. The reader checks the column header
-and parses the body with one ``np.loadtxt`` call, whose float conversion is
+``\r\n``, as ``csv.writer`` writes them. The writer appends batch by batch,
+as ``run`` draws its chunks. The reader checks the column header and parses
+``rng.CHUNK_SLOTS`` rows per ``np.loadtxt`` call, whose float conversion is
 correctly rounded, so a written batch reads back bit for bit. The quadrature
 column is read as two-byte strings and checked and mapped as one column, the
 slot column must read 0, 1, 2, ... in order, and the reader is the one place
@@ -40,15 +41,20 @@ outside the program.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
+import itertools
+import os
 import warnings
 from dataclasses import fields
+from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from . import rng as _rng
 from .attack import PULSES, STRATEGIES, AttackPlan, WavelengthPlan
 from .physics import BeamSplitterCurve, DetectorConfig, ForeignPulse
 from .protocol import RecordBatch
@@ -348,28 +354,56 @@ def _records_rows(first_slot, quad, ratio_text, alice_x, bob_y) -> np.ndarray:
     return flat[flat != 0]
 
 
-def write_records_csv(path, batch: RecordBatch, scenario_hash: str, seed: int) -> None:
-    """Stream a record batch as slot,quad,ratio,alice_x,bob_y rows.
+@contextlib.contextmanager
+def records_writer(path, scenario_hash: str, seed: int):
+    """Yield a function that appends a record batch as slot,quad,ratio,alice_x,bob_y rows.
 
-    The slot is the row number, and each entry of the batch's ratio table is
-    spelled by ``repr`` once. Raises ValueError, before the file is opened,
-    when the ratio table, alice_x or bob_y holds a value that is not finite:
-    the reader would reject it.
+    Batches come in slot order; each entry of a batch's ratio table is spelled
+    by ``repr`` once. The rows go to a temporary file next to ``path`` that
+    replaces it when the block exits without an exception, and is otherwise
+    removed with any directory made for it. A ratio, alice_x or bob_y that is
+    not finite raises ValueError: the reader would reject it.
     """
-    for name, values in (("ratio", batch.ratios), ("alice_x", batch.alice_x),
-                         ("bob_y", batch.bob_y)):
-        if not np.isfinite(values).all():
-            raise ValueError(f"cannot write records: non-finite {name}")
-    texts = [repr(r).encode() + b"," for r in batch.ratios.tolist()]
-    rw = max(map(len, texts), default=1)
-    ratio_text = np.array(texts, f"S{rw}").view(np.uint8).reshape(-1, rw)
-    with open(path, "wb") as fh:
-        fh.write((meta_line(RECORDS_FORMAT, scenario_hash, seed) + "\n").encode())
-        fh.write((",".join(_RECORDS_COLUMNS) + "\r\n").encode())
+    path = Path(path)
+    made = [p for p in (path.parent, *path.parent.parents) if not p.exists()]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    written = 0
+
+    def append(batch: RecordBatch) -> None:
+        nonlocal written
+        for name, values in (("ratio", batch.ratios), ("alice_x", batch.alice_x),
+                             ("bob_y", batch.bob_y)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"cannot write records: non-finite {name}")
+        texts = [repr(r).encode() + b"," for r in batch.ratios.tolist()]
+        rw = max(map(len, texts), default=1)
+        ratio_text = np.array(texts, f"S{rw}").view(np.uint8).reshape(-1, rw)
         for start in range(0, len(batch), _RECORDS_BLOCK):
             block = slice(start, start + _RECORDS_BLOCK)
-            fh.write(_records_rows(start, batch.quad[block], ratio_text[batch.ratio_index[block]],
+            fh.write(_records_rows(written + start, batch.quad[block],
+                                   ratio_text[batch.ratio_index[block]],
                                    batch.alice_x[block], batch.bob_y[block]))
+        written += len(batch)
+
+    try:
+        with open(temp, "wb") as fh:
+            fh.write((meta_line(RECORDS_FORMAT, scenario_hash, seed) + "\n").encode())
+            fh.write((",".join(_RECORDS_COLUMNS) + "\r\n").encode())
+            yield append
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        for directory in made:  # deepest first
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
+
+
+def write_records_csv(path, batch: RecordBatch, scenario_hash: str, seed: int) -> None:
+    """Write a record batch as a records CSV (see ``records_writer``)."""
+    with records_writer(path, scenario_hash, seed) as append:
+        append(batch)
 
 
 def distinct_values(values: np.ndarray):
@@ -395,15 +429,25 @@ def distinct_values(values: np.ndarray):
     return table, np.searchsorted(table, values)
 
 
-def read_records_csv(path) -> RecordBatch:
-    """Load a records CSV back into a columnar batch (metadata line skipped).
+def read_records_csv(path, *, records: bool = True):
+    """Read a records CSV (metadata line skipped) ``rng.CHUNK_SLOTS`` rows at a time.
+
+    Each chunk of rows is checked, becomes a record batch and is reduced as a
+    session chunk is; the distinct ratio values become the ratio table, in the
+    order they first appear. Returns one batch carrying the moments, or with
+    ``records=False`` only the RatioMoments, in memory set by the chunk.
 
     Raises ValueError for a wrong column header or any malformed row: a short
     row, a quadrature other than X or P, a cell that is not a number, a
     ratio, x or y that is not finite, a slot that is not its row number
-    (0, 1, 2, ... in order), or a ratio outside [0, 1]. The distinct ratio
-    values become the batch's ratio table.
+    (0, 1, 2, ... in order), or a ratio outside [0, 1], naming the data row
+    (from 1, across the file) or, for a cell, its chunk's rows.
     """
+    return RecordBatch.collect(_record_chunks(path), records)
+
+
+def _record_chunks(path):
+    chunk, table = _rng.CHUNK_SLOTS, np.empty(0)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         line = fh.readline()
         if line.startswith("#"):
@@ -411,34 +455,41 @@ def read_records_csv(path) -> RecordBatch:
         header = next(csv.reader([line]), [])
         if header[:5] != _RECORDS_COLUMNS:
             raise ValueError(f"unexpected records header {header!r}")
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                rows = np.loadtxt(fh, dtype=_RECORDS_DTYPE, delimiter=",", comments=None,
-                                  usecols=range(5), ndmin=1)
-        except ValueError as exc:
-            raise ValueError(f"malformed records CSV {path}: {exc}") from exc
-    quad = rows["quad"] == b"P"
-    bad = np.flatnonzero(~quad & (rows["quad"] != b"X"))
-    if bad.size:
-        raise ValueError(f"malformed records CSV {path}: data row {bad[0] + 1}: quadrature "
-                         f"{rows['quad'][bad[0]].decode(errors='replace')!r} is not X or P")
-    for name in ("ratio", "alice_x", "bob_y"):
-        if not np.isfinite(rows[name]).all():
-            raise ValueError(f"malformed records CSV {path}: non-finite {name}")
-    bad = np.flatnonzero(rows["slot"] != np.arange(rows.size))
-    if bad.size:
-        raise ValueError(f"malformed records CSV {path}: data row {bad[0] + 1}: slot "
-                         f"{rows['slot'][bad[0]]} is not the row number {bad[0]}")
-    ratios, index = distinct_values(rows["ratio"])
-    if ratios.size and not 0.0 <= ratios[0] <= ratios[-1] <= 1.0:
-        bad = np.flatnonzero((rows["ratio"] < 0.0) | (rows["ratio"] > 1.0))[0]
-        raise ValueError(f"malformed records CSV {path}: data row {bad + 1}: ratio "
-                         f"{float(rows['ratio'][bad])!r} is outside [0, 1]")
-    # narrow the labels before x and y are copied out, so the intp ones are gone
-    index = index.astype(np.min_scalar_type(max(ratios.size - 1, 0)))
-    return RecordBatch(quad.view(np.uint8), ratios, index,
-                       np.ascontiguousarray(rows["alice_x"]), np.ascontiguousarray(rows["bob_y"]))
+        bad = f"malformed records CSV {path}: data row"
+        for first in itertools.count(0, chunk):
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    rows = np.loadtxt(fh, dtype=_RECORDS_DTYPE, delimiter=",", comments=None,
+                                      usecols=range(5), ndmin=1, max_rows=chunk)
+            except ValueError as exc:
+                raise ValueError(f"{bad}s {first + 1} to {first + chunk}: {exc}") from exc
+            quad = rows["quad"] == b"P"
+            wrong = np.flatnonzero(~quad & (rows["quad"] != b"X"))
+            if wrong.size:
+                text = rows["quad"][wrong[0]].decode(errors="replace")
+                raise ValueError(f"{bad} {first + wrong[0] + 1}: quadrature {text!r} is not X or P")
+            for name in ("ratio", "alice_x", "bob_y"):
+                if not np.isfinite(rows[name]).all():
+                    raise ValueError(f"malformed records CSV {path}: non-finite {name}")
+            wrong = np.flatnonzero(rows["slot"] != np.arange(first, first + rows.size))
+            if wrong.size:
+                raise ValueError(f"{bad} {first + wrong[0] + 1}: slot {rows['slot'][wrong[0]]} "
+                                 f"is not the row number {first + wrong[0]}")
+            values, index = distinct_values(rows["ratio"])
+            if values.size and not 0.0 <= values[0] <= values[-1] <= 1.0:
+                wrong = np.flatnonzero((rows["ratio"] < 0.0) | (rows["ratio"] > 1.0))[0]
+                raise ValueError(f"{bad} {first + wrong + 1}: ratio "
+                                 f"{float(rows['ratio'][wrong])!r} is outside [0, 1]")
+            # a chunk appends the ratios it is the first to hold, so earlier labels stay valid
+            table = np.concatenate([table, values[~np.isin(values, table)]])
+            order = np.argsort(table, kind="stable")
+            yield RecordBatch(quad.view(np.uint8), table,
+                              order[np.searchsorted(table, values, sorter=order)][index],
+                              np.ascontiguousarray(rows["alice_x"]),
+                              np.ascontiguousarray(rows["bob_y"]))
+            if rows.size < chunk:
+                return
 
 
 def report_text(items: Iterable[tuple[str, object]]) -> str:
@@ -496,9 +547,13 @@ def load_plan(path, curve: BeamSplitterCurve, detector: DetectorConfig) -> Attac
 
     Raises ValueError naming the file and the key when a key is missing, is
     not one ``plan_items`` writes for the plan, or holds a number that is not
-    finite (the scenario parser's rule).
+    finite (the scenario parser's rule), and naming both curves when the plan
+    was written for another curve than ``curve``.
     """
     kv = read_report(path)
+    if kv.get("curve", curve.nominal_ratio) != curve.nominal_ratio:
+        raise ValueError(f"plan file {path} was written for curve {kv['curve']}, "
+                         f"but the scenario's curve is {curve.nominal_ratio}")
 
     def number(key: str) -> float:
         return parse_float(kv[key], None, f"plan file {path} key {key!r}")

@@ -263,12 +263,21 @@ def test_merged_moments_bit_identical_across_threads_and_records(attacked):
     base = _sorted_moments(run(threads=1, records=False))
     assert len(base) == (6 if attacked else 5)
     batch = run(threads=2)
-    # the batch's own moments, and its columns reduced again chunk by chunk
+    chunks = []
+    # the batch's own moments, its columns reduced again chunk by chunk, and
+    # the moments of a session that hands each chunk's records on
     for other in (run(threads=2, records=False), run(threads=8, records=False),
-                  batch.moments, RatioMoments.of_batch(batch)):
+                  batch.moments, RatioMoments.of_batch(batch),
+                  run(threads=2, records=chunks.append)):
         got = _sorted_moments(other)
         assert len(got) == len(base)
         assert all(np.array_equal(a, b) for a, b in zip(got, base))
+    # the chunks it hands on are the batch's slots, in slot order
+    assert [len(c) for c in chunks] == [CHUNK_SLOTS] * 5 + [99]
+    joined = RecordBatch.collect(chunks)
+    for name in ("quad", "ratio_index", "alice_x", "bob_y", "eve_x", "lo_observed"):
+        got, want = getattr(joined, name), getattr(batch, name)
+        assert (got is None and want is None) or np.array_equal(got, want), name
 
 
 def test_session_memory_does_not_grow_with_slots():

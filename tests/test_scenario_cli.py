@@ -1,19 +1,23 @@
 import dataclasses
 import filecmp
 import math
+import os
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvqkd import attack, protocol
+from cvqkd import analysis, attack, protocol
 from cvqkd.analysis import schedule_key_rate_overhead
 from cvqkd.cli import main
-from cvqkd.errors import ConfigError
+from cvqkd.errors import ConfigError, CountermeasureError
+from cvqkd.rng import CHUNK_SLOTS
 from cvqkd.scenario import _KEYS as _KEY_TABLE, Scenario, load_scenario, parse_scenario
 from cvqkd.protocol import SystemParams
-from cvqkd.serialize import read_meta, read_report
+from cvqkd.serialize import read_meta, read_report, write_records_csv
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -656,6 +660,102 @@ def test_cli_run_that_cannot_fit_writes_nothing(tmp_path, capsys):
     rc = main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert ">= 3 distinct ratios" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("older", [None, b"older records\r\n"], ids=["none", "older"])
+def test_cli_run_that_fails_after_the_session_leaves_no_records(tmp_path, capsys, monkeypatch,
+                                                                older):
+    # records stream into a temporary file that replaces records.csv only
+    # once the fit and the verdict are computed
+    out = tmp_path / "out"
+    if older is not None:
+        out.mkdir()
+        (out / "records.csv").write_bytes(older)
+    seen = {}
+
+    def fit(moments):
+        seen.update((p.name, p.stat().st_size) for p in out.iterdir())
+        raise CountermeasureError("the fit failed")
+
+    monkeypatch.setattr(analysis, "fit_noise_polynomial", fit)
+    rc = main(["run", "--scenario", str(SCENARIOS / "attack_a.scenario"),
+               "--slots", str(CHUNK_SLOTS + 10), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: the fit failed\n"
+    # by the fit, both chunks' rows (about 51 bytes each) were in the temporary file
+    temp = f"records.csv.{os.getpid()}.tmp"
+    assert seen.pop(temp) > 50 * (CHUNK_SLOTS + 10)
+    if older is None:
+        assert seen == {} and not out.exists()
+    else:
+        assert seen == {"records.csv": len(older)}
+        assert [p.name for p in out.iterdir()] == ["records.csv"]
+        assert (out / "records.csv").read_bytes() == older
+
+
+def _traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cli_run_and_detect_memory_does_not_grow_with_slots(tmp_path, capsys):
+    # records stream chunk by chunk both ways. Holding every slot's columns
+    # instead adds, from 2 to 8 chunks, 12.7 MiB to run's traced peak and
+    # 19.5 MiB to detect's; streamed, both move by under 0.1 MiB. The margin
+    # is one chunk's x, y, Eve's x and LO columns, 2 MiB.
+    margin = CHUNK_SLOTS * 8 * 4
+
+    def run(chunks):
+        return ["run", "--scenario", str(SCENARIOS / "attack_a.scenario"),
+                "--slots", str(chunks * CHUNK_SLOTS), "--out", str(tmp_path / str(chunks))]
+
+    def detect(chunks):
+        return ["detect", "--records", str(tmp_path / str(chunks) / "records.csv")]
+
+    for argv in (run(1), detect(1)):  # first-use caches and imports
+        assert main(argv) == 0
+    for job in (run, detect):
+        small, large = _traced_peak(job(2)), _traced_peak(job(8))
+        assert abs(large - small) < margin, (job.__name__, small, large)
+
+
+@pytest.mark.parametrize("data_row, old, new, message", [
+    (65537, "65536,", "65535,", "data row 65537: slot 65535 is not the row number 65536"),
+    (65538, ",0.5,", ",abc,", "data rows 65537 to 131072: could not convert string 'abc'"),
+], ids=["repeated-slot", "non-numeric"])
+def test_cli_detect_numbers_rows_across_chunks(tmp_path, capsys, data_row, old, new,
+                                               message):
+    # rows are read a chunk at a time, and errors give the row's number in the file
+    n = CHUNK_SLOTS + 2
+    batch = protocol.RecordBatch(np.zeros(n), [0.5], np.zeros(n, int), np.full(n, 0.5),
+                                 np.full(n, 0.5))
+    path = tmp_path / "records.csv"
+    write_records_csv(path, batch, "x", 0)
+    lines = path.read_bytes().split(b"\r\n")
+    lines[data_row] = lines[data_row].replace(old.encode(), new.encode(), 1)
+    path.write_bytes(b"\r\n".join(lines))
+    assert main(["detect", "--records", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed records CSV ") and message in err
+
+
+def test_cli_plan_mode_refuses_a_plan_for_another_curve(tmp_path, capsys):
+    # a plan solved for the 50:50 coupler, replayed by a 10:90 scenario
+    assert main(["solve", "--strategy", "A", "--out", str(tmp_path)]) == 0
+    plan = tmp_path / "plan.txt"
+    scen = tmp_path / "other_curve.scenario"
+    scen.write_text(MINIMAL.replace("[system]\n", "[system]\ncurve = 10:90\n")
+                    + f"[attack]\nstrategy = A\nmode = plan\nplan = {plan}\n"
+                    "[outputs]\nreport = report.txt\n")
+    capsys.readouterr()
+    assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"error: plan file {plan} was written for curve "
+                                       "50:50, but the scenario's curve is 10:90\n")
     assert not (tmp_path / "out").exists()
 
 

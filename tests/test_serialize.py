@@ -6,7 +6,8 @@ import pytest
 
 from cvqkd.attack import AttackPlan, StrategyA, solve_attack_parameters
 from cvqkd.physics import builtin_curve
-from cvqkd.protocol import RecordBatch, SystemParams, run_honest_session
+from cvqkd.protocol import RatioMoments, RecordBatch, SystemParams, run_honest_session
+from cvqkd.rng import CHUNK_SLOTS
 from cvqkd.serialize import (_int_chars, _repr_source, _repr_tables, _spell, csv_text,
                              load_plan, plan_items, read_records_csv, read_report, write_plan,
                              write_records_csv, write_report)
@@ -25,6 +26,28 @@ def test_records_csv_round_trip_is_exact(tmp_path):
     assert np.array_equal(loaded.ratios[loaded.ratio_index], batch.ratios[batch.ratio_index])
     assert np.array_equal(loaded.alice_x, batch.alice_x)
     assert np.array_equal(loaded.bob_y, batch.bob_y)
+
+
+def test_records_csv_read_in_chunks_reproduces_the_moments(tmp_path):
+    # ratio 0.001 first appears in the second chunk, so the ratio table grows
+    n = 2 * CHUNK_SLOTS + 7
+    rng = np.random.default_rng(8)
+    ratio_index = rng.integers(0, 2, n)
+    ratio_index[CHUNK_SLOTS + 3:] = rng.integers(0, 3, n - CHUNK_SLOTS - 3)
+    batch = RecordBatch(rng.integers(0, 2, n), [1.0, 0.5, 0.001], ratio_index,
+                        rng.normal(0.0, 3e4, n), rng.normal(0.0, 1e4, n))
+    path = tmp_path / "records.csv"
+    write_records_csv(path, batch, "m", 0)
+    loaded = read_records_csv(path)
+    assert loaded.ratios.tolist() == [0.5, 1.0, 0.001]
+    assert np.array_equal(loaded.ratios[loaded.ratio_index], batch.ratios[batch.ratio_index])
+    want = batch.moments
+    for got in (read_records_csv(path, records=False), loaded.moments,
+                RatioMoments.of_batch(loaded)):
+        for k, r in enumerate(got.ratios.tolist()):
+            w = batch.ratios.tolist().index(r)
+            for name in ("count", "mean", "m2", "sxy"):
+                assert getattr(got, name)[k] == getattr(want, name)[w], (r, name)
 
 
 def _reference_records_csv(path, batch, scenario_hash, seed):
