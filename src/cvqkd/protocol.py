@@ -354,11 +354,12 @@ def sample_session(table: NoiseTable, slots: int, master_seed: int,
 
     Per chunk, in this order: the multinomial per-ratio counts; then, each
     column over the whole chunk in ratio order, x, Eve's heterodyne noise
-    (with an intercept), the pulse-set bits (with two pulse sets) and Bob's
+    (with an intercept), the pulse-set labels (with two pulse sets) and Bob's
     noise normal; last, with records, the permutation of the ratio labels
-    that places the slots and then one quadrature bit per slot. Each chunk
-    allocates its columns once, as one block, and every draw and product
-    writes into it.
+    that places the slots and then one quadrature bit per slot. A slot's
+    pulse-set label gathers its set's noise sd, offset and LO level with
+    ``np.take`` in clip mode, which, unlike raise mode, writes into ``out``
+    without a copy. Each chunk allocates its columns once, as one block.
 
     With records, each chunk's slots become a RecordBatch in slot order, and
     the batches go, in chunk order, to ``records`` when it is a callable, or
@@ -377,7 +378,6 @@ def sample_session(table: NoiseTable, slots: int, master_seed: int,
     def fill(gen, start, stop):
         m = stop - start
         x, xe, y, t, lo = np.empty((5, m))  # one block, drawn into with out=
-        bit = np.empty(m, bool)
         counts = gen.multinomial(m, table.probabilities)
         if table.sig_x > 0:
             gen.standard_normal(out=x)
@@ -392,28 +392,24 @@ def sample_session(table: NoiseTable, slots: int, master_seed: int,
             xe = x
         if two_sets:
             gen.random(out=t)
-            np.less(t, 0.5, out=bit)
+            pulse_set = np.less(t, 0.5).view(np.uint8)  # column j of the per-set tables
         gen.standard_normal(out=y)
         stop_c = np.cumsum(counts)
         for k in np.flatnonzero(counts):
             a, b = stop_c[k] - counts[k], stop_c[k]
             yc, tc = y[a:b], t[a:b]
             if two_sets:
-                tc.fill(sd[k, 0])
-                np.copyto(tc, sd[k, 1], where=bit[a:b])
-                yc *= tc
-                tc.fill(table.offset[k, 0])
-                np.copyto(tc, table.offset[k, 1], where=bit[a:b])
-                yc += tc
+                yc *= np.take(sd[k], pulse_set[a:b], out=tc, mode="clip")
+                yc += np.take(table.offset[k], pulse_set[a:b], out=tc, mode="clip")
             else:
                 yc *= sd[k, 0]
                 if table.offset[k, 0] != 0.0:
                     yc += table.offset[k, 0]
             yc += np.multiply(xe[a:b], table.gain[k], out=tc)
-        if monitor:
+        if monitor and two_sets:
+            np.take(table.lo_level, pulse_set, out=lo, mode="clip")
+        elif monitor:
             lo.fill(table.lo_level[0])
-            if two_sets:
-                np.copyto(lo, table.lo_level[1], where=bit)
         moments = RatioMoments.of_cells(ratios, counts, x, y, lo if monitor else None, t)
         if not records:
             return moments

@@ -35,8 +35,7 @@ as ``run`` draws its chunks. The reader checks the column header and parses
 correctly rounded, so a written batch reads back bit for bit. The quadrature
 column is read as two-byte strings and checked and mapped as one column, the
 slot column must read 0, 1, 2, ... in order, and the reader is the one place
-that groups ratio values (``distinct_values``), because there they come from
-outside the program.
+that groups ratio values, because there they come from outside the program.
 """
 
 from __future__ import annotations
@@ -73,15 +72,14 @@ def meta_line(fmt: str, scenario_hash: str, seed: int) -> str:
 def read_meta(path) -> dict[str, str]:
     """Parse the leading metadata comment of an artifact (empty if absent)."""
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
-    if not first.startswith("#"):
+        return _meta(fh.readline())
+
+
+def _meta(line: str) -> dict[str, str]:
+    """The ``key=value`` tokens of a metadata line (empty if ``line`` is not a comment)."""
+    if not line.startswith("#"):
         return {}
-    out: dict[str, str] = {}
-    for token in first[1:].split():
-        key, sep, value = token.partition("=")
-        if sep:
-            out[key] = value
-    return out
+    return dict(token.split("=", 1) for token in line[1:].split() if "=" in token)
 
 
 def fmt_value(value) -> str:
@@ -406,51 +404,32 @@ def write_records_csv(path, batch: RecordBatch, scenario_hash: str, seed: int) -
         append(batch)
 
 
-def distinct_values(values: np.ndarray):
-    """Sorted distinct values of a 1-D array and each element's index among them.
-
-    The result of ``np.unique(values, return_inverse=True)``, found with one
-    pass per distinct value instead of a sort, for columns that hold a few
-    values such as attenuation ratios. Equal floats group together (-0.0 with
-    0.0, represented by the first seen). Past 64 distinct values it sorts.
-    Raises ValueError on NaN.
-    """
-    found = []
-    rest = values
-    while rest.size:
-        if len(found) == 64:
-            return np.unique(values, return_inverse=True)
-        first = rest[0]
-        if first != first:
-            raise ValueError("cannot group NaN values")
-        found.append(first)
-        rest = rest[rest != first]
-    table = np.sort(np.array(found, values.dtype))
-    return table, np.searchsorted(table, values)
-
-
 def read_records_csv(path, *, records: bool = True):
-    """Read a records CSV (metadata line skipped) ``rng.CHUNK_SLOTS`` rows at a time.
+    """Read a records CSV ``rng.CHUNK_SLOTS`` rows at a time.
 
     Each chunk of rows is checked, becomes a record batch and is reduced as a
-    session chunk is; the distinct ratio values become the ratio table, in the
-    order they first appear. Returns one batch carrying the moments, or with
-    ``records=False`` only the RatioMoments, in memory set by the chunk.
+    session chunk is; its distinct ratios that no earlier chunk held join the
+    ratio table in ascending order. Returns one batch carrying the moments,
+    or with ``records=False`` only the RatioMoments, in memory set by the chunk.
 
-    Raises ValueError for a wrong column header or any malformed row: a short
-    row, a quadrature other than X or P, a cell that is not a number, a
-    ratio, x or y that is not finite, a slot that is not its row number
-    (0, 1, 2, ... in order), or a ratio outside [0, 1], naming the data row
-    (from 1, across the file) or, for a cell, its chunk's rows.
+    Raises ValueError for a leading metadata line of another format than
+    ``records-v1``, a wrong column header or any malformed row: a short row,
+    a quadrature other than X or P, a cell that is not a number, a ratio, x
+    or y that is not finite, a slot that is not its row number (0, 1, 2, ...
+    in order), or a ratio outside [0, 1], naming the data row (from 1,
+    across the file) or, for a cell, its chunk's rows.
     """
     return RecordBatch.collect(_record_chunks(path), records)
 
 
 def _record_chunks(path):
-    chunk, table = _rng.CHUNK_SLOTS, np.empty(0)
+    chunk, seen = _rng.CHUNK_SLOTS, {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         line = fh.readline()
         if line.startswith("#"):
+            fmt = _meta(line).get("format")
+            if fmt != RECORDS_FORMAT:
+                raise ValueError(f"{path} has format {fmt}, not {RECORDS_FORMAT}")
             line = fh.readline()
         header = next(csv.reader([line]), [])
         if header[:5] != _RECORDS_COLUMNS:
@@ -470,22 +449,22 @@ def _record_chunks(path):
                 text = rows["quad"][wrong[0]].decode(errors="replace")
                 raise ValueError(f"{bad} {first + wrong[0] + 1}: quadrature {text!r} is not X or P")
             for name in ("ratio", "alice_x", "bob_y"):
-                if not np.isfinite(rows[name]).all():
-                    raise ValueError(f"malformed records CSV {path}: non-finite {name}")
+                wrong = np.flatnonzero(~np.isfinite(rows[name]))
+                if wrong.size:
+                    raise ValueError(f"{bad} {first + wrong[0] + 1}: non-finite {name} "
+                                     f"{float(rows[name][wrong[0]])!r}")
             wrong = np.flatnonzero(rows["slot"] != np.arange(first, first + rows.size))
             if wrong.size:
                 raise ValueError(f"{bad} {first + wrong[0] + 1}: slot {rows['slot'][wrong[0]]} "
                                  f"is not the row number {first + wrong[0]}")
-            values, index = distinct_values(rows["ratio"])
+            values, index = np.unique(rows["ratio"], return_inverse=True)
             if values.size and not 0.0 <= values[0] <= values[-1] <= 1.0:
                 wrong = np.flatnonzero((rows["ratio"] < 0.0) | (rows["ratio"] > 1.0))[0]
                 raise ValueError(f"{bad} {first + wrong + 1}: ratio "
                                  f"{float(rows['ratio'][wrong])!r} is outside [0, 1]")
-            # a chunk appends the ratios it is the first to hold, so earlier labels stay valid
-            table = np.concatenate([table, values[~np.isin(values, table)]])
-            order = np.argsort(table, kind="stable")
-            yield RecordBatch(quad.view(np.uint8), table,
-                              order[np.searchsorted(table, values, sorter=order)][index],
+            # a ratio keeps the label of the chunk that first held it
+            labels = np.array([seen.setdefault(v, len(seen)) for v in values.tolist()], np.intp)
+            yield RecordBatch(quad.view(np.uint8), list(seen), labels[index],
                               np.ascontiguousarray(rows["alice_x"]),
                               np.ascontiguousarray(rows["bob_y"]))
             if rows.size < chunk:

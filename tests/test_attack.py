@@ -468,6 +468,34 @@ def test_attacked_session_heterodyne_ground_truth():
     assert penalty == pytest.approx(2.0, rel=0.02)
 
 
+def test_one_pulse_set_label_drives_noise_offset_and_lo_level():
+    # each slot's LO level names its pulse set j; given j, Bob's outcome at ratio
+    # k less the gain on Eve's x must be N(offset[k, j], var[k, j]). The sets'
+    # variances differ by 1-2 %, so the slots stream through per-cell sums.
+    params = SystemParams(schedule=THREE_RATIO_SCHEDULE)
+    plan = solve_attack_parameters("A", params, CURVE)
+    table = noise_table(params, plan)
+    assert table.lo_level[0] != table.lo_level[1]
+    sums = np.zeros((3, table.var.size))  # per cell 2k + j: n, sum of z, sum of z^2
+
+    def add(batch):
+        second = batch.lo_observed == table.lo_level[1]
+        assert np.all(second | (batch.lo_observed == table.lo_level[0]))
+        k, j = batch.ratio_index.astype(int), second.astype(int)
+        z = ((batch.bob_y - table.gain[k] * batch.eve_x - table.offset[k, j])
+             / np.sqrt(table.var[k, j]))
+        for row, weights in enumerate((None, z, z * z)):
+            sums[row] += np.bincount(2 * k + j, weights, minlength=table.var.size)
+
+    run_attacked_session(params, plan, 2_000_000, 31, records=add)
+    n = sums[0]
+    assert n.min() > 40_000
+    # z = 5 on the mean and on the mean square (normal approximation): each of
+    # the 12 checks fails a correct sampler with probability < 6e-7
+    assert np.all(np.abs(sums[1] / n) < 5 / np.sqrt(n))
+    assert np.all(np.abs(sums[2] / n - 1.0) < 5 * np.sqrt(2 / n))
+
+
 def test_lo_monitoring_stream_with_and_without_compensation():
     plan = solve_attack_parameters("B", P_B, CURVE)
     with_comp = run_attacked_session(P_B, plan, 100_000, 25, compensate_lo=True)

@@ -14,7 +14,7 @@ from cvqkd.protocol import (AttenuationSchedule, RatioMoments, RecordBatch,
                             estimate_two_point, honest_noise_table, run_honest_session,
                             two_point_from_variances, variances_by_ratio)
 from cvqkd.rng import CHUNK_SLOTS
-from cvqkd.serialize import distinct_values, read_records_csv, write_records_csv
+from cvqkd.serialize import read_records_csv, write_records_csv
 
 P_DEFAULT = SystemParams()  # V_A=5, eta=0.5, eta_ch=0.9, xi=0.1, I_LO=1e8
 THREE_RATIO_PARAMS = SystemParams(schedule=THREE_RATIO_SCHEDULE)
@@ -323,26 +323,6 @@ def test_records_quadrature_is_a_fair_bit_independent_of_the_ratio():
     expected = table.sum(axis=0) / 2.0
     chi2 = float(((table - expected) ** 2 / expected).sum())
     assert chi2 < 30.66
-
-
-@pytest.mark.parametrize("values", [
-    [1.0, 0.5, 0.001, 1.0, 1.0, 0.5],
-    [0.25],
-    [-0.0, 0.0, 1.0, 0.0],
-    np.random.default_rng(4).choice([1.0, 0.5, 0.001, 2.0], 10_000),
-    np.random.default_rng(5).normal(size=500),  # past 64 distinct values it sorts
-], ids=["three", "one", "signed-zeros", "many-slots", "many-values"])
-def test_distinct_values_matches_np_unique(values):
-    values = np.asarray(values, dtype=float)
-    table, inverse = distinct_values(values)
-    want_table, want_inverse = np.unique(values, return_inverse=True)
-    assert np.array_equal(table, want_table)
-    assert np.array_equal(inverse, want_inverse) and inverse.dtype == want_inverse.dtype
-
-
-def test_distinct_values_rejects_nan():
-    with pytest.raises(ValueError, match="NaN"):
-        distinct_values(np.array([1.0, np.nan, 0.5]))
 
 
 @pytest.mark.parametrize("attacked", [False, True], ids=["honest", "attacked"])

@@ -528,8 +528,9 @@ def test_cli_thread_count_does_not_change_bytes(tmp_path):
 @pytest.mark.parametrize("row, message", [("1,P,1.0", "columns"),
                                           ("0,Q,1.0,2.0,3.0", "quadrature"),
                                           ("0,X,1.0,abc,3.0", "abc"),
-                                          ("1,X,nan,2.0,3.0", "non-finite ratio"),
-                                          ("1,X,1.0,2.0,inf", "non-finite bob_y"),
+                                          ("1,X,nan,2.0,3.0", "data row 2: non-finite ratio"),
+                                          ("1,X,1.0,nan,3.0", "data row 2: non-finite alice_x"),
+                                          ("1,X,1.0,2.0,inf", "data row 2: non-finite bob_y"),
                                           ("1,XX,1.0,2.0,3.0", "quadrature"),
                                           ("1,x,1.0,2.0,3.0", "quadrature"),
                                           ("1,,1.0,2.0,3.0", "quadrature"),
@@ -539,7 +540,7 @@ def test_cli_thread_count_does_not_change_bytes(tmp_path):
                                           ("1,X,-1.0,2.0,3.0", "data row 2: ratio -1.0 is"),
                                           ("1,P,7.5,2.0,3.0", "data row 2: ratio 7.5 is")],
                          ids=["short-row", "unknown-quadrature", "non-numeric",
-                              "nan-ratio", "inf-outcome", "doubled-quadrature",
+                              "nan-ratio", "nan-alice-x", "inf-outcome", "doubled-quadrature",
                               "lower-case-quadrature", "empty-quadrature",
                               "padded-quadrature", "out-of-order-slot", "repeated-slot",
                               "negative-ratio", "ratio-above-one"])
@@ -552,6 +553,47 @@ def test_cli_detect_malformed_records_exit_2(tmp_path, capsys, row, message):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def _records_file(path, ratios, n=3000, seed=6):
+    rng = np.random.default_rng(seed)
+    batch = protocol.RecordBatch(rng.integers(0, 2, n), ratios,
+                                 rng.integers(0, len(ratios), n),
+                                 rng.normal(0.0, 3e4, n), rng.normal(0.0, 1e4, n))
+    write_records_csv(path, batch, "x", 0)
+    return batch
+
+
+def test_cli_detect_refuses_a_file_of_another_format(tmp_path, capsys):
+    path = tmp_path / "records.csv"
+    _records_file(path, [1.0, 0.5, 0.001])
+    meta, body = path.read_bytes().split(b"\n", 1)
+    assert meta == b"# format=records-v1 scenario=x seed=0"
+    path.write_bytes(b"# format=report-v1 scenario=x seed=0\n" + body)
+    assert main(["detect", "--records", str(path)]) == 2
+    assert capsys.readouterr().err == (f"error: {path} has format report-v1, "
+                                       "not records-v1\n")
+    path.write_bytes(body)  # a file without a metadata line is read
+    assert main(["detect", "--records", str(path)]) == 0
+
+
+@pytest.mark.parametrize("ratios, zero_keys", [
+    ([1.0, 0.5, -0.0], {"count[r=-0.0]"}),
+    ([1.0, 0.5, -0.0, 0.0], {"count[r=-0.0]", "count[r=0.0]"}),
+], ids=["negative-zero", "both-zeros"])
+def test_cli_detect_groups_signed_zero_ratios(tmp_path, capsys, ratios, zero_keys):
+    # -0.0 and 0.0 are one ratio; a file holding only -0.0 reports it as -0.0,
+    # a file holding both may report the pair under either spelling
+    path = tmp_path / "records.csv"
+    batch = _records_file(path, ratios)
+    assert main(["detect", "--records", str(path)]) == 0
+    counts = {key: value for key, _, value in
+              (line.partition(" = ") for line in capsys.readouterr().out.splitlines())
+              if key.startswith("count[")}
+    zeros = [key for key in counts if key in zero_keys]
+    assert len(zeros) == 1 and len(counts) == 3
+    expected = np.count_nonzero(batch.ratios[batch.ratio_index] == 0.0)
+    assert float(counts[zeros[0]]) == expected
 
 
 _FLAG_COMMANDS = {

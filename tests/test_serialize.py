@@ -50,6 +50,21 @@ def test_records_csv_read_in_chunks_reproduces_the_moments(tmp_path):
                 assert getattr(got, name)[k] == getattr(want, name)[w], (r, name)
 
 
+def test_records_csv_groups_many_distinct_ratios(tmp_path):
+    # 70 distinct ratios read back with the slot count of each
+    n, rng = 5000, np.random.default_rng(12)
+    ratios = np.linspace(0.0, 1.0, 70)
+    ratio_index = rng.integers(0, ratios.size, n)
+    batch = RecordBatch(rng.integers(0, 2, n), ratios, ratio_index,
+                        rng.normal(size=n), rng.normal(size=n))
+    path = tmp_path / "many.csv"
+    write_records_csv(path, batch, "m", 0)
+    loaded = read_records_csv(path)
+    assert np.array_equal(loaded.ratios[loaded.ratio_index], ratios[ratio_index])
+    counts = dict(zip(loaded.moments.ratios.tolist(), loaded.moments.count.tolist()))
+    assert counts == dict(zip(ratios.tolist(), np.bincount(ratio_index).tolist()))
+
+
 def _reference_records_csv(path, batch, scenario_hash, seed):
     """The records-v1 bytes as csv.writer writes them, one row at a time."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
