@@ -96,8 +96,8 @@ def fit_variance_summaries(per_ratio: dict[float, tuple[float, int]]) -> NoisePo
 
     Weights follow the Gaussian variance-of-variance, count/(2*variance^2).
     Exactly three ratios interpolate regardless of the weights. Raises
-    CountermeasureError unless the shot-noise floor c is finite and > 0, since
-    a/c then means nothing.
+    CountermeasureError unless each sample variance (so its weight) and the
+    shot-noise floor c (without which a/c means nothing) are finite and > 0.
     """
     if len(per_ratio) < 3:
         raise CountermeasureError(
@@ -105,6 +105,10 @@ def fit_variance_summaries(per_ratio: dict[float, tuple[float, int]]) -> NoisePo
             "a two-ratio schedule cannot see the r^2 term")
     ratios = np.array(sorted(per_ratio))
     v = np.array([per_ratio[r][0] for r in ratios])
+    for r, var in zip(ratios, v):
+        if not 0.0 < var < math.inf:
+            raise CountermeasureError(f"the sample variance at ratio {float(r)!r} must be "
+                                      f"finite and > 0, got {float(var)!r}")
     n = np.array([per_ratio[r][1] for r in ratios], dtype=float)
     w = n / (2.0 * v * v)
     design = np.column_stack([ratios ** 2, ratios, np.ones_like(ratios)])

@@ -26,20 +26,6 @@ from .scenario import Scenario, load_scenario, parse_scenario
 from .protocol import AttenuationSchedule, SystemParams
 
 
-def _resolve_plan(scen: Scenario, curve: BeamSplitterCurve) -> attack.AttackPlan:
-    if scen.attack_mode == "solve":
-        return attack.solve_attack_parameters(
-            scen.attack_kind, scen.params, curve, scen.wavelengths)
-    if scen.attack_mode == "plan":
-        plan = serialize.load_plan(scen.plan_path, curve, scen.params.detector)
-        kind = dict(serialize.plan_items(plan, scen.curve_name))["strategy"]
-        if kind != scen.attack_kind:
-            raise ConfigError(f"plan file {scen.plan_path} holds a strategy {kind} plan, "
-                              f"but the scenario names strategy {scen.attack_kind}")
-        return plan
-    return attack.AttackPlan(attack.StrategyA(scen.fixed_amplification), None)
-
-
 def _report_items(scen: Scenario, moments, plan) -> list[tuple[str, object]]:
     params = scen.params
     n0 = params.shot_noise_unit
@@ -86,8 +72,11 @@ def cmd_run(args) -> int:
     outputs = scen.outputs
     outdir = Path(args.out)
     plan = None
-    if scen.attack_kind != "none":
-        plan = _resolve_plan(scen, curve)
+    if replay:
+        plan = serialize.load_plan(scen.plan_path, curve, scen.params.detector, scen.attack_kind)
+    elif scen.attack_kind != "none":
+        plan = attack.solve_attack_parameters(scen.attack_kind, scen.params, curve,
+                                              scen.wavelengths)
     # records stream into a file that replaces the target once nothing can fail
     writer = (serialize.records_writer(outdir / outputs["records"], shash, seed)
               if "records" in outputs else contextlib.nullcontext(False))
@@ -211,18 +200,21 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    # the verdict file's header repeats the records' seed: refuse a bad one before any row
+    meta = serialize.read_meta(args.records) if args.out is not None else {}
+    seed = meta.get("seed", "0")
+    if not (seed.isascii() and seed.isdigit()):
+        raise ValueError(f"records file {args.records}: seed={seed} is not a non-negative integer")
     moments = serialize.read_records_csv(args.records, records=False)
     poly = analysis.fit_noise_polynomial(moments)
     verdict = analysis.detect(poly, threshold=args.threshold)
     items = list((dict(poly.as_items()) | dict(verdict.as_items())).items())  # a_over_c once
     sys.stdout.write(serialize.report_text(items))
     if args.out is not None:
-        meta = serialize.read_meta(args.records)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         serialize.write_report(outdir / "verdict.txt", items,
-                               meta.get("scenario", "unknown"),
-                               int(meta.get("seed", 0)))
+                               meta.get("scenario", "unknown"), int(seed))
     return 0
 
 

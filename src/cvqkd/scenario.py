@@ -57,8 +57,8 @@ _KEYS = {
         "excess_noise": parse_float, "lo_intensity": parse_float, "curve": _text,
     },
     "attack": {
-        "strategy": _text, "mode": _text, "plan": _text, "amplification": parse_float,
-        "compensate_lo": _parse_bool, **dict.fromkeys(_NM_KEYS, parse_float),
+        "strategy": _text, "mode": _text, "plan": _text, "compensate_lo": _parse_bool,
+        **dict.fromkeys(_NM_KEYS, parse_float),
     },
     "run": {"slots": _parse_int, "master_seed": _parse_int},
     "outputs": dict.fromkeys(("records", "report", "polynomial", "verdict", "plan"), _text),
@@ -72,9 +72,8 @@ class Scenario:
     params: SystemParams
     curve_name: str = "50:50"
     attack_kind: str = "none"        # none | A | B
-    attack_mode: str = "solve"       # solve | plan | fixed
+    attack_mode: str = "solve"       # solve | plan
     plan_path: str | None = None
-    fixed_amplification: float | None = None
     compensate_lo: bool = True
     wavelengths: tuple[float, float, float, float] = DEFAULT_WAVELENGTHS
     slots: int = 1_000_000
@@ -87,14 +86,10 @@ class Scenario:
             raise ConfigError(f"slots must be > 0, got {self.slots}")
         if self.attack_kind not in ("none", *STRATEGIES):
             raise ConfigError(f"attack strategy must be none/A/B, got {self.attack_kind!r}")
-        if self.attack_mode not in ("solve", "plan", "fixed"):
-            raise ConfigError(f"attack mode must be solve/plan/fixed, got {self.attack_mode!r}")
+        if self.attack_mode not in ("solve", "plan"):
+            raise ConfigError(f"attack mode must be solve/plan, got {self.attack_mode!r}")
         if self.attack_mode == "plan" and not self.plan_path:
             raise ConfigError("attack mode 'plan' needs a plan = <path> entry")
-        if self.attack_mode == "fixed" and self.fixed_amplification is None:
-            raise ConfigError("attack mode 'fixed' needs amplification = <N>")
-        if self.attack_mode == "fixed" and self.attack_kind == "B":
-            raise ConfigError("fixed-amplification mode only applies to strategy A")
         if not self.source_text:
             object.__setattr__(self, "source_text", self.canonical_text())
 
@@ -133,8 +128,6 @@ class Scenario:
             lines.append(f"mode = {self.attack_mode}")
             if self.plan_path:
                 lines.append(f"plan = {self.plan_path}")
-            if self.fixed_amplification is not None:
-                lines.append(f"amplification = {self.fixed_amplification!r}")
             lines.append(f"compensate_lo = {str(self.compensate_lo).lower()}")
         if self.wavelengths != DEFAULT_WAVELENGTHS:
             lines += [f"{k} = {nm!r}" for k, nm in zip(_NM_KEYS, self.wavelengths)]
@@ -225,9 +218,7 @@ def parse_scenario(text: str) -> Scenario:
                           run["master_seed"][1])
 
     fields = _given(attack, "compensate_lo", attack_kind="strategy", attack_mode="mode",
-                    plan_path="plan", fixed_amplification="amplification")
-    if "amplification" in attack and "mode" not in attack:
-        fields["attack_mode"] = "fixed"
+                    plan_path="plan")
     fields["wavelengths"] = tuple(attack[k][0] if k in attack else nm
                                   for k, nm in zip(_NM_KEYS, Scenario.wavelengths))
     scen = _located(headers.get("attack"), Scenario, params=params,

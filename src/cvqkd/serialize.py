@@ -521,27 +521,30 @@ def write_plan(path, plan: AttackPlan, curve_name: str, scenario_hash: str,
     write_report(path, plan_items(plan, curve_name), scenario_hash, seed, fmt=PLAN_FORMAT)
 
 
-def load_plan(path, curve: BeamSplitterCurve, detector: DetectorConfig) -> AttackPlan:
-    """Rebuild a plan from a plan file, revalidating against the active curve.
+def load_plan(path, curve: BeamSplitterCurve, detector: DetectorConfig,
+              strategy: str) -> AttackPlan:
+    """Rebuild a plan of ``strategy`` (a key of ``STRATEGIES``) from a plan file,
+    revalidating against the active curve.
 
     Raises ValueError naming the file and the key when a key is missing, is
     not one ``plan_items`` writes for the plan, or holds a number that is not
-    finite (the scenario parser's rule), and naming both curves when the plan
-    was written for another curve than ``curve``.
+    finite (the scenario parser's rule), and naming both curves or both
+    strategies when the plan was written for another curve than ``curve`` or
+    holds another strategy than ``strategy``.
     """
     kv = read_report(path)
     if kv.get("curve", curve.nominal_ratio) != curve.nominal_ratio:
         raise ValueError(f"plan file {path} was written for curve {kv['curve']}, "
                          f"but the scenario's curve is {curve.nominal_ratio}")
+    if kv.get("strategy", strategy) != strategy:
+        raise ValueError(f"plan file {path} holds a strategy {kv['strategy']} plan, "
+                         f"but the scenario names strategy {strategy}")
 
     def number(key: str) -> float:
         return parse_float(kv[key], None, f"plan file {path} key {key!r}")
 
     try:
-        strategy_kind = kv["strategy"]
-        if strategy_kind not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy_kind!r} in plan file")
-        cls = STRATEGIES[strategy_kind]
+        cls = STRATEGIES[kv["strategy"]]  # ``strategy`` itself, or no such key
         plan = AttackPlan(cls(*(number(f.name) for f in fields(cls))), None)
         displacement = number("displacement")
         if displacement != 0.0:

@@ -52,7 +52,7 @@ def test_unknown_key_reports_line_number():
 
 
 def test_system_amplification_key_is_refused_with_its_line():
-    # the detector has no amplification gain; [attack] amplification is strategy A's N
+    # the detector has no amplification gain; strategy A's N lives in a plan file
     text = "[system]\nchannel_transmittance = 0.5\namplification = 7\n"
     with pytest.raises(ConfigError, match="unknown \\[system\\] key 'amplification'") as err:
         parse_scenario(text)
@@ -82,22 +82,27 @@ def test_zero_slots_rejected():
 
 
 def test_attack_section_modes():
-    text = "[attack]\nstrategy = A\namplification = 10\n"
-    scen = parse_scenario(text)
-    assert scen.attack_kind == "A"
-    assert scen.attack_mode == "fixed"
-    assert scen.fixed_amplification == 10.0
     with pytest.raises(ConfigError, match="plan"):
         parse_scenario("[attack]\nstrategy = A\nmode = plan\n")
 
 
-def test_fixed_amplification_with_strategy_b_names_the_attack_line():
-    text = "[run]\nslots = 10\n[attack]\nstrategy = B\namplification = 20\n"
-    with pytest.raises(ConfigError, match="only applies to strategy A") as err:
+def test_cli_fixed_mode_is_refused_naming_the_attack_line(tmp_path, capsys):
+    # a plan is solved or replayed; the bare resend is a displacement = 0.0 plan file
+    path = tmp_path / "fixed.scenario"
+    path.write_text("[run]\nslots = 10\n[attack]\nstrategy = A\nmode = fixed\n")
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("error: line 3: attack mode must be solve/plan, "
+                                       "got 'fixed'\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("strategy", ["A", "B", "none"])
+def test_attack_amplification_key_is_refused_with_its_line(strategy):
+    # honest scenarios included: no scenario key sets strategy A's N
+    text = f"[run]\nslots = 10\n[attack]\nstrategy = {strategy}\namplification = 20\n"
+    with pytest.raises(ConfigError, match="unknown \\[attack\\] key 'amplification'") as err:
         parse_scenario(text)
-    assert err.value.line == 3
-    # an honest scenario keeps ignoring the amplification it never uses
-    assert parse_scenario("[attack]\nstrategy = none\namplification = 20\n").attack_kind == "none"
+    assert err.value.line == 5
 
 
 def test_attack_wavelength_overrides():
@@ -431,16 +436,21 @@ def _run_report(tmp_path, capsys, name: str, text: str) -> tuple[str, str]:
     return capsys.readouterr().out, (tmp_path / name / "report.txt").read_text().split("\n", 1)[1]
 
 
-def test_cli_fixed_mode_equals_a_plan_without_pulses(tmp_path, capsys):
-    # displacement = 0.0 is the plan-file form of mode = fixed
+def test_cli_bare_resend_plan_replays_the_resend_alone(tmp_path, capsys):
+    # displacement = 0.0 with no pulse lines is the intercept-resend at gain N alone
     plan = tmp_path / "zero.plan"
-    plan.write_text("strategy = A\namplification = 10\ndisplacement = 0.0\n")
-    fixed = _run_report(tmp_path, capsys, "fixed",
-                        MINIMAL + "[attack]\nstrategy = A\nmode = fixed\namplification = 10\n")
-    replay = _run_report(tmp_path, capsys, "plan",
-                         MINIMAL + f"[attack]\nstrategy = A\nmode = plan\nplan = {plan}\n")
-    assert fixed == replay
-    assert "true_realistic_shot_noise = 5000000.0\n" in fixed[1]  # N0 / 10
+    plan.write_text("curve = 50:50\nstrategy = A\namplification = 10\ndisplacement = 0.0\n")
+    text = MINIMAL + f"[attack]\nstrategy = A\nmode = plan\nplan = {plan}\n"
+    printed, body = _run_report(tmp_path, capsys, "plan", text)
+    assert printed == body
+    assert "true_realistic_shot_noise = 5000000.0\n" in body  # N0 / 10
+    scen = parse_scenario(MINIMAL)
+    bare = attack.AttackPlan(attack.StrategyA(10.0), None)
+    moments = attack.run_attacked_session(scen.params, bare, scen.slots, scen.master_seed,
+                                          records=False)
+    expected = [f"variance[r={r!r}] = {v!r}"
+                for r, (v, _) in sorted(protocol.variances_by_ratio(moments).items())]
+    assert [line for line in body.splitlines() if line.startswith("variance[")] == expected
 
 
 def _plan_scenario(tmp_path, plan, strategy: str = "A") -> Path:
@@ -575,6 +585,33 @@ def test_cli_detect_refuses_a_file_of_another_format(tmp_path, capsys):
                                        "not records-v1\n")
     path.write_bytes(body)  # a file without a metadata line is read
     assert main(["detect", "--records", str(path)]) == 0
+
+
+def test_cli_detect_refuses_a_ratio_of_zero_variance_by_name(tmp_path, capfd):
+    # weight n/(2v^2) of a zero variance is inf; LAPACK writes to C stdio, so use capfd
+    path = tmp_path / "flat.csv"
+    path.write_text("# format=records-v1 scenario=x seed=0\n"
+                    "slot,quad,ratio,alice_x,bob_y\r\n"
+                    "0,X,1.0,1.0,2.0\r\n1,P,1.0,3.0,2.0\r\n"
+                    "2,X,0.5,1.0,2.0\r\n3,P,0.5,3.0,5.0\r\n"
+                    "4,X,0.001,1.0,2.0\r\n5,P,0.001,3.0,7.0\r\n", newline="")
+    assert main(["detect", "--records", str(path)]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == ("error: the sample variance at ratio 1.0 must be finite and > 0, "
+                   "got 0.0\n")
+
+
+def test_cli_detect_out_refuses_a_bad_seed_before_any_row(tmp_path, capsys):
+    path = tmp_path / "records.csv"
+    _records_file(path, [1.0, 0.5, 0.001])
+    path.write_bytes(path.read_bytes().replace(b" seed=0\n", b" seed=abc\n", 1))
+    assert main(["detect", "--records", str(path), "--out", str(tmp_path / "det")]) == 2
+    assert capsys.readouterr() == ("", f"error: records file {path}: seed=abc is not a "
+                                       "non-negative integer\n")
+    assert not (tmp_path / "det" / "verdict.txt").exists()
+    assert main(["detect", "--records", str(path)]) == 0  # no verdict file, no header needed
+    assert "attacked = " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("ratios, zero_keys", [
@@ -982,7 +1019,5 @@ def test_parser_contract_finite_params_or_line_numbered_error(lines):
               p.lo_intensity, p.detector.efficiency, p.detector.electronic_noise,
               *scen.wavelengths]
     values += [v for entry in p.schedule.entries for v in entry]
-    if scen.fixed_amplification is not None:
-        values.append(scen.fixed_amplification)
     assert all(math.isfinite(v) for v in values)
     assert scen.slots > 0

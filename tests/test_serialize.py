@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -139,7 +140,7 @@ def test_plan_file_round_trip(tmp_path):
     plan = solve_attack_parameters("A", SystemParams(), CURVE)
     path = tmp_path / "plan.txt"
     write_plan(path, plan, "50:50", "cafe", 11)
-    loaded = load_plan(path, CURVE, SystemParams().detector)
+    loaded = load_plan(path, CURVE, SystemParams().detector, "A")
     assert isinstance(loaded.strategy, StrategyA)
     assert loaded.strategy.amplification == pytest.approx(
         plan.strategy.amplification, rel=1e-12)
@@ -154,7 +155,7 @@ def test_plan_file_round_trip_strategy_b(tmp_path):
     plan = solve_attack_parameters("B", params, CURVE)
     path = tmp_path / "plan_b.txt"
     write_plan(path, plan, "50:50", "cafe", 12)
-    loaded = load_plan(path, CURVE, params.detector)
+    loaded = load_plan(path, CURVE, params.detector, "B")
     assert loaded.strategy.slope_factor == pytest.approx(
         plan.strategy.slope_factor, rel=1e-12)
     assert loaded.strategy.fake_channel == pytest.approx(
@@ -175,9 +176,17 @@ def test_plan_without_pulses_round_trips(tmp_path):
     plan = AttackPlan(StrategyA(10.0), None)
     path = tmp_path / "bare.txt"
     write_plan(path, plan, "50:50", "00", 0)
-    loaded = load_plan(path, CURVE, SystemParams().detector)
+    loaded = load_plan(path, CURVE, SystemParams().detector, "A")
     assert loaded.wavelength is None
     assert loaded.strategy.amplification == 10.0
+
+
+def test_load_plan_refuses_another_strategy(tmp_path):
+    path = tmp_path / "bare.txt"
+    write_plan(path, AttackPlan(StrategyA(10.0), None), "50:50", "00", 0)
+    message = f"plan file {path} holds a strategy A plan, but the scenario names strategy B"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_plan(path, CURVE, SystemParams().detector, "B")
 
 
 def test_csv_text_header_and_rows():
