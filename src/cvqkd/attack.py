@@ -203,9 +203,7 @@ def realistic_shot_noise(params: SystemParams, plan: AttackPlan) -> float:
     return plan.strategy.slope_factor * n0
 
 
-def predicted_two_point(params: SystemParams, plan: AttackPlan,
-                        r1: float | None = None, r2: float | None = None
-                        ) -> tuple[float, float]:
+def predicted_two_point(params: SystemParams, plan: AttackPlan) -> tuple[float, float]:
     """Closed-form two-point (shot-noise, excess-noise) estimates under attack.
 
     These are the estimate expressions the solver nulls. The shot-noise line is
@@ -216,14 +214,11 @@ def predicted_two_point(params: SystemParams, plan: AttackPlan,
     +0.011 (strategy B) shot-noise units; the sample estimator lands at those
     small offsets, far below any detection threshold.
     """
-    ratios = params.schedule.ratios
-    r1 = float(ratios.min()) if r1 is None else r1
-    r2 = float(ratios.max()) if r2 is None else r2
     n0 = params.shot_noise_unit
     d = plan.displacement
     wl = plan.wavelength
     c_lo, c_s = (0.0, 0.0) if wl is None else (wl.shot_coeff_lo, wl.shot_coeff_signal)
-    bias, numerator = _two_point_model(params, c_lo, c_s, r1, r2)
+    bias, numerator = _two_point_model(params, c_lo, c_s)
     n0_est = realistic_shot_noise(params, plan) + _evaluate(bias, d)
     excess = _evaluate(numerator, d)
     if isinstance(plan.strategy, StrategyB):
@@ -231,15 +226,19 @@ def predicted_two_point(params: SystemParams, plan: AttackPlan,
     return n0_est, excess / n0_est
 
 
-def _two_point_model(params: SystemParams, c_lo: float, c_s: float,
-                     r1: float, r2: float):
-    """The two-point estimates under attack as coefficient triples (D^2, D, 1).
+def _two_point_model(params: SystemParams, c_lo: float, c_s: float):
+    """The two-point estimates under attack as coefficient triples (D^2, D, 1),
+    at the schedule's smallest and largest ratio r1 < r2.
 
     ``bias`` is the shot-noise bias S(D) the injected pulses add to the
     realistic shot noise in the shot-noise estimate. ``numerator`` is the
     excess-noise estimate's numerator before strategy B's modulation term;
     its denominator is the shot-noise estimate (see ``predicted_two_point``).
     """
+    ratios = params.schedule.ratios
+    r1, r2 = float(ratios.min()), float(ratios.max())
+    if r1 == r2:
+        raise InfeasibleAttackError(f"two-point estimates need two ratios, got only {r1!r}")
     ee = params.detector.efficiency * params.channel_transmittance
     bias = (1.0 - r1 * r2, c_lo - c_s * r1 * r2, 0.0)
     numerator = ((r1 + r2 - 2.0) / ee, c_s * (r1 + r2),
@@ -264,15 +263,14 @@ def _positive_root(a: float, b: float, c: float) -> float:
 
 def solve_attack_parameters(strategy_kind: str, params: SystemParams,
                             curve: BeamSplitterCurve,
-                            wavelengths: Sequence[float] = DEFAULT_WAVELENGTHS,
-                            r1: float | None = None, r2: float | None = None
+                            wavelengths: Sequence[float] = DEFAULT_WAVELENGTHS
                             ) -> AttackPlan:
     """Choose (N, D) or (gamma, D) nulling the two-point estimates.
 
     Solves {shot-noise estimate = N0, excess-noise estimate = 0} in closed
-    form. For estimation ratios 0 <= r1 < r2 <= 1 the excess-noise numerator
-    is a quadratic in D that is positive at 0 and opens downward (r1 + r2 <
-    2), so D is its one positive root; back-substituting D into the
+    form. The schedule keeps its ratios in [0, 1], so r1 + r2 < 2 and the
+    excess-noise numerator is a quadratic in D that is positive at 0 and
+    opens downward: D is its one positive root. Back-substituting D into the
     shot-noise condition gives the realistic shot noise, hence N or gamma.
     That shot noise is positive only below the feasibility boundary, the
     positive root of S(D) = N0. Raises InfeasibleAttackError naming the
@@ -280,15 +278,9 @@ def solve_attack_parameters(strategy_kind: str, params: SystemParams,
     """
     if strategy_kind not in STRATEGIES:
         raise ValueError("strategy_kind must be 'A' or 'B'")
-    ratios = params.schedule.ratios
-    r1 = float(ratios.min()) if r1 is None else float(r1)
-    r2 = float(ratios.max()) if r2 is None else float(r2)
-    if not 0.0 <= r1 < r2 <= 1.0:  # false for NaN too
-        raise InfeasibleAttackError(
-            f"estimation ratios need 0 <= r1 < r2 <= 1, got r1 = {r1!r}, r2 = {r2!r}")
     n0 = params.shot_noise_unit
     c_lo, c_s = shot_coefficients(curve, wavelengths)
-    bias, numerator = _two_point_model(params, c_lo, c_s, r1, r2)
+    bias, numerator = _two_point_model(params, c_lo, c_s)
     d = _positive_root(*numerator)
 
     shot = n0 - _evaluate(bias, d)
@@ -307,7 +299,7 @@ def solve_attack_parameters(strategy_kind: str, params: SystemParams,
         strategy = StrategyB(gamma, params.channel_transmittance / gamma)
     plan = AttackPlan(strategy, WavelengthPlan.design(curve, params.detector, d, wavelengths))
 
-    n0_est, xi_est = predicted_two_point(params, plan, r1, r2)
+    n0_est, xi_est = predicted_two_point(params, plan)
     if abs(n0_est / n0 - 1.0) > 1e-9 or abs(xi_est) > 1e-9:
         raise InfeasibleAttackError(
             f"solver residuals too large: shot-noise ratio {n0_est / n0!r}, "

@@ -66,14 +66,15 @@ def cmd_run(args) -> int:
     scen = _scenario(args, master_seed=args.seed, slots=args.slots)
     curve = scen.load_curve()
     replay = scen.attack_kind != "none" and scen.attack_mode == "plan"
-    shash = scen.scenario_hash(Path(scen.plan_path).read_bytes() if replay else b"")
+    plan_file = scen.directory / scen.plan_path if replay else None
+    shash = scen.scenario_hash(plan_file.read_bytes() if replay else b"")
     seed = scen.master_seed
 
     outputs = scen.outputs
     outdir = Path(args.out)
     plan = None
     if replay:
-        plan = serialize.load_plan(scen.plan_path, curve, scen.params.detector, scen.attack_kind)
+        plan = serialize.load_plan(plan_file, curve, scen.params.detector, scen.attack_kind)
     elif scen.attack_kind != "none":
         plan = attack.solve_attack_parameters(scen.attack_kind, scen.params, curve,
                                               scen.wavelengths)
@@ -118,8 +119,7 @@ def cmd_solve(args) -> int:
         scen.params, detector=detector, channel_transmittance=args.eta_ch, excess_noise=args.xi,
         lo_intensity=args.lo_intensity))
     curve = scen.load_curve()
-    plan = attack.solve_attack_parameters(args.strategy, scen.params, curve,
-                                          scen.wavelengths, r1=args.r1, r2=args.r2)
+    plan = attack.solve_attack_parameters(args.strategy, scen.params, curve, scen.wavelengths)
     sys.stdout.write(serialize.report_text(serialize.plan_items(plan, scen.curve_name)))
     if args.out is not None:
         outdir = Path(args.out)
@@ -190,7 +190,8 @@ def cmd_sweep(args) -> int:
             print(f"zero_crossing = {crossing!r}")
         except ValueError:
             pass
-    text = serialize.csv_text(rows, header, scen.scenario_hash(), scen.master_seed)
+    flags = f"{args.strategy} {args.n_amp!r} {args.threshold!r}".encode()  # they shape the rows
+    text = serialize.csv_text(rows, header, scen.scenario_hash(flags), scen.master_seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / args.sweep_file
@@ -242,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--eta", type=float, default=None)
     p_solve.add_argument("--v-el", dest="v_el", type=float, default=None)
     p_solve.add_argument("--lo-intensity", dest="lo_intensity", type=float, default=None)
-    p_solve.add_argument("--r1", type=float, default=None)
-    p_solve.add_argument("--r2", type=float, default=None)
     p_solve.add_argument("--out", default=None)
     p_solve.add_argument("--plan-file", default="plan.txt")
     p_solve.set_defaults(func=cmd_solve)
@@ -281,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 _FLAG_DOMAINS = (
     (("threads", "slots", "points"), lambda v: v >= 1, ">= 1"),
     (("seed",), lambda v: v >= 0, ">= 0"),
-    (("r1", "r2", "start", "stop", "n_amp"), math.isfinite, "a finite number"),
+    (("start", "stop", "n_amp"), math.isfinite, "a finite number"),
     (("threshold",), lambda v: 0.0 < v < math.inf, "finite and > 0"),
 )
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 from .attack import DEFAULT_WAVELENGTHS, STRATEGIES
 from .errors import ConfigError
@@ -80,6 +81,7 @@ class Scenario:
     master_seed: int = 1
     outputs: dict[str, str] = field(default_factory=dict)
     source_text: str = ""
+    directory: Path = Path()         # a relative plan or curve path starts here
 
     def __post_init__(self):
         if self.slots <= 0:
@@ -93,20 +95,20 @@ class Scenario:
         if not self.source_text:
             object.__setattr__(self, "source_text", self.canonical_text())
 
-    def scenario_hash(self, plan_file: bytes = b"") -> str:
+    def scenario_hash(self, extra: bytes = b"") -> str:
         """Hash of the source text and of the effective configuration.
 
         The canonical text carries any later override of ``slots`` or
         ``master_seed``, so runs that differ only in those get different hashes.
-        ``plan_file`` holds the bytes of the plan file a plan-mode run replays.
+        ``extra`` is the bytes of a replayed plan file, or a sweep's flags.
         """
         text = self.source_text + self.canonical_text()
-        return hashlib.sha256(text.encode("utf-8") + plan_file).hexdigest()[:16]
+        return hashlib.sha256(text.encode("utf-8") + extra).hexdigest()[:16]
 
     def load_curve(self) -> BeamSplitterCurve:
         if self.curve_name in BUILTIN_CURVES:
             return builtin_curve(self.curve_name)
-        return load_curve(self.curve_name)
+        return load_curve(self.directory / self.curve_name, self.curve_name)
 
     def canonical_text(self) -> str:
         p = self.params
@@ -228,9 +230,12 @@ def parse_scenario(text: str) -> Scenario:
     if "plan" in outputs and scen.attack_kind == "none":
         raise ConfigError("a plan output needs an attack, but the scenario is honest",
                           outputs["plan"][1])
+    if "plan" in attack and (scen.attack_kind == "none" or scen.attack_mode != "plan"):
+        raise ConfigError("a plan = <path> entry needs strategy A or B and mode = plan",
+                          attack["plan"][1])
     return scen
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    path = Path(path)
+    return replace(parse_scenario(path.read_text(encoding="utf-8")), directory=path.parent)

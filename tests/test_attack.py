@@ -228,34 +228,32 @@ def test_solver_closed_form_matches_bisection(kind, r1, r2):
     c_lo, c_s = shot_coefficients(CURVE)
     for eta_ch in (0.1, 0.3, 0.5, 0.7, 0.9, 0.95):
         for xi in (0.0, 0.1, 0.5):
-            params = SystemParams(channel_transmittance=eta_ch, excess_noise=xi)
+            # the solver reads the schedule's smallest and largest ratio
+            params = SystemParams(channel_transmittance=eta_ch, excess_noise=xi,
+                                  schedule=AttenuationSchedule(((r2, 0.5), (r1, 0.5))))
             n0 = params.shot_noise_unit
             d_ref = _reference_displacement(params, c_s, r1, r2)
             shot_ref = n0 - (1.0 - r1 * r2) * d_ref ** 2 - (c_lo - c_s * r1 * r2) * d_ref
             try:
-                plan = solve_attack_parameters(kind, params, CURVE, r1=r1, r2=r2)
+                plan = solve_attack_parameters(kind, params, CURVE)
             except InfeasibleAttackError as exc:
                 assert "feasibility boundary" in str(exc)
                 assert shot_ref <= 0.0, (eta_ch, xi)
                 continue
             assert shot_ref > 0.0
             assert plan.displacement == pytest.approx(d_ref, rel=1e-12, abs=0.0)
-            n0_est, xi_est = predicted_two_point(params, plan, r1, r2)
+            n0_est, xi_est = predicted_two_point(params, plan)
             assert abs(n0_est / n0 - 1.0) < 1e-9
             assert abs(xi_est) < 1e-9
 
 
-def test_solver_refuses_ratios_whose_numerator_never_vanishes():
-    # r2 > 1 is no attenuation ratio; within [0, 1], r1 + r2 < 2 always holds
-    with pytest.raises(InfeasibleAttackError, match="r1 = 0.5, r2 = 1.5"):
-        solve_attack_parameters("A", P_A, CURVE, r1=0.5, r2=1.5)
-
-
-@pytest.mark.parametrize("r1, r2", [(-0.5, 1.0), (-3.0, -0.5), (0.6, 0.6), (0.9, 0.1),
-                                    (math.nan, 1.0)])
-def test_solver_requires_ordered_ratios_in_the_unit_interval(r1, r2):
-    with pytest.raises(InfeasibleAttackError, match="0 <= r1 < r2 <= 1"):
-        solve_attack_parameters("A", P_A, CURVE, r1=r1, r2=r2)
+def test_solver_refuses_a_schedule_with_one_ratio():
+    # the schedule keeps its ratios in [0, 1] and distinct; one ratio is no two-point pair
+    params = SystemParams(schedule=AttenuationSchedule(((1.0, 1.0),)))
+    for solve in (lambda: solve_attack_parameters("A", params, CURVE),
+                  lambda: predicted_two_point(params, AttackPlan(StrategyA(10.0), None))):
+        with pytest.raises(InfeasibleAttackError, match="need two ratios, got only 1.0"):
+            solve()
 
 
 def test_solver_feasible_at_low_transmittance():

@@ -222,22 +222,42 @@ def test_cli_solve_infeasible_exit(capsys):
     assert "too transparent" in capsys.readouterr().err
 
 
-def test_cli_solve_close_estimation_ratios(capsys):
-    # needs D far above sqrt(3 N0) = 7071
-    assert main(["solve", "--strategy", "A", "--r1", "0.9", "--r2", "1.0"]) == 0
+def _schedule_scenario(tmp_path, r1: str, r2: str) -> Path:
+    """A scenario file whose schedule holds the two estimation ratios r1 and r2."""
+    path = tmp_path / f"ratios-{r1}-{r2}.scenario"
+    path.write_text(f"[schedule]\n{r1} = 0.5\n{r2} = 0.5\n")
+    return path
+
+
+def test_cli_solve_close_estimation_ratios(tmp_path, capsys):
+    # the solver reads the schedule's ratios; 0.9 and 1.0 need D far above sqrt(3 N0) = 7071
+    scen = _schedule_scenario(tmp_path, "0.9", "1.0")
+    assert main(["solve", "--strategy", "A", "--scenario", str(scen),
+                 "--out", str(tmp_path / "close")]) == 0
     kv = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
     assert float(kv["amplification"]) == pytest.approx(24.99, abs=0.01)
     assert float(kv["displacement"]) == pytest.approx(21889.26, abs=0.01)
+    # the plan header's hash covers the ratios it was solved at
+    assert main(["solve", "--strategy", "A", "--out", str(tmp_path / "default")]) == 0
+    assert _header(tmp_path / "close" / "plan.txt") != _header(tmp_path / "default" / "plan.txt")
+
+
+def test_cli_solve_has_no_ratio_flags(capsys):
+    for flag in ("--r1", "--r2"):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--strategy", "A", flag, "0.9"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 0.9" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("r1, r2", [("-0.5", "1"), ("-3", "-0.5"), ("0.5", "1.5")])
-def test_cli_solve_refuses_ratios_outside_the_unit_interval(capsys, r1, r2):
-    rc = main(["solve", "--strategy", "A", f"--r1={r1}", f"--r2={r2}"])
+def test_cli_solve_refuses_ratios_outside_the_unit_interval(tmp_path, capsys, r1, r2):
+    # the schedule refuses the ratio at its section's line, before any solve
+    scen = _schedule_scenario(tmp_path, r1, r2)
+    rc = main(["solve", "--strategy", "A", "--scenario", str(scen)])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert f"r1 = {float(r1)!r}, r2 = {float(r2)!r}" in captured.err
-    assert "Traceback" not in captured.err
+    assert captured.err == "error: line 1: attenuation ratios must lie in [0, 1]\n"
 
 
 def test_cli_sweep_part1(tmp_path, capsys):
@@ -453,6 +473,45 @@ def test_cli_bare_resend_plan_replays_the_resend_alone(tmp_path, capsys):
     assert [line for line in body.splitlines() if line.startswith("variance[")] == expected
 
 
+def test_cli_relative_plan_and_curve_paths_start_at_the_scenario_file(tmp_path, monkeypatch,
+                                                                      capsys):
+    # the paths are read from the scenario's directory and hashed as written
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "bs.txt").write_bytes((Path(attack.__file__).parent / "data" / "bs_50_50.txt")
+                                 .read_bytes())
+    (sub / "bare.plan").write_text("curve = bs.txt\nstrategy = A\namplification = 10\n"
+                                   "displacement = 0.0\n")
+    (sub / "bare.scenario").write_text(
+        MINIMAL.replace("[system]\n", "[system]\ncurve = bs.txt\n")
+        + "[attack]\nstrategy = A\nmode = plan\nplan = bare.plan\n"
+        "[outputs]\nreport = report.txt\nplan = plan.txt\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--scenario", "sub/bare.scenario", "--out", "from_parent"]) == 0
+    monkeypatch.chdir(sub)
+    assert main(["run", "--scenario", "bare.scenario", "--out", "../from_sub"]) == 0
+    for name in ("report.txt", "plan.txt"):
+        assert filecmp.cmp(tmp_path / "from_parent" / name, tmp_path / "from_sub" / name,
+                           shallow=False), name
+    assert "curve = bs.txt\n" in (tmp_path / "from_sub" / "plan.txt").read_text()
+    assert "plan = bare.plan\n" in load_scenario(sub / "bare.scenario").canonical_text()
+
+
+@pytest.mark.parametrize("attack_section, line", [
+    ("strategy = A\nmode = solve\nplan = does_not_exist.plan\n", 12),
+    ("strategy = B\nplan = does_not_exist.plan\n", 11),
+    ("strategy = none\nmode = plan\nplan = does_not_exist.plan\n", 12),
+], ids=["mode-solve", "mode-default", "honest"])
+def test_cli_plan_key_needs_an_attack_in_plan_mode(tmp_path, capsys, attack_section, line):
+    # a plan the run would not replay is refused at its line, not ignored and hashed
+    scen = tmp_path / "stray.scenario"
+    scen.write_text(MINIMAL + "[attack]\n" + attack_section)
+    assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"error: line {line}: a plan = <path> entry needs "
+                                       "strategy A or B and mode = plan\n")
+    assert not (tmp_path / "out").exists()
+
+
 def _plan_scenario(tmp_path, plan, strategy: str = "A") -> Path:
     path = tmp_path / "replay.scenario"
     path.write_text(MINIMAL + f"[attack]\nstrategy = {strategy}\nmode = plan\nplan = {plan}\n"
@@ -637,18 +696,15 @@ _FLAG_COMMANDS = {
     "run": ["run", "--scenario", str(SCENARIOS / "honest.scenario")],
     "sweep": ["sweep", "--variable", "N", "--start", "5", "--stop", "10", "--points", "2",
               "--mc"],
-    "solve": ["solve", "--strategy", "A"],
 }
 _FLAG_REQUIREMENTS = {"--threads": ">= 1", "--slots": ">= 1", "--points": ">= 1",
-                      "--seed": ">= 0", "--n-amp": "a finite number",
-                      "--r2": "a finite number"}
+                      "--seed": ">= 0", "--n-amp": "a finite number"}
 
 
 @pytest.mark.parametrize("value, flag, command", [
     *((value, flag, command) for command in ("run", "sweep")
       for flag in ("--threads", "--slots") for value in ("0", "-1")),
     ("0", "--points", "sweep"), ("-1", "--seed", "run"), ("nan", "--n-amp", "sweep"),
-    ("inf", "--r2", "solve"),
 ])
 def test_cli_rejects_non_positive_threads_and_slots(tmp_path, capsys, value, flag, command):
     # every flag domain is checked before any work, so no output directory is made
@@ -843,14 +899,13 @@ def test_cli_plan_mode_refuses_a_plan_for_another_curve(tmp_path, capsys):
      "lo_intensity must be finite and > 0, got inf"),
     (["solve", "--strategy", "B", "--eta-ch", "0.5", "--v-el", "nan"],
      "electronic_noise must be finite and >= 0, got nan"),
-    (["solve", "--strategy", "A", "--r1", "nan"], "--r1 must be a finite"),
     (["sweep", "--variable", "xi", "--start", "nan", "--stop", "0.5", "--points", "3"],
      "--start must be a finite"),
     (["sweep", "--variable", "eta_ch", "--start", "0.5", "--stop", "inf", "--points", "3"],
      "--stop must be a finite"),
     (["sweep", "--variable", "eta_ch", "--start", "0.5", "--stop", "0.9", "--points", "3",
       "--n-amp", "nan"], "--n-amp must be a finite"),
-], ids=["solve-lo-intensity-inf", "solve-v-el-nan", "solve-r1-nan", "sweep-start-nan",
+], ids=["solve-lo-intensity-inf", "solve-v-el-nan", "sweep-start-nan",
         "sweep-stop-inf", "sweep-n-amp-nan"])
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, argv, message):
     rc = main(argv + ["--out", str(tmp_path / "out")])
@@ -974,6 +1029,22 @@ def test_cli_sweep_header_tracks_monte_carlo_slots(tmp_path):
 
     assert sweep("a", "1000") == sweep("a_again", "1000")
     assert sweep("b", "2000") != sweep("a", "1000")
+
+
+@pytest.mark.parametrize("mode, flags", [
+    ("part1", ["--n-amp", "7"]),
+    ("solved", ["--threshold", "0.2"]),
+    ("solved", ["--strategy", "B"]),
+], ids=["part1-n-amp", "solved-threshold", "solved-strategy"])
+def test_cli_sweep_header_tracks_the_flags_that_shape_the_rows(tmp_path, mode, flags):
+    def sweep(name, *extra):
+        assert main(["sweep", "--variable", "eta_ch", "--start", "0.5", "--stop", "0.9",
+                     "--points", "2", "--mode", mode, *extra,
+                     "--out", str(tmp_path / name)]) == 0
+        return _header(tmp_path / name / "sweep.csv")
+
+    assert sweep("a", *flags) == sweep("a_again", *flags)
+    assert sweep("a", *flags) != sweep("default")
 
 
 def test_cli_detect_reproduces_the_run_a_over_c(tmp_path, capsys):
