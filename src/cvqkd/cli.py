@@ -124,8 +124,9 @@ def cmd_solve(args) -> int:
     if args.out is not None:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
+        # the strategy is a flag, not part of the scenario: the header's hash covers it
         serialize.write_plan(outdir / args.plan_file, plan, scen.curve_name,
-                             scen.scenario_hash(), scen.master_seed)
+                             scen.scenario_hash(args.strategy.encode()), scen.master_seed)
     return 0
 
 
@@ -167,6 +168,8 @@ def _solved_row(args, scen: Scenario, curve: BeamSplitterCurve, value: float,
 
 
 def cmd_sweep(args) -> int:
+    if args.mc and args.mode == "solved":
+        raise ConfigError("--mc simulates the part-1 resend; --mode solved has no Monte Carlo")
     # with --mc the header names the Monte-Carlo slot count
     scen = _scenario(args, master_seed=args.seed, slots=args.slots if args.mc else None)
     curve = scen.load_curve()

@@ -6,27 +6,33 @@ configuration that produced them. Floats are written as repr() writes them,
 which round-trips exactly, and CSV uses comma separators with '.' decimal
 points.
 
-Records CSVs (``records-v1``) are written 4096 rows at a time, each block as
-one uint8 buffer passed to one ``write``. The floats of x and y come from a
+Records CSVs (``records-v1``) are written 8192 rows at a time, each block as
+one bytes object passed to one ``write``. The floats of x and y come from a
 numpy kernel that spells exactly what ``repr`` spells. Schubfach (R.
 Giulietti, "The Schubfach way to render doubles", 2020) finds the shortest
 decimal that rounds back to each double with fixed-width integer arithmetic:
-a table of 126-bit powers of ten split into 63-bit halves, and three
-round-to-odd 64x64->128-bit products per value built from 32-bit halves in
-``np.uint64``. A table of layouts then places the digits, the decimal point,
-the sign and the exponent as ``repr`` does. A slot is its row number, whose
-digits come from the same table of 4-digit groups. Each entry of the batch's
-ratio table is spelled by ``repr`` once per file, and the rows' ratio text is
-gathered by the batch's ratio index. The block's rows are laid out in a
-zero-padded (rows, width) matrix that one boolean compaction turns into the
-block's bytes. The kernel's tables are built at import, in a few
-milliseconds.
+tables of its scaling per binary exponent and of 126-bit powers of ten split
+into 63-bit halves, and three round-to-odd 64x64->128-bit products per value
+built from 32-bit halves in ``np.uint64``, in place. Each value is then laid
+out in four uint64 words: its 17 digits from a table of 4-digit groups, then
+one layout (sign, decimal point position, digit count) whose three masks
+move the digits after the point up one byte, keep the digits to show and
+set the point, the sign and a leading ``0.``; the exponent comes from a
+table by decimal exponent. Characters are separated by 0 bytes, which one
+``bytes.translate`` per block drops. A positional repr fits the first three
+words, so a block without an exponent leaves the fourth out. A row starts
+with the ``\r\n`` that ends the line before it, and the file's last
+``\r\n`` is written when it is closed. A slot is its row number, whose digits
+come from the same table of 4-digit groups. Each (ratio, quadrature) cell of
+the batch's ratio table is spelled by ``repr`` once per file, and the rows'
+prefix words are gathered by cell. The kernel's tables are built at import,
+in a few milliseconds.
 
-The block size keeps a block's temporaries (about 4 MB) small enough that
-glibc keeps reusing the same heap pages: from 8192 rows up it hands the heap
-back to the system after every block, so every block faults its pages in
-again (16384 rows: about 130k more minor page faults and 10-20 % more time
-per 1e6 rows). 2048 rows took about 10 % more time than 4096.
+The block size balances numpy's cost per call against the cache: in process,
+streaming 1e6 attack_a rows on a 2-vCPU host, 8192-row blocks took about
+16 % less time than 4096-row blocks (half the calls per row), and 16384-row
+blocks about 60 % more than 8192: a block's temporaries peak at 2.2, 4.5
+and 8.9 MB (tracemalloc), against a 2 MB L2 cache per core.
 
 The metadata line ends in ``\n``; the column header and every row end in
 ``\r\n``, as ``csv.writer`` writes them. The writer appends batch by batch,
@@ -93,39 +99,40 @@ def fmt_value(value) -> str:
 
 
 _RECORDS_COLUMNS = ["slot", "quad", "ratio", "alice_x", "bob_y"]
-_RECORDS_BLOCK = 1 << 12
+_RECORDS_BLOCK = 1 << 13
 _RECORDS_DTYPE = np.dtype([("slot", np.int64), ("quad", "S2"), ("ratio", float),
                            ("alice_x", float), ("bob_y", float)])
 
 _U64 = np.uint64
-_M32 = _U64(0xFFFFFFFF)
-_M63 = _U64((1 << 63) - 1)
 _K_MIN, _K_MAX = -324, 292  # decimal exponents of the power-of-ten table
-_REPR_WIDTH = 24            # the longest repr: -1.2345678901234567e-308
-_SRC_PAD = 31               # the byte of a value's source row that is always 0
+_CRLF = _U64(int.from_bytes(b"\r\n", "little"))  # ends the row before, from a slot's first word
 
 
 class _Tables(NamedTuple):
-    g: tuple             # per decimal exponent: g1 high, g1 low, g0 high, g0 low, g1
-    digits4: np.ndarray  # uint32: the four ASCII digits of 0000..9999
-    blank4: np.ndarray   # uint32: digits4; then leading zeros blank, 0 blank; then 0 as "0"
-    last4: np.ndarray    # uint8: per digit group j, last non-zero digit position
-    pow10: np.ndarray    # uint64: 10^0 .. 10^19
-    lengths: np.ndarray  # uint8: text length of each layout
-    right: np.ndarray    # uint8: per layout, source bytes of the text and ",", right-aligned
-    left: np.ndarray     # uint8: per layout, source bytes of the text and "\r\n", left-aligned
+    k: np.ndarray          # int64: per exponent field, then per power of two, Schubfach's k
+    h: np.ndarray          # uint64: the same for h
+    g: np.ndarray          # uint64 (2, k): g1 and g0 per decimal exponent k
+    digits4: np.ndarray    # uint32: the four ASCII digits of 0000..9999
+    blank4: np.ndarray     # uint32: digits4; then leading zeros blank, 0 blank; then 0 as "0"
+    last4: np.ndarray      # uint8: per digit group j, last non-zero digit position (at least 1)
+    pow10: np.ndarray      # uint64: 10^0 .. 10^19
+    masks: np.ndarray      # uint64 (3, 748, 4): per layout, low, high and point masks
+    exponents: np.ndarray  # uint64: per decpt -324..309, the last word's exponent
 
 
 @functools.cache
 def _repr_tables() -> _Tables:
     """The float and integer kernels' tables, built once at import (a few milliseconds).
 
+    ``k`` and ``h`` are Schubfach's decimal exponent and shift per binary
+    exponent field, and per field of a power of two (``irregular``, whose
+    rounding interval below is half as wide) 2048 entries later.
     ``g`` holds, for each decimal exponent k, g = floor(10^-k 2^-r) + 1 with
-    2^125 <= g < 2^126, split into its high 63 bits g1 and low 63 bits g0,
-    each also as 32-bit halves. ``last4[10000 j + v]`` is the 1-based position
-    of the last non-zero digit of group value v in a 17-digit string whose
-    group j (of four) follows the lead digit, or 0 when v is 0. Blank bytes
-    are 0.
+    2^125 <= g < 2^126, split into its high 63 bits g1 and low 63 bits g0.
+    ``last4[10000 j + v]`` is the 1-based position of the last non-zero digit
+    of group value v in a 17-digit string whose group j (of four) follows the
+    lead digit, or 1 (the lead digit) when v is 0. ``masks`` place the point (see
+    ``_repr_words``). Blank bytes are 0.
     """
     g = []
     for k in range(_K_MIN, _K_MAX + 1):
@@ -136,8 +143,11 @@ def _repr_tables() -> _Tables:
         else:
             p = 10 ** k
             g.append((1 << (125 + p.bit_length())) // p + 1)
-    g1 = np.array([x >> 63 for x in g], np.uint64)
-    g0 = np.array([x & ((1 << 63) - 1) for x in g], np.uint64)
+    g = np.array([[x >> 63 for x in g], [x & ((1 << 63) - 1) for x in g]], np.uint64)
+    exp2, irregular = np.arange(4096) & 0x7FF, np.arange(4096) >> 11
+    q = np.maximum(exp2, 1) - 1075
+    k = (q * 661971961083 - irregular * 274743187321) >> 41  # floor(log10(2^q)), or of 3/4 2^q
+    h = (q + (-k * 913124641741 >> 38) + 2).astype(np.uint64)  # + floor(log2(10^-k))
 
     i = np.arange(10000)
     chars = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1) + 48
@@ -147,47 +157,24 @@ def _repr_tables() -> _Tables:
     blank4 = np.concatenate([digits4, blank, blank])
     blank4[20000] = digits4[0] & np.uint32(0xFF000000)  # "0" in the last byte
     trailing = (i % 10 == 0).astype(int) + (i % 100 == 0) + (i % 1000 == 0)
-    last4 = np.concatenate([np.where(i == 0, 0, 4 * j + 5 - trailing) for j in range(4)])
-    return _Tables((g1 >> _U64(32), g1 & _M32, g0 >> _U64(32), g0 & _M32, g1),
-                   digits4, blank4, last4.astype(np.uint8),
-                   np.array([10 ** j for j in range(20)], np.uint64), *_repr_templates())
+    last4 = np.concatenate([np.where(i == 0, 1, 4 * j + 5 - trailing) for j in range(4)])
 
-
-def _repr_templates():
-    """Which source bytes spell each layout of ``repr``, two ways.
-
-    A value's source row (``_repr_source``) holds ``,\r\n`` (bytes 0..2), the
-    17 significant digits (byte 3, then bytes 4..19), ``0.e`` and the
-    exponent's sign (bytes 20..23), the exponent's absolute value as four
-    digits (bytes 24..27), ``-`` (byte 28) and a 0 byte (31). Layouts are
-    numbered by sign (374 apart), then 340 positional ones by decimal-point
-    position decpt = -3..16 and digit count n = 1..17, then 34 exponential
-    ones by exponent width (2 or 3 digits) and n. Returns the layouts' text
-    lengths and two templates: text then "," right-aligned, and text then
-    "\r\n" left-aligned, both padded with the 0 byte.
-    """
-    digit = [3] + list(range(4, 20))
-    rows = []
-    for sign in ([], [28]):
-        for decpt in range(-3, 17):
-            for n in range(1, 18):
-                if decpt <= 0:
-                    body = [20, 21] + [20] * -decpt + digit[:n]
-                elif decpt < n:
-                    body = digit[:decpt] + [21] + digit[decpt:n]
-                else:
-                    body = digit[:n] + [20] * (decpt - n) + [21, 20]
-                rows.append(sign + body)
-        for exponent in ([26, 27], [25, 26, 27]):
-            for n in range(1, 18):
-                fraction = [21] + digit[1:n] if n > 1 else []
-                rows.append(sign + digit[:1] + fraction + [22, 23] + exponent)
-    right = np.full((len(rows), _REPR_WIDTH + 1), _SRC_PAD, np.uint8)
-    left = np.full((len(rows), _REPR_WIDTH + 2), _SRC_PAD, np.uint8)
-    for r, row in enumerate(rows):
-        right[r, _REPR_WIDTH - len(row):] = row + [0]
-        left[r, :len(row) + 2] = row + [1, 2]
-    return np.array([len(row) for row in rows], np.uint8), right, left
+    # per layout (sign, decpt clipped to -4..17, digit count): low, high and point masks
+    sign, decpt = np.arange(2)[:, None, None, None], np.arange(-4, 18)[:, None, None]
+    n, b = np.arange(1, 18)[:, None], np.arange(32)
+    positional = (decpt > -4) & (decpt < 17)
+    q = np.where(positional, decpt, 1)
+    p, e = 6 + q, 6 + np.where(positional, np.maximum(n, q + 1), n)
+    point = ((b == p) & (e > p)) * ord(".") + (b == 0) * ord(",") + (b == 1) * sign * ord("-") + (
+        (b == 2) & (q <= 0)) * ord("0")
+    masks = np.stack(np.broadcast_arrays(((b >= np.minimum(p, 6)) & (b < p)) * 255,
+                                         ((b > p) & (b <= e)) * 255, point))
+    exponents = [int.from_bytes(f"e{x - 1:+03d}".encode(), "little") * (not -4 < x < 17)
+                 for x in range(-324, 310)]
+    return _Tables(k, h, g, digits4, blank4,
+                   last4.astype(np.uint8), np.array([10 ** j for j in range(20)], np.uint64),
+                   masks.astype(np.uint8).view(np.uint64).reshape(3, -1, 4),
+                   np.array(exponents, np.uint64))
 
 
 # Built at import: built lazily in the first records write, the tables can sit
@@ -195,24 +182,33 @@ def _repr_templates():
 _repr_tables()
 
 
-def _mul_hi(ah, al, bh, bl):
-    """High 64 bits of the 128-bit product of a = ah 2^32 + al and b = bh 2^32 + bl."""
-    ll = al * bl
-    hl = ah * bl
-    lh = al * bh
-    mid = (ll >> _U64(32)) + (hl & _M32) + (lh & _M32)
-    return ah * bh + (hl >> _U64(32)) + (lh >> _U64(32)) + (mid >> _U64(32))
-
-
 def _round_to_odd(g, cp):
-    """floor(g cp 2^-127), with its lowest bit set if any bit below was (cp < 2^63)."""
-    g1h, g1l, g0h, g0l, g1 = g
-    ch, cl = cp >> _U64(32), cp & _M32
-    z = ((g1 * cp) >> _U64(1)) + _mul_hi(g0h, g0l, ch, cl)
-    return (_mul_hi(g1h, g1l, ch, cl) + (z >> _U64(63))) | (((z & _M63) + _M63) >> _U64(63))
+    """floor(g cp 2^-127), with its lowest bit set if any bit below was (cp < 2^63).
+
+    ``g`` holds g1 and g0 (g = g1 2^63 + g0) as 32-bit high and low halves,
+    and g1; the high 64 bits of g1 cp and g0 cp come from 32x32-bit products,
+    each sum below 2^64 since g1, g0, cp < 2^63. Operations are in place.
+    """
+    (gh1, gh0), (gl1, gl0), g1 = g
+    ch, cl = cp >> _U64(32), cp & _U64(0xFFFFFFFF)
+    mid1, mid0 = gl1 * cl, gl0 * cl
+    for mid, gh, gl in ((mid1, gh1, gl1), (mid0, gh0, gl0)):
+        mid >>= _U64(32)
+        mid += gh * cl
+        mid += gl * ch
+        mid >>= _U64(32)
+    z = g1 * cp
+    z >>= _U64(1)
+    z += mid0
+    z += gh0 * ch
+    mid1 += gh1 * ch
+    mid1 += z >> _U64(63)
+    z <<= _U64(1)
+    mid1 |= z != 0
+    return mid1
 
 
-def _shortest_decimal(bits, g):
+def _shortest_decimal(bits):
     """(d, e) with d 10^e the shortest decimal that rounds to each finite double.
 
     Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020):
@@ -220,136 +216,117 @@ def _shortest_decimal(bits, g):
     round-to-odd products, then take the multiple of 10^(k+1) in the
     interval if there is one, else the one of floor and ceiling in it, else
     the nearer of the two (the even one on a tie). The interval's ends count
-    when the significand is even, as round-half-even reading needs. Whole
-    numbers below 2^53 are their own shortest decimal. Zero gives (0, 0).
+    when the significand is even, as round-half-even reading needs. Zero
+    gives (0, 0).
     """
-    exp2 = ((bits >> _U64(52)) & _U64(0x7FF)).astype(np.int64)
-    frac = bits & _U64((1 << 52) - 1)
-    c = frac | ((exp2 != 0).astype(np.uint64) << _U64(52))
-    q = np.maximum(exp2, 1) - 1075
+    signed = bits.view(np.int64)
+    exp2 = signed >> 52 & 0x7FF
+    frac = signed & (1 << 52) - 1
+    c = (frac | (exp2 + 0x7FF) >> 11 << 52).view(np.uint64)  # the hidden bit unless subnormal
     # at a power of two the interval below is half as wide
     irregular = (frac == 0) & (exp2 > 1)
-    k = (q * 661971961083 - irregular * 274743187321) >> 41  # floor(log10(2^q)), or of 3/4 2^q
-    h = (q + ((-k * 913124641741) >> 38) + 2).astype(np.uint64)  # + floor(log2(10^-k))
-    g = [part.take(k - _K_MIN) for part in g]
+    t = _repr_tables()
+    row = exp2 + 2048 * irregular
+    k, h = t.k.take(row), t.h.take(row)
+    g = t.g.take(k - _K_MIN, axis=-1)
+    g = g >> _U64(32), g & _U64(0xFFFFFFFF), g[0]
     cb = c << _U64(2)
-    vb = _round_to_odd(g, cb << h)
-    vbl = _round_to_odd(g, (cb - _U64(2) + irregular) << h)
-    vbr = _round_to_odd(g, (cb + _U64(2)) << h)
+    lo, vb, hi = (_round_to_odd(g, cp << h) for cp in (cb - _U64(2) + irregular, cb,
+                                                       cb + _U64(2)))
     odd = c & _U64(1)
+    lo += odd
+    hi -= odd
     s = vb >> _U64(2)
     s10 = s // _U64(10) * _U64(10)
-    u10 = vbl + odd <= s10 << _U64(2)
-    w10 = ((s10 + _U64(10)) << _U64(2)) + odd <= vbr
-    u = vbl + odd <= s << _U64(2)
-    w = ((s + _U64(1)) << _U64(2)) + odd <= vbr
-    mid = (s << _U64(2)) + _U64(2)
-    up = (vb > mid) | ((vb == mid) & (s & _U64(1)).astype(bool))
-    one = u != w
-    d = s + (one & w | ~one & up)
-    d ^= (d ^ (s10 + _U64(10) * w10)) & (_U64(0) - (u10 != w10))
-    shift = (-q).astype(np.uint64)  # only 0 < -q < 53 is used; numpy shifts by >= 64 give 0
-    whole = c >> shift
-    is_whole = ((whole << shift) == c) & (q > -53) & (q < 0)
-    d ^= (d ^ whole) & (_U64(0) - is_whole)
-    d *= c != 0
-    return d, k * ~(is_whole | (c == 0))
+    u10, w10 = lo <= s10 << _U64(2), (s10 + _U64(10)) << _U64(2) <= hi
+    u, w = lo <= s << _U64(2), (s + _U64(1)) << _U64(2) <= hi
+    vb &= _U64(3)
+    vb += s & _U64(1)
+    s += w & ~u | (u == w) & (vb > _U64(2))
+    s10 += w10 * _U64(10)
+    nonzero = c != 0
+    k *= nonzero
+    return np.where(u10 != w10, s10, s) * nonzero, k
 
 
-def _repr_source(values):
-    """Per finite float64: its source row (see ``_repr_templates``) and layout number.
+def _repr_words(values):
+    """``,`` and each finite float64's ``repr`` in four uint64 words, 0 bytes between.
 
     Digits come from ``_shortest_decimal``; the layout follows ``repr``:
     positional when -4 < decpt <= 16 (``.0`` after whole numbers), else
-    ``d.ddde±XX``, and ``-`` before negative values, -0.0 included.
+    ``d.ddde±XX``, and ``-`` before negative values, -0.0 included. Layouts
+    are numbered by sign, decpt (clipped to -4..17) and digit count. Bytes
+    3..22 hold three "0" digits and the 17 digits; the point goes in at byte
+    P = 6 + q (q = decpt, or 1 for the exponent layout): the bytes from P on
+    move up one byte, and the layout's masks keep the digits to show, set
+    the point, "," (byte 0), "-" (byte 1) and the "0" before the point of
+    values below 1 (byte 2). So a positional repr ends by byte 23, and only
+    the exponent layout fills the last word.
     """
     t = _repr_tables()
-    m = values.size
     bits = values.view(np.uint64)
-    d, e = _shortest_decimal(bits, t.g)
-    zero = d == 0
-    d |= zero  # zero is laid out as the digits of 1, then cleared
-    log2 = (d.astype(np.float64).view(np.uint64) >> _U64(52)).astype(np.int64) - 1022
-    nd = log2 * 1233 >> 12  # digit count of d, or one less
+    d, e = _shortest_decimal(bits)
+    log2 = ((d | _U64(1)).view(np.int64).astype(np.float64).view(np.int64) >> 52) - 1022
+    nd = log2 * 1233 >> 12  # digit count of d (1 for zero), or one less
     nd += d >= t.pow10.take(nd)
     decpt = nd + e
-    d = d * t.pow10.take(17 - nd) * ~zero  # 17 digits
-    lead = d // _U64(10 ** 16)
-    d -= lead * _U64(10 ** 16)
-    hi = d // _U64(10 ** 8)
-    lo = d - hi * _U64(10 ** 8)
-    groups = (hi // _U64(10000), hi % _U64(10000), lo // _U64(10000), lo % _U64(10000))
-    src = np.empty((m, 8), np.uint32)
-    src[:, 0] = (lead.astype(np.uint32) << np.uint32(24)) + np.uint32(
-        int.from_bytes(b",\r\n0", "little"))
-    n = np.ones(m, np.uint8)
-    for j, group in enumerate(groups):
-        src[:, j + 1] = t.digits4.take(group)
-        np.maximum(n, t.last4.take(group + _U64(10000 * j)), out=n)
-    exp10 = decpt - 1
-    src[:, 5] = np.uint32(int.from_bytes(b"0.e+", "little")) + (
-        (exp10 < 0).astype(np.uint32) << np.uint32(25))  # "+" + 2 = "-"
-    src[:, 6] = t.digits4.take(np.abs(exp10))
-    src[:, 7] = np.uint32(ord("-"))
-    positional = (decpt > -4) & (decpt <= 16)
-    layout = np.where(positional, (decpt + 3) * 17, 340 + 17 * (np.abs(exp10) >= 100)) + n - 1
-    layout += 374 * (bits >> _U64(63)).astype(np.int64)
-    return src.view(np.uint8), layout
+    d *= t.pow10.take(17 - nd)  # 17 digits
+    groups = (d // t.pow10[16::-4, None]).view(np.int64)  # the lead digit, four groups of four
+    groups[1:] -= groups[:-1] * 10000
+    n = t.last4.take(groups[1:] + np.arange(0, 40000, 10000)[:, None]).max(axis=0)
+    field = np.zeros((values.size, 4), np.uint64)  # the digits placed one byte up
+    half = field.view(np.uint32)
+    half[:, 1] = (groups[0] << 24) + int.from_bytes(b"0000", "little")  # "000", the lead digit
+    for j in range(1, 5):
+        half[:, j + 1] = t.digits4.take(groups[j])
+    layout = np.clip(decpt, -4, 17) * 17 + 374 * (bits >> _U64(63)).view(np.int64)
+    layout += n + (4 * 17 - 1)  # decpt from -4, digit count from 1
+    low, high, point = t.masks.take(layout, axis=1)
+    down = np.zeros_like(field)  # the digits in place
+    down.view(np.uint8).ravel()[:-1] = field.view(np.uint8).ravel()[1:]
+    down &= low
+    field &= high
+    field |= down
+    field |= point
+    field[:, 3] |= t.exponents.take(decpt + 324)
+    return field
 
 
-def _spell(src, layout, template):
-    """Gather each source row's bytes through its layout's template row."""
-    m, width = layout.size, template.shape[1]
-    index = np.ascontiguousarray(template).view(f"V{width}").ravel().take(layout)
-    index = np.add(index.view(np.uint8).reshape(m, width),
-                   np.arange(0, src.size, src.shape[1])[:, None], dtype=np.intp)
-    return src.ravel().take(index)
-
-
-def _int_chars(values):
-    """``str`` of each non-negative int64 as a (n, width) uint8 array, right-aligned,
-    0-padded."""
-    t = _repr_tables()
-    u = values.astype(np.uint64)
-    width = len(str(int(u.max(initial=0))))
+def _int_words(values, room=0):
+    """``str`` of each non-negative int64, right-aligned in uint64 words after at least
+    ``room`` 0 bytes."""
+    blank4 = _repr_tables().blank4
+    width = len(str(int(values.max(initial=0))))
     groups = -(-width // 4)
-    words = np.empty((values.size, groups), np.uint32)
+    words = np.zeros((values.size, -(-(width + room) // 8) * 2), np.uint32)
+    higher = 0
     for j in range(5 - groups, 5):
-        group = u // t.pow10[16 - 4 * j] % _U64(10000)
+        quotient = values // 10 ** (16 - 4 * j)
         # leading zeros are blank unless a higher group has digits; the last shows 0
-        blank = _U64(10000) if j == 0 else (u < t.pow10[20 - 4 * j]) * _U64(20000 if j == 4 else 10000)
-        words[:, j - 5 + groups] = t.blank4.take(group + blank)
-    return words.view(np.uint8)[:, 4 * groups - width:]
+        blank = (higher == 0) * (20000 if j == 4 else 10000)
+        words[:, j - 5] = blank4.take(quotient - higher * 10000 + blank)
+        higher = quotient
+    return words.view(np.uint64)
 
 
-def _records_rows(first_slot, quad, ratio_text, alice_x, bob_y) -> np.ndarray:
-    """The records-v1 rows of one block as one uint8 buffer.
+def _records_rows(first_slot, prefix, alice_x, bob_y) -> bytes:
+    """The records-v1 rows of one block.
 
-    Slots are numbered from ``first_slot``; ``ratio_text`` holds each row's
-    ratio and ``,``, 0-padded. Each row is laid out in a fixed-width row of a
-    (rows, width) matrix whose unused bytes are 0, and the matrix is
-    compacted in row order. The padding sits only after the ratio and after
-    the row, which keeps the compaction to two runs of bytes per row: slot
-    (right-aligned), ``,X,`` or ``,P,``, the ratio and ``,``; then x and
-    ``,`` (right-aligned), y and ``\r\n``.
+    Slots are numbered from ``first_slot``; ``prefix`` holds each row's
+    ``,X,`` or ``,P,`` and ratio in uint64 words. Each row starts with the
+    ``\r\n`` that ends the line before it, and is laid out in uint64 words,
+    with 0 bytes between its characters that one ``bytes.translate`` drops:
+    ``\r\n`` and the slot (right-aligned), the prefix, then ``,`` and x and
+    ``,`` and y (``_repr_words``), each without its last word when no value
+    of the block has an exponent.
     """
-    t = _repr_tables()
-    m, rw = ratio_text.shape
-    slot_text = _int_chars(np.arange(first_slot, first_slot + m))
-    src, layout = _repr_source(np.concatenate([alice_x, bob_y]))
-    width = int(t.lengths.take(layout).max(initial=1))
-    x_text = _spell(src[:m], layout[:m], t.right[:, _REPR_WIDTH - width:])
-    y_text = _spell(src[m:], layout[m:], t.left[:, :width + 2])
-    sw = slot_text.shape[1]
-    rows = np.empty((m, sw + 3 + rw + 2 * width + 3), np.uint8)
-    rows[:, :sw] = slot_text
-    rows[:, sw:sw + 3] = np.frombuffer(b",X,", np.uint8)
-    rows[:, sw + 1] = np.frombuffer(b"XP", np.uint8).take(quad)
-    rows[:, sw + 3:sw + 3 + rw] = ratio_text
-    rows[:, sw + 3 + rw:sw + 4 + rw + width] = x_text
-    rows[:, sw + 4 + rw + width:] = y_text
-    flat = rows.ravel()
-    return flat[flat != 0]
+    m = alice_x.size
+    words = _repr_words(np.concatenate([alice_x, bob_y]))
+    slots = _int_words(np.arange(first_slot, first_slot + m), room=2)
+    slots[:, 0] |= _CRLF
+    rows = np.concatenate([slots, prefix, *(column[:, :3 + column[:, 3].any()]
+                                            for column in (words[:m], words[m:]))], axis=1)
+    return rows.tobytes().translate(None, b"\0")
 
 
 @contextlib.contextmanager
@@ -374,21 +351,23 @@ def records_writer(path, scenario_hash: str, seed: int):
                              ("bob_y", batch.bob_y)):
             if not np.isfinite(values).all():
                 raise ValueError(f"cannot write records: non-finite {name}")
-        texts = [repr(r).encode() + b"," for r in batch.ratios.tolist()]
-        rw = max(map(len, texts), default=1)
-        ratio_text = np.array(texts, f"S{rw}").view(np.uint8).reshape(-1, rw)
+        # ",X,<ratio>" and ",P,<ratio>" per ratio, in uint64 words; a row's cell indexes them
+        texts = [f",{quad},{r!r}".encode() for r in batch.ratios.tolist() for quad in "XP"]
+        width = -(-max(map(len, texts), default=1) // 8)
+        prefixes = np.array(texts, f"S{8 * width}").view(np.uint64).reshape(-1, width)
+        cell = batch.ratio_index.astype(np.intp) * 2 + batch.quad
         for start in range(0, len(batch), _RECORDS_BLOCK):
             block = slice(start, start + _RECORDS_BLOCK)
-            fh.write(_records_rows(written + start, batch.quad[block],
-                                   ratio_text[batch.ratio_index[block]],
+            fh.write(_records_rows(written + start, prefixes.take(cell[block], axis=0),
                                    batch.alice_x[block], batch.bob_y[block]))
         written += len(batch)
 
     try:
         with open(temp, "wb") as fh:
             fh.write((meta_line(RECORDS_FORMAT, scenario_hash, seed) + "\n").encode())
-            fh.write((",".join(_RECORDS_COLUMNS) + "\r\n").encode())
+            fh.write(",".join(_RECORDS_COLUMNS).encode())  # each row starts with "\r\n"
             yield append
+            fh.write(b"\r\n")
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)

@@ -1047,6 +1047,26 @@ def test_cli_sweep_header_tracks_the_flags_that_shape_the_rows(tmp_path, mode, f
     assert sweep("a", *flags) != sweep("default")
 
 
+def test_cli_solve_header_tracks_the_strategy(tmp_path):
+    def solve(name, strategy):
+        assert main(["solve", "--strategy", strategy, "--out", str(tmp_path / name)]) == 0
+        return _header(tmp_path / name / "plan.txt")
+
+    assert solve("a", "A") == solve("a_again", "A")
+    assert solve("b", "B") != solve("a", "A")
+
+
+def test_cli_sweep_refuses_monte_carlo_in_solved_mode(tmp_path, capsys):
+    # solved mode has no Monte Carlo, so --mc there would only change the header
+    rc = main(["sweep", "--variable", "eta_ch", "--start", "0.5", "--stop", "0.9",
+               "--points", "2", "--mode", "solved", "--mc", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "--mc" in captured.err and "--mode solved" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_detect_reproduces_the_run_a_over_c(tmp_path, capsys):
     # a batch read back from records is reduced chunk by chunk like the session
     rc = main(["run", "--scenario", str(SCENARIOS / "attack_a.scenario"),

@@ -9,8 +9,8 @@ from cvqkd.attack import AttackPlan, StrategyA, solve_attack_parameters
 from cvqkd.physics import builtin_curve
 from cvqkd.protocol import RatioMoments, RecordBatch, SystemParams, run_honest_session
 from cvqkd.rng import CHUNK_SLOTS
-from cvqkd.serialize import (_int_chars, _repr_source, _repr_tables, _spell, csv_text,
-                             load_plan, plan_items, read_records_csv, read_report, write_plan,
+from cvqkd.serialize import (_RECORDS_BLOCK, _int_words, _repr_words, csv_text, load_plan,
+                             plan_items, read_records_csv, read_report, records_writer, write_plan,
                              write_records_csv, write_report)
 
 CURVE = builtin_curve("50:50")
@@ -99,6 +99,29 @@ def test_records_csv_bytes_match_csv_writer(tmp_path, n):
     write_records_csv(tmp_path / "new.csv", batch, "g0", 9)
     _reference_records_csv(tmp_path / "ref.csv", batch, "g0", 9)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_records_writer_streams_batches_as_one_file(tmp_path):
+    # batches as run appends them, straddling write blocks; most blocks mix
+    # positional and exponent layouts, both zeros and subnormals among normal
+    # values, and the third batch has no exponent layout
+    sizes = [1, 4095, 4097, _RECORDS_BLOCK + 1, 65539]
+    batch = _edge_batch(sum(sizes))
+    batch.bob_y[:] = np.random.default_rng(6).normal(0.0, 1e4, len(batch))
+    edges = [1e-05, 1e16, -0.0, 0.0, 5e-324, -1.2345678901234567e-308, 1e100, 123456.789]
+    for column, start in ((batch.alice_x, 0), (batch.bob_y, 3)):
+        column[start::8209] = np.resize(edges, column[start::8209].size)
+    third = np.abs(np.concatenate([batch.alice_x[4096:8193], batch.bob_y[4096:8193]]))
+    assert ((third >= 1e-4) & (third < 1e16)).all()
+    with records_writer(tmp_path / "streamed.csv", "s", 4) as append:
+        start = 0
+        for size in sizes:
+            block = slice(start, start + size)
+            append(RecordBatch(batch.quad[block], batch.ratios, batch.ratio_index[block],
+                               batch.alice_x[block], batch.bob_y[block]))
+            start += size
+    _reference_records_csv(tmp_path / "ref.csv", batch, "s", 4)
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -198,14 +221,15 @@ def test_csv_text_header_and_rows():
 
 
 def _repr_bytes(values):
-    """The float kernel's text for each value, as bytes objects."""
+    """The float kernel's text for each value, as bytes objects (its 0 bytes and the
+    leading "," dropped)."""
     values = np.ascontiguousarray(values, dtype=float)
     out = []
     for start in range(0, values.size, 1 << 14):
-        src, layout = _repr_source(values[start:start + (1 << 14)])
-        chars = _spell(src, layout, _repr_tables().left)
-        out += [text[:-2] for text in chars.view(f"S{chars.shape[1]}").ravel().tolist()]
-    return out
+        words = _repr_words(values[start:start + (1 << 14)])
+        out += [text.translate(None, b"\0") for text in words.view("S32").ravel().tolist()]
+    assert all(text.startswith(b",") for text in out)
+    return [text[1:] for text in out]
 
 
 def _kernel_cases():
@@ -263,10 +287,12 @@ def test_int_kernel_matches_str():
     values = np.concatenate([[0, 1, info.max, info.max - 1], tens, tens - 1, tens + 1,
                              np.random.default_rng(3).integers(0, info.max, 10_000)]).astype(
                                  np.int64)
-    chars = _int_chars(values)
-    # right-aligned: a leading 0 byte would end the string early, so drop them first
-    got = [bytes(row[row != 0]) for row in chars]
-    assert got == [str(v).encode() for v in values.tolist()]
+    for room in (0, 2):
+        chars = _int_words(values, room).view(np.uint8)
+        assert not chars[:, :room].any()
+        # right-aligned: a leading 0 byte would end the string early, so drop them first
+        got = [bytes(row[row != 0]) for row in chars]
+        assert got == [str(v).encode() for v in values.tolist()]
 
 
 @pytest.mark.parametrize("name", ["ratio", "alice_x", "bob_y"])
