@@ -209,7 +209,7 @@ def cmd_detect(args) -> int:
     seed = meta.get("seed", "0")
     if not (seed.isascii() and seed.isdigit()):
         raise ValueError(f"records file {args.records}: seed={seed} is not a non-negative integer")
-    moments = serialize.read_records_csv(args.records, records=False)
+    moments = serialize.read_records_csv(args.records)
     poly = analysis.fit_noise_polynomial(moments)
     verdict = analysis.detect(poly, threshold=args.threshold)
     items = list((dict(poly.as_items()) | dict(verdict.as_items())).items())  # a_over_c once

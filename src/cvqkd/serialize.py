@@ -36,12 +36,13 @@ and 8.9 MB (tracemalloc), against a 2 MB L2 cache per core.
 
 The metadata line ends in ``\n``; the column header and every row end in
 ``\r\n``, as ``csv.writer`` writes them. The writer appends batch by batch,
-as ``run`` draws its chunks. The reader checks the column header and parses
-``rng.CHUNK_SLOTS`` rows per ``np.loadtxt`` call, whose float conversion is
-correctly rounded, so a written batch reads back bit for bit. The quadrature
-column is read as two-byte strings and checked and mapped as one column, the
-slot column must read 0, 1, 2, ... in order, and the reader is the one place
-that groups ratio values, because there they come from outside the program.
+as ``run`` draws its chunks. ``read_records_csv`` returns the file's
+RatioMoments, reduced ``rng.CHUNK_SLOTS`` rows at a time from lists of 2048
+lines, each parsed by one ``np.loadtxt`` call, whose float conversion is
+correctly rounded, so a written batch reads back bit for bit. It refuses any
+line the writer would not write, naming its data row and, for a cell, its
+column, and it is the one place that groups ratio values, because there they
+come from outside the program.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ import functools
 import io
 import itertools
 import os
-import warnings
 from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -100,6 +100,9 @@ def fmt_value(value) -> str:
 
 _RECORDS_COLUMNS = ["slot", "quad", "ratio", "alice_x", "bob_y"]
 _RECORDS_BLOCK = 1 << 13
+# lines per np.loadtxt call, a divisor of the chunk: 65536 lines held as str took 6.2 MiB, and
+# a chunk's list of them raised detect's peak RSS from 44 to 61 MiB; 2048 lines peak at 44 MiB
+_READ_LINES = _rng.CHUNK_SLOTS // 32
 _RECORDS_DTYPE = np.dtype([("slot", np.int64), ("quad", "S2"), ("ratio", float),
                            ("alice_x", float), ("bob_y", float)])
 
@@ -292,13 +295,12 @@ def _repr_words(values):
     return field
 
 
-def _int_words(values, room=0):
-    """``str`` of each non-negative int64, right-aligned in uint64 words after at least
-    ``room`` 0 bytes."""
+def _int_words(values):
+    """``str`` of each int64 >= 0, right-aligned in uint64 words after two or more 0 bytes."""
     blank4 = _repr_tables().blank4
     width = len(str(int(values.max(initial=0))))
     groups = -(-width // 4)
-    words = np.zeros((values.size, -(-(width + room) // 8) * 2), np.uint32)
+    words = np.zeros((values.size, -(-(width + 2) // 8) * 2), np.uint32)
     higher = 0
     for j in range(5 - groups, 5):
         quotient = values // 10 ** (16 - 4 * j)
@@ -322,7 +324,7 @@ def _records_rows(first_slot, prefix, alice_x, bob_y) -> bytes:
     """
     m = alice_x.size
     words = _repr_words(np.concatenate([alice_x, bob_y]))
-    slots = _int_words(np.arange(first_slot, first_slot + m), room=2)
+    slots = _int_words(np.arange(first_slot, first_slot + m))
     slots[:, 0] |= _CRLF
     rows = np.concatenate([slots, prefix, *(column[:, :3 + column[:, 3].any()]
                                             for column in (words[:m], words[m:]))], axis=1)
@@ -383,22 +385,40 @@ def write_records_csv(path, batch: RecordBatch, scenario_hash: str, seed: int) -
         append(batch)
 
 
-def read_records_csv(path, *, records: bool = True):
-    """Read a records CSV ``rng.CHUNK_SLOTS`` rows at a time.
+def read_records_csv(path):
+    """The RatioMoments of a records CSV, reduced ``rng.CHUNK_SLOTS`` rows at a time
+    as a session's chunks are; a ratio joins their table, in ascending order, with
+    the first chunk that holds it.
 
-    Each chunk of rows is checked, becomes a record batch and is reduced as a
-    session chunk is; its distinct ratios that no earlier chunk held join the
-    ratio table in ascending order. Returns one batch carrying the moments,
-    or with ``records=False`` only the RatioMoments, in memory set by the chunk.
-
-    Raises ValueError for a leading metadata line of another format than
-    ``records-v1``, a wrong column header or any malformed row: a short row,
-    a quadrature other than X or P, a cell that is not a number, a ratio, x
-    or y that is not finite, a slot that is not its row number (0, 1, 2, ...
-    in order), or a ratio outside [0, 1], naming the data row (from 1,
-    across the file) or, for a cell, its chunk's rows.
+    Raises ValueError for a metadata line of another format than ``records-v1``,
+    another column header, or a data row the writer would not write, naming the
+    row (from 1, across the file) and, for a cell, its column: a blank line,
+    another column count, a cell that is not a number, a quadrature other than
+    X or P, a non-finite ratio, x or y, a slot that is not its row number, or a
+    ratio outside [0, 1].
     """
-    return RecordBatch.collect(_record_chunks(path), records)
+    return RecordBatch.collect(_record_chunks(path), False)
+
+
+def _loadtxt(lines, dtype=_RECORDS_DTYPE, column=None):
+    """``np.loadtxt`` of records lines (or a column), None if it refuses or skips (blank) one."""
+    with contextlib.suppress(ValueError):
+        rows = np.loadtxt(lines, dtype, delimiter=",", comments=None, usecols=column, ndmin=1)
+        return rows if rows.size == len(lines) else None
+
+
+def _refusal(lines, first: int) -> str:
+    """The data row (``lines[0]``'s is ``first + 1``) of the line ``_loadtxt`` fails on, and why."""
+    for row, line in enumerate(lines, first + 1):
+        cells = line.rstrip("\r\n").split(",")
+        if not line.strip():
+            return f"{row} is blank"
+        if len(cells) != len(_RECORDS_COLUMNS):
+            return f"{row} has {len(cells)} columns, not {len(_RECORDS_COLUMNS)}"
+        if _loadtxt([line]) is None:  # then it refuses one of the line's cells
+            c = next(c for c in range(len(cells)) if _loadtxt([line], _RECORDS_DTYPE[c], c) is None)
+            return (f"{row}, column {c + 1} ({_RECORDS_COLUMNS[c]}): could not convert "
+                    f"string {cells[c]!r} to {_RECORDS_DTYPE[c]}")
 
 
 def _record_chunks(path):
@@ -410,18 +430,22 @@ def _record_chunks(path):
             if fmt != RECORDS_FORMAT:
                 raise ValueError(f"{path} has format {fmt}, not {RECORDS_FORMAT}")
             line = fh.readline()
-        header = next(csv.reader([line]), [])
-        if header[:5] != _RECORDS_COLUMNS:
+        header = line.rstrip("\r\n").split(",")
+        if header != _RECORDS_COLUMNS:
             raise ValueError(f"unexpected records header {header!r}")
         bad = f"malformed records CSV {path}: data row"
         for first in itertools.count(0, chunk):
-            try:
-                with warnings.catch_warnings():
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    rows = np.loadtxt(fh, dtype=_RECORDS_DTYPE, delimiter=",", comments=None,
-                                      usecols=range(5), ndmin=1, max_rows=chunk)
-            except ValueError as exc:
-                raise ValueError(f"{bad}s {first + 1} to {first + chunk}: {exc}") from exc
+            rows, n = np.empty(chunk, _RECORDS_DTYPE), 0
+            while n < chunk and (lines := list(itertools.islice(fh, _READ_LINES))):
+                # np.loadtxt warns when every line is blank: refuse a blank first line here
+                part = _loadtxt(lines) if lines[0].strip() else None
+                if part is None:
+                    raise ValueError(f"{bad} {_refusal(lines, first + n)}")
+                rows[n:n + part.size] = part
+                n += part.size
+            if first and not n:  # a file of no rows reads as one empty chunk
+                return
+            rows = rows[:n]
             quad = rows["quad"] == b"P"
             wrong = np.flatnonzero(~quad & (rows["quad"] != b"X"))
             if wrong.size:
@@ -443,11 +467,8 @@ def _record_chunks(path):
                                  f"{float(rows['ratio'][wrong])!r} is outside [0, 1]")
             # a ratio keeps the label of the chunk that first held it
             labels = np.array([seen.setdefault(v, len(seen)) for v in values.tolist()], np.intp)
-            yield RecordBatch(quad.view(np.uint8), list(seen), labels[index],
-                              np.ascontiguousarray(rows["alice_x"]),
-                              np.ascontiguousarray(rows["bob_y"]))
-            if rows.size < chunk:
-                return
+            yield RecordBatch(quad.view(np.uint8), list(seen), labels[index], rows["alice_x"],
+                              rows["bob_y"])
 
 
 def report_text(items: Iterable[tuple[str, object]]) -> str:

@@ -14,7 +14,7 @@ from cvqkd.protocol import (AttenuationSchedule, RatioMoments, RecordBatch,
                             estimate_two_point, honest_noise_table, run_honest_session,
                             two_point_from_variances, variances_by_ratio)
 from cvqkd.rng import CHUNK_SLOTS
-from cvqkd.serialize import read_records_csv, write_records_csv
+from cvqkd.serialize import _record_chunks, write_records_csv
 
 P_DEFAULT = SystemParams()  # V_A=5, eta=0.5, eta_ch=0.9, xi=0.1, I_LO=1e8
 THREE_RATIO_PARAMS = SystemParams(schedule=THREE_RATIO_SCHEDULE)
@@ -180,7 +180,7 @@ def test_record_batch_round_trip_and_lazy_slots(tmp_path):
     # the slot column is written from the row numbers
     rows = (tmp_path / "records.csv").read_text().splitlines()[2:]
     assert [int(row.split(",")[0]) for row in rows] == list(range(100))
-    rebuilt = read_records_csv(tmp_path / "records.csv")
+    rebuilt = RecordBatch.collect(_record_chunks(tmp_path / "records.csv"))
     assert np.array_equal(rebuilt.ratios[rebuilt.ratio_index], batch.ratios[batch.ratio_index])
     assert np.array_equal(rebuilt.bob_y, batch.bob_y)
     assert np.array_equal(rebuilt.quad, batch.quad)

@@ -17,7 +17,7 @@ from cvqkd.errors import ConfigError, CountermeasureError
 from cvqkd.rng import CHUNK_SLOTS
 from cvqkd.scenario import _KEYS as _KEY_TABLE, Scenario, load_scenario, parse_scenario
 from cvqkd.protocol import SystemParams
-from cvqkd.serialize import read_meta, read_report, write_records_csv
+from cvqkd.serialize import _READ_LINES, read_meta, read_report, write_records_csv
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -594,6 +594,9 @@ def test_cli_thread_count_does_not_change_bytes(tmp_path):
         assert filecmp.cmp(out1 / name, out8 / name, shallow=False), name
 
 
+_HEAD = "# format=records-v1 scenario=x seed=0\nslot,quad,ratio,alice_x,bob_y\r\n"
+
+
 @pytest.mark.parametrize("row, message", [("1,P,1.0", "columns"),
                                           ("0,Q,1.0,2.0,3.0", "quadrature"),
                                           ("0,X,1.0,abc,3.0", "abc"),
@@ -607,21 +610,61 @@ def test_cli_thread_count_does_not_change_bytes(tmp_path):
                                           ("5,X,1.0,2.0,3.0", "data row 2: slot 5"),
                                           ("0,X,1.0,2.0,3.0", "data row 2: slot 0"),
                                           ("1,X,-1.0,2.0,3.0", "data row 2: ratio -1.0 is"),
-                                          ("1,P,7.5,2.0,3.0", "data row 2: ratio 7.5 is")],
+                                          ("1,P,7.5,2.0,3.0", "data row 2: ratio 7.5 is"),
+                                          ("\r\n1,P,0.5,2.0,3.0", "data row 2 is blank"),
+                                          ("1,P,0.5,2.0", "data row 2 has 4 columns, not 5"),
+                                          ("1,P,0.5,2.0,3.0,9", "data row 2 has 6 columns, not 5"),
+                                          ("1,P,0.5,2.0,3.0\r\n2,X,0.001,2.0,abc",
+                                           "data row 3, column 5 (bob_y): could not convert "
+                                           "string 'abc' to float64\n")],
                          ids=["short-row", "unknown-quadrature", "non-numeric",
                               "nan-ratio", "nan-alice-x", "inf-outcome", "doubled-quadrature",
                               "lower-case-quadrature", "empty-quadrature",
                               "padded-quadrature", "out-of-order-slot", "repeated-slot",
-                              "negative-ratio", "ratio-above-one"])
+                              "negative-ratio", "ratio-above-one", "blank-line", "four-cells",
+                              "six-cells", "non-numeric-row-3"])
 def test_cli_detect_malformed_records_exit_2(tmp_path, capsys, row, message):
     path = tmp_path / "bad.csv"
-    path.write_text("# format=records-v1 scenario=x seed=0\n"
-                    "slot,quad,ratio,alice_x,bob_y\r\n"
-                    "0,X,1.0,2.0,3.0\r\n" + row + "\r\n", newline="")
+    path.write_text(_HEAD + "0,X,1.0,2.0,3.0\r\n" + row + "\r\n", newline="")
     rc = main(["detect", "--records", str(path)])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    out, err = capsys.readouterr()
+    # one error line: no numpy warning, and the data row counted from 1
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("old, new, cells", [
+    ("bob_y", "bob_y,extra", "['slot', 'quad', 'ratio', 'alice_x', 'bob_y', 'extra']"),
+    ("slot", '"slot"', """['"slot"', 'quad', 'ratio', 'alice_x', 'bob_y']"""),
+], ids=["sixth-column", "quoted-cell"])
+def test_cli_detect_refuses_a_header_the_writer_does_not_write(tmp_path, capsys, old, new,
+                                                               cells):
+    path = tmp_path / "bad.csv"
+    path.write_text(_HEAD.replace(old, new) + "0,X,1.0,2.0,3.0\r\n", newline="")
+    assert main(["detect", "--records", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: unexpected records header {cells}\n")
+
+
+@pytest.mark.parametrize("rows", [0, _READ_LINES])
+def test_cli_detect_refuses_a_blank_line_that_starts_a_read(tmp_path, capsys, rows):
+    # lines are parsed _READ_LINES at a time, and np.loadtxt warns when all it is given is blank
+    batch = protocol.RecordBatch(np.zeros(rows), [0.5], np.zeros(rows, int), np.full(rows, 0.5),
+                                 np.full(rows, 0.5))
+    path = tmp_path / "blank.csv"
+    write_records_csv(path, batch, "x", 0)
+    path.write_bytes(path.read_bytes() + b"\r\n")
+    assert main(["detect", "--records", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: malformed records CSV {path}: data row "
+                                       f"{rows + 1} is blank\n")
+
+
+def test_cli_detect_on_a_header_only_file_needs_three_ratios(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text(_HEAD, newline="")
+    assert main(["detect", "--records", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: the quadratic countermeasure needs >= 3 distinct "
+                                       "ratios, got 0; a two-ratio schedule cannot see the r^2 "
+                                       "term\n")
 
 
 def _records_file(path, ratios, n=3000, seed=6):
@@ -861,12 +904,14 @@ def test_cli_run_and_detect_memory_does_not_grow_with_slots(tmp_path, capsys):
 
 @pytest.mark.parametrize("data_row, old, new, message", [
     (65537, "65536,", "65535,", "data row 65537: slot 65535 is not the row number 65536"),
-    (65538, ",0.5,", ",abc,", "data rows 65537 to 131072: could not convert string 'abc'"),
-], ids=["repeated-slot", "non-numeric"])
+    (65538, ",0.5,", ",abc,", "data row 65538, column 3 (ratio): could not convert string 'abc'"),
+    (65541, ",0.5,0.5", ",0.5,abc",
+     "data row 65541, column 4 (alice_x): could not convert string 'abc' to float64\n"),
+], ids=["repeated-slot", "non-numeric", "non-numeric-fifth-row-of-a-chunk"])
 def test_cli_detect_numbers_rows_across_chunks(tmp_path, capsys, data_row, old, new,
                                                message):
     # rows are read a chunk at a time, and errors give the row's number in the file
-    n = CHUNK_SLOTS + 2
+    n = CHUNK_SLOTS + 8
     batch = protocol.RecordBatch(np.zeros(n), [0.5], np.zeros(n, int), np.full(n, 0.5),
                                  np.full(n, 0.5))
     path = tmp_path / "records.csv"
