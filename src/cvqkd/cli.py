@@ -113,20 +113,18 @@ def cmd_run(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    scen = _scenario(args)
-    detector = _replaced(scen.params.detector, efficiency=args.eta, electronic_noise=args.v_el)
-    scen = dataclasses.replace(scen, params=_replaced(
-        scen.params, detector=detector, channel_transmittance=args.eta_ch, excess_noise=args.xi,
-        lo_intensity=args.lo_intensity))
-    curve = scen.load_curve()
-    plan = attack.solve_attack_parameters(args.strategy, scen.params, curve, scen.wavelengths)
+    scen = load_scenario(args.scenario)
+    if scen.attack_kind == "none" or scen.attack_mode != "solve":
+        raise ConfigError("solve needs [attack] strategy = A or B with mode = solve")
+    plan = attack.solve_attack_parameters(scen.attack_kind, scen.params, scen.load_curve(),
+                                          scen.wavelengths)
     sys.stdout.write(serialize.report_text(serialize.plan_items(plan, scen.curve_name)))
     if args.out is not None:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        # the strategy is a flag, not part of the scenario: the header's hash covers it
+        # the plan a run of this scenario writes, header and all
         serialize.write_plan(outdir / args.plan_file, plan, scen.curve_name,
-                             scen.scenario_hash(args.strategy.encode()), scen.master_seed)
+                             scen.scenario_hash(), scen.master_seed)
     return 0
 
 
@@ -238,14 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default=analysis.DEFAULT_DETECTION_THRESHOLD)
     p_run.set_defaults(func=cmd_run)
 
-    p_solve = sub.add_parser("solve", help="derive attack parameters")
-    p_solve.add_argument("--strategy", choices=attack.STRATEGIES, required=True)
-    p_solve.add_argument("--scenario", default=None)
-    p_solve.add_argument("--eta-ch", dest="eta_ch", type=float, default=None)
-    p_solve.add_argument("--xi", type=float, default=None)
-    p_solve.add_argument("--eta", type=float, default=None)
-    p_solve.add_argument("--v-el", dest="v_el", type=float, default=None)
-    p_solve.add_argument("--lo-intensity", dest="lo_intensity", type=float, default=None)
+    p_solve = sub.add_parser("solve", help="solve a scenario's attack plan")
+    p_solve.add_argument("--scenario", required=True)
     p_solve.add_argument("--out", default=None)
     p_solve.add_argument("--plan-file", default="plan.txt")
     p_solve.set_defaults(func=cmd_solve)

@@ -34,14 +34,13 @@ def chunk_generator(master_seed: int, stream: int, chunk_index: int) -> np.rando
     return np.random.Generator(np.random.SFC64(ss))
 
 
-def chunk_bounds(n_slots: int, chunk_slots: int = CHUNK_SLOTS):
+def chunk_bounds(n_slots: int):
     """Yield (chunk_index, start_slot, stop_slot) covering [0, n_slots)."""
-    for j in range(0, -(-n_slots // chunk_slots)):
-        yield j, j * chunk_slots, min((j + 1) * chunk_slots, n_slots)
+    for j in range(0, -(-n_slots // CHUNK_SLOTS)):
+        yield j, j * CHUNK_SLOTS, min((j + 1) * CHUNK_SLOTS, n_slots)
 
 
-def run_chunked(n_slots: int, master_seed: int, fill, *, threads: int = 1,
-                chunk_slots: int = CHUNK_SLOTS):
+def run_chunked(n_slots: int, master_seed: int, fill, *, threads: int = 1):
     """Evaluate ``fill(rng, start, stop)`` once per chunk; yield the results in chunk order.
 
     ``fill`` returns the chunk's result (the samplers: its moments) and may
@@ -51,13 +50,13 @@ def run_chunked(n_slots: int, master_seed: int, fill, *, threads: int = 1,
     one the caller waits for, so results held in flight do not grow with
     the chunk count.
     """
-    bounds = chunk_bounds(n_slots, chunk_slots)
+    bounds = chunk_bounds(n_slots)
 
     def one(args):
         j, start, stop = args
         return fill(chunk_generator(master_seed, STREAM_SESSION, j), start, stop)
 
-    if threads <= 1 or n_slots <= chunk_slots:
+    if threads <= 1 or n_slots <= CHUNK_SLOTS:
         yield from map(one, bounds)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -100,7 +100,7 @@ class Scenario:
 
         The canonical text carries any later override of ``slots`` or
         ``master_seed``, so runs that differ only in those get different hashes.
-        ``extra`` is the bytes of a replayed plan file, or a sweep's or a solve's flags.
+        ``extra`` is the bytes of a replayed plan file, or a sweep's flags.
         """
         text = self.source_text + self.canonical_text()
         return hashlib.sha256(text.encode("utf-8") + extra).hexdigest()[:16]

@@ -533,18 +533,18 @@ def load_plan(path, curve: BeamSplitterCurve, detector: DetectorConfig,
     holds another strategy than ``strategy``.
     """
     kv = read_report(path)
-    if kv.get("curve", curve.nominal_ratio) != curve.nominal_ratio:
-        raise ValueError(f"plan file {path} was written for curve {kv['curve']}, "
-                         f"but the scenario's curve is {curve.nominal_ratio}")
-    if kv.get("strategy", strategy) != strategy:
-        raise ValueError(f"plan file {path} holds a strategy {kv['strategy']} plan, "
-                         f"but the scenario names strategy {strategy}")
 
     def number(key: str) -> float:
         return parse_float(kv[key], None, f"plan file {path} key {key!r}")
 
     try:
-        cls = STRATEGIES[kv["strategy"]]  # ``strategy`` itself, or no such key
+        if kv["curve"] != curve.nominal_ratio:
+            raise ValueError(f"plan file {path} was written for curve {kv['curve']}, "
+                             f"but the scenario's curve is {curve.nominal_ratio}")
+        if kv["strategy"] != strategy:
+            raise ValueError(f"plan file {path} holds a strategy {kv['strategy']} plan, "
+                             f"but the scenario names strategy {strategy}")
+        cls = STRATEGIES[strategy]
         plan = AttackPlan(cls(*(number(f.name) for f in fields(cls))), None)
         displacement = number("displacement")
         if displacement != 0.0:

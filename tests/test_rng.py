@@ -47,15 +47,16 @@ def test_run_chunked_results_in_chunk_order():
 
 
 def test_run_chunked_bounds_chunks_submitted_ahead():
-    threads, n = 2, 200
+    # 200 whole chunks; the fill draws nothing, so each chunk costs only its generator
+    threads, chunks = 2, 200
     started = []
 
     def fill(gen, start, stop):
-        started.append(start)  # list.append is atomic
-        return start
+        started.append(start // CHUNK_SLOTS)  # list.append is atomic
+        return start // CHUNK_SLOTS
 
     seen = []
-    for j in run_chunked(n, 3, fill, threads=threads, chunk_slots=1):
+    for j in run_chunked(chunks * CHUNK_SLOTS, 3, fill, threads=threads):
         seen.append(j)
         assert max(started) <= j + 2 * threads
-    assert seen == list(range(n))
+    assert seen == list(range(chunks))

@@ -207,7 +207,7 @@ def test_cli_rejects_invalid_scenario(tmp_path, capsys):
 
 
 def test_cli_solve_prints_parameters(tmp_path, capsys):
-    rc = main(["solve", "--strategy", "B", "--eta-ch", "0.5",
+    rc = main(["solve", "--scenario", str(SCENARIOS / "attack_b.scenario"),
                "--out", str(tmp_path), "--plan-file", "b.plan"])
     assert rc == 0
     out = capsys.readouterr().out
@@ -216,36 +216,40 @@ def test_cli_solve_prints_parameters(tmp_path, capsys):
     assert float(kv["slope_factor"]) == pytest.approx(0.47, abs=0.02)
 
 
-def test_cli_solve_infeasible_exit(capsys):
-    rc = main(["solve", "--strategy", "A", "--eta-ch", "1.0", "--xi", "0.0"])
+def test_cli_solve_infeasible_exit(tmp_path, capsys):
+    scen = tmp_path / "transparent.scenario"
+    scen.write_text("[system]\nchannel_transmittance = 1.0\nexcess_noise = 0.0\n"
+                    "[attack]\nstrategy = A\n")
+    rc = main(["solve", "--scenario", str(scen)])
     assert rc == 2
     assert "too transparent" in capsys.readouterr().err
 
 
 def _schedule_scenario(tmp_path, r1: str, r2: str) -> Path:
-    """A scenario file whose schedule holds the two estimation ratios r1 and r2."""
+    """A strategy A scenario file whose schedule holds the two estimation ratios r1 and r2."""
     path = tmp_path / f"ratios-{r1}-{r2}.scenario"
-    path.write_text(f"[schedule]\n{r1} = 0.5\n{r2} = 0.5\n")
+    path.write_text(f"[schedule]\n{r1} = 0.5\n{r2} = 0.5\n[attack]\nstrategy = A\n")
     return path
 
 
 def test_cli_solve_close_estimation_ratios(tmp_path, capsys):
     # the solver reads the schedule's ratios; 0.9 and 1.0 need D far above sqrt(3 N0) = 7071
     scen = _schedule_scenario(tmp_path, "0.9", "1.0")
-    assert main(["solve", "--strategy", "A", "--scenario", str(scen),
-                 "--out", str(tmp_path / "close")]) == 0
+    assert main(["solve", "--scenario", str(scen), "--out", str(tmp_path / "close")]) == 0
     kv = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
     assert float(kv["amplification"]) == pytest.approx(24.99, abs=0.01)
     assert float(kv["displacement"]) == pytest.approx(21889.26, abs=0.01)
     # the plan header's hash covers the ratios it was solved at
-    assert main(["solve", "--strategy", "A", "--out", str(tmp_path / "default")]) == 0
+    default = tmp_path / "default.scenario"
+    default.write_text("[attack]\nstrategy = A\n")
+    assert main(["solve", "--scenario", str(default), "--out", str(tmp_path / "default")]) == 0
     assert _header(tmp_path / "close" / "plan.txt") != _header(tmp_path / "default" / "plan.txt")
 
 
 def test_cli_solve_has_no_ratio_flags(capsys):
     for flag in ("--r1", "--r2"):
         with pytest.raises(SystemExit) as exc:
-            main(["solve", "--strategy", "A", flag, "0.9"])
+            main(["solve", "--scenario", str(SCENARIOS / "attack_a.scenario"), flag, "0.9"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 0.9" in capsys.readouterr().err
 
@@ -254,7 +258,7 @@ def test_cli_solve_has_no_ratio_flags(capsys):
 def test_cli_solve_refuses_ratios_outside_the_unit_interval(tmp_path, capsys, r1, r2):
     # the schedule refuses the ratio at its section's line, before any solve
     scen = _schedule_scenario(tmp_path, r1, r2)
-    rc = main(["solve", "--strategy", "A", "--scenario", str(scen)])
+    rc = main(["solve", "--scenario", str(scen)])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err == "error: line 1: attenuation ratios must lie in [0, 1]\n"
@@ -410,7 +414,7 @@ def test_cli_detect_out_writes_the_printed_verdict_under_the_records_header(tmp_
 
 
 def test_cli_run_plan_mode_replays_saved_plan(tmp_path, capsys):
-    rc = main(["solve", "--strategy", "A", "--eta-ch", "0.9",
+    rc = main(["solve", "--scenario", str(SCENARIOS / "attack_a.scenario"),
                "--out", str(tmp_path), "--plan-file", "a.plan"])
     assert rc == 0
     scenario = f"""\
@@ -535,7 +539,7 @@ _INFINITE_PULSES = "".join(f"{name}_wavelength_nm = {nm!r}\n{name}_intensity = i
 def test_cli_plan_mode_refuses_a_malformed_plan_file(tmp_path, capsys, body, message):
     # a plan file gets the scenario file's input checks, and nothing is written
     plan = tmp_path / "bad.plan"
-    plan.write_text("strategy = A\n" + body)
+    plan.write_text("strategy = A\n" + body + "curve = 50:50\n")
     scen = _plan_scenario(tmp_path, plan)
     assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -548,8 +552,8 @@ def test_cli_plan_mode_states_its_attack_once(tmp_path, capsys):
     plan = tmp_path / "b.plan"
 
     def run(strategy, slope, fake, out):
-        plan.write_text(f"strategy = B\nslope_factor = {slope}\nfake_channel = {fake}\n"
-                        "displacement = 0.0\n")
+        plan.write_text(f"curve = 50:50\nstrategy = B\nslope_factor = {slope}\n"
+                        f"fake_channel = {fake}\ndisplacement = 0.0\n")
         scen = _plan_scenario(tmp_path, plan, strategy)
         return main(["run", "--scenario", str(scen), "--out", str(tmp_path / out)])
 
@@ -926,7 +930,8 @@ def test_cli_detect_numbers_rows_across_chunks(tmp_path, capsys, data_row, old, 
 
 def test_cli_plan_mode_refuses_a_plan_for_another_curve(tmp_path, capsys):
     # a plan solved for the 50:50 coupler, replayed by a 10:90 scenario
-    assert main(["solve", "--strategy", "A", "--out", str(tmp_path)]) == 0
+    assert main(["solve", "--scenario", str(SCENARIOS / "attack_a.scenario"),
+                 "--out", str(tmp_path)]) == 0
     plan = tmp_path / "plan.txt"
     scen = tmp_path / "other_curve.scenario"
     scen.write_text(MINIMAL.replace("[system]\n", "[system]\ncurve = 10:90\n")
@@ -939,19 +944,35 @@ def test_cli_plan_mode_refuses_a_plan_for_another_curve(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("pulses", [True, False], ids=["pulses", "bare"])
+def test_cli_plan_mode_refuses_a_plan_without_its_curve(tmp_path, capsys, pulses):
+    # without its curve line a plan could be replayed on a coupler it was not solved for
+    plan = tmp_path / "plan.txt"
+    if pulses:
+        assert main(["solve", "--scenario", str(SCENARIOS / "attack_a.scenario"),
+                     "--out", str(tmp_path)]) == 0
+        plan.write_text("".join(line for line in plan.read_text().splitlines(keepends=True)
+                                if not line.startswith("curve = ")))
+    else:
+        plan.write_text("strategy = A\namplification = 10\ndisplacement = 0.0\n")
+    scen = tmp_path / "other_curve.scenario"
+    scen.write_text(MINIMAL.replace("[system]\n", "[system]\ncurve = 10:90\n")
+                    + f"[attack]\nstrategy = A\nmode = plan\nplan = {plan}\n"
+                    "[outputs]\nreport = report.txt\n")
+    capsys.readouterr()
+    assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: plan file {plan} has no 'curve' key\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["solve", "--strategy", "A", "--lo-intensity", "inf"],
-     "lo_intensity must be finite and > 0, got inf"),
-    (["solve", "--strategy", "B", "--eta-ch", "0.5", "--v-el", "nan"],
-     "electronic_noise must be finite and >= 0, got nan"),
     (["sweep", "--variable", "xi", "--start", "nan", "--stop", "0.5", "--points", "3"],
      "--start must be a finite"),
     (["sweep", "--variable", "eta_ch", "--start", "0.5", "--stop", "inf", "--points", "3"],
      "--stop must be a finite"),
     (["sweep", "--variable", "eta_ch", "--start", "0.5", "--stop", "0.9", "--points", "3",
       "--n-amp", "nan"], "--n-amp must be a finite"),
-], ids=["solve-lo-intensity-inf", "solve-v-el-nan", "sweep-start-nan",
-        "sweep-stop-inf", "sweep-n-amp-nan"])
+], ids=["sweep-start-nan", "sweep-stop-inf", "sweep-n-amp-nan"])
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, argv, message):
     rc = main(argv + ["--out", str(tmp_path / "out")])
     assert rc == 2
@@ -1092,13 +1113,51 @@ def test_cli_sweep_header_tracks_the_flags_that_shape_the_rows(tmp_path, mode, f
     assert sweep("a", *flags) != sweep("default")
 
 
-def test_cli_solve_header_tracks_the_strategy(tmp_path):
-    def solve(name, strategy):
-        assert main(["solve", "--strategy", strategy, "--out", str(tmp_path / name)]) == 0
-        return _header(tmp_path / name / "plan.txt")
+@pytest.mark.parametrize("name", ["attack_a", "attack_b"])
+def test_cli_solve_writes_the_plan_run_writes(tmp_path, capsys, name):
+    # solve states the attacked system once, in the scenario: its plan file is
+    # the run's, header included, and its stdout is that file's body
+    text = (SCENARIOS / f"{name}.scenario").read_text()
+    scen = tmp_path / f"{name}.scenario"
+    scen.write_text(text.replace("slots = 1000000\n", "slots = 20000\n"))
+    assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "r")]) == 0
+    capsys.readouterr()
+    assert main(["solve", "--scenario", str(scen), "--out", str(tmp_path / "s")]) == 0
+    solved = (tmp_path / "s" / "plan.txt").read_bytes()
+    assert solved == (tmp_path / "r" / "plan.txt").read_bytes()
+    assert solved.decode().split("\n", 1)[1] == capsys.readouterr().out
 
-    assert solve("a", "A") == solve("a_again", "A")
-    assert solve("b", "B") != solve("a", "A")
+
+@pytest.mark.parametrize("attack_section", [
+    "strategy = none\n",
+    "strategy = A\nmode = plan\nplan = a.plan\n",
+], ids=["honest", "mode-plan"])
+def test_cli_solve_refuses_a_scenario_without_an_attack_to_solve(tmp_path, capsys,
+                                                                  attack_section):
+    # an honest scenario has no plan, and a replayed one was not solved
+    scen = tmp_path / "nothing_to_solve.scenario"
+    scen.write_text(MINIMAL + "[attack]\n" + attack_section)
+    assert main(["solve", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: solve needs [attack] strategy = A or B with mode = solve\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_solve_takes_the_system_from_the_scenario_alone(capsys):
+    flags = [("--strategy", "A"), ("--eta-ch", "0.5"), ("--xi", "0.1"), ("--eta", "0.5"),
+             ("--v-el", "0.1"), ("--lo-intensity", "1e8")]
+    for flag, value in flags:
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--scenario", str(SCENARIOS / "attack_a.scenario"), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    options = {word.rstrip(",") for word in capsys.readouterr().out.split()
+               if word.startswith("--")}
+    assert options == {"--help", "--scenario", "--out", "--plan-file"}
 
 
 def test_cli_sweep_refuses_monte_carlo_in_solved_mode(tmp_path, capsys):
