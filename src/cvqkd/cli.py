@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import dataclasses
 import errno
+import hashlib
 import math
 import os
 import sys
@@ -62,6 +63,12 @@ def _scenario(args, **overrides) -> Scenario:
     return _replaced(scen, **overrides)
 
 
+def _write_verdict(path: Path, items, base: str | None, args, seed: int) -> None:
+    """The verdict file, headed by ``base`` (a scenario hash, if any) hashed with --threshold."""
+    vhash = base and hashlib.sha256(f"{base} {args.threshold!r}".encode()).hexdigest()[:16]
+    serialize.write_report(path, items, vhash or "unknown", seed)
+
+
 def cmd_run(args) -> int:
     scen = _scenario(args, master_seed=args.seed, slots=args.slots)
     curve = scen.load_curve()
@@ -105,7 +112,7 @@ def cmd_run(args) -> int:
     if "polynomial" in outputs:
         serialize.write_report(outdir / outputs["polynomial"], poly.as_items(), shash, seed)
     if verdict is not None:
-        serialize.write_report(outdir / outputs["verdict"], verdict.as_items(), shash, seed)
+        _write_verdict(outdir / outputs["verdict"], verdict.as_items(), shash, args, seed)
         print(f"attacked = {str(verdict.attacked).lower()}")
     if "plan" in outputs:  # the parser refuses a plan output for an honest scenario
         serialize.write_plan(outdir / outputs["plan"], plan, scen.curve_name, shash, seed)
@@ -157,7 +164,7 @@ def _solved_row(args, scen: Scenario, curve: BeamSplitterCurve, value: float,
                 point: SystemParams) -> list:
     row = [args.variable, value, point.channel_transmittance, point.excess_noise]
     try:
-        plan = attack.solve_attack_parameters(args.strategy, point, curve, scen.wavelengths)
+        plan = attack.solve_attack_parameters("A", point, curve, scen.wavelengths)
     except InfeasibleAttackError:
         return row + ["", "", "", "", "infeasible"]
     poly = analysis.analytic_noise_polynomial(point, plan)
@@ -191,7 +198,7 @@ def cmd_sweep(args) -> int:
             print(f"zero_crossing = {crossing!r}")
         except ValueError:
             pass
-    flags = f"{args.strategy} {args.n_amp!r} {args.threshold!r}".encode()  # they shape the rows
+    flags = repr(args.n_amp if args.mode == "part1" else args.threshold).encode()  # read by rows
     text = serialize.csv_text(rows, header, scen.scenario_hash(flags), scen.master_seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -213,10 +220,9 @@ def cmd_detect(args) -> int:
     items = list((dict(poly.as_items()) | dict(verdict.as_items())).items())  # a_over_c once
     sys.stdout.write(serialize.report_text(items))
     if args.out is not None:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        serialize.write_report(outdir / "verdict.txt", items,
-                               meta.get("scenario", "unknown"), int(seed))
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        _write_verdict(Path(args.out, "verdict.txt"), items,
+                       meta.get("scenario"), args, int(seed))
     return 0
 
 
@@ -248,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--stop", type=float, required=True)
     p_sweep.add_argument("--points", type=int, required=True)
     p_sweep.add_argument("--mode", choices=("part1", "solved"), default="part1")
-    p_sweep.add_argument("--strategy", choices=attack.STRATEGIES, default="A")
     p_sweep.add_argument("--n-amp", dest="n_amp", type=float, default=10.0)
     p_sweep.add_argument("--mc", action="store_true")
     p_sweep.add_argument("--slots", type=int, default=100_000)

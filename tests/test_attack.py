@@ -1,9 +1,12 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cvqkd.analysis import analytic_noise_polynomial, analytic_variance, variance_estimator_std
+from cvqkd.analysis import (analytic_noise_polynomial, analytic_variance, detect,
+                            variance_estimator_std)
 from cvqkd.attack import (AttackPlan, StrategyA, StrategyB, WavelengthPlan, noise_table,
                           part2_variance, predicted_two_point, realistic_shot_noise,
                           run_attacked_session, shot_coefficients, solve_attack_parameters)
@@ -12,6 +15,7 @@ from cvqkd.physics import DetectorConfig, builtin_curve
 from cvqkd.protocol import (THREE_RATIO_SCHEDULE, AttenuationSchedule, SystemParams,
                             estimate_covariance_transmittance, estimate_two_point,
                             honest_noise_table, variances_by_ratio)
+from cvqkd.scenario import load_scenario
 
 CURVE = builtin_curve("50:50")
 P_A = SystemParams()                              # eta_ch = 0.9 regime
@@ -197,6 +201,36 @@ def test_solver_infeasible_when_channel_too_transparent():
         solve_attack_parameters("A", params, CURVE)
     with pytest.raises(InfeasibleAttackError, match="boundary"):
         solve_attack_parameters("B", params, CURVE)
+
+
+@pytest.mark.parametrize("name", ["attack_a", "attack_b"])
+@pytest.mark.parametrize("field, grid", [
+    ("channel_transmittance", np.linspace(0.05, 1.0, 60)),
+    ("excess_noise", np.linspace(0.0, 0.5, 60)),
+], ids=["eta_ch", "xi"])
+def test_solved_polynomial_does_not_depend_on_the_strategy(name, field, grid):
+    # both strategies null the same two-point estimates with the same D and
+    # realistic shot noise, so a solved sweep row needs no strategy
+    scen = load_scenario(Path(__file__).resolve().parent.parent / "scenarios"
+                         / f"{name}.scenario")
+    curve = scen.load_curve()
+    for value in grid:
+        params = dataclasses.replace(scen.params, **{field: float(value)})
+        polys = []
+        for kind in ("A", "B"):
+            try:
+                plan = solve_attack_parameters(kind, params, curve, scen.wavelengths)
+            except InfeasibleAttackError:
+                polys.append(None)
+            else:
+                polys.append(analytic_noise_polynomial(params, plan))
+        poly_a, poly_b = polys
+        if poly_a is None or poly_b is None:
+            assert poly_a is poly_b, (field, value)
+            continue
+        for x, y in ((poly_a.a, poly_b.a), (poly_a.b, poly_b.b), (poly_a.c, poly_b.c)):
+            assert math.isclose(x, y, rel_tol=1e-13), (field, value)
+        assert detect(poly_a).attacked == detect(poly_b).attacked, (field, value)
 
 
 def _reference_displacement(params, c_s, r1, r2):

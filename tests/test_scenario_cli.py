@@ -338,14 +338,23 @@ def test_cli_sweep_solved_mode_columns(tmp_path):
     assert all(row.endswith(",true") for row in lines[2:])
 
 
-@pytest.mark.parametrize("strategy", ["A", "B"])
-def test_cli_sweep_solved_mode_marks_a_transparent_channel_infeasible(tmp_path, strategy):
-    rc = main(["sweep", "--mode", "solved", "--strategy", strategy, "--variable", "eta_ch",
+def test_cli_sweep_solved_mode_marks_a_transparent_channel_infeasible(tmp_path):
+    rc = main(["sweep", "--mode", "solved", "--variable", "eta_ch",
                "--start", "0.2", "--stop", "1.0", "--points", "5", "--out", str(tmp_path)])
     assert rc == 0
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert len(lines) == 7
     assert lines[-1] == "eta_ch,1.0,1.0,0.1,,,,,infeasible"
+
+
+def test_cli_sweep_takes_no_strategy(tmp_path, capsys):
+    # a solved row is the same for strategies A and B, so the sweep solves A
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--mode", "solved", "--strategy", "B", "--variable", "eta_ch",
+              "--start", "0.5", "--stop", "0.9", "--points", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --strategy B" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_cli_sweep_solved_mode_refuses_n_and_writes_nothing(tmp_path, capsys):
@@ -406,9 +415,9 @@ def test_cli_detect_out_writes_the_printed_verdict_under_the_records_header(tmp_
                  "--out", str(tmp_path / "det")]) == 0
     printed = capsys.readouterr().out
     header, body = (tmp_path / "det" / "verdict.txt").read_text().split("\n", 1)
-    meta = read_meta(run / "records.csv")
-    assert meta["seed"] == "9"
-    assert header == f"# format=report-v1 scenario={meta['scenario']} seed=9"
+    assert read_meta(run / "records.csv")["seed"] == "9"
+    assert header == _header(run / "verdict.txt")
+    assert header.startswith("# format=report-v1 scenario=") and header.endswith(" seed=9")
     assert body == printed
     assert "attacked = " in body
 
@@ -718,6 +727,15 @@ def test_cli_detect_out_refuses_a_bad_seed_before_any_row(tmp_path, capsys):
     assert not (tmp_path / "det" / "verdict.txt").exists()
     assert main(["detect", "--records", str(path)]) == 0  # no verdict file, no header needed
     assert "attacked = " in capsys.readouterr().out
+
+
+def test_cli_detect_out_names_no_scenario_for_records_without_one(tmp_path):
+    # only a records file's scenario= is hashed into the verdict's header
+    path = tmp_path / "records.csv"
+    _records_file(path, [1.0, 0.5, 0.001])
+    path.write_bytes(path.read_bytes().replace(b" scenario=x", b"", 1))
+    assert main(["detect", "--records", str(path), "--out", str(tmp_path / "det")]) == 0
+    assert _header(tmp_path / "det" / "verdict.txt") == "# format=report-v1 scenario=unknown seed=0"
 
 
 @pytest.mark.parametrize("ratios, zero_keys", [
@@ -1082,7 +1100,7 @@ def test_cli_headers_track_slots_and_seed_overrides(tmp_path):
     assert run("a_again", "--slots", "1000") == base
     assert run("b", "--slots", "2000") != base
     assert run("c", "--slots", "1000", "--seed", "5") != base
-    for name in ("records.csv", "polynomial.txt", "verdict.txt"):
+    for name in ("records.csv", "polynomial.txt"):
         assert _header(tmp_path / "a" / name).split()[2] == base.split()[2]
 
 
@@ -1100,8 +1118,7 @@ def test_cli_sweep_header_tracks_monte_carlo_slots(tmp_path):
 @pytest.mark.parametrize("mode, flags", [
     ("part1", ["--n-amp", "7"]),
     ("solved", ["--threshold", "0.2"]),
-    ("solved", ["--strategy", "B"]),
-], ids=["part1-n-amp", "solved-threshold", "solved-strategy"])
+], ids=["part1-n-amp", "solved-threshold"])
 def test_cli_sweep_header_tracks_the_flags_that_shape_the_rows(tmp_path, mode, flags):
     def sweep(name, *extra):
         assert main(["sweep", "--variable", "eta_ch", "--start", "0.5", "--stop", "0.9",
@@ -1111,6 +1128,64 @@ def test_cli_sweep_header_tracks_the_flags_that_shape_the_rows(tmp_path, mode, f
 
     assert sweep("a", *flags) == sweep("a_again", *flags)
     assert sweep("a", *flags) != sweep("default")
+
+
+@pytest.mark.parametrize("mode, flags", [
+    ("part1", ["--threshold", "0.2"]),
+    ("solved", ["--n-amp", "7"]),
+], ids=["part1-threshold", "solved-n-amp"])
+def test_cli_sweep_header_ignores_the_flags_its_rows_do_not_read(tmp_path, mode, flags):
+    def sweep(name, *extra):
+        assert main(["sweep", "--variable", "eta_ch", "--start", "0.5", "--stop", "0.9",
+                     "--points", "2", "--mode", mode, *extra,
+                     "--out", str(tmp_path / name)]) == 0
+        return (tmp_path / name / "sweep.csv").read_text()
+
+    assert sweep("a", *flags) == sweep("default")
+
+
+@pytest.fixture
+def honest_20000(tmp_path):
+    """The shipped honest scenario at 20000 slots."""
+    text = (SCENARIOS / "honest.scenario").read_text()
+    assert text.count("slots = 1000000\n") == 1
+    path = tmp_path / "honest.scenario"
+    path.write_text(text.replace("slots = 1000000\n", "slots = 20000\n"))
+    return path
+
+
+def _run_headers(scenario: Path, out: Path, *flags) -> dict[str, str]:
+    assert main(["run", "--scenario", str(scenario), "--out", str(out), *flags]) == 0
+    return {path.name: _header(path) for path in out.iterdir()}
+
+
+def test_cli_run_verdict_header_covers_the_threshold(tmp_path, honest_20000):
+    low = _run_headers(honest_20000, tmp_path / "low", "--threshold", "0.01")
+    high = _run_headers(honest_20000, tmp_path / "high", "--threshold", "5")
+    assert low.keys() == high.keys() and "verdict.txt" in low
+    assert low.pop("verdict.txt") != high.pop("verdict.txt")
+    assert low == high
+
+
+def test_cli_detect_verdict_header_covers_the_threshold(tmp_path, honest_20000):
+    _run_headers(honest_20000, tmp_path / "run")
+
+    def detect(threshold):
+        out = tmp_path / f"det{threshold}"
+        assert main(["detect", "--records", str(tmp_path / "run" / "records.csv"),
+                     "--threshold", threshold, "--out", str(out)]) == 0
+        return _header(out / "verdict.txt")
+
+    assert detect("0.1") != detect("5")
+
+
+@pytest.mark.parametrize("threshold", ["0.1", "5"])
+def test_cli_run_and_detect_write_one_verdict_header(tmp_path, honest_20000, threshold):
+    # a verdict's header names the run and the threshold, whichever command wrote it
+    run = _run_headers(honest_20000, tmp_path / "run", "--threshold", threshold)
+    assert main(["detect", "--records", str(tmp_path / "run" / "records.csv"),
+                 "--threshold", threshold, "--out", str(tmp_path / "det")]) == 0
+    assert _header(tmp_path / "det" / "verdict.txt") == run["verdict.txt"]
 
 
 @pytest.mark.parametrize("name", ["attack_a", "attack_b"])
