@@ -50,17 +50,20 @@ class NoisePolynomial:
 
 @dataclass(frozen=True)
 class DetectionVerdict:
-    """Outcome of the countermeasure checks on one session."""
+    """The countermeasure's verdict on one session's fit; no LO flag when nothing read the LO."""
 
-    ratio_a_over_c: float
+    polynomial: NoisePolynomial
     threshold: float
     attacked: bool
-    lo_intensity_anomaly: bool = False
+    lo_intensity_anomaly: bool | None = None
 
     def as_items(self) -> list[tuple[str, object]]:
-        return [("a_over_c", self.ratio_a_over_c), ("threshold", self.threshold),
-                ("attacked", self.attacked),
-                ("lo_intensity_anomaly", self.lo_intensity_anomaly)]
+        """The verdict file: the fit's items, the cut, the verdict, and the LO flag if read."""
+        items = [*self.polynomial.as_items(), ("threshold", self.threshold),
+                 ("attacked", self.attacked)]
+        if self.lo_intensity_anomaly is not None:
+            items.append(("lo_intensity_anomaly", self.lo_intensity_anomaly))
+        return items
 
 
 DEFAULT_DETECTION_THRESHOLD = 0.05
@@ -145,14 +148,12 @@ def monitor_lo_intensity(observed, expected: float) -> bool:
 
 
 def detect(poly: NoisePolynomial, threshold: float = DEFAULT_DETECTION_THRESHOLD,
-           lo_anomaly: bool = False) -> DetectionVerdict:
-    """Combine the a << c test with the LO-intensity monitor's flag."""
+           lo_anomaly: bool | None = None) -> DetectionVerdict:
+    """Combine the a << c test with the LO-intensity monitor's flag, if it read the LO."""
     if not 0.0 < threshold < math.inf:
         raise ValueError(f"detection threshold must be finite and > 0, got {threshold!r}")
-    ratio = poly.ratio_a_over_c
-    return DetectionVerdict(ratio_a_over_c=ratio, threshold=threshold,
-                            attacked=(ratio > threshold) or lo_anomaly,
-                            lo_intensity_anomaly=lo_anomaly)
+    return DetectionVerdict(poly, threshold, poly.ratio_a_over_c > threshold or bool(lo_anomaly),
+                            lo_anomaly)
 
 
 def schedule_key_rate_overhead(schedule: AttenuationSchedule) -> float:

@@ -99,19 +99,18 @@ def cmd_run(args) -> int:
                                                   records=records)
         items = _report_items(scen, moments, plan)
         sys.stdout.write(serialize.report_text(items))
-        poly = verdict = None
         if "polynomial" in outputs or "verdict" in outputs:
-            poly = analysis.fit_noise_polynomial(moments)
-        if "verdict" in outputs:
-            lo_anomaly = analysis.monitor_lo_intensity(moments, scen.params.lo_intensity)
-            verdict = analysis.detect(poly, threshold=args.threshold, lo_anomaly=lo_anomaly)
+            verdict = analysis.detect(
+                analysis.fit_noise_polynomial(moments), threshold=args.threshold,
+                lo_anomaly=analysis.monitor_lo_intensity(moments, scen.params.lo_intensity))
 
     outdir.mkdir(parents=True, exist_ok=True)
     if "report" in outputs:
         serialize.write_report(outdir / outputs["report"], items, shash, seed)
     if "polynomial" in outputs:
-        serialize.write_report(outdir / outputs["polynomial"], poly.as_items(), shash, seed)
-    if verdict is not None:
+        serialize.write_report(outdir / outputs["polynomial"], verdict.polynomial.as_items(),
+                               shash, seed)
+    if "verdict" in outputs:
         _write_verdict(outdir / outputs["verdict"], verdict.as_items(), shash, args, seed)
         print(f"attacked = {str(verdict.attacked).lower()}")
     if "plan" in outputs:  # the parser refuses a plan output for an honest scenario
@@ -214,14 +213,12 @@ def cmd_detect(args) -> int:
     seed = meta.get("seed", "0")
     if not (seed.isascii() and seed.isdigit()):
         raise ValueError(f"records file {args.records}: seed={seed} is not a non-negative integer")
-    moments = serialize.read_records_csv(args.records)
-    poly = analysis.fit_noise_polynomial(moments)
-    verdict = analysis.detect(poly, threshold=args.threshold)
-    items = list((dict(poly.as_items()) | dict(verdict.as_items())).items())  # a_over_c once
-    sys.stdout.write(serialize.report_text(items))
+    moments = serialize.read_records_csv(args.records)  # no LO column: the verdict reads no LO
+    verdict = analysis.detect(analysis.fit_noise_polynomial(moments), threshold=args.threshold)
+    sys.stdout.write(serialize.report_text(verdict.as_items()))
     if args.out is not None:
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        _write_verdict(Path(args.out, "verdict.txt"), items,
+        _write_verdict(Path(args.out, "verdict.txt"), verdict.as_items(),
                        meta.get("scenario"), args, int(seed))
     return 0
 

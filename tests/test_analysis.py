@@ -119,15 +119,21 @@ def _lo_moments(level: float, slots: int) -> RatioMoments:
 
 
 def test_detect_verdict_composition():
-    poly = NoisePolynomial(0.0, 0.0, 5e7, 0.0)
+    poly = NoisePolynomial(0.0, 0.0, 5e7, 0.0, {0.001: 50, 1.0: 50})
     lo_bad = monitor_lo_intensity(_lo_moments(1.006e8, 100), 1e8)
     verdict = detect(poly, 0.05, lo_anomaly=lo_bad)
     assert verdict.attacked and verdict.lo_intensity_anomaly
     verdict = detect(poly, 0.05, lo_anomaly=monitor_lo_intensity(_lo_moments(1e8, 100), 1e8))
-    assert not verdict.attacked and not verdict.lo_intensity_anomaly
-    assert verdict == detect(poly, 0.05)
-    assert [key for key, _ in verdict.as_items()] == [
-        "a_over_c", "threshold", "attacked", "lo_intensity_anomaly"]
+    assert not verdict.attacked and verdict.lo_intensity_anomaly is False
+    # a verdict without a monitor reading claims none: it is not the one that read a steady LO
+    unread = detect(poly, 0.05)
+    assert not unread.attacked and unread.lo_intensity_anomaly is None
+    assert unread != verdict and unread.polynomial is verdict.polynomial is poly
+    # the verdict file: the fit's items, the cut and the verdict, then the LO flag if read
+    keys = [key for key, _ in poly.as_items()] + ["threshold", "attacked"]
+    assert [key for key, _ in unread.as_items()] == keys
+    assert [key for key, _ in verdict.as_items()] == keys + ["lo_intensity_anomaly"]
+    assert keys.count("a_over_c") == 1
     with pytest.raises(ValueError):
         detect(poly, 0.0)
 

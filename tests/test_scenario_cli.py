@@ -1144,14 +1144,22 @@ def test_cli_sweep_header_ignores_the_flags_its_rows_do_not_read(tmp_path, mode,
     assert sweep("a", *flags) == sweep("default")
 
 
+def _shipped_20000(tmp_path, name: str) -> Path:
+    """A shipped scenario at 20000 slots that writes its records."""
+    text = (SCENARIOS / f"{name}.scenario").read_text()
+    assert text.count("slots = 1000000\n") == 1
+    text = text.replace("slots = 1000000\n", "slots = 20000\n")
+    if "records = " not in text:  # [outputs] is the last section
+        text += "records = records.csv\n"
+    path = tmp_path / f"{name}.scenario"
+    path.write_text(text)
+    return path
+
+
 @pytest.fixture
 def honest_20000(tmp_path):
     """The shipped honest scenario at 20000 slots."""
-    text = (SCENARIOS / "honest.scenario").read_text()
-    assert text.count("slots = 1000000\n") == 1
-    path = tmp_path / "honest.scenario"
-    path.write_text(text.replace("slots = 1000000\n", "slots = 20000\n"))
-    return path
+    return _shipped_20000(tmp_path, "honest")
 
 
 def _run_headers(scenario: Path, out: Path, *flags) -> dict[str, str]:
@@ -1186,6 +1194,39 @@ def test_cli_run_and_detect_write_one_verdict_header(tmp_path, honest_20000, thr
     assert main(["detect", "--records", str(tmp_path / "run" / "records.csv"),
                  "--threshold", threshold, "--out", str(tmp_path / "det")]) == 0
     assert _header(tmp_path / "det" / "verdict.txt") == run["verdict.txt"]
+
+
+@pytest.mark.parametrize("name", ["honest", "attack_a", "attack_b"])
+def test_cli_run_and_detect_write_one_verdict(tmp_path, capsys, name):
+    # one verdict: detect writes run's, less the LO flag its records cannot carry
+    assert main(["run", "--scenario", str(_shipped_20000(tmp_path, name)), "--seed", "1",
+                 "--out", str(tmp_path / "run")]) == 0
+    assert main(["detect", "--records", str(tmp_path / "run" / "records.csv"),
+                 "--out", str(tmp_path / "det")]) == 0
+    capsys.readouterr()
+    run = (tmp_path / "run" / "verdict.txt").read_text().splitlines(keepends=True)
+    detected = (tmp_path / "det" / "verdict.txt").read_text().splitlines(keepends=True)
+    assert [line for line in run if not line.startswith("lo_intensity_anomaly = ")] == detected
+    # the verdict states its polynomial: the lines of polynomial.txt below its header
+    polynomial = (tmp_path / "run" / "polynomial.txt").read_text().splitlines(keepends=True)
+    assert run[1:len(polynomial)] == polynomial[1:]
+    assert [line.split(" = ")[0] for line in run[len(polynomial):]] == [
+        "threshold", "attacked", "lo_intensity_anomaly"]
+
+
+def test_cli_detect_claims_no_lo_reading(tmp_path, capsys):
+    # records-v1 hold no LO column: detect judges a/c alone and writes no LO flag
+    assert main(["run", "--scenario", str(_shipped_20000(tmp_path, "attack_a")),
+                 "--out", str(tmp_path / "run")]) == 0
+    assert read_report(tmp_path / "run" / "verdict.txt")["lo_intensity_anomaly"] == "true"
+    capsys.readouterr()
+    assert main(["detect", "--records", str(tmp_path / "run" / "records.csv"),
+                 "--out", str(tmp_path / "det")]) == 0
+    assert "lo_intensity_anomaly" not in capsys.readouterr().out
+    verdict = read_report(tmp_path / "det" / "verdict.txt")
+    assert "lo_intensity_anomaly" not in verdict
+    cut = float(verdict["a_over_c"]) > float(verdict["threshold"])
+    assert verdict["attacked"] == str(cut).lower()
 
 
 @pytest.mark.parametrize("name", ["attack_a", "attack_b"])
