@@ -72,16 +72,15 @@ def _write_verdict(path: Path, items, base: str | None, args, seed: int) -> None
 def cmd_run(args) -> int:
     scen = _scenario(args, master_seed=args.seed, slots=args.slots)
     curve = scen.load_curve()
-    replay = scen.attack_kind != "none" and scen.attack_mode == "plan"
-    plan_file = scen.directory / scen.plan_path if replay else None
-    shash = scen.scenario_hash(plan_file.read_bytes() if replay else b"")
+    shash = scen.scenario_hash()
     seed = scen.master_seed
 
     outputs = scen.outputs
     outdir = Path(args.out)
     plan = None
-    if replay:
-        plan = serialize.load_plan(plan_file, curve, scen.params.detector, scen.attack_kind)
+    if scen.plan_path:  # the parser allows a plan only for an attacked mode = plan replay
+        plan = serialize.load_plan(scen.directory / scen.plan_path, curve, scen.params.detector,
+                                   scen.attack_kind)
     elif scen.attack_kind != "none":
         plan = attack.solve_attack_parameters(scen.attack_kind, scen.params, curve,
                                               scen.wavelengths)
@@ -193,7 +192,7 @@ def cmd_sweep(args) -> int:
         try:
             crossing = analysis.part1_zero_crossing(
                 args.n_amp, scen.params.detector.efficiency,
-                scen.params.excess_noise, args.start, args.stop)
+                scen.params.excess_noise, *sorted((args.start, args.stop)))
             print(f"zero_crossing = {crossing!r}")
         except ValueError:
             pass

@@ -96,14 +96,18 @@ class Scenario:
             object.__setattr__(self, "source_text", self.canonical_text())
 
     def scenario_hash(self, extra: bytes = b"") -> str:
-        """Hash of the source text and of the effective configuration.
+        """Hash of the source text, the effective configuration and the bytes
+        of each file the scenario names: its plan, then a curve table not builtin.
 
         The canonical text carries any later override of ``slots`` or
         ``master_seed``, so runs that differ only in those get different hashes.
-        ``extra`` is the bytes of a replayed plan file, or a sweep's flags.
+        ``extra`` is a sweep's flag.
         """
-        text = self.source_text + self.canonical_text()
-        return hashlib.sha256(text.encode("utf-8") + extra).hexdigest()[:16]
+        files = [self.plan_path] if self.plan_path else []
+        files += [] if self.curve_name in BUILTIN_CURVES else [self.curve_name]
+        data = (self.source_text + self.canonical_text()).encode("utf-8")
+        data += b"".join((self.directory / name).read_bytes() for name in files)
+        return hashlib.sha256(data + extra).hexdigest()[:16]
 
     def load_curve(self) -> BeamSplitterCurve:
         if self.curve_name in BUILTIN_CURVES:

@@ -486,14 +486,16 @@ def write_report(path, items: Iterable[tuple[str, object]], scenario_hash: str,
 def read_report(path) -> dict[str, str]:
     """Parse a key = value document back (values stay strings); a line without
     ``=`` or a key given twice raises ValueError naming the file and the line.
-    A line splits at its last ``=``, since keys such as ``count[r=0.5]`` hold one."""
+    A line splits at its first ``=`` after the key's ``]``, as in ``count[r=0.5]``."""
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, sep, value = (part.strip() for part in line.rpartition("="))
+            start = line.find("]") + 1 if "[" in line.partition("=")[0] else 0
+            cut = line.find("=", start)
+            key, sep, value = line[:cut].strip(), cut >= 0, line[cut + 1:].strip()
             if not sep or key in out:
                 problem = f"duplicate key {key!r}" if sep else f"expected key = value, got {line!r}"
                 raise ValueError(f"{path} line {lineno}: {problem}")

@@ -290,14 +290,15 @@ def test_cli_sweep_part1_refuses_channel_outside_unit_interval(tmp_path, capsys,
 
 
 def test_cli_sweep_zero_crossing_does_not_depend_on_the_range(tmp_path, capsys):
+    # nor on its direction: --start may exceed --stop
     printed = []
-    for start, stop in (("0.8", "0.95"), ("0.5", "1"), ("0.3", "1")):
+    for start, stop in (("0.8", "0.95"), ("0.5", "1"), ("0.3", "1"), ("0.95", "0.8")):
         assert main(["sweep", "--variable", "eta_ch", "--start", start, "--stop", stop,
                      "--points", "4", "--out", str(tmp_path)]) == 0
         printed += [line for line in capsys.readouterr().out.splitlines()
                     if line.startswith("zero_crossing = ")]
     # (1 - 1/10)/(0.5 * 2.1) rounded once
-    assert printed == ["zero_crossing = 0.8571428571428571"] * 3
+    assert printed == ["zero_crossing = 0.8571428571428571"] * 4
 
 
 def test_cli_sweep_mc_tracks_analytic(tmp_path):
@@ -488,7 +489,8 @@ def test_cli_bare_resend_plan_replays_the_resend_alone(tmp_path, capsys):
 
 def test_cli_relative_plan_and_curve_paths_start_at_the_scenario_file(tmp_path, monkeypatch,
                                                                       capsys):
-    # the paths are read from the scenario's directory and hashed as written
+    # the paths are read from the scenario's directory and hashed as written, and
+    # the files' bytes are hashed too
     sub = tmp_path / "sub"
     sub.mkdir()
     (sub / "bs.txt").write_bytes((Path(attack.__file__).parent / "data" / "bs_50_50.txt")
@@ -508,6 +510,69 @@ def test_cli_relative_plan_and_curve_paths_start_at_the_scenario_file(tmp_path, 
                            shallow=False), name
     assert "curve = bs.txt\n" in (tmp_path / "from_sub" / "plan.txt").read_text()
     assert "plan = bare.plan\n" in load_scenario(sub / "bare.scenario").canonical_text()
+
+
+def _curve_file_copy(tmp_path, curve: str = "bs.txt") -> Path:
+    """The shipped attack_a scenario at 20000 slots, on a copy of the builtin
+    50:50 table at ``curve`` (relative to the scenario file)."""
+    table = tmp_path / curve
+    table.parent.mkdir(parents=True, exist_ok=True)
+    table.write_bytes((Path(attack.__file__).parent / "data" / "bs_50_50.txt").read_bytes())
+    text = (SCENARIOS / "attack_a.scenario").read_text()
+    path = tmp_path / "attack_a.scenario"
+    path.write_text(text.replace("slots = 1000000\n", "slots = 20000\n")
+                    .replace("curve = 50:50\n", f"curve = {curve}\n"))
+    return path
+
+
+def test_cli_headers_cover_the_curve_table(tmp_path, capsys):
+    # the curve table is the attack's central input: one edited row moves every header
+    scen = _curve_file_copy(tmp_path)
+
+    def headers(out):
+        assert main(["run", "--scenario", str(scen), "--out", str(out / "run")]) == 0
+        assert main(["solve", "--scenario", str(scen), "--out", str(out / "solve")]) == 0
+        assert main(["sweep", "--mode", "solved", "--scenario", str(scen), "--variable",
+                     "eta_ch", "--start", "0.3", "--stop", "0.7", "--points", "3",
+                     "--out", str(out / "sweep")]) == 0
+        # solve writes the plan the run writes, header and all
+        assert filecmp.cmp(out / "run" / "plan.txt", out / "solve" / "plan.txt", shallow=False)
+        return [_header(path) for path in sorted(out.glob("*/*"))]
+
+    before = headers(tmp_path / "before")
+    table = tmp_path / "bs.txt"
+    assert table.read_text().count("\n1310 0.5144\n") == 1
+    table.write_text(table.read_text().replace("\n1310 0.5144\n", "\n1310 0.5150\n"))
+    after = headers(tmp_path / "after")
+    assert len(before) == len(after) == 7  # 5 run artifacts, the solved plan, the sweep
+    assert all(old != new for old, new in zip(before, after))
+
+
+def test_cli_plan_mode_header_on_a_builtin_curve_is_pinned(tmp_path, monkeypatch, capsys):
+    # a builtin curve adds no bytes: the plan's bytes after the texts, as before
+    (tmp_path / "bare.plan").write_text("curve = 50:50\nstrategy = A\namplification = 10\n"
+                                        "displacement = 0.0\n")
+    (tmp_path / "bare.scenario").write_text("[attack]\nstrategy = A\nmode = plan\n"
+                                            "plan = bare.plan\n[run]\nslots = 10000\n"
+                                            "[outputs]\nreport = report.txt\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--scenario", "bare.scenario", "--out", "bare"]) == 0
+    assert _header(tmp_path / "bare" / "report.txt") == (
+        "# format=report-v1 scenario=4c629572c30420f9 seed=1")
+
+
+def test_cli_plan_on_a_curve_path_holding_an_equals_sign_replays(tmp_path, capsys):
+    # the plan's line "curve = a=b/bs.txt" reads back as the scenario's curve
+    scen = _curve_file_copy(tmp_path, "a=b/bs.txt")
+    assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "solved")]) == 0
+    assert "curve = a=b/bs.txt\n" in (tmp_path / "solved" / "plan.txt").read_text()
+    text = scen.read_text().replace("mode = solve\n", "mode = plan\nplan = solved/plan.txt\n")
+    replay = tmp_path / "replay.scenario"
+    replay.write_text(text.replace("plan = plan.txt\n", ""))
+    assert main(["run", "--scenario", str(replay), "--out", str(tmp_path / "replayed")]) == 0
+    solved, replayed = ((tmp_path / d / "report.txt").read_text().split("\n", 1)[1]
+                        for d in ("solved", "replayed"))
+    assert replayed == solved
 
 
 @pytest.mark.parametrize("attack_section, line", [

@@ -164,13 +164,16 @@ def test_records_csv_header_row(tmp_path):
 
 
 def test_report_round_trip(tmp_path):
+    # a bracketed key splits after its "]", any other line at its first "="
     path = tmp_path / "report.txt"
-    write_report(path, [("shot_noise_est", 5.01e7), ("count", 10), ("flag", True)],
-                 "beef", 3)
-    kv = read_report(path)
-    assert float(kv["shot_noise_est"]) == 5.01e7
-    assert kv["count"] == "10"
-    assert kv["flag"] == "true"
+    write_report(path, [("shot_noise_est", 5.01e7), ("count", 10), ("flag", True),
+                        ("variance[r=0.5]", 2.5), ("count[r=0.5]", 10.0),
+                        ("curve", "a=b/bs.txt")], "beef", 3)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("key=value\n")
+    assert read_report(path) == {"shot_noise_est": "50100000.0", "count": "10", "flag": "true",
+                                 "variance[r=0.5]": "2.5", "count[r=0.5]": "10.0",
+                                 "curve": "a=b/bs.txt", "key": "value"}
 
 
 def test_plan_file_round_trip(tmp_path):
