@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleAttackError
+from .errors import EstimationError, InfeasibleAttackError
 from .physics import (BeamSplitterCurve, DetectorConfig, ForeignPulse, PulsePath,
                       foreign_pulse_response)
 from .protocol import NoiseTable, SystemParams, honest_noise_table, sample_session
@@ -238,7 +238,7 @@ def _two_point_model(params: SystemParams, c_lo: float, c_s: float):
     ratios = params.schedule.ratios
     r1, r2 = float(ratios.min()), float(ratios.max())
     if r1 == r2:
-        raise InfeasibleAttackError(f"two-point estimates need two ratios, got only {r1!r}")
+        raise EstimationError(f"two-point estimates need two ratios, got only {r1!r}")
     ee = params.detector.efficiency * params.channel_transmittance
     bias = (1.0 - r1 * r2, c_lo - c_s * r1 * r2, 0.0)
     numerator = ((r1 + r2 - 2.0) / ee, c_s * (r1 + r2),

@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import dataclasses
 import errno
+import functools
 import hashlib
 import math
 import os
@@ -63,10 +64,10 @@ def _scenario(args, **overrides) -> Scenario:
     return _replaced(scen, **overrides)
 
 
-def _write_verdict(path: Path, items, base: str | None, args, seed: int) -> None:
-    """The verdict file, headed by ``base`` (a scenario hash, if any) hashed with --threshold."""
-    vhash = base and hashlib.sha256(f"{base} {args.threshold!r}".encode()).hexdigest()[:16]
-    serialize.write_report(path, items, vhash or "unknown", seed)
+def _header_hash(base: str | None, *flags) -> str:
+    """``base``, a scenario hash if any, hashed with each flag that shaped the artifact."""
+    return (hashlib.sha256(" ".join([base, *map(repr, flags)]).encode()).hexdigest()[:16]
+            if base else "unknown")
 
 
 def cmd_run(args) -> int:
@@ -110,7 +111,8 @@ def cmd_run(args) -> int:
         serialize.write_report(outdir / outputs["polynomial"], verdict.polynomial.as_items(),
                                shash, seed)
     if "verdict" in outputs:
-        _write_verdict(outdir / outputs["verdict"], verdict.as_items(), shash, args, seed)
+        serialize.write_report(outdir / outputs["verdict"], verdict.as_items(),
+                               _header_hash(shash, args.threshold), seed)
         print(f"attacked = {str(verdict.attacked).lower()}")
     if "plan" in outputs:  # the parser refuses a plan output for an honest scenario
         serialize.write_plan(outdir / outputs["plan"], plan, scen.curve_name, shash, seed)
@@ -142,8 +144,7 @@ def _grid(args, params: SystemParams):
         yield value, dataclasses.replace(params, **{swept: value}) if swept else params
 
 
-def _part1_row(args, scen: Scenario, curve: BeamSplitterCurve, value: float,
-               point: SystemParams) -> list:
+def _part1_row(args, scen: Scenario, value: float, point: SystemParams) -> list:
     point = dataclasses.replace(point, schedule=AttenuationSchedule(((1.0, 1.0),)))
     n_amp = value if args.variable == "N" else args.n_amp
     plan = attack.AttackPlan(attack.StrategyA(n_amp), None)
@@ -158,7 +159,7 @@ def _part1_row(args, scen: Scenario, curve: BeamSplitterCurve, value: float,
     return row
 
 
-def _solved_row(args, scen: Scenario, curve: BeamSplitterCurve, value: float,
+def _solved_row(curve: BeamSplitterCurve, args, scen: Scenario, value: float,
                 point: SystemParams) -> list:
     row = [args.variable, value, point.channel_transmittance, point.excess_noise]
     try:
@@ -173,21 +174,21 @@ def _solved_row(args, scen: Scenario, curve: BeamSplitterCurve, value: float,
 def cmd_sweep(args) -> int:
     if args.mc and args.mode == "solved":
         raise ConfigError("--mc simulates the part-1 resend; --mode solved has no Monte Carlo")
-    # with --mc the header names the Monte-Carlo slot count
-    scen = _scenario(args, master_seed=args.seed, slots=args.slots if args.mc else None)
+    # only Monte-Carlo rows read --seed and --slots
+    scen = _scenario(args, **dict(master_seed=args.seed, slots=args.slots) if args.mc else {})
     curve = scen.load_curve()
     if args.mode == "part1":
         header = ["variable", "value", "excess_noise_est"]
         if args.mc:
             header.append("excess_noise_mc")
-        row_of = _part1_row
+        # each mode's rows, and the flags they read: --n-amp unless the grid is N
+        row_of, flags = _part1_row, () if args.variable == "N" else (args.n_amp,)
     elif args.variable == "N":
         raise ConfigError("solved-mode sweeps vary eta_ch or xi; the solver fixes N")
     else:
         header = ["variable", "value", "eta_ch", "xi", "a", "b", "c", "a_over_c", "verdict"]
-        row_of = _solved_row
-    rows = [row_of(args, scen, curve, value, point)
-            for value, point in _grid(args, scen.params)]
+        row_of, flags = functools.partial(_solved_row, curve), (args.threshold,)
+    rows = [row_of(args, scen, value, point) for value, point in _grid(args, scen.params)]
     if args.mode == "part1" and args.variable == "eta_ch":
         try:
             crossing = analysis.part1_zero_crossing(
@@ -196,8 +197,8 @@ def cmd_sweep(args) -> int:
             print(f"zero_crossing = {crossing!r}")
         except ValueError:
             pass
-    flags = repr(args.n_amp if args.mode == "part1" else args.threshold).encode()  # read by rows
-    text = serialize.csv_text(rows, header, scen.scenario_hash(flags), scen.master_seed)
+    text = serialize.csv_text(rows, header, _header_hash(scen.scenario_hash(), *flags),
+                              scen.master_seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / args.sweep_file
@@ -217,8 +218,8 @@ def cmd_detect(args) -> int:
     sys.stdout.write(serialize.report_text(verdict.as_items()))
     if args.out is not None:
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        _write_verdict(Path(args.out, "verdict.txt"), verdict.as_items(),
-                       meta.get("scenario"), args, int(seed))
+        serialize.write_report(Path(args.out, "verdict.txt"), verdict.as_items(),
+                               _header_hash(meta.get("scenario"), args.threshold), int(seed))
     return 0
 
 

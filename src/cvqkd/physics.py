@@ -62,12 +62,7 @@ class BeamSplitterCurve:
                 f"wavelength {wavelength_nm} nm outside the tabulated band "
                 f"[{lo}, {hi}] nm of the {self.nominal_ratio} coupler"
             )
-        i = int(np.searchsorted(self.wavelengths_nm, wavelength_nm))
-        if i < self.wavelengths_nm.size and self.wavelengths_nm[i] == wavelength_nm:
-            return float(self.transmittances[i])  # exact on grid points
-        w0, w1 = self.wavelengths_nm[i - 1], self.wavelengths_nm[i]
-        t0, t1 = self.transmittances[i - 1], self.transmittances[i]
-        return float(t0 + (t1 - t0) * (wavelength_nm - w0) / (w1 - w0))
+        return float(np.interp(wavelength_nm, self.wavelengths_nm, self.transmittances))
 
 
 def transmittance_at(curve: BeamSplitterCurve, wavelength_nm: float) -> float:

@@ -95,19 +95,18 @@ class Scenario:
         if not self.source_text:
             object.__setattr__(self, "source_text", self.canonical_text())
 
-    def scenario_hash(self, extra: bytes = b"") -> str:
+    def scenario_hash(self) -> str:
         """Hash of the source text, the effective configuration and the bytes
         of each file the scenario names: its plan, then a curve table not builtin.
 
         The canonical text carries any later override of ``slots`` or
         ``master_seed``, so runs that differ only in those get different hashes.
-        ``extra`` is a sweep's flag.
         """
         files = [self.plan_path] if self.plan_path else []
         files += [] if self.curve_name in BUILTIN_CURVES else [self.curve_name]
         data = (self.source_text + self.canonical_text()).encode("utf-8")
         data += b"".join((self.directory / name).read_bytes() for name in files)
-        return hashlib.sha256(data + extra).hexdigest()[:16]
+        return hashlib.sha256(data).hexdigest()[:16]
 
     def load_curve(self) -> BeamSplitterCurve:
         if self.curve_name in BUILTIN_CURVES:

@@ -10,7 +10,7 @@ from cvqkd.analysis import (analytic_noise_polynomial, analytic_variance, detect
 from cvqkd.attack import (AttackPlan, StrategyA, StrategyB, WavelengthPlan, noise_table,
                           part2_variance, predicted_two_point, realistic_shot_noise,
                           run_attacked_session, shot_coefficients, solve_attack_parameters)
-from cvqkd.errors import InfeasibleAttackError
+from cvqkd.errors import EstimationError, InfeasibleAttackError
 from cvqkd.physics import DetectorConfig, builtin_curve
 from cvqkd.protocol import (THREE_RATIO_SCHEDULE, AttenuationSchedule, SystemParams,
                             estimate_covariance_transmittance, estimate_two_point,
@@ -282,11 +282,12 @@ def test_solver_closed_form_matches_bisection(kind, r1, r2):
 
 
 def test_solver_refuses_a_schedule_with_one_ratio():
-    # the schedule keeps its ratios in [0, 1] and distinct; one ratio is no two-point pair
+    # the schedule keeps its ratios in [0, 1] and distinct; one ratio is no two-point
+    # pair, a configuration error rather than an infeasible attack
     params = SystemParams(schedule=AttenuationSchedule(((1.0, 1.0),)))
     for solve in (lambda: solve_attack_parameters("A", params, CURVE),
                   lambda: predicted_two_point(params, AttackPlan(StrategyA(10.0), None))):
-        with pytest.raises(InfeasibleAttackError, match="need two ratios, got only 1.0"):
+        with pytest.raises(EstimationError, match="need two ratios, got only 1.0"):
             solve()
 
 

@@ -368,6 +368,19 @@ def test_cli_sweep_solved_mode_refuses_n_and_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_sweep_solved_on_a_one_ratio_schedule_exits_2_as_solve_does(tmp_path, capsys):
+    # one ratio is no two-point pair: a configuration error, not an infeasible row
+    scen = tmp_path / "one.scenario"
+    scen.write_text("[schedule]\n1.0 = 1.0\n[attack]\nstrategy = A\n")
+    sweep = ["sweep", "--mode", "solved", "--variable", "eta_ch", "--start", "0.3",
+             "--stop", "0.6", "--points", "2", "--out", str(tmp_path / "out")]
+    for argv in (["solve"], sweep):
+        assert main([*argv, "--scenario", str(scen)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: two-point estimates need two ratios, got only 1.0\n")
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 def test_cli_sweep_single_point(tmp_path):
     rc = main(["sweep", "--variable", "xi", "--start", "0.1", "--stop", "0.1",
                "--points", "1", "--out", str(tmp_path)])
@@ -1170,14 +1183,16 @@ def test_cli_headers_track_slots_and_seed_overrides(tmp_path):
 
 
 def test_cli_sweep_header_tracks_monte_carlo_slots(tmp_path):
-    def sweep(name, slots):
+    # Monte-Carlo rows read --slots and --seed
+    def sweep(name, slots, *seed):
         assert main(["sweep", "--variable", "N", "--start", "5", "--stop", "10",
-                     "--points", "2", "--mc", "--slots", slots,
+                     "--points", "2", "--mc", "--slots", slots, *seed,
                      "--out", str(tmp_path / name)]) == 0
         return _header(tmp_path / name / "sweep.csv")
 
     assert sweep("a", "1000") == sweep("a_again", "1000")
     assert sweep("b", "2000") != sweep("a", "1000")
+    assert sweep("c", "1000", "--seed", "5") != sweep("a", "1000")
 
 
 @pytest.mark.parametrize("mode, flags", [
@@ -1195,13 +1210,20 @@ def test_cli_sweep_header_tracks_the_flags_that_shape_the_rows(tmp_path, mode, f
     assert sweep("a", *flags) != sweep("default")
 
 
-@pytest.mark.parametrize("mode, flags", [
-    ("part1", ["--threshold", "0.2"]),
-    ("solved", ["--n-amp", "7"]),
-], ids=["part1-threshold", "solved-n-amp"])
-def test_cli_sweep_header_ignores_the_flags_its_rows_do_not_read(tmp_path, mode, flags):
+@pytest.mark.parametrize("variable, mode, flags", [
+    ("eta_ch", "part1", ["--threshold", "0.2"]),
+    ("eta_ch", "solved", ["--n-amp", "7"]),
+    ("eta_ch", "part1", ["--seed", "5"]),
+    ("eta_ch", "solved", ["--seed", "5"]),
+    ("N", "part1", ["--n-amp", "7"]),
+], ids=["part1-threshold", "solved-n-amp", "part1-seed", "solved-seed", "N-n-amp"])
+def test_cli_sweep_header_ignores_the_flags_its_rows_do_not_read(tmp_path, variable, mode,
+                                                                 flags):
+    # without --mc no row reads --seed; an N grid gives each row its N
+    start, stop = ("2", "20") if variable == "N" else ("0.5", "0.9")
+
     def sweep(name, *extra):
-        assert main(["sweep", "--variable", "eta_ch", "--start", "0.5", "--stop", "0.9",
+        assert main(["sweep", "--variable", variable, "--start", start, "--stop", stop,
                      "--points", "2", "--mode", mode, *extra,
                      "--out", str(tmp_path / name)]) == 0
         return (tmp_path / name / "sweep.csv").read_text()
