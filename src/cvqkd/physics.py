@@ -73,13 +73,18 @@ def transmittance_at(curve: BeamSplitterCurve, wavelength_nm: float) -> float:
 def load_curve(path, nominal_ratio: str | None = None) -> BeamSplitterCurve:
     """Read a curve from the plain-text table format.
 
-    One header line, then rows ``wavelength_nm transmittance`` in ascending
-    wavelength order. A row without exactly two cells, a cell that is not a
-    finite number, a transmittance outside (0, 1) or a wavelength not above
-    the previous row's raises a ConfigError naming the file and the line.
+    The header line ``wavelength_nm transmittance``, then one row of those
+    two numbers per line in ascending wavelength order. Another first line, a
+    row without exactly two cells, a cell that is not a finite number, a
+    transmittance outside (0, 1) or a wavelength not above the previous row's
+    raises a ConfigError naming the file and the line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(n, ln.split()) for n, ln in enumerate(fh, start=1) if ln.strip()]
+    lineno, cells = lines[0] if lines else (1, [])
+    if cells != ["wavelength_nm", "transmittance"]:
+        raise ConfigError(f"curve file {path}: expected the header "
+                          f"'wavelength_nm transmittance', got {' '.join(cells)!r}", lineno)
     wl: list[float] = []
     tr: list[float] = []
     for lineno, cells in lines[1:]:

@@ -230,6 +230,21 @@ def test_load_curve_rejects_malformed_rows_with_file_and_line(tmp_path, rows, li
     assert "bad_curve.txt" in str(err.value)
 
 
+@pytest.mark.parametrize("text, line, got", [
+    ("1270 0.5327\n1290 0.5253\n1310 0.5144\n", 1, "'1270 0.5327'"),
+    ("\nwavelength transmittance\n1300 0.49\n1400 0.51\n", 2, "'wavelength transmittance'"),
+    ("", 1, "''"),
+], ids=["headerless", "misspelt", "empty"])
+def test_load_curve_refuses_a_first_line_other_than_the_header(tmp_path, text, line, got):
+    path = tmp_path / "bad_curve.txt"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_curve(path)
+    assert err.value.line == line
+    assert str(err.value) == (f"line {line}: curve file {path}: expected the header "
+                              f"'wavelength_nm transmittance', got {got}")
+
+
 def test_load_curve_needs_two_rows(tmp_path):
     path = tmp_path / "one_row.txt"
     path.write_text("wavelength_nm transmittance\n1300 0.49\n")

@@ -10,14 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvqkd import analysis, attack, protocol
+from cvqkd import analysis, attack, protocol, rng
 from cvqkd.analysis import schedule_key_rate_overhead
 from cvqkd.cli import main
 from cvqkd.errors import ConfigError, CountermeasureError
 from cvqkd.rng import CHUNK_SLOTS
 from cvqkd.scenario import _KEYS as _KEY_TABLE, Scenario, load_scenario, parse_scenario
 from cvqkd.protocol import SystemParams
-from cvqkd.serialize import _READ_LINES, read_meta, read_report, write_records_csv
+from cvqkd.serialize import (_READ_LINES, _RECORDS_BLOCK, read_meta, read_report,
+                             write_records_csv)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -331,12 +332,17 @@ def test_cli_sweep_mc_tracks_analytic(tmp_path):
 
 
 def test_cli_sweep_solved_mode_columns(tmp_path):
-    rc = main(["sweep", "--variable", "eta_ch", "--start", "0.5", "--stop", "0.9",
-               "--points", "3", "--mode", "solved", "--out", str(tmp_path)])
-    assert rc == 0
-    lines = (tmp_path / "sweep.csv").read_text().splitlines()
-    assert lines[1] == "variable,value,eta_ch,xi,a,b,c,a_over_c,verdict"
-    assert all(row.endswith(",true") for row in lines[2:])
+    def rows(out, *scenario):
+        assert main(["sweep", "--variable", "eta_ch", "--start", "0.5", "--stop", "0.9",
+                     "--points", "3", "--mode", "solved", *scenario,
+                     "--out", str(tmp_path / out)]) == 0
+        return (tmp_path / out / "sweep.csv").read_text().splitlines()[1:]
+
+    lines = rows("default")
+    assert lines[0] == "variable,value,eta_ch,xi,a,b,c,a_over_c,verdict"
+    assert all(row.endswith(",true") for row in lines[1:])
+    # a solved sweep solves strategy A whatever the scenario's [attack] names
+    assert rows("b", "--scenario", str(SCENARIOS / "attack_b.scenario")) == lines
 
 
 def test_cli_sweep_solved_mode_marks_a_transparent_channel_infeasible(tmp_path):
@@ -675,14 +681,21 @@ def test_cli_schedule_without_full_transmission_reports_no_channel_estimate(tmp_
     assert "excess_noise_single_point" not in body
 
 
-def test_cli_thread_count_does_not_change_bytes(tmp_path):
-    out1, out8 = tmp_path / "t1", tmp_path / "t8"
-    for out, threads in ((out1, "1"), (out8, "8")):
-        rc = main(["run", "--scenario", str(SCENARIOS / "attack_a.scenario"),
-                   "--out", str(out), "--slots", "40000", "--threads", threads])
-        assert rc == 0
-    for name in ("records.csv", "report.txt", "polynomial.txt", "verdict.txt", "plan.txt"):
-        assert filecmp.cmp(out1 / name, out8 / name, shallow=False), name
+@pytest.mark.parametrize("name", ["honest", "attack_a", "attack_b"])
+def test_cli_thread_count_does_not_change_bytes(tmp_path, monkeypatch, name):
+    # three sampler chunks, the last one partial: --threads 2 runs them on a pool
+    pools = []
+    pool = rng.ThreadPoolExecutor
+    monkeypatch.setattr(rng, "ThreadPoolExecutor", lambda **kw: pools.append(kw) or pool(**kw))
+    out1, out2 = tmp_path / "t1", tmp_path / "t2"
+    for out, threads in ((out1, "1"), (out2, "2")):
+        assert main(["run", "--scenario", str(SCENARIOS / f"{name}.scenario"),
+                     "--out", str(out), "--slots", str(2 * CHUNK_SLOTS + 777),
+                     "--threads", threads]) == 0
+    assert pools == [{"max_workers": 2}]
+    names = sorted(path.name for path in out1.iterdir())
+    assert names == sorted(path.name for path in out2.iterdir())
+    assert filecmp.cmpfiles(out1, out2, names, shallow=False)[0] == names
 
 
 _HEAD = "# format=records-v1 scenario=x seed=0\nslot,quad,ratio,alice_x,bob_y\r\n"
@@ -1116,6 +1129,18 @@ def test_cli_run_with_malformed_curve_file_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_run_with_a_headerless_curve_file_exits_2(tmp_path, capsys):
+    # a table without its header line would otherwise lose its first row
+    curve = tmp_path / "headerless.txt"
+    curve.write_text("1270 0.5327\n1290 0.5253\n1310 0.5144\n")
+    scen = tmp_path / "headerless.scenario"
+    scen.write_text(MINIMAL.replace("[system]\n", f"[system]\ncurve = {curve}\n"))
+    assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"error: line 1: curve file {curve}: expected the header "
+                                       "'wavelength_nm transmittance', got '1270 0.5327'\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key, value", [("modulation_variance", "nan"),
                                         ("lo_intensity", "inf"),
                                         ("excess_noise", "-inf")])
@@ -1374,10 +1399,13 @@ def test_cli_sweep_refuses_monte_carlo_in_solved_mode(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_detect_reproduces_the_run_a_over_c(tmp_path, capsys):
-    # a batch read back from records is reduced chunk by chunk like the session
+@pytest.mark.parametrize("slots", [200000, _RECORDS_BLOCK - 1, _RECORDS_BLOCK + 1,
+                                   CHUNK_SLOTS + 1])
+def test_cli_detect_reproduces_the_run_a_over_c(tmp_path, capsys, slots):
+    # a batch read back from records is reduced chunk by chunk like the session,
+    # on both sides of a records write block and of a sampler chunk
     rc = main(["run", "--scenario", str(SCENARIOS / "attack_a.scenario"),
-               "--out", str(tmp_path), "--slots", "200000", "--threads", "2"])
+               "--out", str(tmp_path), "--slots", str(slots), "--threads", "2"])
     assert rc == 0
     capsys.readouterr()
     assert main(["detect", "--records", str(tmp_path / "records.csv")]) == 0
