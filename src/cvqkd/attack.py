@@ -4,7 +4,7 @@ The attack has two halves. First a full heterodyne intercept-resend, run in
 one of two flavours: strategy A rescales the resent signal by sqrt(N) while
 dividing the local oscillator by N, strategy B reshapes the LO so the
 detection slope drops by a factor gamma while a fake channel transmittance
-keeps the covariance honest. Either way the receiver's realistic shot noise
+eta_ch / gamma keeps the covariance honest. Either way the receiver's realistic shot noise
 shrinks. Second, pairs of off-wavelength pulses ride the signal and LO
 polarizations; the wavelength-dependent split ratio converts their intensity
 into a differential-current offset of size D whose sign flips slot by slot,
@@ -55,31 +55,19 @@ class StrategyA:
 
 @dataclass(frozen=True)
 class StrategyB:
-    """Slope-control resend: detection response scaled by gamma, fake channel keeps
-    gamma * fake_channel equal to the victim's channel transmittance.
+    """Slope-control resend: detection response scaled by gamma.
 
-    fake_channel may exceed 1: it is an amplitude scaling the attacker applies
-    to her resent state, not a physical channel (the worked gamma = 0.47 at
-    channel transmittance 0.5 needs fake_channel = 1.063).
+    Eve's fake channel is eta_ch / gamma of the system she attacks, so gamma
+    times it is that system's channel transmittance. It may exceed 1: it is an
+    amplitude scaling the attacker applies to her resent state, not a physical
+    channel (the worked gamma = 0.47 at channel transmittance 0.5 needs 1.063).
     """
 
     slope_factor: float
-    fake_channel: float
 
     def __post_init__(self):
-        # each check is false for NaN, so NaN fails it too
-        if not (0.0 < self.slope_factor <= 1.0):
+        if not (0.0 < self.slope_factor <= 1.0):  # false for NaN too
             raise ValueError("slope factor must be in (0, 1]")
-        if not 0.0 < self.fake_channel < math.inf:
-            raise ValueError(f"fake_channel must be finite and > 0, got {self.fake_channel!r}")
-
-    def check_consistency(self, channel_transmittance: float) -> None:
-        if not math.isclose(self.slope_factor * self.fake_channel,
-                            channel_transmittance, rel_tol=1e-9):
-            raise InfeasibleAttackError(
-                "strategy B plan inconsistent: slope_factor * fake_channel = "
-                f"{self.slope_factor * self.fake_channel!r} but the channel "
-                f"transmittance is {channel_transmittance!r}")
 
 
 STRATEGIES = {"A": StrategyA, "B": StrategyB}  # by their scenario and plan-file letter
@@ -93,16 +81,15 @@ class WavelengthPlan:
     path at the even positions, and the means are (+D, -D, -D, +D); at full
     transmission the signal- and LO-path contributions of a set cancel exactly, at
     strong attenuation the LO contribution survives as a +-D coin flip of variance D^2.
-    ``shot_coeff_lo`` and ``shot_coeff_signal`` are the linear-in-D shot-noise
-    coefficients recomputed from the active curve (nominally 35.81 and 35.47).
+    The shot variance of a foreign pulse is eta*I, so the per-set averages are linear
+    in D: ``shot_coeff_lo`` and ``shot_coeff_signal`` are their coefficients, which
+    depend on the curve alone (nominally 35.81 and 35.47).
     """
 
     pulses: tuple[ForeignPulse, ...]
     displacement: float
     means: tuple[float, ...]
     shot_variances: tuple[float, ...]
-    shot_coeff_lo: float
-    shot_coeff_signal: float
 
     def __post_init__(self):
         if self.displacement <= 0.0:
@@ -118,23 +105,25 @@ class WavelengthPlan:
         """Average injected LO-path intensity, what an intensity monitor gains."""
         return 0.5 * sum(p.intensity for p in self.pulses[1::2])
 
+    @property
+    def shot_coeff_lo(self) -> float:
+        return sum(self.shot_variances[1::2]) / (2.0 * self.displacement)
+
+    @property
+    def shot_coeff_signal(self) -> float:
+        return sum(self.shot_variances[0::2]) / (2.0 * self.displacement)
+
     @classmethod
     def from_pulses(cls, curve: BeamSplitterCurve, detector: DetectorConfig,
                     pulses: Sequence[ForeignPulse], displacement: float) -> "WavelengthPlan":
         means, shot_vars = zip(*(foreign_pulse_response(detector, curve, p) for p in pulses))
-        # shot variance of a foreign pulse is eta*I, so the per-set averages are
-        # linear in D with curve-only coefficients
-        c_lo = sum(shot_vars[1::2]) / (2.0 * displacement)
-        c_s = sum(shot_vars[0::2]) / (2.0 * displacement)
-        return cls(tuple(pulses), displacement, means, shot_vars, c_lo, c_s)
+        return cls(tuple(pulses), displacement, means, shot_vars)
 
     @classmethod
     def design(cls, curve: BeamSplitterCurve, detector: DetectorConfig,
                displacement: float,
                wavelengths: Sequence[float] = DEFAULT_WAVELENGTHS) -> "WavelengthPlan":
         """Choose the four intensities that realize ``displacement`` at these wavelengths."""
-        if displacement <= 0.0:
-            raise InfeasibleAttackError("displacement must be > 0")
         pulses = []
         for (name, path, sign), wl in zip(PULSES, wavelengths):
             gain, _ = foreign_pulse_response(detector, curve, ForeignPulse(wl, 1.0, path))
@@ -295,8 +284,7 @@ def solve_attack_parameters(strategy_kind: str, params: SystemParams,
     if strategy_kind == "A":
         strategy: StrategyA | StrategyB = StrategyA(n0 / shot)
     else:
-        gamma = shot / n0
-        strategy = StrategyB(gamma, params.channel_transmittance / gamma)
+        strategy = StrategyB(shot / n0)
     plan = AttackPlan(strategy, WavelengthPlan.design(curve, params.detector, d, wavelengths))
 
     n0_est, xi_est = predicted_two_point(params, plan)
@@ -313,8 +301,8 @@ def noise_table(params: SystemParams, plan: AttackPlan,
 
     Bob's receiver is the honest one (``protocol.honest_noise_table``) at the
     realistic shot noise the resend leaves him; his gain and excess-noise term
-    stay honest, for strategy B because gamma * fake_channel equals the
-    channel transmittance. Eve changes the rest: her heterodyne intercept adds
+    stay honest, for strategy B because her fake channel eta_ch / gamma undoes
+    the slope factor. Eve changes the rest: her heterodyne intercept adds
     2*N0 of noise to the x she resends from, and the injected pulses of set 1
     or 2 add their offset and their independent shot-noise variance. The LO
     level is what an ideal intensity monitor reads: with ``compensate_lo`` the
@@ -322,13 +310,10 @@ def noise_table(params: SystemParams, plan: AttackPlan,
     recalibrates the trigger so the homodyne statistics stay on plan; only
     the monitored intensity changes.
     """
-    strategy = plan.strategy
     wl = plan.wavelength
-    if isinstance(strategy, StrategyA):
-        lo_base = params.lo_intensity / strategy.amplification
-    else:
-        strategy.check_consistency(params.channel_transmittance)
-        lo_base = params.lo_intensity
+    lo_base = params.lo_intensity
+    if isinstance(plan.strategy, StrategyA):
+        lo_base /= plan.strategy.amplification
     table = replace(honest_noise_table(params, realistic_shot_noise(params, plan)),
                     sig_intercept=math.sqrt(2.0 * params.shot_noise_unit),
                     lo_level=np.array([lo_base]))

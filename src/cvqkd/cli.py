@@ -104,7 +104,6 @@ def cmd_run(args) -> int:
                 analysis.fit_noise_polynomial(moments), threshold=args.threshold,
                 lo_anomaly=analysis.monitor_lo_intensity(moments, scen.params.lo_intensity))
 
-    outdir.mkdir(parents=True, exist_ok=True)
     if "report" in outputs:
         serialize.write_report(outdir / outputs["report"], items, shash, seed)
     if "polynomial" in outputs:
@@ -127,10 +126,8 @@ def cmd_solve(args) -> int:
                                           scen.wavelengths)
     sys.stdout.write(serialize.report_text(serialize.plan_items(plan, scen.curve_name)))
     if args.out is not None:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
         # the plan a run of this scenario writes, header and all
-        serialize.write_plan(outdir / args.plan_file, plan, scen.curve_name,
+        serialize.write_plan(Path(args.out, args.plan_file), plan, scen.curve_name,
                              scen.scenario_hash(), scen.master_seed)
     return 0
 
@@ -199,10 +196,8 @@ def cmd_sweep(args) -> int:
             pass
     text = serialize.csv_text(rows, header, _header_hash(scen.scenario_hash(), *flags),
                               scen.master_seed)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / args.sweep_file
-    path.write_text(text, encoding="utf-8")
+    path = Path(args.out, args.sweep_file)
+    serialize.write_text(path, text)
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
@@ -217,7 +212,6 @@ def cmd_detect(args) -> int:
     verdict = analysis.detect(analysis.fit_noise_polynomial(moments), threshold=args.threshold)
     sys.stdout.write(serialize.report_text(verdict.as_items()))
     if args.out is not None:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
         serialize.write_report(Path(args.out, "verdict.txt"), verdict.as_items(),
                                _header_hash(meta.get("scenario"), args.threshold), int(seed))
     return 0

@@ -8,8 +8,11 @@ photo-electron counts, modulation/excess noise in shot-noise units.
 
 from __future__ import annotations
 
+import contextlib
+import decimal
 import hashlib
 import math
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -30,10 +33,14 @@ def parse_float(value: str, line: int | None, key: str) -> float:
 
 
 def _parse_int(value: str, line: int, key: str) -> int:
-    x = parse_float(value, line, key)
-    if x != int(x):
-        raise ConfigError(f"{key}: expected an integer, got {value!r}", line)
-    return int(x)
+    """The integer a value writes, exactly (``1e6`` is 1000000); a finite number
+    that is no integer, or whose exponent ``decimal`` cannot hold, is refused."""
+    parse_float(value, line, key)  # a value that is no finite number keeps its error
+    with contextlib.suppress(decimal.InvalidOperation):
+        exact = decimal.Decimal(value)
+        if exact == exact.to_integral_value():
+            return int(exact)
+    raise ConfigError(f"{key}: expected an integer, got {value!r}", line)
 
 
 def _parse_bool(value: str, line: int, key: str) -> bool:
@@ -162,12 +169,14 @@ def parse_scenario(text: str) -> Scenario:
     """Parse scenario text, reporting problems with their line numbers.
 
     Each value is parsed on its own line, so the first error in line order is
-    the one reported. A key given twice in one section is an error naming
-    both lines. Errors found when the parameters are put together are
-    reported at the line of the section header they come from.
+    the one reported. A key given twice in one section, and two ``[outputs]``
+    keys naming one file, are errors naming both lines. Errors found when the
+    parameters are put together are reported at the line of the section
+    header they come from.
     """
     section = None
     headers: dict[str, int] = {}
+    files: dict[str, int] = {}  # each output's file, by normalized name, and its line
     entries: dict[str, dict[str, tuple[object, int]]] = {name: {} for name in _KEYS}
     schedule: dict[float, tuple[float, int]] = {}
 
@@ -205,6 +214,11 @@ def parse_scenario(text: str) -> Scenario:
             raise ConfigError(f"duplicate [{section}] key {key!r}, first given on "
                               f"line {seen[key][1]}", lineno)
         seen[key] = (parse(value, lineno, key), lineno)
+        if section == "outputs":
+            first = files.setdefault(os.path.normpath(value), lineno)
+            if first != lineno:
+                raise ConfigError(f"[outputs] key {key!r} names file {value!r}, as line "
+                                  f"{first} does", lineno)
 
     system, attack, run, outputs = (entries[s] for s in ("system", "attack", "run", "outputs"))
     detector = _located(headers.get("system"), DetectorConfig, **_given(

@@ -67,7 +67,7 @@ from .scenario import parse_float
 
 RECORDS_FORMAT = "records-v1"
 REPORT_FORMAT = "report-v1"
-PLAN_FORMAT = "plan-v1"
+PLAN_FORMAT = "plan-v2"
 SWEEP_FORMAT = "sweep-v1"
 
 
@@ -476,11 +476,17 @@ def report_text(items: Iterable[tuple[str, object]]) -> str:
     return "".join(f"{key} = {fmt_value(value)}\n" for key, value in items)
 
 
+def write_text(path, text: str) -> None:
+    """Write an artifact's text, making the directories its name holds."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
 def write_report(path, items: Iterable[tuple[str, object]], scenario_hash: str,
                  seed: int, fmt: str = REPORT_FORMAT) -> None:
     """Write a flat key = value document."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(meta_line(fmt, scenario_hash, seed) + "\n" + report_text(items))
+    write_text(path, meta_line(fmt, scenario_hash, seed) + "\n" + report_text(items))
 
 
 def read_report(path) -> dict[str, str]:
@@ -504,7 +510,7 @@ def read_report(path) -> dict[str, str]:
 
 
 def plan_items(plan: AttackPlan, curve_name: str) -> list[tuple[str, object]]:
-    """Flatten a plan (strategy scalars, D, wavelengths, intensities) for saving."""
+    """Flatten a plan (curve, strategy, its parameter, D, wavelengths, intensities) for saving."""
     kind = next(k for k, cls in STRATEGIES.items() if isinstance(plan.strategy, cls))
     items: list[tuple[str, object]] = [("curve", curve_name), ("strategy", kind)]
     items += [(f.name, getattr(plan.strategy, f.name)) for f in fields(plan.strategy)]
@@ -514,7 +520,6 @@ def plan_items(plan: AttackPlan, curve_name: str) -> list[tuple[str, object]]:
         for (name, _, _), pulse in zip(PULSES, wl.pulses):
             items.append((f"{name}_wavelength_nm", pulse.wavelength_nm))
             items.append((f"{name}_intensity", pulse.intensity))
-        items += [("shot_coeff_lo", wl.shot_coeff_lo), ("shot_coeff_signal", wl.shot_coeff_signal)]
     return items
 
 
@@ -528,12 +533,16 @@ def load_plan(path, curve: BeamSplitterCurve, detector: DetectorConfig,
     """Rebuild a plan of ``strategy`` (a key of ``STRATEGIES``) from a plan file,
     revalidating against the active curve.
 
-    Raises ValueError naming the file and the key when a key is missing, is
-    not one ``plan_items`` writes for the plan, or holds a number that is not
-    finite (the scenario parser's rule), and naming both curves or both
-    strategies when the plan was written for another curve than ``curve`` or
-    holds another strategy than ``strategy``.
+    Raises ValueError naming both formats for a metadata line of another
+    format than ``plan-v2`` (a file without one is read); naming the file and
+    the key when a key is missing, is not one ``plan_items`` writes for the
+    plan, or holds a number that is not finite (the scenario parser's rule);
+    and naming both curves or both strategies when the plan was written for
+    another curve than ``curve`` or holds another strategy than ``strategy``.
     """
+    fmt = read_meta(path).get("format", PLAN_FORMAT)
+    if fmt != PLAN_FORMAT:
+        raise ValueError(f"plan file {path} has format {fmt}, not {PLAN_FORMAT}")
     kv = read_report(path)
 
     def number(key: str) -> float:

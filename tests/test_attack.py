@@ -30,15 +30,10 @@ def test_strategy_dataclass_validation():
     with pytest.raises(ValueError):
         StrategyA(0.5)
     with pytest.raises(ValueError):
-        StrategyB(0.0, 1.0)
+        StrategyB(0.0)
     with pytest.raises(ValueError):
-        StrategyB(1.2, 1.0)
-    with pytest.raises(InfeasibleAttackError, match="inconsistent"):
-        StrategyB(0.5, 0.8).check_consistency(0.9)
-    StrategyB(0.5, 1.8).check_consistency(0.9)  # gamma * fake == eta_ch is fine
-    for build, field in ((lambda v: StrategyA(v), "amplification"),
-                         (lambda v: StrategyB(v, 1.0), "slope factor"),
-                         (lambda v: StrategyB(0.5, v), "fake_channel")):
+        StrategyB(1.2)
+    for build, field in ((StrategyA, "amplification"), (StrategyB, "slope factor")):
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match=field):
                 build(value)
@@ -77,7 +72,7 @@ def test_wavelength_plan_validates_displacement_match():
 def test_heterodyne_intercept_penalty_and_determinism():
     # splitting the signal for simultaneous X and P readout costs Eve one
     # vacuum unit on top of the coherent-state unit: 2*N0 on her x, either strategy
-    for params, strategy in ((P_A, StrategyA(10.0)), (P_B, StrategyB(0.47, 0.5 / 0.47))):
+    for params, strategy in ((P_A, StrategyA(10.0)), (P_B, StrategyB(0.47))):
         table = noise_table(params, AttackPlan(strategy, None))
         assert table.sig_intercept ** 2 == pytest.approx(2 * 5e7, rel=1e-12)
     plan = AttackPlan(StrategyA(10.0), None)
@@ -104,23 +99,22 @@ def test_strategy_b_realistic_shot_noise_floor():
     params = SystemParams(modulation_variance=0.0, excess_noise=0.0,
                           channel_transmittance=0.5,
                           schedule=AttenuationSchedule(((0.001, 1.0),)))
-    plan = AttackPlan(StrategyB(0.47, 0.5 / 0.47), None)
+    plan = AttackPlan(StrategyB(0.47), None)
     batch = run_attacked_session(params, plan, 200_000, 29)
     var, n = variances_by_ratio(batch)[0.001]
     assert var == pytest.approx(0.47 * 5e7, rel=0.01)
 
 
 def test_resend_strategy_b_scalings():
-    # gamma * fake_channel = eta_ch keeps the gain on x honest while the
-    # receiver's shot noise becomes gamma * N0 (no excess noise here)
-    params = SystemParams(excess_noise=0.0,
-                          schedule=AttenuationSchedule(((0.0, 0.5), (1.0, 0.5))))
-    for gamma, fake in ((1.0, 0.9), (0.5, 1.8)):
-        table = noise_table(params, AttackPlan(StrategyB(gamma, fake), None))
-        assert table.gain ** 2 == pytest.approx(table.ratios * 0.5 * 0.9, rel=1e-12)
-        assert table.var[:, 0] == pytest.approx([gamma * 5e7] * 2, rel=1e-12)
-    with pytest.raises(InfeasibleAttackError, match="inconsistent"):
-        noise_table(params, AttackPlan(StrategyB(0.5, 0.9), None))
+    # the fake channel eta_ch / gamma keeps the gain on x honest at any channel
+    # while the receiver's shot noise becomes gamma * N0 (no excess noise here)
+    for eta_ch in (0.9, 0.5):
+        params = SystemParams(excess_noise=0.0, channel_transmittance=eta_ch,
+                              schedule=AttenuationSchedule(((0.0, 0.5), (1.0, 0.5))))
+        for gamma in (1.0, 0.5):
+            table = noise_table(params, AttackPlan(StrategyB(gamma), None))
+            assert table.gain ** 2 == pytest.approx(table.ratios * 0.5 * eta_ch, rel=1e-12)
+            assert table.var[:, 0] == pytest.approx([gamma * 5e7] * 2, rel=1e-12)
 
 
 def _table_with_pulses(d):
@@ -180,7 +174,6 @@ def test_solver_strategy_b_matches_worked_parameters():
     plan = solve_attack_parameters("B", P_B, CURVE)
     assert isinstance(plan.strategy, StrategyB)
     assert plan.strategy.slope_factor == pytest.approx(0.47, abs=0.02)
-    assert plan.strategy.slope_factor * plan.strategy.fake_channel == pytest.approx(0.5, rel=1e-12)
     for pulse, target in zip(plan.wavelength.pulses, PAPER_B_INTENSITIES):
         assert abs(pulse.intensity / target - 1.0) < 0.05
 
@@ -322,8 +315,8 @@ def test_attack_variance_reductions():
     for r in (0.001, 0.3, 1.0):
         assert analytic_variance(P_A, plan, r) == pytest.approx(
             analytic_variance(boosted, None, r), rel=1e-12)
-    # strategy B with gamma = 1 and honest fake channel reduces the same way
-    plan_b = AttackPlan(StrategyB(1.0, 0.9), None)
+    # strategy B with gamma = 1, whose fake channel is the honest one, reduces the same way
+    plan_b = AttackPlan(StrategyB(1.0), None)
     for r in (0.001, 1.0):
         assert analytic_variance(P_A, plan_b, r) == pytest.approx(
             analytic_variance(boosted, None, r), rel=1e-12)
@@ -354,7 +347,7 @@ def _noisy_attack(kind, injected, v_el=5e6):
                           schedule=THREE_RATIO_SCHEDULE)
     if injected:
         return params, solve_attack_parameters(kind, params, CURVE)
-    strategy = StrategyA(20.0) if kind == "A" else StrategyB(0.47, 0.5 / 0.47)
+    strategy = StrategyA(20.0) if kind == "A" else StrategyB(0.47)
     return params, AttackPlan(strategy, None)
 
 
@@ -415,9 +408,10 @@ def _reference_variance(params, plan, ratio):
     if isinstance(plan.strategy, StrategyA):
         part1 = (ratio * eta * params.channel_transmittance * (v_a + 2.0 + xi) * n0
                  + n0 / plan.strategy.amplification + v_el)
-    else:
-        s = plan.strategy
-        part1 = s.slope_factor * (ratio * eta * s.fake_channel * (v_a + 2.0 + xi) + 1.0) * n0 + v_el
+    else:  # Eve's fake channel is eta_ch / gamma
+        gamma = plan.strategy.slope_factor
+        fake = params.channel_transmittance / gamma
+        part1 = gamma * (ratio * eta * fake * (v_a + 2.0 + xi) + 1.0) * n0 + v_el
     if plan.wavelength is None:
         return part1
     d, wl = plan.displacement, plan.wavelength

@@ -6,7 +6,8 @@ with another numpy are not comparable. The inputs are the shipped scenarios
 with ``[run] slots = 20000`` written into the file: 20000 slots end in a
 partial sampler chunk and a partial records write block. After a change that
 is meant to move an artifact, rebuild the table with
-``PYTHONPATH=src python tests/test_golden.py`` and name the rows that moved.
+``PYTHONPATH=src python tests/test_golden.py``, which prints each changed,
+added or removed row to stderr, and name the rows that moved.
 """
 
 from __future__ import annotations
@@ -89,15 +90,25 @@ def test_every_artifact_matches_the_golden_table(tmp_path, monkeypatch):
     assert np.__version__ == made_with, (
         f"the golden table was made with numpy {made_with}, this is numpy {np.__version__}")
     monkeypatch.chdir(tmp_path)
-    found = artifacts()
-    moved = sorted(k for k in table.keys() | found.keys() if table.get(k) != found.get(k))
+    moved = moved_rows(table, artifacts())
     assert not moved, "artifacts differ from the golden table: " + ", ".join(moved)
 
 
+def moved_rows(table: dict[str, str], found: dict[str, str]) -> list[str]:
+    """Each row name whose digest differs between ``table`` and ``found``, or
+    that only one of them holds, in name order."""
+    return sorted(k for k in table.keys() | found.keys() if table.get(k) != found.get(k))
+
+
 if __name__ == "__main__":
+    table = read_table()[1] if TABLE.exists() else {}
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
-        rows = sorted(artifacts().items())
-    TABLE.write_text(f"# numpy {np.__version__}\n" + "".join(f"{k} {v}\n" for k, v in rows),
+        found = artifacts()
+    for name in moved_rows(table, found):
+        change = "added" if name not in table else "removed" if name not in found else "changed"
+        print(f"{change} {name}", file=sys.stderr)
+    TABLE.write_text(f"# numpy {np.__version__}\n"
+                     + "".join(f"{k} {v}\n" for k, v in sorted(found.items())),
                      encoding="utf-8")
-    print(f"wrote {TABLE} ({len(rows)} rows)", file=sys.stderr)
+    print(f"wrote {TABLE} ({len(found)} rows)", file=sys.stderr)

@@ -14,6 +14,7 @@ from cvqkd import analysis, attack, protocol, rng
 from cvqkd.analysis import schedule_key_rate_overhead
 from cvqkd.cli import main
 from cvqkd.errors import ConfigError, CountermeasureError
+from cvqkd.physics import DetectorConfig, builtin_curve
 from cvqkd.rng import CHUNK_SLOTS
 from cvqkd.scenario import _KEYS as _KEY_TABLE, Scenario, load_scenario, parse_scenario
 from cvqkd.protocol import SystemParams
@@ -618,6 +619,11 @@ def _plan_scenario(tmp_path, plan, strategy: str = "A") -> Path:
 
 _INFINITE_PULSES = "".join(f"{name}_wavelength_nm = {nm!r}\n{name}_intensity = inf\n"
                            for (name, _, _), nm in zip(attack.PULSES, attack.DEFAULT_WAVELENGTHS))
+# D = 5000 and the four pulses that realize it on the 50:50 curve, as repr writes them
+_PULSES_5000 = "displacement = 5000.0\n" + "".join(
+    f"{name}_wavelength_nm = {pulse.wavelength_nm!r}\n{name}_intensity = {pulse.intensity!r}\n"
+    for (name, _, _), pulse in zip(attack.PULSES, attack.WavelengthPlan.design(
+        builtin_curve("50:50"), DetectorConfig(), 5000.0).pulses))
 
 
 @pytest.mark.parametrize("body, message", [
@@ -628,7 +634,10 @@ _INFINITE_PULSES = "".join(f"{name}_wavelength_nm = {nm!r}\n{name}_intensity = i
     ("amplification = 10\ndisplacement = 0.0\nbogus_key = 3\n", "unknown key 'bogus_key'"),
     ("amplification = 10\ndisplacement = inf\n" + _INFINITE_PULSES,
      "'displacement': expected a finite number, got 'inf'"),
-], ids=["repeated-key", "no-equals", "unknown-key", "infinite"])
+    # derived from the curve and the pulses, so a plan may not state them
+    ("amplification = 20.0\n" + _PULSES_5000 + "shot_coeff_lo = abc\n",
+     "unknown key 'shot_coeff_lo'"),
+], ids=["repeated-key", "no-equals", "unknown-key", "infinite", "shot-coefficient"])
 def test_cli_plan_mode_refuses_a_malformed_plan_file(tmp_path, capsys, body, message):
     # a plan file gets the scenario file's input checks, and nothing is written
     plan = tmp_path / "bad.plan"
@@ -644,23 +653,75 @@ def test_cli_plan_mode_states_its_attack_once(tmp_path, capsys):
     # the plan's strategy must be the scenario's, and the header hash covers the plan's bytes
     plan = tmp_path / "b.plan"
 
-    def run(strategy, slope, fake, out):
+    def run(strategy, slope, out):
         plan.write_text(f"curve = 50:50\nstrategy = B\nslope_factor = {slope}\n"
-                        f"fake_channel = {fake}\ndisplacement = 0.0\n")
+                        "displacement = 0.0\n")
         scen = _plan_scenario(tmp_path, plan, strategy)
         return main(["run", "--scenario", str(scen), "--out", str(tmp_path / out)])
 
-    assert run("A", 0.5, 1.6, "mismatch") == 2
+    assert run("A", 0.5, "mismatch") == 2
     assert (f"plan file {plan} holds a strategy B plan, but the scenario names strategy A"
             in capsys.readouterr().err)
     assert not (tmp_path / "mismatch").exists()
-    assert run("B", 0.5, 1.6, "half") == 0
-    assert run("B", 0.25, 3.2, "quarter") == 0
+    assert run("B", 0.5, "half") == 0
+    assert run("B", 0.25, "quarter") == 0
     half, quarter = (read_report(tmp_path / out / "report.txt") for out in ("half", "quarter"))
     assert float(half["true_realistic_shot_noise"]) == 2 * float(
         quarter["true_realistic_shot_noise"])
     assert (read_meta(tmp_path / "half" / "report.txt")["scenario"]
             != read_meta(tmp_path / "quarter" / "report.txt")["scenario"])
+
+
+def test_cli_plan_mode_refuses_a_plan_of_another_format(tmp_path, capsys):
+    plan = tmp_path / "old.plan"
+    plan.write_text("# format=plan-v1 scenario=0123456789abcdef seed=1\n"
+                    "curve = 50:50\nstrategy = A\namplification = 10\ndisplacement = 0.0\n")
+    scen = _plan_scenario(tmp_path, plan)
+    assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: plan file {plan} has format plan-v1, not plan-v2\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("strategy_lines", ["strategy = A\namplification = 20.0\n",
+                                            "strategy = B\nslope_factor = 0.5\n"],
+                         ids=["A", "B"])
+def test_cli_plan_output_has_the_body_of_the_plan_it_replayed(tmp_path, capsys,
+                                                              strategy_lines):
+    # a plan file holds what a replay reads, so the replay writes it back unchanged
+    plan = tmp_path / "in.plan"
+    plan.write_text("# format=plan-v2 scenario=0123456789abcdef seed=1\ncurve = 50:50\n"
+                    + strategy_lines + _PULSES_5000)
+    kind = strategy_lines[len("strategy = ")]
+    scen = tmp_path / "replay.scenario"
+    scen.write_text(MINIMAL + f"[attack]\nstrategy = {kind}\nmode = plan\nplan = {plan}\n"
+                    "[outputs]\nplan = plan.txt\n")
+    assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 0
+    written = (tmp_path / "out" / "plan.txt").read_text().split("\n", 1)
+    assert written[0].startswith("# format=plan-v2 scenario=")
+    assert written[1] == plan.read_text().split("\n", 1)[1]
+
+
+def test_cli_strategy_b_plan_replays_against_the_scenarios_channel(tmp_path, capsys):
+    # Eve's fake channel is eta_ch / gamma of the system she attacks, so the
+    # shipped B plan replays at any channel transmittance, as an A plan does
+    text = (SCENARIOS / "attack_b.scenario").read_text().replace("slots = 1000000\n",
+                                                                "slots = 20000\n")
+    solved = tmp_path / "attack_b.scenario"
+    solved.write_text(text)
+    assert main(["run", "--scenario", str(solved), "--out", str(tmp_path / "solved")]) == 0
+    assert text.count("channel_transmittance = 0.5\n") == text.count("mode = solve\n") == 1
+    replay = tmp_path / "replay.scenario"
+    replay.write_text(text.replace("channel_transmittance = 0.5\n", "channel_transmittance = 0.8\n")
+                      .replace("mode = solve\n", "mode = plan\nplan = solved/plan.txt\n"))
+    assert main(["run", "--scenario", str(replay), "--out", str(tmp_path / "replayed")]) == 0
+    solved_report, replayed_report = (read_report(tmp_path / d / "report.txt")
+                                      for d in ("solved", "replayed"))
+    # the same slope factor, so the same realistic shot noise gamma * N0
+    assert (replayed_report["true_realistic_shot_noise"]
+            == solved_report["true_realistic_shot_noise"])
+    replayed_plan = (tmp_path / "replayed" / "plan.txt").read_text().split("\n", 1)[1]
+    assert replayed_plan == (tmp_path / "solved" / "plan.txt").read_text().split("\n", 1)[1]
 
 
 def test_cli_single_ratio_schedule_reports_the_single_point_estimate(tmp_path, capsys):
@@ -1154,6 +1215,67 @@ def test_overflowing_integer_rejected_with_line():
     with pytest.raises(ConfigError, match="finite") as err:
         parse_scenario("[run]\nmaster_seed = 2\nslots = 1e400\n")
     assert err.value.line == 3
+
+
+def test_integers_parse_exactly_or_are_refused_with_their_line():
+    assert parse_scenario("[run]\nmaster_seed = 9007199254740993\n").master_seed == 2 ** 53 + 1
+    assert parse_scenario("[run]\nslots = 1e6\n").slots == 1_000_000
+    assert parse_scenario("[run]\nmaster_seed = 9007199254740993.0\n").master_seed == 2 ** 53 + 1
+    for value in ("9007199254740993.5", "1e-400", "1e-99999999999999999999"):
+        with pytest.raises(ConfigError, match="expected an integer") as err:
+            parse_scenario(f"[run]\nslots = 5\nmaster_seed = {value}\n")
+        assert err.value.line == 3, value
+
+
+def test_cli_scenario_seed_runs_the_session_of_the_same_seed_flag(tmp_path, capsys):
+    # 2**53 + 1 is no float: the scenario seed and --seed must still name one session
+    seed = "9007199254740993"
+    bodies = []
+    for name, text, flags in (("scenario", MINIMAL.replace("master_seed = 3\n",
+                                                           f"master_seed = {seed}\n"), []),
+                              ("flag", MINIMAL, ["--seed", seed])):
+        scen = tmp_path / f"{name}.scenario"
+        scen.write_text(text + "[outputs]\nreport = report.txt\n")
+        assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / name), *flags]) == 0
+        header, body = (tmp_path / name / "report.txt").read_text().split("\n", 1)
+        assert header.endswith(f" seed={seed}")
+        bodies.append(body)
+    assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("first, second", [
+    ("polynomial = verdict.txt", "verdict = verdict.txt"),
+    ("records = report.txt", "report = ./report.txt"),
+], ids=["same-name", "normalized-name"])
+def test_cli_two_outputs_naming_one_file_are_refused(tmp_path, capsys, first, second):
+    # one artifact would overwrite the other: refused as a duplicate key is, naming both lines
+    scen = tmp_path / "clash.scenario"
+    scen.write_text(MINIMAL + f"[outputs]\n{first}\n# comment\n{second}\n")
+    assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    key, name = second.split(" = ")
+    assert capsys.readouterr().err == (
+        f"error: line 12: [outputs] key {key!r} names file {name!r}, as line 10 does\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "solve", "sweep"])
+def test_cli_artifact_names_with_a_directory_part_are_written(tmp_path, capsys, command):
+    # every artifact writer makes the directories its name holds
+    out = tmp_path / "out"
+    if command == "run":
+        scen = tmp_path / "sub.scenario"
+        scen.write_text(MINIMAL + "[outputs]\nrecords = records.csv\nreport = sub/report.txt\n")
+        argv, written = ["run", "--scenario", str(scen)], ["records.csv", "sub/report.txt"]
+    elif command == "solve":
+        argv = ["solve", "--scenario", str(SCENARIOS / "attack_a.scenario"),
+                "--plan-file", "sub/plan.txt"]
+        written = ["sub/plan.txt"]
+    else:
+        argv = ["sweep", "--variable", "eta_ch", "--start", "0.5", "--stop", "0.95",
+                "--points", "3", "--sweep-file", "sub/s.csv"]
+        written = ["sub/s.csv"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()) == written
 
 
 @pytest.mark.parametrize("section, key, first, second", [

@@ -196,20 +196,24 @@ def test_plan_file_round_trip_strategy_b(tmp_path):
     path = tmp_path / "plan_b.txt"
     write_plan(path, plan, "50:50", "cafe", 12)
     loaded = load_plan(path, CURVE, params.detector, "B")
-    assert loaded.strategy.slope_factor == pytest.approx(
-        plan.strategy.slope_factor, rel=1e-12)
-    assert loaded.strategy.fake_channel == pytest.approx(
-        plan.strategy.fake_channel, rel=1e-12)
+    # floats round-trip exactly, and the shot coefficients are derived from the pulses
+    assert loaded == plan
+    assert (loaded.wavelength.shot_coeff_lo, loaded.wavelength.shot_coeff_signal) == (
+        plan.wavelength.shot_coeff_lo, plan.wavelength.shot_coeff_signal)
 
 
-def test_plan_items_expose_all_parameters():
-    plan = solve_attack_parameters("A", SystemParams(), CURVE)
-    keys = dict(plan_items(plan, "50:50"))
-    for key in ("strategy", "amplification", "displacement",
-                "signal1_wavelength_nm", "signal1_intensity",
-                "lo2_wavelength_nm", "lo2_intensity",
-                "shot_coeff_lo", "shot_coeff_signal"):
-        assert key in keys
+def test_plan_items_expose_all_parameters(tmp_path):
+    # a plan file holds what load_plan reads: the curve, the strategy, its one
+    # parameter, D and the four pulses, 12 keys under a plan-v2 header
+    pulses = [f"{name}_{part}" for name in ("signal1", "lo1", "signal2", "lo2")
+              for part in ("wavelength_nm", "intensity")]
+    for kind, eta_ch, parameter in (("A", 0.9, "amplification"), ("B", 0.5, "slope_factor")):
+        plan = solve_attack_parameters(kind, SystemParams(channel_transmittance=eta_ch), CURVE)
+        assert [key for key, _ in plan_items(plan, "50:50")] == [
+            "curve", "strategy", parameter, "displacement", *pulses]
+        path = tmp_path / f"{kind}.txt"
+        write_plan(path, plan, "50:50", "cafe", 1)
+        assert path.read_text().splitlines()[0] == "# format=plan-v2 scenario=cafe seed=1"
 
 
 def test_plan_without_pulses_round_trips(tmp_path):
