@@ -38,9 +38,6 @@ DEFAULT_WAVELENGTHS = (1410.0, 1490.0, 1310.0, 1590.0)
 PULSES = (("signal1", PulsePath.SIGNAL, +1), ("lo1", PulsePath.LO, -1),
           ("signal2", PulsePath.SIGNAL, -1), ("lo2", PulsePath.LO, +1))
 
-# relative tolerance of the four-way displacement match inside a plan
-_D_MATCH_RTOL = 1e-9
-
 
 @dataclass(frozen=True)
 class StrategyA:
@@ -75,12 +72,15 @@ STRATEGIES = {"A": StrategyA, "B": StrategyB}  # by their scenario and plan-file
 
 @dataclass(frozen=True)
 class WavelengthPlan:
-    """Two signal/LO foreign-pulse pairs realizing a common displacement D.
+    """Two signal/LO foreign-pulse pairs and the response Bob's curve gives them.
 
     ``pulses``, ``means`` and ``shot_variances`` run in ``PULSES`` order, signal
-    path at the even positions, and the means are (+D, -D, -D, +D); at full
-    transmission the signal- and LO-path contributions of a set cancel exactly, at
-    strong attenuation the LO contribution survives as a +-D coin flip of variance D^2.
+    path at the even positions. ``design`` picks the intensities that make the
+    means (+D, -D, -D, +D) for a common displacement D; at full transmission the
+    signal- and LO-path contributions of a set then cancel exactly, at strong
+    attenuation the LO contribution survives as a +-D coin flip of variance D^2.
+    ``from_pulses`` takes the means from whatever curve it is given, so they need
+    not match; ``serialize.load_plan`` checks the match for a plan file.
     The shot variance of a foreign pulse is eta*I, so the per-set averages are linear
     in D: ``shot_coeff_lo`` and ``shot_coeff_signal`` are their coefficients, which
     depend on the curve alone (nominally 35.81 and 35.47).
@@ -90,15 +90,6 @@ class WavelengthPlan:
     displacement: float
     means: tuple[float, ...]
     shot_variances: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.displacement <= 0.0:
-            raise ValueError("displacement must be > 0")
-        for (name, _, sign), value in zip(PULSES, self.means, strict=True):
-            want = sign * self.displacement
-            if not math.isclose(value, want, rel_tol=_D_MATCH_RTOL):
-                raise ValueError(
-                    f"{name} pulse produces displacement {value!r}, expected {want!r}")
 
     @property
     def mean_lo_intensity(self) -> float:

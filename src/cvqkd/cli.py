@@ -1,9 +1,10 @@
 """Batch front end: honest/attacked runs, parameter solving, sweeps, detection.
 
 Everything user-visible is a pure function of (scenario file, master seed);
-``--threads`` only reschedules work. Numeric flags (``_FLAG_DOMAINS``) and
-``--out`` are checked before any work. Exit status is 0 on success and 2 on
-configuration, feasibility, file or memory errors, with a diagnostic on stderr.
+``--threads`` only reschedules work. Numeric flags, artifact names
+(``_FLAG_DOMAINS``) and ``--out`` are checked before any work. Exit status is
+0 on success and 2 on configuration, feasibility, file or memory errors, with
+a diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import analysis, attack, protocol, serialize
 from .errors import ConfigError, EstimationError, InfeasibleAttackError
 from .physics import BeamSplitterCurve
-from .scenario import Scenario, load_scenario, parse_scenario
+from .scenario import Scenario, below_out, load_scenario, parse_scenario
 from .protocol import AttenuationSchedule, SystemParams
 
 
@@ -273,6 +274,7 @@ _FLAG_DOMAINS = (
     (("seed",), lambda v: v >= 0, ">= 0"),
     (("start", "stop", "n_amp"), math.isfinite, "a finite number"),
     (("threshold",), lambda v: 0.0 < v < math.inf, "finite and > 0"),
+    (("plan_file", "sweep_file"), below_out, "a file name below --out"),
 )
 
 

@@ -46,9 +46,10 @@ class BeamSplitterCurve:
         object.__setattr__(self, "transmittances", tr)
         if wl.ndim != 1 or wl.size < 2 or wl.shape != tr.shape:
             raise ValueError("curve needs >= 2 (wavelength, transmittance) rows")
-        if not np.all(np.diff(wl) > 0):
-            raise ValueError("curve wavelengths must be strictly increasing")
-        if np.any(tr <= 0.0) or np.any(tr >= 1.0):
+        # each check is false for NaN, so NaN fails it too
+        if not (np.all(np.diff(wl) > 0) and np.isfinite(wl).all()):
+            raise ValueError("curve wavelengths must be finite and strictly increasing")
+        if not np.all((tr > 0.0) & (tr < 1.0)):
             raise ValueError("curve transmittances must lie in (0, 1)")
 
     @property
@@ -155,8 +156,8 @@ class ForeignPulse:
     path: PulsePath
 
     def __post_init__(self):
-        if self.intensity < 0.0:
-            raise ValueError("pulse intensity must be >= 0")
+        if not 0.0 <= self.intensity < math.inf:  # false for NaN too
+            raise ValueError(f"pulse intensity must be finite and >= 0, got {self.intensity!r}")
 
 
 def foreign_pulse_response(detector: DetectorConfig, curve: BeamSplitterCurve,

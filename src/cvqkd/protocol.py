@@ -65,9 +65,10 @@ class AttenuationSchedule:
             raise ScheduleError("attenuation ratios must lie in [0, 1]")
         if len(set(ratios)) != len(ratios):
             raise ScheduleError("attenuation ratios must be pairwise distinct")
-        if any(p < 0.0 for p in probs):
+        # each check is false for NaN, so NaN fails it too
+        if not all(p >= 0.0 for p in probs):
             raise ScheduleError("probabilities must be >= 0")
-        if abs(sum(probs) - 1.0) > 1e-12:
+        if not abs(sum(probs) - 1.0) <= 1e-12:
             raise ScheduleError(f"probabilities sum to {sum(probs)!r}, expected 1")
 
     @property

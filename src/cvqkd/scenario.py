@@ -56,6 +56,18 @@ def _text(value: str, line: int, key: str) -> str:
     return value
 
 
+def below_out(name: str) -> bool:
+    """Whether an output name is a path below ``--out``: not empty, not ``--out``
+    itself, not absolute and not climbing out with ``..``."""
+    return not os.path.isabs(name) and os.path.normpath(name).split(os.sep)[0] not in (".", "..")
+
+
+def _output_name(value: str, line: int, key: str) -> str:
+    if not below_out(value):
+        raise ConfigError(f"{key}: expected a file name below --out, got {value!r}", line)
+    return value
+
+
 _NM_KEYS = ("set1_signal_nm", "set1_lo_nm", "set2_signal_nm", "set2_lo_nm")
 # section -> key -> parser of its value; [schedule] keys are ratios, parsed apart
 _KEYS = {
@@ -69,7 +81,8 @@ _KEYS = {
         **dict.fromkeys(_NM_KEYS, parse_float),
     },
     "run": {"slots": _parse_int, "master_seed": _parse_int},
-    "outputs": dict.fromkeys(("records", "report", "polynomial", "verdict", "plan"), _text),
+    "outputs": dict.fromkeys(("records", "report", "polynomial", "verdict", "plan"),
+                             _output_name),
 }
 
 
@@ -93,6 +106,8 @@ class Scenario:
     def __post_init__(self):
         if self.slots <= 0:
             raise ConfigError(f"slots must be > 0, got {self.slots}")
+        if not self.master_seed >= 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.attack_kind not in ("none", *STRATEGIES):
             raise ConfigError(f"attack strategy must be none/A/B, got {self.attack_kind!r}")
         if self.attack_mode not in ("solve", "plan"):

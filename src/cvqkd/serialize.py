@@ -52,6 +52,7 @@ import csv
 import functools
 import io
 import itertools
+import math
 import os
 from dataclasses import fields
 from pathlib import Path
@@ -69,6 +70,9 @@ RECORDS_FORMAT = "records-v1"
 REPORT_FORMAT = "report-v1"
 PLAN_FORMAT = "plan-v2"
 SWEEP_FORMAT = "sweep-v1"
+
+# relative tolerance of a plan file's four pulses to the common displacement D
+_D_MATCH_RTOL = 1e-9
 
 
 def meta_line(fmt: str, scenario_hash: str, seed: int) -> str:
@@ -536,9 +540,11 @@ def load_plan(path, curve: BeamSplitterCurve, detector: DetectorConfig,
     Raises ValueError naming both formats for a metadata line of another
     format than ``plan-v2`` (a file without one is read); naming the file and
     the key when a key is missing, is not one ``plan_items`` writes for the
-    plan, or holds a number that is not finite (the scenario parser's rule);
-    and naming both curves or both strategies when the plan was written for
-    another curve than ``curve`` or holds another strategy than ``strategy``.
+    plan, or holds a number that is not finite (the scenario parser's rule),
+    or when ``displacement`` is negative; naming both curves or both strategies
+    when the plan was written for another curve than ``curve`` or holds
+    another strategy than ``strategy``; and naming the file and the pulse when
+    a pulse's mean current on ``curve`` is not its sign times ``displacement``.
     """
     fmt = read_meta(path).get("format", PLAN_FORMAT)
     if fmt != PLAN_FORMAT:
@@ -558,12 +564,19 @@ def load_plan(path, curve: BeamSplitterCurve, detector: DetectorConfig,
         cls = STRATEGIES[strategy]
         plan = AttackPlan(cls(*(number(f.name) for f in fields(cls))), None)
         displacement = number("displacement")
+        if displacement < 0.0:
+            raise ValueError(f"plan file {path} key 'displacement': expected a number >= 0, "
+                             f"got {kv['displacement']!r}")
         if displacement != 0.0:
             pulses = [ForeignPulse(number(f"{name}_wavelength_nm"),
                                    number(f"{name}_intensity"), pulse_path)
                       for name, pulse_path, _ in PULSES]
-            plan = AttackPlan(plan.strategy, WavelengthPlan.from_pulses(
-                curve, detector, pulses, displacement))
+            wl = WavelengthPlan.from_pulses(curve, detector, pulses, displacement)
+            for (name, _, sign), mean in zip(PULSES, wl.means):
+                if not math.isclose(mean, sign * displacement, rel_tol=_D_MATCH_RTOL):
+                    raise ValueError(f"plan file {path}: {name} pulse produces displacement "
+                                     f"{mean!r}, expected {sign * displacement!r}")
+            plan = AttackPlan(plan.strategy, wl)
     except KeyError as exc:
         raise ValueError(f"plan file {path} has no {exc.args[0]!r} key") from None
     written = dict(plan_items(plan, ""))

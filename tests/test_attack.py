@@ -7,11 +7,11 @@ import pytest
 
 from cvqkd.analysis import (analytic_noise_polynomial, analytic_variance, detect,
                             variance_estimator_std)
-from cvqkd.attack import (AttackPlan, StrategyA, StrategyB, WavelengthPlan, noise_table,
+from cvqkd.attack import (PULSES, AttackPlan, StrategyA, StrategyB, WavelengthPlan, noise_table,
                           part2_variance, predicted_two_point, realistic_shot_noise,
                           run_attacked_session, shot_coefficients, solve_attack_parameters)
 from cvqkd.errors import EstimationError, InfeasibleAttackError
-from cvqkd.physics import DetectorConfig, builtin_curve
+from cvqkd.physics import BeamSplitterCurve, DetectorConfig, builtin_curve
 from cvqkd.protocol import (THREE_RATIO_SCHEDULE, AttenuationSchedule, SystemParams,
                             estimate_covariance_transmittance, estimate_two_point,
                             honest_noise_table, variances_by_ratio)
@@ -63,10 +63,37 @@ def test_wavelength_plan_rejects_wrong_side_wavelengths():
                               (1310.0, 1490.0, 1410.0, 1590.0))
 
 
-def test_wavelength_plan_validates_displacement_match():
+@pytest.mark.parametrize("kind", ["A", "B"])
+def test_solved_plans_realize_one_common_displacement(kind):
+    # intensity = sign * D / gain, so every solved pulse lands on +-D; only a plan
+    # file is checked for it, where serialize.load_plan reads it
+    signs = np.array([sign for _, _, sign in PULSES])
+    solved = 0
+    for eta_ch in np.linspace(0.05, 1.0, 20):
+        for schedule in (P_A.schedule, THREE_RATIO_SCHEDULE):
+            params = SystemParams(channel_transmittance=float(eta_ch), schedule=schedule)
+            try:
+                wl = solve_attack_parameters(kind, params, CURVE).wavelength
+            except InfeasibleAttackError:
+                continue
+            assert np.array(wl.means) == pytest.approx(signs * wl.displacement, rel=1e-12)
+            solved += 1
+    assert solved == 36  # eta_ch 0.05 .. 0.9 on both schedules
+
+
+def test_wavelength_plan_takes_its_means_from_the_curve_it_is_given():
+    # Bob's curve may differ from the one Eve designed on: the plan carries his response
     plan = WavelengthPlan.design(CURVE, P_A.detector, 5000.0)
-    with pytest.raises(ValueError, match="displacement"):
-        WavelengthPlan.from_pulses(CURVE, P_A.detector, plan.pulses, 5001.0)
+    row = np.flatnonzero(CURVE.wavelengths_nm == plan.pulses[1].wavelength_nm)
+    edited = CURVE.transmittances.copy()
+    edited[row] += 1e-3
+    bob = WavelengthPlan.from_pulses(BeamSplitterCurve("edited", CURVE.wavelengths_nm, edited),
+                                     P_A.detector, plan.pulses, plan.displacement)
+    assert row.size == 1 and bob.pulses == plan.pulses
+    assert bob.means[1] == pytest.approx(-5000.0 + 0.5 * 2e-3 * plan.pulses[1].intensity,
+                                         rel=1e-12)
+    assert bob.means[1] != pytest.approx(-5000.0, rel=1e-6)
+    assert bob.means[:1] + bob.means[2:] == plan.means[:1] + plan.means[2:]  # the other three
 
 
 def test_heterodyne_intercept_penalty_and_determinism():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -11,6 +12,7 @@ from cvqkd.physics import (BeamSplitterCurve, DetectorConfig, ForeignPulse, Puls
                            transmittance_at)
 from cvqkd.protocol import (AttenuationSchedule, NoiseTable, SystemParams,
                             honest_noise_table, sample_session)
+from cvqkd.scenario import parse_scenario
 
 # measured transmittances of the two couplers, 1270..1610 nm in 20 nm steps
 TABLE_50_50 = [0.5327, 0.5253, 0.5144, 0.5052, 0.5011, 0.4965, 0.4931, 0.4862,
@@ -58,6 +60,20 @@ def test_curve_validation():
         BeamSplitterCurve("x", [1300, 1300], [0.5, 0.5])
     with pytest.raises(ValueError, match="in \\(0, 1\\)"):
         BeamSplitterCurve("x", [1300, 1400], [0.5, 1.0])
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: AttenuationSchedule(((1.0, math.nan), (0.001, 0.5))), "probabilities"),
+    (lambda: BeamSplitterCurve("x", [1400, 1500], [0.5, math.nan]), "transmittances"),
+    (lambda: BeamSplitterCurve("x", [1400, math.inf], [0.5, 0.5]), "wavelengths"),
+    (lambda: ForeignPulse(1410, math.nan, PulsePath.LO), "intensity"),
+    (lambda: dataclasses.replace(parse_scenario(""), master_seed=-1), "master_seed"),
+], ids=["schedule-nan", "curve-nan", "curve-inf", "pulse-nan", "scenario-seed"])
+def test_library_constructors_refuse_what_the_parsers_refuse(build, match):
+    # each check is false for NaN, as SystemParams' are, so a value no parser
+    # lets through is refused when the library is called directly too
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 def test_load_curve_roundtrip(tmp_path):

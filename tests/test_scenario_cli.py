@@ -619,11 +619,17 @@ def _plan_scenario(tmp_path, plan, strategy: str = "A") -> Path:
 
 _INFINITE_PULSES = "".join(f"{name}_wavelength_nm = {nm!r}\n{name}_intensity = inf\n"
                            for (name, _, _), nm in zip(attack.PULSES, attack.DEFAULT_WAVELENGTHS))
+_DESIGN_5000 = attack.WavelengthPlan.design(builtin_curve("50:50"), DetectorConfig(), 5000.0)
+
+
+def _pulse_lines(pulses) -> str:
+    return "".join(f"{name}_wavelength_nm = {p.wavelength_nm!r}\n"
+                   f"{name}_intensity = {p.intensity!r}\n"
+                   for (name, _, _), p in zip(attack.PULSES, pulses))
+
+
 # D = 5000 and the four pulses that realize it on the 50:50 curve, as repr writes them
-_PULSES_5000 = "displacement = 5000.0\n" + "".join(
-    f"{name}_wavelength_nm = {pulse.wavelength_nm!r}\n{name}_intensity = {pulse.intensity!r}\n"
-    for (name, _, _), pulse in zip(attack.PULSES, attack.WavelengthPlan.design(
-        builtin_curve("50:50"), DetectorConfig(), 5000.0).pulses))
+_PULSES_5000 = "displacement = 5000.0\n" + _pulse_lines(_DESIGN_5000.pulses)
 
 
 @pytest.mark.parametrize("body, message", [
@@ -637,7 +643,15 @@ _PULSES_5000 = "displacement = 5000.0\n" + "".join(
     # derived from the curve and the pulses, so a plan may not state them
     ("amplification = 20.0\n" + _PULSES_5000 + "shot_coeff_lo = abc\n",
      "unknown key 'shot_coeff_lo'"),
-], ids=["repeated-key", "no-equals", "unknown-key", "infinite", "shot-coefficient"])
+    # each pulse must land on its sign times D: the one place a plan is checked for it
+    ("amplification = 20.0\n" + _PULSES_5000.replace("5000.0", "5001.0", 1),
+     ": signal1 pulse produces displacement 5000.0, expected 5001.0"),
+    # with the two sets swapped each pulse is its sign times D = -5000: refused by its key
+    ("amplification = 20.0\ndisplacement = -5000.0\n"
+     + _pulse_lines(_DESIGN_5000.pulses[2:] + _DESIGN_5000.pulses[:2]),
+     "'displacement': expected a number >= 0, got '-5000.0'"),
+], ids=["repeated-key", "no-equals", "unknown-key", "infinite", "shot-coefficient",
+        "displacement-mismatch", "negative-displacement"])
 def test_cli_plan_mode_refuses_a_malformed_plan_file(tmp_path, capsys, body, message):
     # a plan file gets the scenario file's input checks, and nothing is written
     plan = tmp_path / "bad.plan"
@@ -645,7 +659,8 @@ def test_cli_plan_mode_refuses_a_malformed_plan_file(tmp_path, capsys, body, mes
     scen = _plan_scenario(tmp_path, plan)
     assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(plan) in err and message in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(plan) in err and message in err
     assert not (tmp_path / "out").exists()
 
 
@@ -1276,6 +1291,34 @@ def test_cli_artifact_names_with_a_directory_part_are_written(tmp_path, capsys, 
         written = ["sub/s.csv"]
     assert main(argv + ["--out", str(out)]) == 0
     assert sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()) == written
+
+
+@pytest.mark.parametrize("command, name, named", [
+    ("run", "", "line 11: report"), ("run", ".", "line 11: report"),
+    ("run", "{tmp}/abs.txt", "line 11: report"), ("run", "../x", "line 11: report"),
+    ("solve", "../p.txt", "--plan-file"), ("solve", "sub/../..", "--plan-file"),
+    ("sweep", "{tmp}/s.csv", "--sweep-file"), ("sweep", "", "--sweep-file"),
+], ids=["run-empty", "run-out", "run-absolute", "run-parent", "solve-parent", "solve-out",
+        "sweep-absolute", "sweep-empty"])
+def test_cli_artifact_names_outside_out_are_refused_before_any_work(tmp_path, capsys, command,
+                                                                     name, named):
+    # an artifact lands below --out: an empty name, --out itself, an absolute path and
+    # one that climbs out with '..' are refused at their line or flag, and nothing is written
+    name = name.format(tmp=tmp_path)
+    if command == "run":
+        scen = tmp_path / "names.scenario"
+        scen.write_text(MINIMAL + f"[outputs]\nrecords = records.csv\nreport = {name}\n")
+        argv = ["run", "--scenario", str(scen)]
+    elif command == "solve":
+        argv = ["solve", "--scenario", str(SCENARIOS / "attack_a.scenario"), "--plan-file", name]
+    else:
+        argv = ["sweep", "--variable", "eta_ch", "--start", "0.5", "--stop", "0.95",
+                "--points", "3", "--sweep-file", name]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv + ["--out", str(tmp_path / "a" / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {named}") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("section, key, first, second", [
