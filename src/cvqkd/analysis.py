@@ -105,7 +105,7 @@ def fit_variance_summaries(per_ratio: dict[float, tuple[float, int]]) -> NoisePo
     if len(per_ratio) < 3:
         raise CountermeasureError(
             f"the quadratic countermeasure needs >= 3 distinct ratios, got {len(per_ratio)}; "
-            "a two-ratio schedule cannot see the r^2 term")
+            f"the ratios that drew slots: {', '.join(map(repr, sorted(per_ratio))) or 'none'}")
     ratios = np.array(sorted(per_ratio))
     v = np.array([per_ratio[r][0] for r in ratios])
     for r, var in zip(ratios, v):

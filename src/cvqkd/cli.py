@@ -99,12 +99,12 @@ def cmd_run(args) -> int:
                                                   compensate_lo=scen.compensate_lo,
                                                   records=records)
         items = _report_items(scen, moments, plan)
-        sys.stdout.write(serialize.report_text(items))
         if "polynomial" in outputs or "verdict" in outputs:
             verdict = analysis.detect(
                 analysis.fit_noise_polynomial(moments), threshold=args.threshold,
                 lo_anomaly=analysis.monitor_lo_intensity(moments, scen.params.lo_intensity))
 
+    sys.stdout.write(serialize.report_text(items))  # once nothing before it can fail
     if "report" in outputs:
         serialize.write_report(outdir / outputs["report"], items, shash, seed)
     if "polynomial" in outputs:

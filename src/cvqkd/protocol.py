@@ -318,6 +318,11 @@ class NoiseTable:
     def __post_init__(self):
         if self.var.shape[1] not in (1, 2):
             raise ValueError(f"a noise table has one or two pulse sets, got {self.var.shape[1]}")
+        with np.errstate(all="ignore"):  # finite parameters can have a product that is not
+            values = (self.sig_x, *self.outcome_moments())
+        for name, value in zip(("sig_x", "per-ratio variance", "fourth moment"), values):
+            if not np.isfinite(value).all():
+                raise ValueError(f"the noise law overflows: its {name} is not finite")
 
     def outcome_moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Per ratio, the population variance V and fourth central moment m4 of y.
@@ -343,7 +348,8 @@ def honest_noise_table(params: SystemParams, shot_noise: float | None = None) ->
     n0 = params.shot_noise_unit
     shot = n0 if shot_noise is None else shot_noise
     ree = ratios * params.detector.efficiency * params.channel_transmittance
-    noise_var = ree * params.excess_noise * n0 + shot + params.detector.electronic_noise
+    with np.errstate(over="ignore"):  # NoiseTable refuses a variance that overflows
+        noise_var = ree * params.excess_noise * n0 + shot + params.detector.electronic_noise
     return NoiseTable(ratios, params.schedule.probabilities,
                       math.sqrt(params.modulation_variance * n0), np.sqrt(ree),
                       noise_var[:, None], np.zeros((len(ratios), 1)))

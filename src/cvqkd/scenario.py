@@ -185,7 +185,8 @@ def parse_scenario(text: str) -> Scenario:
 
     Each value is parsed on its own line, so the first error in line order is
     the one reported. A key given twice in one section, and two ``[outputs]``
-    keys naming one file, are errors naming both lines. Errors found when the
+    keys naming one file or a file and a directory it lies in, are errors
+    naming both lines. Errors found when the
     parameters are put together are reported at the line of the section
     header they come from.
     """
@@ -230,10 +231,14 @@ def parse_scenario(text: str) -> Scenario:
                               f"line {seen[key][1]}", lineno)
         seen[key] = (parse(value, lineno, key), lineno)
         if section == "outputs":
-            first = files.setdefault(os.path.normpath(value), lineno)
-            if first != lineno:
-                raise ConfigError(f"[outputs] key {key!r} names file {value!r}, as line "
-                                  f"{first} does", lineno)
+            name = os.path.normpath(value)
+            for other, first in files.items():
+                if os.path.commonpath([name, other]) in (name, other):
+                    where = ("as line {} does" if name == other else "a directory of line {}'s file"
+                             if len(name) < len(other) else "below line {}'s file")
+                    raise ConfigError(f"[outputs] key {key!r} names file {value!r}, "
+                                      + where.format(first), lineno)
+            files[name] = lineno
 
     system, attack, run, outputs = (entries[s] for s in ("system", "attack", "run", "outputs"))
     detector = _located(headers.get("system"), DetectorConfig, **_given(

@@ -35,22 +35,20 @@ blocks about 60 % more than 8192: a block's temporaries peak at 2.2, 4.5
 and 8.9 MB (tracemalloc), against a 2 MB L2 cache per core.
 
 The metadata line ends in ``\n``; the column header and every row end in
-``\r\n``, as ``csv.writer`` writes them. The writer appends batch by batch,
+``\r\n``, as in a sweep CSV. The writer appends batch by batch,
 as ``run`` draws its chunks. ``read_records_csv`` returns the file's
 RatioMoments, reduced ``rng.CHUNK_SLOTS`` rows at a time from lists of 2048
 lines, each parsed by one ``np.loadtxt`` call, whose float conversion is
-correctly rounded, so a written batch reads back bit for bit. It refuses any
-line the writer would not write, naming its data row and, for a cell, its
-column, and it is the one place that groups ratio values, because there they
-come from outside the program.
+correctly rounded, so a written batch reads back bit for bit. It reads any
+number ``np.loadtxt`` reads, refuses any other row, naming its data row and,
+for a cell, its column, and it is the one place that groups ratio values,
+because there they come from outside the program.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
-import io
 import itertools
 import math
 import os
@@ -62,7 +60,7 @@ import numpy as np
 
 from . import rng as _rng
 from .attack import PULSES, STRATEGIES, AttackPlan, WavelengthPlan
-from .physics import BeamSplitterCurve, DetectorConfig, ForeignPulse
+from .physics import BeamSplitterCurve, DetectorConfig, ForeignPulse, foreign_pulse_response
 from .protocol import RecordBatch
 from .scenario import parse_float
 
@@ -70,9 +68,6 @@ RECORDS_FORMAT = "records-v1"
 REPORT_FORMAT = "report-v1"
 PLAN_FORMAT = "plan-v2"
 SWEEP_FORMAT = "sweep-v1"
-
-# relative tolerance of a plan file's four pulses to the common displacement D
-_D_MATCH_RTOL = 1e-9
 
 
 def meta_line(fmt: str, scenario_hash: str, seed: int) -> str:
@@ -102,7 +97,6 @@ def fmt_value(value) -> str:
     return str(value)
 
 
-_RECORDS_COLUMNS = ["slot", "quad", "ratio", "alice_x", "bob_y"]
 _RECORDS_BLOCK = 1 << 13
 # lines per np.loadtxt call, a divisor of the chunk: 65536 lines held as str took 6.2 MiB, and
 # a chunk's list of them raised detect's peak RSS from 44 to 61 MiB; 2048 lines peak at 44 MiB
@@ -337,7 +331,7 @@ def _records_rows(first_slot, prefix, alice_x, bob_y) -> bytes:
 
 @contextlib.contextmanager
 def records_writer(path, scenario_hash: str, seed: int):
-    """Yield a function that appends a record batch as slot,quad,ratio,alice_x,bob_y rows.
+    """Yield a function that appends a record batch as records-v1 rows.
 
     Batches come in slot order; each entry of a batch's ratio table is spelled
     by ``repr`` once. The rows go to a temporary file next to ``path`` that
@@ -371,7 +365,7 @@ def records_writer(path, scenario_hash: str, seed: int):
     try:
         with open(temp, "wb") as fh:
             fh.write((meta_line(RECORDS_FORMAT, scenario_hash, seed) + "\n").encode())
-            fh.write(",".join(_RECORDS_COLUMNS).encode())  # each row starts with "\r\n"
+            fh.write(",".join(_RECORDS_DTYPE.names).encode())  # each row starts with "\r\n"
             yield append
             fh.write(b"\r\n")
         os.replace(temp, path)
@@ -383,23 +377,17 @@ def records_writer(path, scenario_hash: str, seed: int):
         raise
 
 
-def write_records_csv(path, batch: RecordBatch, scenario_hash: str, seed: int) -> None:
-    """Write a record batch as a records CSV (see ``records_writer``)."""
-    with records_writer(path, scenario_hash, seed) as append:
-        append(batch)
-
-
 def read_records_csv(path):
     """The RatioMoments of a records CSV, reduced ``rng.CHUNK_SLOTS`` rows at a time
     as a session's chunks are; a ratio joins their table, in ascending order, with
     the first chunk that holds it.
 
     Raises ValueError for a metadata line of another format than ``records-v1``,
-    another column header, or a data row the writer would not write, naming the
-    row (from 1, across the file) and, for a cell, its column: a blank line,
-    another column count, a cell that is not a number, a quadrature other than
-    X or P, a non-finite ratio, x or y, a slot that is not its row number, or a
-    ratio outside [0, 1].
+    another column header, or a bad data row, naming the row (from 1, across the
+    file) and, for a cell, its column: a blank line, another column count, a
+    cell that is not a number ``np.loadtxt`` reads, a quadrature other than X or
+    P, a non-finite ratio, x or y, a slot that is not its row number, or a ratio
+    outside [0, 1].
     """
     return RecordBatch.collect(_record_chunks(path), False)
 
@@ -417,11 +405,11 @@ def _refusal(lines, first: int) -> str:
         cells = line.rstrip("\r\n").split(",")
         if not line.strip():
             return f"{row} is blank"
-        if len(cells) != len(_RECORDS_COLUMNS):
-            return f"{row} has {len(cells)} columns, not {len(_RECORDS_COLUMNS)}"
+        if len(cells) != len(_RECORDS_DTYPE):
+            return f"{row} has {len(cells)} columns, not {len(_RECORDS_DTYPE)}"
         if _loadtxt([line]) is None:  # then it refuses one of the line's cells
             c = next(c for c in range(len(cells)) if _loadtxt([line], _RECORDS_DTYPE[c], c) is None)
-            return (f"{row}, column {c + 1} ({_RECORDS_COLUMNS[c]}): could not convert "
+            return (f"{row}, column {c + 1} ({_RECORDS_DTYPE.names[c]}): could not convert "
                     f"string {cells[c]!r} to {_RECORDS_DTYPE[c]}")
 
 
@@ -435,7 +423,7 @@ def _record_chunks(path):
                 raise ValueError(f"{path} has format {fmt}, not {RECORDS_FORMAT}")
             line = fh.readline()
         header = line.rstrip("\r\n").split(",")
-        if header != _RECORDS_COLUMNS:
+        if tuple(header) != _RECORDS_DTYPE.names:
             raise ValueError(f"unexpected records header {header!r}")
         bad = f"malformed records CSV {path}: data row"
         for first in itertools.count(0, chunk):
@@ -544,7 +532,8 @@ def load_plan(path, curve: BeamSplitterCurve, detector: DetectorConfig,
     or when ``displacement`` is negative; naming both curves or both strategies
     when the plan was written for another curve than ``curve`` or holds
     another strategy than ``strategy``; and naming the file and the pulse when
-    a pulse's mean current on ``curve`` is not its sign times ``displacement``.
+    ``ForeignPulse`` or ``curve`` refuses a pulse, or its mean current on
+    ``curve`` is not its sign times ``displacement``.
     """
     fmt = read_meta(path).get("format", PLAN_FORMAT)
     if fmt != PLAN_FORMAT:
@@ -568,15 +557,19 @@ def load_plan(path, curve: BeamSplitterCurve, detector: DetectorConfig,
             raise ValueError(f"plan file {path} key 'displacement': expected a number >= 0, "
                              f"got {kv['displacement']!r}")
         if displacement != 0.0:
-            pulses = [ForeignPulse(number(f"{name}_wavelength_nm"),
-                                   number(f"{name}_intensity"), pulse_path)
-                      for name, pulse_path, _ in PULSES]
-            wl = WavelengthPlan.from_pulses(curve, detector, pulses, displacement)
-            for (name, _, sign), mean in zip(PULSES, wl.means):
-                if not math.isclose(mean, sign * displacement, rel_tol=_D_MATCH_RTOL):
+            pulses = []
+            for name, pulse_path, sign in PULSES:
+                nm, intensity = number(f"{name}_wavelength_nm"), number(f"{name}_intensity")
+                try:
+                    pulses.append(ForeignPulse(nm, intensity, pulse_path))
+                    mean, _ = foreign_pulse_response(detector, curve, pulses[-1])
+                except ValueError as exc:
+                    raise ValueError(f"plan file {path}: {name} pulse: {exc}") from None
+                if not math.isclose(mean, sign * displacement, rel_tol=1e-9):
                     raise ValueError(f"plan file {path}: {name} pulse produces displacement "
                                      f"{mean!r}, expected {sign * displacement!r}")
-            plan = AttackPlan(plan.strategy, wl)
+            plan = AttackPlan(plan.strategy, WavelengthPlan.from_pulses(curve, detector, pulses,
+                                                                        displacement))
     except KeyError as exc:
         raise ValueError(f"plan file {path} has no {exc.args[0]!r} key") from None
     written = dict(plan_items(plan, ""))
@@ -586,13 +579,8 @@ def load_plan(path, curve: BeamSplitterCurve, detector: DetectorConfig,
     return plan
 
 
-def csv_text(rows: list[list], header: list[str], scenario_hash: str, seed: int,
-             fmt: str = SWEEP_FORMAT) -> str:
-    """Render generic CSV (for sweep grids) with the standard metadata line."""
-    buf = io.StringIO()
-    buf.write(meta_line(fmt, scenario_hash, seed) + "\n")
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([fmt_value(v) for v in row])
-    return buf.getvalue()
+def csv_text(rows: list[list], header: list[str], scenario_hash: str, seed: int) -> str:
+    """Render a sweep grid as CSV after the standard metadata line, each line ended
+    by ``\r\n``; no value a sweep writes holds a comma, a quote or a line break."""
+    lines = (",".join(map(fmt_value, row)) + "\r\n" for row in [header, *rows])
+    return meta_line(SWEEP_FORMAT, scenario_hash, seed) + "\n" + "".join(lines)

@@ -14,7 +14,7 @@ from cvqkd.protocol import (AttenuationSchedule, RatioMoments, RecordBatch,
                             estimate_two_point, honest_noise_table, run_honest_session,
                             two_point_from_variances, variances_by_ratio)
 from cvqkd.rng import CHUNK_SLOTS
-from cvqkd.serialize import _record_chunks, write_records_csv
+from cvqkd.serialize import _record_chunks, records_writer
 
 P_DEFAULT = SystemParams()  # V_A=5, eta=0.5, eta_ch=0.9, xi=0.1, I_LO=1e8
 THREE_RATIO_PARAMS = SystemParams(schedule=THREE_RATIO_SCHEDULE)
@@ -176,7 +176,8 @@ def test_two_point_covariance_pools_both_quadratures():
 def test_record_batch_round_trip_and_lazy_slots(tmp_path):
     batch = run_honest_session(P_DEFAULT, 100, 14)
     assert len(batch) == 100
-    write_records_csv(tmp_path / "records.csv", batch, "0" * 16, 14)
+    with records_writer(tmp_path / "records.csv", "0" * 16, 14) as append:
+        append(batch)
     # the slot column is written from the row numbers
     rows = (tmp_path / "records.csv").read_text().splitlines()[2:]
     assert [int(row.split(",")[0]) for row in rows] == list(range(100))

@@ -18,8 +18,7 @@ from cvqkd.physics import DetectorConfig, builtin_curve
 from cvqkd.rng import CHUNK_SLOTS
 from cvqkd.scenario import _KEYS as _KEY_TABLE, Scenario, load_scenario, parse_scenario
 from cvqkd.protocol import SystemParams
-from cvqkd.serialize import (_READ_LINES, _RECORDS_BLOCK, read_meta, read_report,
-                             write_records_csv)
+from cvqkd.serialize import _READ_LINES, _RECORDS_BLOCK, read_meta, read_report, records_writer
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -632,6 +631,12 @@ def _pulse_lines(pulses) -> str:
 _PULSES_5000 = "displacement = 5000.0\n" + _pulse_lines(_DESIGN_5000.pulses)
 
 
+def _pulse_set(key: str, value: str) -> str:
+    """``_PULSES_5000`` with ``key`` set to ``value``."""
+    return "".join(f"{key} = {value}\n" if line.startswith(key + " ") else line
+                   for line in _PULSES_5000.splitlines(keepends=True))
+
+
 @pytest.mark.parametrize("body, message", [
     ("amplification = 10\namplification = 20\ndisplacement = 0.0\n",
      "line 3: duplicate key 'amplification'"),
@@ -650,8 +655,15 @@ _PULSES_5000 = "displacement = 5000.0\n" + _pulse_lines(_DESIGN_5000.pulses)
     ("amplification = 20.0\ndisplacement = -5000.0\n"
      + _pulse_lines(_DESIGN_5000.pulses[2:] + _DESIGN_5000.pulses[:2]),
      "'displacement': expected a number >= 0, got '-5000.0'"),
+    # a pulse that ForeignPulse or the curve refuses is named with its plan file
+    ("amplification = 20.0\n" + _pulse_set("lo2_intensity", "-1.0"),
+     ": lo2 pulse: pulse intensity must be finite and >= 0, got -1.0\n"),
+    ("amplification = 20.0\n" + _pulse_set("signal1_wavelength_nm", "1200.0"),
+     ": signal1 pulse: wavelength 1200.0 nm outside the tabulated band [1270.0, 1610.0] nm of "
+     "the 50:50 coupler\n"),
 ], ids=["repeated-key", "no-equals", "unknown-key", "infinite", "shot-coefficient",
-        "displacement-mismatch", "negative-displacement"])
+        "displacement-mismatch", "negative-displacement", "negative-intensity",
+        "wavelength-off-the-curve"])
 def test_cli_plan_mode_refuses_a_malformed_plan_file(tmp_path, capsys, body, message):
     # a plan file gets the scenario file's input checks, and nothing is written
     plan = tmp_path / "bad.plan"
@@ -831,7 +843,8 @@ def test_cli_detect_refuses_a_blank_line_that_starts_a_read(tmp_path, capsys, ro
     batch = protocol.RecordBatch(np.zeros(rows), [0.5], np.zeros(rows, int), np.full(rows, 0.5),
                                  np.full(rows, 0.5))
     path = tmp_path / "blank.csv"
-    write_records_csv(path, batch, "x", 0)
+    with records_writer(path, "x", 0) as append:
+        append(batch)
     path.write_bytes(path.read_bytes() + b"\r\n")
     assert main(["detect", "--records", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: malformed records CSV {path}: data row "
@@ -843,8 +856,7 @@ def test_cli_detect_on_a_header_only_file_needs_three_ratios(tmp_path, capsys):
     path.write_text(_HEAD, newline="")
     assert main(["detect", "--records", str(path)]) == 2
     assert capsys.readouterr() == ("", "error: the quadratic countermeasure needs >= 3 distinct "
-                                       "ratios, got 0; a two-ratio schedule cannot see the r^2 "
-                                       "term\n")
+                                       "ratios, got 0; the ratios that drew slots: none\n")
 
 
 def _records_file(path, ratios, n=3000, seed=6):
@@ -852,7 +864,8 @@ def _records_file(path, ratios, n=3000, seed=6):
     batch = protocol.RecordBatch(rng.integers(0, 2, n), ratios,
                                  rng.integers(0, len(ratios), n),
                                  rng.normal(0.0, 3e4, n), rng.normal(0.0, 1e4, n))
-    write_records_csv(path, batch, "x", 0)
+    with records_writer(path, "x", 0) as append:
+        append(batch)
     return batch
 
 
@@ -866,6 +879,10 @@ def test_cli_detect_refuses_a_file_of_another_format(tmp_path, capsys):
     assert capsys.readouterr().err == (f"error: {path} has format report-v1, "
                                        "not records-v1\n")
     path.write_bytes(body)  # a file without a metadata line is read
+    assert main(["detect", "--records", str(path)]) == 0
+    # so is any number np.loadtxt reads, not only the writer's repr spelling
+    header, _, _, rows = body.split(b"\r\n", 3)
+    path.write_bytes(b"\r\n".join([header, b"0,X,1.0,+5.0,1e3", b"1,P,5e-1, 7 ,0005.00", rows]))
     assert main(["detect", "--records", str(path)]) == 0
 
 
@@ -1020,6 +1037,22 @@ def test_cli_run_honest_scenario_with_plan_output_names_the_line(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("system, quantity", [
+    ("modulation_variance = 1e5\nlo_intensity = 1e305\n", "sig_x"),
+    ("excess_noise = 1e300\nlo_intensity = 1e10\n", "per-ratio variance"),
+    ("lo_intensity = 1e160\n", "fourth moment"),
+], ids=["sig-x", "variance", "fourth-moment"])
+def test_cli_run_refuses_a_noise_law_that_overflows(tmp_path, capsys, system, quantity):
+    # each parameter is finite, but the law built from them is not: refused before any draw
+    scen = tmp_path / "overflow.scenario"
+    scen.write_text(MINIMAL.replace("[system]\n", "[system]\n" + system)
+                    + "[outputs]\nrecords = records.csv\nreport = report.txt\n")
+    assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: the noise law overflows: its {quantity} is not finite\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_that_cannot_fit_writes_nothing(tmp_path, capsys):
     # a two-ratio schedule has no polynomial; the run fails before any artifact
     scen = tmp_path / "two_ratio.scenario"
@@ -1027,6 +1060,17 @@ def test_cli_run_that_cannot_fit_writes_nothing(tmp_path, capsys):
     rc = main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert ">= 3 distinct ratios" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_whose_verdict_fails_prints_only_its_error(tmp_path, capsys):
+    # a three-ratio schedule whose middle ratio draws no slot: no report reaches stdout
+    scen = tmp_path / "unseen_ratio.scenario"
+    scen.write_text("[schedule]\n1.0 = 0.95\n0.5 = 0.0\n0.001 = 0.05\n[attack]\nstrategy = A\n"
+                    "[run]\nslots = 20000\n[outputs]\nreport = report.txt\nverdict = verdict.txt\n")
+    assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", "error: the quadratic countermeasure needs >= 3 distinct "
+                                       "ratios, got 2; the ratios that drew slots: 0.001, 1.0\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -1104,7 +1148,8 @@ def test_cli_detect_numbers_rows_across_chunks(tmp_path, capsys, data_row, old, 
     batch = protocol.RecordBatch(np.zeros(n), [0.5], np.zeros(n, int), np.full(n, 0.5),
                                  np.full(n, 0.5))
     path = tmp_path / "records.csv"
-    write_records_csv(path, batch, "x", 0)
+    with records_writer(path, "x", 0) as append:
+        append(batch)
     lines = path.read_bytes().split(b"\r\n")
     lines[data_row] = lines[data_row].replace(old.encode(), new.encode(), 1)
     path.write_bytes(b"\r\n".join(lines))
@@ -1258,19 +1303,24 @@ def test_cli_scenario_seed_runs_the_session_of_the_same_seed_flag(tmp_path, caps
     assert bodies[0] == bodies[1]
 
 
-@pytest.mark.parametrize("first, second", [
-    ("polynomial = verdict.txt", "verdict = verdict.txt"),
-    ("records = report.txt", "report = ./report.txt"),
-], ids=["same-name", "normalized-name"])
-def test_cli_two_outputs_naming_one_file_are_refused(tmp_path, capsys, first, second):
-    # one artifact would overwrite the other: refused as a duplicate key is, naming both lines
+@pytest.mark.parametrize("first, second, where", [
+    ("polynomial = verdict.txt", "verdict = verdict.txt", "as line 10 does"),
+    ("records = report.txt", "report = ./report.txt", "as line 10 does"),
+    ("records = a/records.csv", "report = a", "a directory of line 10's file"),
+    ("report = a", "records = ./a/records.csv", "below line 10's file"),
+], ids=["same-name", "normalized-name", "directory-after-file", "file-after-directory"])
+def test_cli_two_outputs_naming_one_file_are_refused(tmp_path, capsys, first, second, where):
+    # one artifact would overwrite the other, or need it as a directory: refused as a
+    # duplicate key is, naming both lines
     scen = tmp_path / "clash.scenario"
     scen.write_text(MINIMAL + f"[outputs]\n{first}\n# comment\n{second}\n")
     assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
     key, name = second.split(" = ")
-    assert capsys.readouterr().err == (
-        f"error: line 12: [outputs] key {key!r} names file {name!r}, as line 10 does\n")
+    assert capsys.readouterr() == (
+        "", f"error: line 12: [outputs] key {key!r} names file {name!r}, {where}\n")
     assert not (tmp_path / "out").exists()
+    # a name that only starts with the same letters is another path
+    assert parse_scenario(MINIMAL + "[outputs]\nreport = a\nrecords = ab/records.csv\n").outputs
 
 
 @pytest.mark.parametrize("command", ["run", "solve", "sweep"])

@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import re
 
@@ -10,8 +11,8 @@ from cvqkd.physics import builtin_curve
 from cvqkd.protocol import RatioMoments, RecordBatch, SystemParams, run_honest_session
 from cvqkd.rng import CHUNK_SLOTS
 from cvqkd.serialize import (_RECORDS_BLOCK, _int_words, _record_chunks, _repr_words, csv_text,
-                             load_plan, plan_items, read_records_csv, read_report, records_writer,
-                             write_plan, write_records_csv, write_report)
+                             fmt_value, load_plan, plan_items, read_records_csv, read_report,
+                             records_writer, write_plan, write_report)
 
 CURVE = builtin_curve("50:50")
 
@@ -19,7 +20,8 @@ CURVE = builtin_curve("50:50")
 def test_records_csv_round_trip_is_exact(tmp_path):
     batch = run_honest_session(SystemParams(), 500, 1)
     path = tmp_path / "records.csv"
-    write_records_csv(path, batch, "abc123", 7)
+    with records_writer(path, "abc123", 7) as append:
+        append(batch)
     first = path.read_text().splitlines()[0]
     assert first == "# format=records-v1 scenario=abc123 seed=7"
     loaded = RecordBatch.collect(_record_chunks(path))
@@ -38,7 +40,8 @@ def test_records_csv_read_in_chunks_reproduces_the_moments(tmp_path):
     batch = RecordBatch(rng.integers(0, 2, n), [1.0, 0.5, 0.001], ratio_index,
                         rng.normal(0.0, 3e4, n), rng.normal(0.0, 1e4, n))
     path = tmp_path / "records.csv"
-    write_records_csv(path, batch, "m", 0)
+    with records_writer(path, "m", 0) as append:
+        append(batch)
     loaded = RecordBatch.collect(_record_chunks(path))
     assert loaded.ratios.tolist() == [0.5, 1.0, 0.001]
     assert np.array_equal(loaded.ratios[loaded.ratio_index], batch.ratios[batch.ratio_index])
@@ -58,7 +61,8 @@ def test_records_csv_of_exactly_one_chunk_reads_without_a_warning(tmp_path):
                         rng.integers(0, 3, CHUNK_SLOTS), rng.normal(size=CHUNK_SLOTS),
                         rng.normal(size=CHUNK_SLOTS))
     path = tmp_path / "records.csv"
-    write_records_csv(path, batch, "m", 0)
+    with records_writer(path, "m", 0) as append:
+        append(batch)
     got = read_records_csv(path)
     assert isinstance(got, RatioMoments)
     assert sorted(zip(got.ratios.tolist(), got.count.tolist())) == sorted(
@@ -73,7 +77,8 @@ def test_records_csv_groups_many_distinct_ratios(tmp_path):
     batch = RecordBatch(rng.integers(0, 2, n), ratios, ratio_index,
                         rng.normal(size=n), rng.normal(size=n))
     path = tmp_path / "many.csv"
-    write_records_csv(path, batch, "m", 0)
+    with records_writer(path, "m", 0) as append:
+        append(batch)
     loaded = RecordBatch.collect(_record_chunks(path))
     assert np.array_equal(loaded.ratios[loaded.ratio_index], ratios[ratio_index])
     counts = dict(zip(loaded.moments.ratios.tolist(), loaded.moments.count.tolist()))
@@ -110,7 +115,8 @@ def _edge_batch(n):
 @pytest.mark.parametrize("n", [1, 2 * 65536 + 7])
 def test_records_csv_bytes_match_csv_writer(tmp_path, n):
     batch = _edge_batch(n)
-    write_records_csv(tmp_path / "new.csv", batch, "g0", 9)
+    with records_writer(tmp_path / "new.csv", "g0", 9) as append:
+        append(batch)
     _reference_records_csv(tmp_path / "ref.csv", batch, "g0", 9)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -142,7 +148,8 @@ def test_records_writer_streams_batches_as_one_file(tmp_path):
 def test_records_csv_round_trip_tiny(tmp_path, n):
     batch = _edge_batch(n)
     path = tmp_path / "tiny.csv"
-    write_records_csv(path, batch, "t", 1)
+    with records_writer(path, "t", 1) as append:
+        append(batch)
     loaded = RecordBatch.collect(_record_chunks(path))
     assert len(loaded) == n
     assert loaded.ratio_index.dtype == np.uint8
@@ -157,7 +164,8 @@ def test_records_csv_round_trip_tiny(tmp_path, n):
 def test_records_csv_header_row(tmp_path):
     batch = run_honest_session(SystemParams(), 10, 2)
     path = tmp_path / "r.csv"
-    write_records_csv(path, batch, "h", 0)
+    with records_writer(path, "h", 0) as append:
+        append(batch)
     lines = path.read_text().splitlines()
     assert lines[1] == "slot,quad,ratio,alice_x,bob_y"
     assert lines[2].split(",")[1] in ("X", "P")
@@ -239,6 +247,14 @@ def test_csv_text_header_and_rows():
     assert lines[0] == "# format=sweep-v1 scenario=dd seed=5"
     assert lines[1] == "a,b,c"
     assert lines[2] == "1,2.5,x"
+    # the cells a sweep writes need no quoting: the bytes are csv.writer's
+    rows = [["eta_ch", 0.5, 1e-05, -0.25, True], ["xi", 0.1, "", "", "infeasible"],
+            ["N", 10.0, 2, math.inf, False]]
+    header = ["variable", "value", "a", "b", "verdict"]
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *([fmt_value(v) for v in row] for row in rows)])
+    assert csv_text(rows, header, "dd", 5) == ("# format=sweep-v1 scenario=dd seed=5\n"
+                                               + buf.getvalue())
 
 
 def _repr_bytes(values):
@@ -322,5 +338,6 @@ def test_write_records_rejects_non_finite_before_opening(tmp_path, name, bad):
     (batch.ratios if name == "ratio" else getattr(batch, name))[3] = bad
     path = tmp_path / "r.csv"
     with pytest.raises(ValueError, match=f"non-finite {name}"):
-        write_records_csv(path, batch, "h", 0)
+        with records_writer(path, "h", 0) as append:
+            append(batch)
     assert not path.exists()
