@@ -99,8 +99,9 @@ def fit_variance_summaries(per_ratio: dict[float, tuple[float, int]]) -> NoisePo
 
     Weights follow the Gaussian variance-of-variance, count/(2*variance^2).
     Exactly three ratios interpolate regardless of the weights. Raises
-    CountermeasureError unless each sample variance (so its weight) and the
-    shot-noise floor c (without which a/c means nothing) are finite and > 0.
+    CountermeasureError, naming the ratio, unless each sample variance and its
+    weight (whose variance^2 can overflow or underflow) are finite and > 0, and
+    unless the shot-noise floor c (without which a/c means nothing) is.
     """
     if len(per_ratio) < 3:
         raise CountermeasureError(
@@ -113,7 +114,12 @@ def fit_variance_summaries(per_ratio: dict[float, tuple[float, int]]) -> NoisePo
             raise CountermeasureError(f"the sample variance at ratio {float(r)!r} must be "
                                       f"finite and > 0, got {float(var)!r}")
     n = np.array([per_ratio[r][1] for r in ratios], dtype=float)
-    w = n / (2.0 * v * v)
+    with np.errstate(over="ignore", divide="ignore"):
+        w = n / (2.0 * v * v)
+    for r, weight in zip(ratios, w):
+        if not 0.0 < weight < math.inf:
+            raise CountermeasureError(f"the fit's weight count/(2*variance^2) at ratio "
+                                      f"{float(r)!r} must be finite and > 0, got {float(weight)!r}")
     design = np.column_stack([ratios ** 2, ratios, np.ones_like(ratios)])
     sw = np.sqrt(w)
     coef, *_ = np.linalg.lstsq(design * sw[:, None], v * sw, rcond=None)

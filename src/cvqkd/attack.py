@@ -237,7 +237,10 @@ def _positive_root(a: float, b: float, c: float) -> float:
     q = -(b + sign(b) sqrt(b^2 - 4ac))/2 adds two terms of one sign, so no
     digits cancel; the roots are q/a and c/q.
     """
-    q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
+    root = math.sqrt(b * b - 4.0 * a * c)
+    if root == math.inf:  # b^2 or ac overflowed; -4ac = 4|a||c|, as a and c differ in sign
+        root = math.hypot(b, 2.0 * math.sqrt(abs(a)) * math.sqrt(abs(c)))
+    q = -0.5 * (b + math.copysign(root, b))
     return max(q / a, c / q)
 
 
@@ -254,10 +257,12 @@ def solve_attack_parameters(strategy_kind: str, params: SystemParams,
     shot-noise condition gives the realistic shot noise, hence N or gamma.
     That shot noise is positive only below the feasibility boundary, the
     positive root of S(D) = N0. Raises InfeasibleAttackError naming the
-    violated constraint when no valid solution exists.
+    violated constraint when no valid solution exists, and first, as
+    ``NoiseTable`` does, ValueError for a system whose noise law overflows.
     """
     if strategy_kind not in STRATEGIES:
         raise ValueError("strategy_kind must be 'A' or 'B'")
+    honest_noise_table(params)  # refuses a noise law that overflows
     n0 = params.shot_noise_unit
     c_lo, c_s = shot_coefficients(curve, wavelengths)
     bias, numerator = _two_point_model(params, c_lo, c_s)
@@ -268,8 +273,8 @@ def solve_attack_parameters(strategy_kind: str, params: SystemParams,
         d_boundary = _positive_root(bias[0], bias[1], bias[2] - n0)
         raise InfeasibleAttackError(
             "nulling the excess-noise estimate needs a realistic shot noise <= 0 "
-            f"(required displacement {d:.1f} exceeds the feasibility boundary "
-            f"{d_boundary:.1f}); the channel is too transparent for strategy "
+            f"(required displacement {d:.6g} exceeds the feasibility boundary "
+            f"{d_boundary:.6g}); the channel is too transparent for strategy "
             f"{strategy_kind}")
 
     if strategy_kind == "A":

@@ -29,10 +29,10 @@ of y and the sum of x*y, both quadratures pooled as the estimators pool them.
 The chunks' moments are merged in chunk order with the pairwise update of
 Chan, Golub & LeVeque (1983), so a session needs memory for a few chunks, not
 for its slots, and its moments are bit-identical for any thread count. A
-batch, whether the sampler's or one read back from a records file, is cut at
-the same chunk boundaries, each chunk's slots are put back in ratio order
-with a stable sort of their ratio index, and the same reduction runs, so it
-reproduces the session's moments bit for bit.
+batch carries the moments its source reduced and never reduces its columns
+again: the records reader cuts a file at the same chunk boundaries, puts each
+chunk's slots back in ratio order with a stable sort of their ratio index and
+runs the same reduction, so it reproduces the session's moments bit for bit.
 """
 
 from __future__ import annotations
@@ -170,27 +170,6 @@ class RatioMoments:
                 lo[k] = np.add.reduce(lo_observed[a:b])
         return cls(ratios, counts, mean, m2, sxy, lo)
 
-    @classmethod
-    def of_batch(cls, batch: "RecordBatch") -> "RatioMoments":
-        """Moments of a record batch, cut at the sessions' chunk boundaries.
-
-        Within each chunk a stable sort of the ratio indices puts the slots
-        back in the ratio order they were drawn in, and ``of_cells`` reduces
-        them, so the records of a session give back the session's moments bit
-        for bit.
-        """
-        index = batch.ratio_index
-        lo = batch.lo_observed
-        parts = []
-        for start in range(0, max(len(batch), 1), _rng.CHUNK_SLOTS):
-            cut = slice(start, start + _rng.CHUNK_SLOTS)
-            order = np.argsort(index[cut], kind="stable")
-            parts.append(cls.of_cells(batch.ratios,
-                                      np.bincount(index[cut], minlength=batch.ratios.size),
-                                      batch.alice_x[cut][order], batch.bob_y[cut][order],
-                                      None if lo is None else lo[cut][order]))
-        return cls.fold(parts)
-
     @staticmethod
     def fold(parts: Iterable["RatioMoments"]) -> "RatioMoments":
         """Merge per-chunk moments left to right, in the order given (chunk order)."""
@@ -221,8 +200,8 @@ class RecordBatch:
     Slot i is row i. Its attenuation ratio is ``ratios[ratio_index[i]]``: the
     batch holds the table of ratios and one label per slot, of the smallest
     unsigned type that indexes the table (uint8 up to 256 ratios).
-    ``moments`` are the columns' RatioMoments: the sampler passes the ones it
-    streamed, otherwise they are reduced from the columns on first use.
+    ``moments`` are the RatioMoments its source reduced, the sampler's or the
+    records reader's, or None for a batch built only to be written.
     """
 
     def __init__(self, quad, ratios, ratio_index, alice_x, bob_y, eve_x=None,
@@ -235,7 +214,7 @@ class RecordBatch:
         self.bob_y = np.asarray(bob_y, dtype=float)
         self.eve_x = None if eve_x is None else np.asarray(eve_x, dtype=float)
         self.lo_observed = None if lo_observed is None else np.asarray(lo_observed, dtype=float)
-        self._moments = moments
+        self.moments = moments
 
     @classmethod
     def collect(cls, chunks: Iterable["RecordBatch"], records=True):
@@ -260,12 +239,6 @@ class RecordBatch:
                    else np.concatenate([getattr(chunk, name) for chunk in kept])
                    for name in ("quad", "ratio_index", "alice_x", "bob_y", "eve_x", "lo_observed")}
         return cls(ratios=kept[-1].ratios, moments=moments, **columns)
-
-    @property
-    def moments(self) -> RatioMoments:
-        if self._moments is None:
-            self._moments = RatioMoments.of_batch(self)
-        return self._moments
 
     def __len__(self) -> int:
         return self.quad.size

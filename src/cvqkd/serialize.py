@@ -35,14 +35,14 @@ blocks about 60 % more than 8192: a block's temporaries peak at 2.2, 4.5
 and 8.9 MB (tracemalloc), against a 2 MB L2 cache per core.
 
 The metadata line ends in ``\n``; the column header and every row end in
-``\r\n``, as in a sweep CSV. The writer appends batch by batch,
-as ``run`` draws its chunks. ``read_records_csv`` returns the file's
-RatioMoments, reduced ``rng.CHUNK_SLOTS`` rows at a time from lists of 2048
-lines, each parsed by one ``np.loadtxt`` call, whose float conversion is
-correctly rounded, so a written batch reads back bit for bit. It reads any
-number ``np.loadtxt`` reads, refuses any other row, naming its data row and,
-for a cell, its column, and it is the one place that groups ratio values,
-because there they come from outside the program.
+``\r\n``, as in a sweep CSV. The writer appends batch by batch, as ``run``
+draws its chunks. ``read_records_csv`` reduces each ``rng.CHUNK_SLOTS`` rows
+as it reads them, as a session reduces its chunks, from lists of 2048 lines,
+each parsed by one ``np.loadtxt`` call, whose float conversion is correctly
+rounded, so a written batch reads back bit for bit. It reads any number
+``np.loadtxt`` reads, refuses any other row, naming its data row and, for a
+cell, its column, and it is the one place that groups ratio values, because
+there they come from outside the program.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ import numpy as np
 from . import rng as _rng
 from .attack import PULSES, STRATEGIES, AttackPlan, WavelengthPlan
 from .physics import BeamSplitterCurve, DetectorConfig, ForeignPulse, foreign_pulse_response
-from .protocol import RecordBatch
+from .protocol import RatioMoments, RecordBatch
 from .scenario import parse_float
 
 RECORDS_FORMAT = "records-v1"
@@ -414,6 +414,7 @@ def _refusal(lines, first: int) -> str:
 
 
 def _record_chunks(path):
+    """Each ``rng.CHUNK_SLOTS`` rows of a records CSV, a RecordBatch carrying their moments."""
     chunk, seen = _rng.CHUNK_SLOTS, {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         line = fh.readline()
@@ -458,9 +459,15 @@ def _record_chunks(path):
                 raise ValueError(f"{bad} {first + wrong + 1}: ratio "
                                  f"{float(rows['ratio'][wrong])!r} is outside [0, 1]")
             # a ratio keeps the label of the chunk that first held it
-            labels = np.array([seen.setdefault(v, len(seen)) for v in values.tolist()], np.intp)
-            yield RecordBatch(quad.view(np.uint8), list(seen), labels[index], rows["alice_x"],
-                              rows["bob_y"])
+            labels = [seen.setdefault(v, len(seen)) for v in values.tolist()]
+            ratios = np.array(list(seen))
+            index = np.array(labels, np.min_scalar_type(max(ratios.size - 1, 0)))[index]
+            # the chunk's slots back in the ratio order a session drew them in
+            order = np.argsort(index, kind="stable")
+            moments = RatioMoments.of_cells(ratios, np.bincount(index, minlength=ratios.size),
+                                            rows["alice_x"][order], rows["bob_y"][order])
+            yield RecordBatch(quad.view(np.uint8), ratios, index, rows["alice_x"], rows["bob_y"],
+                              moments=moments)
 
 
 def report_text(items: Iterable[tuple[str, object]]) -> str:

@@ -13,7 +13,7 @@ from cvqkd.attack import (AttackPlan, StrategyA, WavelengthPlan, run_attacked_se
                           solve_attack_parameters)
 from cvqkd.errors import CountermeasureError
 from cvqkd.physics import builtin_curve
-from cvqkd.protocol import (AttenuationSchedule, RatioMoments, RecordBatch, SystemParams,
+from cvqkd.protocol import (AttenuationSchedule, RatioMoments, SystemParams,
                             THREE_RATIO_SCHEDULE, run_honest_session,
                             two_point_from_variances)
 
@@ -21,18 +21,12 @@ CURVE = builtin_curve("50:50")
 P_CM = SystemParams(schedule=THREE_RATIO_SCHEDULE)
 
 
-def records_with_exact_variances(targets: dict[float, float]) -> RecordBatch:
-    """Two records per ratio whose ddof=1 sample variance hits the target exactly."""
-    ratios = sorted(targets)
-    quad, index, ax, by = [], [], [], []
-    for i, r in enumerate(ratios):
-        d = math.sqrt(targets[r] / 2.0)
-        for sign in (-1.0, 1.0):
-            quad.append(i % 2)
-            index.append(i)
-            ax.append(0.0)
-            by.append(sign * d)
-    return RecordBatch(quad, ratios, index, ax, by)
+def records_with_exact_variances(targets: dict[float, float]) -> RatioMoments:
+    """The moments of two records per ratio whose ddof=1 sample variance hits the target
+    exactly."""
+    ratios = np.array(sorted(targets))
+    bob_y = np.array([sign * math.sqrt(targets[r] / 2.0) for r in ratios for sign in (-1.0, 1.0)])
+    return RatioMoments.of_cells(ratios, np.full(ratios.size, 2), np.zeros(bob_y.size), bob_y)
 
 
 def test_fit_interpolates_three_exact_points():

@@ -14,10 +14,17 @@ from cvqkd.protocol import (AttenuationSchedule, RatioMoments, RecordBatch,
                             estimate_two_point, honest_noise_table, run_honest_session,
                             two_point_from_variances, variances_by_ratio)
 from cvqkd.rng import CHUNK_SLOTS
-from cvqkd.serialize import _record_chunks, records_writer
+from cvqkd.serialize import _record_chunks, read_records_csv, records_writer
 
 P_DEFAULT = SystemParams()  # V_A=5, eta=0.5, eta_ch=0.9, xi=0.1, I_LO=1e8
 THREE_RATIO_PARAMS = SystemParams(schedule=THREE_RATIO_SCHEDULE)
+
+
+def _written_and_read(path, batch: RecordBatch) -> RatioMoments:
+    """The moments the records reader reduces from ``batch`` written to ``path``."""
+    with records_writer(path, "0" * 16, 0) as append:
+        append(batch)
+    return read_records_csv(path)
 
 
 def test_schedule_validation():
@@ -135,13 +142,13 @@ def test_estimate_two_point_needs_two_ratios():
         estimate_two_point(batch, params)
 
 
-def test_estimators_are_permutation_invariant():
+def test_estimators_are_permutation_invariant(tmp_path):
     batch = run_honest_session(P_DEFAULT, 4000, 9)
     perm = np.random.default_rng(0).permutation(len(batch))
     shuffled = RecordBatch(batch.quad[perm], batch.ratios, batch.ratio_index[perm],
                            batch.alice_x[perm], batch.bob_y[perm])
     a = estimate_two_point(batch, P_DEFAULT)
-    b = estimate_two_point(shuffled, P_DEFAULT)
+    b = estimate_two_point(_written_and_read(tmp_path / "records.csv", shuffled), P_DEFAULT)
     assert a.shot_noise_est == pytest.approx(b.shot_noise_est, rel=1e-12)
     assert a.excess_noise_est == pytest.approx(b.excess_noise_est, rel=1e-12)
 
@@ -163,14 +170,15 @@ def test_estimate_covariance_transmittance_errors():
         estimate_covariance_transmittance(batch2, silent)
 
 
-def test_two_point_covariance_pools_both_quadratures():
+def test_two_point_covariance_pools_both_quadratures(tmp_path):
     # at the top ratio, the X records have <xy> = 28/3 and the P records -2
     ratio_index = [0] * 6 + [1] * 4  # ratios 1.0, then 0.5
     quad = [0, 0, 0, 1, 1, 1, 0, 0, 1, 1]
     alice_x = [1.0, 2.0, 3.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
     bob_y = [2.0, 4.0, 6.0, -1.0, -2.0, -3.0, 10.0, -10.0, 20.0, -20.0]
     batch = RecordBatch(quad, [1.0, 0.5], ratio_index, alice_x, bob_y)
-    assert estimate_two_point(batch, P_DEFAULT).covariance_xy == pytest.approx(22 / 6)
+    moments = _written_and_read(tmp_path / "records.csv", batch)
+    assert estimate_two_point(moments, P_DEFAULT).covariance_xy == pytest.approx(22 / 6)
 
 
 def test_record_batch_round_trip_and_lazy_slots(tmp_path):
@@ -229,12 +237,12 @@ def test_streamed_moments_match_direct_column_reductions():
         scaled * scaled / THREE_RATIO_PARAMS.detector.efficiency, rel=1e-12)
 
 
-def test_moments_stay_accurate_far_from_zero_mean():
+def test_moments_stay_accurate_far_from_zero_mean(tmp_path):
     # a one-pass sum-of-squares variance loses about ten digits at this offset
     batch = run_honest_session(THREE_RATIO_PARAMS, 4 * CHUNK_SLOTS + 321, 16)
     shifted = RecordBatch(batch.quad, batch.ratios, batch.ratio_index, batch.alice_x,
                           batch.bob_y + 1e9)
-    got = variances_by_ratio(shifted)
+    got = variances_by_ratio(_written_and_read(tmp_path / "records.csv", shifted))
     for r, (var, n) in _reference_variances(shifted).items():
         assert got[r][1] == n
         assert got[r][0] == pytest.approx(var, rel=1e-9)
@@ -250,7 +258,7 @@ def _sorted_moments(m: RatioMoments) -> list[np.ndarray]:
 
 
 @pytest.mark.parametrize("attacked", [False, True], ids=["honest", "attacked"])
-def test_merged_moments_bit_identical_across_threads_and_records(attacked):
+def test_merged_moments_bit_identical_across_threads_and_records(attacked, tmp_path):
     n = 5 * CHUNK_SLOTS + 99
     if attacked:
         plan = solve_attack_parameters("A", THREE_RATIO_PARAMS, builtin_curve("50:50"))
@@ -265,14 +273,17 @@ def test_merged_moments_bit_identical_across_threads_and_records(attacked):
     assert len(base) == (6 if attacked else 5)
     batch = run(threads=2)
     chunks = []
-    # the batch's own moments, its columns reduced again chunk by chunk, and
-    # the moments of a session that hands each chunk's records on
+    # the batch's own moments, and the moments of a session that hands each
+    # chunk's records on
     for other in (run(threads=2, records=False), run(threads=8, records=False),
-                  batch.moments, RatioMoments.of_batch(batch),
-                  run(threads=2, records=chunks.append)):
+                  batch.moments, run(threads=2, records=chunks.append)):
         got = _sorted_moments(other)
         assert len(got) == len(base)
         assert all(np.array_equal(a, b) for a, b in zip(got, base))
+    # the records reader, chunk by chunk, on the session's records, which hold no LO column
+    got = _sorted_moments(_written_and_read(tmp_path / "records.csv", batch))
+    assert len(got) == 5
+    assert all(np.array_equal(a, b) for a, b in zip(got, base))
     # the chunks it hands on are the batch's slots, in slot order
     assert [len(c) for c in chunks] == [CHUNK_SLOTS] * 5 + [99]
     joined = RecordBatch.collect(chunks)

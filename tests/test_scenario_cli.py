@@ -387,6 +387,44 @@ def test_cli_sweep_solved_on_a_one_ratio_schedule_exits_2_as_solve_does(tmp_path
     assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
+_OVERFLOW = "excess_noise = 1e300\nlo_intensity = 1e10\n"
+_OVERFLOW_ERROR = "error: the noise law overflows: its per-ratio variance is not finite\n"
+_SOLVED_XI_SWEEP = ["sweep", "--mode", "solved", "--variable", "xi", "--start", "1e300",
+                    "--stop", "1e300", "--points", "1"]
+
+
+@pytest.mark.parametrize("argv, system, strategy, err", [
+    (["solve"], _OVERFLOW, "A", _OVERFLOW_ERROR),
+    (["solve"], _OVERFLOW, "B", _OVERFLOW_ERROR),
+    (_SOLVED_XI_SWEEP, "lo_intensity = 1e10\n", "A", _OVERFLOW_ERROR),
+    (["solve"], "channel_transmittance = 1e-300\n", "A", ""),
+    (["solve"], "channel_transmittance = 1e-300\n", "B", ""),
+    (["solve"], "lo_intensity = 1e-30\n", "A",
+     "error: nulling the excess-noise estimate needs a realistic shot noise <= 0 (required "
+     "displacement 15.9966 exceeds the feasibility boundary 1.39748e-32); the channel is too "
+     "transparent for strategy A\n"),
+], ids=["overflow-A", "overflow-B", "overflow-sweep", "opaque-channel-A", "opaque-channel-B",
+        "faint-lo"])
+def test_cli_solver_names_an_overflowing_law_and_finds_a_representable_root(
+        tmp_path, capsys, argv, system, strategy, err):
+    # an overflowing law is the noise table's error, not an infeasible plan or row; at
+    # channel transmittance 1e-300, b^2 - 4ac overflows but the root D ~ 7.2e-147 does not
+    scen = tmp_path / "extreme.scenario"
+    scen.write_text(f"[system]\n{system}[schedule]\n1.0 = 0.9\n0.5 = 0.05\n0.001 = 0.05\n"
+                    f"[attack]\nstrategy = {strategy}\n")
+    rc = main([*argv, "--scenario", str(scen), "--out", str(tmp_path / "out")])
+    out, got = capsys.readouterr()
+    assert got == err
+    if err:
+        assert (rc, out) == (2, "")
+        assert not (tmp_path / "out").exists()
+        return
+    assert rc == 0
+    plan = read_report(tmp_path / "out" / "plan.txt")
+    assert float(plan["amplification" if strategy == "A" else "slope_factor"]) == 1.0
+    assert float(plan["displacement"]) == pytest.approx(7.2e-147, rel=0.01)
+
+
 def test_cli_sweep_single_point(tmp_path):
     rc = main(["sweep", "--variable", "xi", "--start", "0.1", "--stop", "0.1",
                "--points", "1", "--out", str(tmp_path)])
@@ -899,6 +937,41 @@ def test_cli_detect_refuses_a_ratio_of_zero_variance_by_name(tmp_path, capfd):
     assert out == ""
     assert err == ("error: the sample variance at ratio 1.0 must be finite and > 0, "
                    "got 0.0\n")
+
+
+_FAINT = "[schedule]\n1.0 = 0.9\n0.5 = 0.05\n0.001 = 0.05\n[run]\nslots = 2000\n"
+_FAINT_ERROR = ("error: the fit's weight count/(2*variance^2) at ratio 0.001 must be finite "
+                "and > 0, got inf\n")
+
+
+@pytest.mark.parametrize("system, attack", [
+    ("detector_efficiency = 1e-300\n", ""),
+    ("detector_efficiency = 1e-300\n", "[attack]\nstrategy = A\n"),
+    ("detector_efficiency = 1e-300\n", "[attack]\nstrategy = B\n"),
+    ("lo_intensity = 1e-300\n", ""),
+], ids=["detector-honest", "detector-A", "detector-B", "lo-honest"])
+def test_cli_run_refuses_a_fit_weight_that_underflows_naming_the_ratio(tmp_path, capfd, system,
+                                                                       attack):
+    # each variance is finite and > 0, but its square underflows to 0: no numpy warning and
+    # no LAPACK line (C stdio, so capfd), and no artifact
+    scen = tmp_path / "faint.scenario"
+    scen.write_text(f"[system]\n{system}{_FAINT}{attack}"
+                    "[outputs]\nrecords = records.csv\nverdict = verdict.txt\n")
+    assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    assert capfd.readouterr() == ("", _FAINT_ERROR)
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_detect_refuses_a_fit_weight_that_underflows_naming_the_ratio(tmp_path, capfd):
+    scen = tmp_path / "faint.scenario"
+    scen.write_text(f"[system]\ndetector_efficiency = 1e-300\n{_FAINT}"
+                    "[outputs]\nrecords = records.csv\n")
+    assert main(["run", "--scenario", str(scen), "--out", str(tmp_path)]) == 0
+    capfd.readouterr()
+    argv = ["detect", "--records", str(tmp_path / "records.csv"), "--out", str(tmp_path / "v")]
+    assert main(argv) == 2
+    assert capfd.readouterr() == ("", _FAINT_ERROR)
+    assert not (tmp_path / "v").exists()
 
 
 def test_cli_detect_out_refuses_a_bad_seed_before_any_row(tmp_path, capsys):
