@@ -23,7 +23,7 @@ from .attack import AttackPlan, StrategyA, noise_table
 from .errors import CountermeasureError
 from .physics import DetectorConfig
 from .protocol import (AttenuationSchedule, NoiseTable, SystemParams, honest_noise_table,
-                       ratio_moments, variances_by_ratio)
+                       variances_by_ratio)
 
 
 @dataclass(frozen=True)
@@ -137,20 +137,17 @@ def fit_noise_polynomial(records) -> NoisePolynomial:
     return fit_variance_summaries(variances_by_ratio(records))
 
 
-def monitor_lo_intensity(observed, expected: float) -> bool:
+def monitor_lo_intensity(table: NoiseTable, expected: float) -> bool:
     """Flag a relative deviation of the mean LO-path intensity beyond ``LO_TOLERANCE``.
 
-    ``observed`` is the moments or record batch of a session; a session
-    without an LO monitor is never flagged.
+    The monitor reads ``table.lo_level``, averaged over the equally likely
+    pulse sets; a table without an LO monitor is never flagged.
     """
-    if expected <= 0.0:
-        raise ValueError("expected LO intensity must be > 0")
-    moments = ratio_moments(observed)
-    slots = int(moments.count.sum())
-    if moments.lo_sum is None or slots == 0:
+    if not 0.0 < expected < math.inf:
+        raise ValueError(f"expected LO intensity must be finite and > 0, got {expected!r}")
+    if table.lo_level is None:
         return False
-    mean = float(moments.lo_sum.sum()) / slots
-    return bool(abs(mean / expected - 1.0) > LO_TOLERANCE)
+    return bool(abs(float(np.mean(table.lo_level)) / expected - 1.0) > LO_TOLERANCE)
 
 
 def detect(poly: NoisePolynomial, threshold: float = DEFAULT_DETECTION_THRESHOLD,

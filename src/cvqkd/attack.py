@@ -323,13 +323,14 @@ def noise_table(params: SystemParams, plan: AttackPlan,
 
 def run_attacked_session(params: SystemParams, plan: AttackPlan, slots: int,
                          master_seed: int, *, threads: int = 1,
-                         compensate_lo: bool = True, records: bool | Callable = True):
+                         records: bool | Callable = True):
     """Simulate ``slots`` attacked protocol slots drawn from ``noise_table``.
 
-    The batch carries ground-truth annotations: Eve's measured quadrature and
-    the LO-path intensity an ideal monitor would read. Returns the batch with
+    The batch carries Eve's measured quadrature as a ground-truth annotation.
+    The LO level a monitor reads is no slot column, so ``noise_table``'s
+    ``compensate_lo`` changes nothing drawn here. Returns the batch with
     its moments, or, with ``records`` False or a callable that takes each
     chunk's records, only the RatioMoments (see ``protocol.sample_session``).
     """
-    return sample_session(noise_table(params, plan, compensate_lo), slots, master_seed,
+    return sample_session(noise_table(params, plan), slots, master_seed,
                           threads=threads, records=records)

@@ -95,14 +95,14 @@ def cmd_run(args) -> int:
                                                   threads=args.threads, records=records)
         else:
             moments = attack.run_attacked_session(scen.params, plan, scen.slots, seed,
-                                                  threads=args.threads,
-                                                  compensate_lo=scen.compensate_lo,
-                                                  records=records)
+                                                  threads=args.threads, records=records)
         items = _report_items(scen, moments, plan)
         if "polynomial" in outputs or "verdict" in outputs:
+            table = (protocol.honest_noise_table(scen.params) if plan is None
+                     else attack.noise_table(scen.params, plan, scen.compensate_lo))
             verdict = analysis.detect(
                 analysis.fit_noise_polynomial(moments), threshold=args.threshold,
-                lo_anomaly=analysis.monitor_lo_intensity(moments, scen.params.lo_intensity))
+                lo_anomaly=analysis.monitor_lo_intensity(table, scen.params.lo_intensity))
 
     sys.stdout.write(serialize.report_text(items))  # once nothing before it can fail
     if "report" in outputs:

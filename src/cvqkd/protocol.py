@@ -10,9 +10,9 @@ That makes Var(y | r) affine in r for an honest session, which is exactly the
 assumption the real-time shot-noise estimator rests on.
 
 ``NoiseTable`` is the noise model: per (ratio, injected-pulse set) the gain
-on x, noise variance, mean offset and LO-monitor level. ``sample_session`` draws
-honest and attacked slots from it, and every analytic variance and moment is
-read off it (``NoiseTable.outcome_moments``). Each chunk of
+on x, noise variance, mean offset and the LO level only the monitor reads.
+``sample_session`` draws honest and attacked slots from it, and every analytic
+variance and moment is read off it (``NoiseTable.outcome_moments``). Each chunk of
 ``rng.CHUNK_SLOTS`` slots first draws its per-ratio slot counts with one
 multinomial, then its columns in ratio order, so every ratio's slots are one
 contiguous block reduced with contiguous two-pass sums. A records run then
@@ -128,24 +128,21 @@ class RatioMoments:
     """Sufficient statistics of a slot stream per attenuation ratio.
 
     Entry k of each array belongs to ``ratios[k]``: the slot count, the mean
-    and M2 (sum of squared deviations from the mean) of Bob's outcome, the sum
-    of Alice's x times Bob's outcome, and the sum of the monitored LO
-    intensity (``lo_sum`` is None when the stream carries no LO monitor).
+    and M2 (sum of squared deviations from the mean) of Bob's outcome, and the
+    sum of Alice's x times Bob's outcome.
     """
 
-    __slots__ = ("ratios", "count", "mean", "m2", "sxy", "lo_sum")
+    __slots__ = ("ratios", "count", "mean", "m2", "sxy")
 
-    def __init__(self, ratios, count, mean, m2, sxy, lo_sum=None):
+    def __init__(self, ratios, count, mean, m2, sxy):
         self.ratios = ratios
         self.count = count
         self.mean = mean
         self.m2 = m2
         self.sxy = sxy
-        self.lo_sum = lo_sum
 
     @classmethod
-    def of_cells(cls, ratios, counts, alice_x, bob_y, lo_observed=None,
-                 scratch=None) -> "RatioMoments":
+    def of_cells(cls, ratios, counts, alice_x, bob_y, scratch=None) -> "RatioMoments":
         """Moments of slots stored ratio by ratio.
 
         Ratio ``ratios[k]`` holds the next ``counts[k]`` slots of the columns,
@@ -156,7 +153,6 @@ class RatioMoments:
         """
         size = counts.size
         mean, m2, sxy = np.zeros(size), np.zeros(size), np.zeros(size)
-        lo = None if lo_observed is None else np.zeros(size)
         t = np.empty(bob_y.size) if scratch is None else scratch
         stop = np.cumsum(counts)
         for k in np.flatnonzero(counts):
@@ -166,9 +162,7 @@ class RatioMoments:
             dev = np.subtract(y, mean[k], out=t[a:b])
             m2[k] = np.add.reduce(np.multiply(dev, dev, out=dev))
             sxy[k] = np.add.reduce(np.multiply(alice_x[a:b], y, out=t[a:b]))
-            if lo is not None:
-                lo[k] = np.add.reduce(lo_observed[a:b])
-        return cls(ratios, counts, mean, m2, sxy, lo)
+        return cls(ratios, counts, mean, m2, sxy)
 
     @staticmethod
     def fold(parts: Iterable["RatioMoments"]) -> "RatioMoments":
@@ -186,12 +180,11 @@ class RatioMoments:
         with this one's: this stream has no slots at the ratios ``other`` adds."""
         grow = (0, other.ratios.size - self.ratios.size)
         if grow[1]:
-            return RatioMoments(other.ratios, *(None if v is None else np.pad(v, grow) for v in (
-                self.count, self.mean, self.m2, self.sxy, self.lo_sum))).merge(other)
+            return RatioMoments(other.ratios, *(np.pad(v, grow) for v in (
+                self.count, self.mean, self.m2, self.sxy))).merge(other)
         count, mean, m2 = _chan(self.count, self.mean, self.m2,
                                 other.count, other.mean, other.m2)
-        lo = None if self.lo_sum is None else self.lo_sum + other.lo_sum
-        return RatioMoments(self.ratios, count, mean, m2, self.sxy + other.sxy, lo)
+        return RatioMoments(self.ratios, count, mean, m2, self.sxy + other.sxy)
 
 
 class RecordBatch:
@@ -205,7 +198,7 @@ class RecordBatch:
     """
 
     def __init__(self, quad, ratios, ratio_index, alice_x, bob_y, eve_x=None,
-                 lo_observed=None, *, moments: RatioMoments | None = None):
+                 *, moments: RatioMoments | None = None):
         self.quad = np.asarray(quad, dtype=np.uint8)  # 0 = X, 1 = P
         self.ratios = np.asarray(ratios, dtype=float)
         self.ratio_index = np.asarray(ratio_index,
@@ -213,7 +206,6 @@ class RecordBatch:
         self.alice_x = np.asarray(alice_x, dtype=float)
         self.bob_y = np.asarray(bob_y, dtype=float)
         self.eve_x = None if eve_x is None else np.asarray(eve_x, dtype=float)
-        self.lo_observed = None if lo_observed is None else np.asarray(lo_observed, dtype=float)
         self.moments = moments
 
     @classmethod
@@ -237,7 +229,7 @@ class RecordBatch:
             return moments
         columns = {name: None if getattr(kept[0], name) is None
                    else np.concatenate([getattr(chunk, name) for chunk in kept])
-                   for name in ("quad", "ratio_index", "alice_x", "bob_y", "eve_x", "lo_observed")}
+                   for name in ("quad", "ratio_index", "alice_x", "bob_y", "eve_x")}
         return cls(ratios=kept[-1].ratios, moments=moments, **columns)
 
     def __len__(self) -> int:
@@ -276,7 +268,7 @@ class NoiseTable:
     have no intercept (``sig_intercept`` None) and x_e = x. Bob reads
         y = gain[k] * x_e + offset[k, j] + sqrt(var[k, j]) * z,    z ~ N(0, 1),
     where ``var`` sums the variances of every independent Gaussian noise term,
-    and an LO-intensity monitor reads ``lo_level[j]`` (None: no monitor).
+    and only the LO-intensity monitor reads ``lo_level[j]`` (None: no monitor).
     """
 
     ratios: np.ndarray          # (K,)
@@ -337,7 +329,7 @@ def sample_session(table: NoiseTable, slots: int, master_seed: int,
     (with an intercept), the pulse-set labels (with two pulse sets) and Bob's
     noise normal; last, with records, the permutation of the ratio labels
     that places the slots and then one quadrature bit per slot. A slot's
-    pulse-set label gathers its set's noise sd, offset and LO level with
+    pulse-set label gathers its set's noise sd and offset with
     ``np.take`` in clip mode, which, unlike raise mode, writes into ``out``
     without a copy. Each chunk allocates its columns once, as one block.
 
@@ -353,11 +345,10 @@ def sample_session(table: NoiseTable, slots: int, master_seed: int,
     sd = np.sqrt(table.var)
     two_sets = sd.shape[1] == 2
     intercept = table.sig_intercept is not None
-    monitor = table.lo_level is not None
 
     def fill(gen, start, stop):
         m = stop - start
-        x, xe, y, t, lo = np.empty((5, m))  # one block, drawn into with out=
+        x, xe, y, t = np.empty((4, m))  # one block, drawn into with out=
         counts = gen.multinomial(m, table.probabilities)
         if table.sig_x > 0:
             gen.standard_normal(out=x)
@@ -386,11 +377,7 @@ def sample_session(table: NoiseTable, slots: int, master_seed: int,
                 if table.offset[k, 0] != 0.0:
                     yc += table.offset[k, 0]
             yc += np.multiply(xe[a:b], table.gain[k], out=tc)
-        if monitor and two_sets:
-            np.take(table.lo_level, pulse_set, out=lo, mode="clip")
-        elif monitor:
-            lo.fill(table.lo_level[0])
-        moments = RatioMoments.of_cells(ratios, counts, x, y, lo if monitor else None, t)
+        moments = RatioMoments.of_cells(ratios, counts, x, y, t)
         if not records:
             return moments
         # numpy shuffles intp faster than uint8, and sorts uint8 faster than intp
@@ -403,8 +390,7 @@ def sample_session(table: NoiseTable, slots: int, master_seed: int,
             return column
 
         return RecordBatch(gen.integers(0, 2, m, dtype=np.uint8), ratios, ratio_index,
-                           placed(x), placed(y), placed(xe) if intercept else None,
-                           placed(lo) if monitor else None, moments=moments)
+                           placed(x), placed(y), placed(xe) if intercept else None, moments=moments)
 
     chunks = _rng.run_chunked(slots, master_seed, fill, threads=threads)
     return RecordBatch.collect(chunks, records) if records else RatioMoments.fold(chunks)

@@ -56,6 +56,12 @@ def _text(value: str, line: int, key: str) -> str:
     return value
 
 
+def _nonempty(value: str, line: int, key: str) -> str:
+    if not value:
+        raise ConfigError(f"{key}: expected a name, got an empty value", line)
+    return value
+
+
 def below_out(name: str) -> bool:
     """Whether an output name is a path below ``--out``: not empty, not ``--out``
     itself, not absolute and not climbing out with ``..``."""
@@ -74,10 +80,10 @@ _KEYS = {
     "system": {
         "modulation_variance": parse_float, "detector_efficiency": parse_float,
         "electronic_noise": parse_float, "channel_transmittance": parse_float,
-        "excess_noise": parse_float, "lo_intensity": parse_float, "curve": _text,
+        "excess_noise": parse_float, "lo_intensity": parse_float, "curve": _nonempty,
     },
     "attack": {
-        "strategy": _text, "mode": _text, "plan": _text, "compensate_lo": _parse_bool,
+        "strategy": _text, "mode": _text, "plan": _nonempty, "compensate_lo": _parse_bool,
         **dict.fromkeys(_NM_KEYS, parse_float),
     },
     "run": {"slots": _parse_int, "master_seed": _parse_int},
@@ -245,8 +251,8 @@ def parse_scenario(text: str) -> Scenario:
         system, "electronic_noise", efficiency="detector_efficiency"))
     fields = _given(system, "modulation_variance", "channel_transmittance", "excess_noise",
                     "lo_intensity")
-    if schedule:
-        fields["schedule"] = _located(headers.get("schedule"), AttenuationSchedule,
+    if "schedule" in headers:
+        fields["schedule"] = _located(headers["schedule"], AttenuationSchedule,
                                       tuple((r, p) for r, (p, _) in schedule.items()))
     params = _located(headers.get("system"), SystemParams, detector=detector, **fields)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,12 +10,12 @@ from cvqkd.analysis import (LO_TOLERANCE, DetectionVerdict, NoisePolynomial,
                             monitor_lo_intensity, part1_only_excess_estimate,
                             part1_zero_crossing, schedule_key_rate_overhead,
                             single_point_excess_estimate, variance_estimator_std)
-from cvqkd.attack import (AttackPlan, StrategyA, WavelengthPlan, run_attacked_session,
-                          solve_attack_parameters)
+from cvqkd.attack import (AttackPlan, StrategyA, WavelengthPlan, noise_table,
+                          run_attacked_session, solve_attack_parameters)
 from cvqkd.errors import CountermeasureError
 from cvqkd.physics import builtin_curve
-from cvqkd.protocol import (AttenuationSchedule, RatioMoments, SystemParams,
-                            THREE_RATIO_SCHEDULE, run_honest_session,
+from cvqkd.protocol import (AttenuationSchedule, NoiseTable, RatioMoments, SystemParams,
+                            THREE_RATIO_SCHEDULE, honest_noise_table, run_honest_session,
                             two_point_from_variances)
 
 CURVE = builtin_curve("50:50")
@@ -105,19 +106,17 @@ def test_detect_thresholding_and_monotonicity():
             assert not (later and not earlier)
 
 
-def _lo_moments(level: float, slots: int) -> RatioMoments:
-    """Moments of ``slots`` slots at one ratio whose LO monitor reads ``level``."""
-    zero = np.zeros(1)
-    return RatioMoments(np.ones(1), np.array([slots]), zero, zero, zero,
-                        np.array([slots * level]))
+def _lo_table(*levels: float) -> NoiseTable:
+    """An honest table whose LO monitor reads ``levels[j]`` in pulse set j."""
+    return dataclasses.replace(honest_noise_table(SystemParams()), lo_level=np.array(levels))
 
 
 def test_detect_verdict_composition():
     poly = NoisePolynomial(0.0, 0.0, 5e7, 0.0, {0.001: 50, 1.0: 50})
-    lo_bad = monitor_lo_intensity(_lo_moments(1.006e8, 100), 1e8)
+    lo_bad = monitor_lo_intensity(_lo_table(1.006e8), 1e8)
     verdict = detect(poly, 0.05, lo_anomaly=lo_bad)
     assert verdict.attacked and verdict.lo_intensity_anomaly
-    verdict = detect(poly, 0.05, lo_anomaly=monitor_lo_intensity(_lo_moments(1e8, 100), 1e8))
+    verdict = detect(poly, 0.05, lo_anomaly=monitor_lo_intensity(_lo_table(1e8), 1e8))
     assert not verdict.attacked and verdict.lo_intensity_anomaly is False
     # a verdict without a monitor reading claims none: it is not the one that read a steady LO
     unread = detect(poly, 0.05)
@@ -134,25 +133,24 @@ def test_detect_verdict_composition():
 
 def test_monitor_lo_intensity_modes():
     assert LO_TOLERANCE == 1e-3
-    assert not monitor_lo_intensity(_lo_moments(1e8, 1000), 1e8)
-    assert not monitor_lo_intensity(_lo_moments(1.0005e8, 1000), 1e8)
+    assert not monitor_lo_intensity(_lo_table(1e8), 1e8)
+    assert not monitor_lo_intensity(_lo_table(1.0005e8), 1e8)
     # 0.5% shift against a 0.1% tolerance
-    assert monitor_lo_intensity(_lo_moments(1.005e8, 1000), 1e8)
-    with pytest.raises(ValueError):
-        monitor_lo_intensity(_lo_moments(1.0, 1), 0.0)
+    assert monitor_lo_intensity(_lo_table(1.005e8), 1e8)
+    # the mean over the equally likely pulse sets, not one set, is what is read
+    assert not monitor_lo_intensity(_lo_table(0.99e8, 1.01e8), 1e8)
+    for expected in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            monitor_lo_intensity(_lo_table(1.0), expected)
 
 
 def test_lo_monitoring_attacked_sessions():
     params = SystemParams(channel_transmittance=0.5, schedule=THREE_RATIO_SCHEDULE)
     plan = solve_attack_parameters("B", params, CURVE)
-    compensated = run_attacked_session(params, plan, 50_000, 31, compensate_lo=True)
-    exposed = run_attacked_session(params, plan, 50_000, 31, compensate_lo=False)
-    for observed in (compensated, compensated.moments):
-        assert not monitor_lo_intensity(observed, 1e8)
-    for observed in (exposed, exposed.moments):
-        assert monitor_lo_intensity(observed, 1e8)
-    # honest sessions carry no LO monitor
-    assert not monitor_lo_intensity(run_honest_session(params, 100, 1), 1e8)
+    assert not monitor_lo_intensity(noise_table(params, plan, compensate_lo=True), 1e8)
+    assert monitor_lo_intensity(noise_table(params, plan, compensate_lo=False), 1e8)
+    # honest sessions have no LO monitor
+    assert not monitor_lo_intensity(honest_noise_table(params), 1e8)
 
 
 def test_schedule_overhead_examples():

@@ -81,7 +81,7 @@ def test_honest_measure_record_fields():
     assert all(column.shape == (1000,) for column in
                (batch.quad, batch.ratio_index, batch.alice_x, batch.bob_y))
     assert set(np.unique(batch.quad)) == {0, 1}  # X and P
-    assert batch.eve_x is None and batch.lo_observed is None  # no attack annotations
+    assert batch.eve_x is None  # no attack annotation
 
 
 def test_honest_session_pure_shot_noise_when_silent():
@@ -251,10 +251,7 @@ def test_moments_stay_accurate_far_from_zero_mean(tmp_path):
 def _sorted_moments(m: RatioMoments) -> list[np.ndarray]:
     """The moment arrays with their rows in ascending ratio order."""
     order = np.argsort(m.ratios)
-    arrays = [m.ratios, m.count, m.mean, m.m2, m.sxy]
-    if m.lo_sum is not None:
-        arrays.append(m.lo_sum)
-    return [a[order] for a in arrays]
+    return [a[order] for a in (m.ratios, m.count, m.mean, m.m2, m.sxy)]
 
 
 @pytest.mark.parametrize("attacked", [False, True], ids=["honest", "attacked"])
@@ -270,7 +267,7 @@ def test_merged_moments_bit_identical_across_threads_and_records(attacked, tmp_p
             return run_honest_session(THREE_RATIO_PARAMS, n, 17, **kw)
 
     base = _sorted_moments(run(threads=1, records=False))
-    assert len(base) == (6 if attacked else 5)
+    assert len(base) == 5
     batch = run(threads=2)
     chunks = []
     # the batch's own moments, and the moments of a session that hands each
@@ -280,14 +277,14 @@ def test_merged_moments_bit_identical_across_threads_and_records(attacked, tmp_p
         got = _sorted_moments(other)
         assert len(got) == len(base)
         assert all(np.array_equal(a, b) for a, b in zip(got, base))
-    # the records reader, chunk by chunk, on the session's records, which hold no LO column
+    # the records reader, chunk by chunk, on the session's records
     got = _sorted_moments(_written_and_read(tmp_path / "records.csv", batch))
     assert len(got) == 5
     assert all(np.array_equal(a, b) for a, b in zip(got, base))
     # the chunks it hands on are the batch's slots, in slot order
     assert [len(c) for c in chunks] == [CHUNK_SLOTS] * 5 + [99]
     joined = RecordBatch.collect(chunks)
-    for name in ("quad", "ratio_index", "alice_x", "bob_y", "eve_x", "lo_observed"):
+    for name in ("quad", "ratio_index", "alice_x", "bob_y", "eve_x"):
         got, want = getattr(joined, name), getattr(batch, name)
         assert (got is None and want is None) or np.array_equal(got, want), name
 
@@ -352,5 +349,5 @@ def test_records_batch_holds_the_sampler_ratio_index(attacked):
     assert np.array_equal(np.bincount(batch.ratio_index, minlength=3), batch.moments.count)
     per_slot = sum(v.nbytes for v in vars(batch).values() if isinstance(v, np.ndarray))
     per_slot -= batch.ratios.nbytes
-    # quad and ratio index 1 B each, x and y 8 B each, Eve's x and the LO monitor 8 B each
-    assert per_slot == (34 if attacked else 18) * n
+    # quad and ratio index 1 B each, x and y 8 B each, Eve's x 8 B
+    assert per_slot == (26 if attacked else 18) * n

@@ -1465,6 +1465,35 @@ def test_duplicate_schedule_ratio_names_both_lines():
     assert "line 2" in str(err.value)
 
 
+def test_empty_schedule_section_is_refused_at_its_header(tmp_path, capsys):
+    # a [schedule] header with no entry is no request for the default schedule
+    with pytest.raises(ConfigError, match="at least one") as err:
+        parse_scenario("[system]\n[schedule]\n# none\n[run]\nslots = 1000\n")
+    assert err.value.line == 2
+    scen = tmp_path / "empty.scenario"
+    scen.write_text("[schedule]\n[attack]\nstrategy = A\n")
+    for command in (["run", "--out", str(tmp_path / "o")], ["solve"]):
+        assert main([*command, "--scenario", str(scen)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: line 1: schedule needs at least one (ratio, probability) entry"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text, line", [
+    ("[system]\ncurve =\n", 2),
+    ("[attack]\nstrategy = A\nmode = plan\nplan =\n", 4),
+], ids=["curve", "plan"])
+def test_empty_curve_or_plan_is_refused_at_its_line(tmp_path, capsys, text, line):
+    key = text.splitlines()[line - 1].split()[0]
+    scen = tmp_path / "empty.scenario"
+    scen.write_text(text)
+    assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: line {line}: {key}: expected a name, got an empty value"]
+
+
 def test_parameter_errors_carry_their_section_line():
     with pytest.raises(ConfigError, match="detector efficiency") as err:
         parse_scenario("[run]\nslots = 5\n[system]\ndetector_efficiency = 2\n")
@@ -1612,6 +1641,28 @@ def test_cli_run_and_detect_write_one_verdict(tmp_path, capsys, name):
     assert run[1:len(polynomial)] == polynomial[1:]
     assert [line.split(" = ")[0] for line in run[len(polynomial):]] == [
         "threshold", "attacked", "lo_intensity_anomaly"]
+
+
+@pytest.mark.parametrize("strategy, compensate, anomaly", [
+    ("A", "true", "true"), ("A", "false", "true"),
+    ("B", "true", "false"), ("B", "false", "true"),
+])
+def test_cli_run_monitor_reads_the_scenario_compensation(tmp_path, capsys, strategy,
+                                                         compensate, anomaly):
+    # strategy A divides the LO by N, so its monitor fires either way; strategy B's
+    # fires only when the attacker does not lower her LO by the injected intensity.
+    # The flag is a property of the attack's table, the same at any seed.
+    name = {"A": "attack_a", "B": "attack_b"}[strategy]
+    text = (SCENARIOS / f"{name}.scenario").read_text()
+    assert text.count("compensate_lo = true\n") == 1
+    scen = tmp_path / "s.scenario"
+    scen.write_text(text.replace("slots = 1000000\n", "slots = 20000\n")
+                    .replace("compensate_lo = true\n", f"compensate_lo = {compensate}\n"))
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        assert main(["run", "--scenario", str(scen), "--seed", seed, "--out", str(out)]) == 0
+        assert read_report(out / "verdict.txt")["lo_intensity_anomaly"] == anomaly
+    capsys.readouterr()
 
 
 def test_cli_detect_claims_no_lo_reading(tmp_path, capsys):
