@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attack import AttackPlan, StrategyA, noise_table
-from .errors import CountermeasureError
+from .errors import CountermeasureError, check
 from .physics import DetectorConfig
 from .protocol import (AttenuationSchedule, NoiseTable, SystemParams, honest_noise_table,
                        variances_by_ratio)
@@ -143,8 +143,7 @@ def monitor_lo_intensity(table: NoiseTable, expected: float) -> bool:
     The monitor reads ``table.lo_level``, averaged over the equally likely
     pulse sets; a table without an LO monitor is never flagged.
     """
-    if not 0.0 < expected < math.inf:
-        raise ValueError(f"expected LO intensity must be finite and > 0, got {expected!r}")
+    check("lo_intensity", expected)
     if table.lo_level is None:
         return False
     return bool(abs(float(np.mean(table.lo_level)) / expected - 1.0) > LO_TOLERANCE)
@@ -153,8 +152,7 @@ def monitor_lo_intensity(table: NoiseTable, expected: float) -> bool:
 def detect(poly: NoisePolynomial, threshold: float = DEFAULT_DETECTION_THRESHOLD,
            lo_anomaly: bool | None = None) -> DetectionVerdict:
     """Combine the a << c test with the LO-intensity monitor's flag, if it read the LO."""
-    if not 0.0 < threshold < math.inf:
-        raise ValueError(f"detection threshold must be finite and > 0, got {threshold!r}")
+    check("threshold", threshold)
     return DetectionVerdict(poly, threshold, poly.ratio_a_over_c > threshold or bool(lo_anomaly),
                             lo_anomaly)
 

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EstimationError, InfeasibleAttackError
+from .errors import EstimationError, InfeasibleAttackError, check
 from .physics import (BeamSplitterCurve, DetectorConfig, ForeignPulse, PulsePath,
                       foreign_pulse_response)
 from .protocol import NoiseTable, SystemParams, honest_noise_table, sample_session
@@ -46,8 +46,7 @@ class StrategyA:
     amplification: float  # N >= 1; N = 1 degenerates to plain intercept-resend
 
     def __post_init__(self):
-        if not 1.0 <= self.amplification < math.inf:  # false for NaN too
-            raise ValueError(f"amplification must be finite and >= 1, got {self.amplification!r}")
+        check("amplification", self.amplification)
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,7 @@ class StrategyB:
     slope_factor: float
 
     def __post_init__(self):
-        if not (0.0 < self.slope_factor <= 1.0):  # false for NaN too
-            raise ValueError("slope factor must be in (0, 1]")
+        check("slope_factor", self.slope_factor)
 
 
 STRATEGIES = {"A": StrategyA, "B": StrategyB}  # by their scenario and plan-file letter
@@ -235,12 +233,9 @@ def _positive_root(a: float, b: float, c: float) -> float:
     """The one positive root of a*x^2 + b*x + c when a and c differ in sign.
 
     q = -(b + sign(b) sqrt(b^2 - 4ac))/2 adds two terms of one sign, so no
-    digits cancel; the roots are q/a and c/q.
+    digits cancel; the roots are q/a and c/q (inside ``errors.DOMAINS`` b^2 - 4ac is finite).
     """
-    root = math.sqrt(b * b - 4.0 * a * c)
-    if root == math.inf:  # b^2 or ac overflowed; -4ac = 4|a||c|, as a and c differ in sign
-        root = math.hypot(b, 2.0 * math.sqrt(abs(a)) * math.sqrt(abs(c)))
-    q = -0.5 * (b + math.copysign(root, b))
+    q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
     return max(q / a, c / q)
 
 
@@ -256,13 +251,12 @@ def solve_attack_parameters(strategy_kind: str, params: SystemParams,
     opens downward: D is its one positive root. Back-substituting D into the
     shot-noise condition gives the realistic shot noise, hence N or gamma.
     That shot noise is positive only below the feasibility boundary, the
-    positive root of S(D) = N0. Raises InfeasibleAttackError naming the
-    violated constraint when no valid solution exists, and first, as
-    ``NoiseTable`` does, ValueError for a system whose noise law overflows.
+    positive root of S(D) = N0; a more opaque channel, a lower excess noise
+    or a brighter LO moves the system below it. Raises InfeasibleAttackError
+    naming the violated constraint when no valid solution exists.
     """
     if strategy_kind not in STRATEGIES:
         raise ValueError("strategy_kind must be 'A' or 'B'")
-    honest_noise_table(params)  # refuses a noise law that overflows
     n0 = params.shot_noise_unit
     c_lo, c_s = shot_coefficients(curve, wavelengths)
     bias, numerator = _two_point_model(params, c_lo, c_s)
@@ -274,8 +268,9 @@ def solve_attack_parameters(strategy_kind: str, params: SystemParams,
         raise InfeasibleAttackError(
             "nulling the excess-noise estimate needs a realistic shot noise <= 0 "
             f"(required displacement {d:.6g} exceeds the feasibility boundary "
-            f"{d_boundary:.6g}); the channel is too transparent for strategy "
-            f"{strategy_kind}")
+            f"{d_boundary:.6g}); strategy {strategy_kind} needs a more opaque channel or a "
+            f"brighter LO (channel transmittance {params.channel_transmittance!r}, "
+            f"N0 = {n0:.6g})")
 
     if strategy_kind == "A":
         strategy: StrategyA | StrategyB = StrategyA(n0 / shot)

@@ -15,7 +15,6 @@ import dataclasses
 import errno
 import functools
 import hashlib
-import math
 import os
 import sys
 from pathlib import Path
@@ -23,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, attack, protocol, serialize
-from .errors import ConfigError, EstimationError, InfeasibleAttackError
+from .errors import ConfigError, EstimationError, InfeasibleAttackError, check
 from .physics import BeamSplitterCurve
-from .scenario import Scenario, below_out, load_scenario, parse_scenario
+from .scenario import Scenario, load_scenario, parse_scenario
 from .protocol import AttenuationSchedule, SystemParams
 
 
@@ -267,26 +266,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# (flags, predicate, requirement): each named flag a command has and was
-# given must satisfy the predicate; main checks them before any work
-_FLAG_DOMAINS = (
-    (("threads", "slots", "points"), lambda v: v >= 1, ">= 1"),
-    (("seed",), lambda v: v >= 0, ">= 0"),
-    (("start", "stop", "n_amp"), math.isfinite, "a finite number"),
-    (("threshold",), lambda v: 0.0 < v < math.inf, "finite and > 0"),
-    (("plan_file", "sweep_file"), below_out, "a file name below --out"),
-)
+# each flag's row of DOMAINS: main checks each flag a command has and was given before any work
+_FLAG_DOMAINS = {"threads": "threads", "slots": "slots", "points": "points", "seed": "master_seed",
+                 "start": "grid bound", "stop": "grid bound", "n_amp": "amplification",
+                 "threshold": "threshold", "plan_file": "output name", "sweep_file": "output name"}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for names, ok, requirement in _FLAG_DOMAINS:
-            for name in names:
-                value = getattr(args, name, None)
-                if value is not None and not ok(value):
-                    raise ConfigError(f"--{name.replace('_', '-')} must be {requirement}, "
-                                      f"got {value!r}")
+        for flag, row in _FLAG_DOMAINS.items():
+            if getattr(args, flag, None) is not None:
+                check(row, getattr(args, flag), name=f"--{flag.replace('_', '-')}")
         if args.out is not None:
             # mkdir would fail only after the work unless the nearest existing
             # path among --out and its parents is a directory

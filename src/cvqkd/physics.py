@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError, CurveRangeError
+from .errors import ConfigError, CurveRangeError, check
 
 
 class PulsePath(enum.Enum):
@@ -49,8 +49,8 @@ class BeamSplitterCurve:
         # each check is false for NaN, so NaN fails it too
         if not (np.all(np.diff(wl) > 0) and np.isfinite(wl).all()):
             raise ValueError("curve wavelengths must be finite and strictly increasing")
-        if not np.all((tr > 0.0) & (tr < 1.0)):
-            raise ValueError("curve transmittances must lie in (0, 1)")
+        for t in tr.tolist():
+            check("transmittance", t)
 
     @property
     def band_nm(self) -> tuple[float, float]:
@@ -77,8 +77,8 @@ def load_curve(path, nominal_ratio: str | None = None) -> BeamSplitterCurve:
     The header line ``wavelength_nm transmittance``, then one row of those
     two numbers per line in ascending wavelength order. Another first line, a
     row without exactly two cells, a cell that is not a finite number, a
-    transmittance outside (0, 1) or a wavelength not above the previous row's
-    raises a ConfigError naming the file and the line.
+    transmittance outside its domain or a wavelength not above the previous
+    row's raises a ConfigError naming the file and the line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(n, ln.split()) for n, ln in enumerate(fh, start=1) if ln.strip()]
@@ -98,8 +98,7 @@ def load_curve(path, nominal_ratio: str | None = None) -> BeamSplitterCurve:
         if not (math.isfinite(w) and math.isfinite(t)):
             raise ConfigError(f"curve file {path}: expected finite numbers, "
                               f"got {' '.join(cells)!r}", lineno)
-        if not 0.0 < t < 1.0:
-            raise ConfigError(f"curve file {path}: transmittance {t!r} outside (0, 1)", lineno)
+        check("transmittance", t, line=lineno, name=f"curve file {path}: transmittance")
         if wl and w <= wl[-1]:
             raise ConfigError(f"curve file {path}: wavelength {w!r} nm does not ascend "
                               f"from {wl[-1]!r} nm", lineno)
@@ -139,12 +138,7 @@ class DetectorConfig:
     electronic_noise: float = 0.0
 
     def __post_init__(self):
-        # each check is false for NaN, so NaN fails it too
-        if not (0.0 < self.efficiency <= 1.0):
-            raise ValueError("detector efficiency must be in (0, 1]")
-        if not 0.0 <= self.electronic_noise < math.inf:
-            raise ValueError("electronic_noise must be finite and >= 0, "
-                             f"got {self.electronic_noise!r}")
+        check("detector_efficiency", self.efficiency)  # SystemParams checks electronic_noise
 
 
 @dataclass(frozen=True)
@@ -156,8 +150,7 @@ class ForeignPulse:
     path: PulsePath
 
     def __post_init__(self):
-        if not 0.0 <= self.intensity < math.inf:  # false for NaN too
-            raise ValueError(f"pulse intensity must be finite and >= 0, got {self.intensity!r}")
+        check("pulse intensity", self.intensity)
 
 
 def foreign_pulse_response(detector: DetectorConfig, curve: BeamSplitterCurve,

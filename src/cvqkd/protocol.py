@@ -44,7 +44,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import rng as _rng
-from .errors import EstimationError, ScheduleError
+from .errors import EstimationError, ScheduleError, check
 from .physics import DetectorConfig
 
 
@@ -55,19 +55,15 @@ class AttenuationSchedule:
     entries: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        entries = tuple((float(r), float(p)) for r, p in self.entries)
+        entries = tuple((check("schedule ratio", float(r)), check("schedule probability", float(p)))
+                        for r, p in self.entries)
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise ScheduleError("schedule needs at least one (ratio, probability) entry")
         ratios = [r for r, _ in entries]
-        probs = [p for _, p in entries]
-        if any(not (0.0 <= r <= 1.0) for r in ratios):
-            raise ScheduleError("attenuation ratios must lie in [0, 1]")
         if len(set(ratios)) != len(ratios):
             raise ScheduleError("attenuation ratios must be pairwise distinct")
-        # each check is false for NaN, so NaN fails it too
-        if not all(p >= 0.0 for p in probs):
-            raise ScheduleError("probabilities must be >= 0")
+        probs = [p for _, p in entries]
         if not abs(sum(probs) - 1.0) <= 1e-12:
             raise ScheduleError(f"probabilities sum to {sum(probs)!r}, expected 1")
 
@@ -96,16 +92,9 @@ class SystemParams:
     schedule: AttenuationSchedule = TWO_POINT_SCHEDULE
 
     def __post_init__(self):
-        # each check is false for NaN, so NaN fails it too
-        if not 0.0 <= self.modulation_variance < math.inf:
-            raise ValueError("modulation_variance must be finite and >= 0, "
-                             f"got {self.modulation_variance!r}")
-        if not (0.0 < self.channel_transmittance <= 1.0):
-            raise ValueError("channel transmittance must be in (0, 1]")
-        if not 0.0 <= self.excess_noise < math.inf:
-            raise ValueError(f"excess_noise must be finite and >= 0, got {self.excess_noise!r}")
-        if not 0.0 < self.lo_intensity < math.inf:
-            raise ValueError(f"lo_intensity must be finite and > 0, got {self.lo_intensity!r}")
+        for key in ("modulation_variance", "channel_transmittance", "excess_noise", "lo_intensity"):
+            check(key, getattr(self, key))
+        check("electronic_noise", self.detector.electronic_noise, self.shot_noise_unit)
 
     @property
     def shot_noise_unit(self) -> float:
@@ -283,11 +272,6 @@ class NoiseTable:
     def __post_init__(self):
         if self.var.shape[1] not in (1, 2):
             raise ValueError(f"a noise table has one or two pulse sets, got {self.var.shape[1]}")
-        with np.errstate(all="ignore"):  # finite parameters can have a product that is not
-            values = (self.sig_x, *self.outcome_moments())
-        for name, value in zip(("sig_x", "per-ratio variance", "fourth moment"), values):
-            if not np.isfinite(value).all():
-                raise ValueError(f"the noise law overflows: its {name} is not finite")
 
     def outcome_moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Per ratio, the population variance V and fourth central moment m4 of y.
@@ -313,8 +297,7 @@ def honest_noise_table(params: SystemParams, shot_noise: float | None = None) ->
     n0 = params.shot_noise_unit
     shot = n0 if shot_noise is None else shot_noise
     ree = ratios * params.detector.efficiency * params.channel_transmittance
-    with np.errstate(over="ignore"):  # NoiseTable refuses a variance that overflows
-        noise_var = ree * params.excess_noise * n0 + shot + params.detector.electronic_noise
+    noise_var = ree * params.excess_noise * n0 + shot + params.detector.electronic_noise
     return NoiseTable(ratios, params.schedule.probabilities,
                       math.sqrt(params.modulation_variance * n0), np.sqrt(ree),
                       noise_var[:, None], np.zeros((len(ratios), 1)))
@@ -472,7 +455,7 @@ def estimate_covariance_transmittance(records, params: SystemParams) -> float:
     n = int(moments.count[top].sum())
     if n < 2:
         raise EstimationError("transmittance estimation needs >= 2 records at ratio 1")
-    if params.modulation_variance <= 0.0:
+    if params.modulation_variance == 0.0:
         raise EstimationError("transmittance estimation is degenerate at zero modulation")
     cov = float(moments.sxy[top].sum() / n)
     scaled = cov / (params.modulation_variance * params.shot_noise_unit)

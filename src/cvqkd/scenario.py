@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .attack import DEFAULT_WAVELENGTHS, STRATEGIES
-from .errors import ConfigError
+from .errors import ConfigError, check
 from .physics import BUILTIN_CURVES, BeamSplitterCurve, DetectorConfig, builtin_curve, load_curve
 from .protocol import AttenuationSchedule, SystemParams
 
@@ -62,31 +62,28 @@ def _nonempty(value: str, line: int, key: str) -> str:
     return value
 
 
-def below_out(name: str) -> bool:
-    """Whether an output name is a path below ``--out``: not empty, not ``--out``
-    itself, not absolute and not climbing out with ``..``."""
-    return not os.path.isabs(name) and os.path.normpath(name).split(os.sep)[0] not in (".", "..")
-
-
 def _output_name(value: str, line: int, key: str) -> str:
-    if not below_out(value):
-        raise ConfigError(f"{key}: expected a file name below --out, got {value!r}", line)
-    return value
+    return check("output name", value, line=line, name=key)
+
+
+def _ranged(value: str, line: int, key: str, parse=parse_float):
+    """``parse`` the value, then check it against its key's row of ``errors.DOMAINS``."""
+    return check(key, parse(value, line, key), line=line)
 
 
 _NM_KEYS = ("set1_signal_nm", "set1_lo_nm", "set2_signal_nm", "set2_lo_nm")
 # section -> key -> parser of its value; [schedule] keys are ratios, parsed apart
 _KEYS = {
     "system": {
-        "modulation_variance": parse_float, "detector_efficiency": parse_float,
-        "electronic_noise": parse_float, "channel_transmittance": parse_float,
-        "excess_noise": parse_float, "lo_intensity": parse_float, "curve": _nonempty,
+        **dict.fromkeys(("modulation_variance", "detector_efficiency", "channel_transmittance",
+                         "excess_noise", "lo_intensity"), _ranged),
+        "curve": _nonempty, "electronic_noise": parse_float,  # SystemParams checks its domain
     },
     "attack": {
         "strategy": _text, "mode": _text, "plan": _nonempty, "compensate_lo": _parse_bool,
         **dict.fromkeys(_NM_KEYS, parse_float),
     },
-    "run": {"slots": _parse_int, "master_seed": _parse_int},
+    "run": dict.fromkeys(("slots", "master_seed"), lambda *args: _ranged(*args, _parse_int)),
     "outputs": dict.fromkeys(("records", "report", "polynomial", "verdict", "plan"),
                              _output_name),
 }
@@ -110,10 +107,8 @@ class Scenario:
     directory: Path = Path()         # a relative plan or curve path starts here
 
     def __post_init__(self):
-        if self.slots <= 0:
-            raise ConfigError(f"slots must be > 0, got {self.slots}")
-        if not self.master_seed >= 0:
-            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
+        check("slots", self.slots)
+        check("master_seed", self.master_seed)
         if self.attack_kind not in ("none", *STRATEGIES):
             raise ConfigError(f"attack strategy must be none/A/B, got {self.attack_kind!r}")
         if self.attack_mode not in ("solve", "plan"):
@@ -189,12 +184,12 @@ def _given(entries: dict[str, tuple[object, int]], *keys: str, **renamed: str) -
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text, reporting problems with their line numbers.
 
-    Each value is parsed on its own line, so the first error in line order is
-    the one reported. A key given twice in one section, and two ``[outputs]``
-    keys naming one file or a file and a directory it lies in, are errors
-    naming both lines. Errors found when the
-    parameters are put together are reported at the line of the section
-    header they come from.
+    Each value is parsed, and checked against its row of ``errors.DOMAINS``, on
+    its own line, so the first error in line order is the one reported. A key
+    given twice in one section, and two ``[outputs]`` keys naming one file or a
+    file and a directory it lies in, are errors naming both lines. Errors found
+    when the values are put together come after: electronic_noise's derived
+    domain at its line, the others at the line of their section header.
     """
     section = None
     headers: dict[str, int] = {}
@@ -221,8 +216,8 @@ def parse_scenario(text: str) -> Scenario:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if section == "schedule":
-            ratio = parse_float(key, lineno, "schedule ratio")
-            prob = parse_float(value, lineno, "schedule probability")
+            ratio = _ranged(key, lineno, "schedule ratio")
+            prob = _ranged(value, lineno, "schedule probability")
             if ratio in schedule:
                 raise ConfigError(f"duplicate schedule ratio {ratio!r}, first given on "
                                   f"line {schedule[ratio][1]}", lineno)
@@ -247,20 +242,15 @@ def parse_scenario(text: str) -> Scenario:
             files[name] = lineno
 
     system, attack, run, outputs = (entries[s] for s in ("system", "attack", "run", "outputs"))
-    detector = _located(headers.get("system"), DetectorConfig, **_given(
-        system, "electronic_noise", efficiency="detector_efficiency"))
+    detector = DetectorConfig(**_given(system, "electronic_noise",
+                                       efficiency="detector_efficiency"))
     fields = _given(system, "modulation_variance", "channel_transmittance", "excess_noise",
                     "lo_intensity")
     if "schedule" in headers:
         fields["schedule"] = _located(headers["schedule"], AttenuationSchedule,
                                       tuple((r, p) for r, (p, _) in schedule.items()))
-    params = _located(headers.get("system"), SystemParams, detector=detector, **fields)
-
-    if "slots" in run and run["slots"][0] <= 0:
-        raise ConfigError(f"slots must be > 0, got {run['slots'][0]}", run["slots"][1])
-    if "master_seed" in run and run["master_seed"][0] < 0:
-        raise ConfigError(f"master_seed must be >= 0, got {run['master_seed'][0]}",
-                          run["master_seed"][1])
+    params = _located(system.get("electronic_noise", (None, None))[1], SystemParams,
+                      detector=detector, **fields)
 
     fields = _given(attack, "compensate_lo", attack_kind="strategy", attack_mode="mode",
                     plan_path="plan")

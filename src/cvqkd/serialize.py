@@ -60,6 +60,7 @@ import numpy as np
 
 from . import rng as _rng
 from .attack import PULSES, STRATEGIES, AttackPlan, WavelengthPlan
+from .errors import DOMAINS, check
 from .physics import BeamSplitterCurve, DetectorConfig, ForeignPulse, foreign_pulse_response
 from .protocol import RatioMoments, RecordBatch
 from .scenario import parse_float
@@ -454,10 +455,11 @@ def _record_chunks(path):
                 raise ValueError(f"{bad} {first + wrong[0] + 1}: slot {rows['slot'][wrong[0]]} "
                                  f"is not the row number {first + wrong[0]}")
             values, index = np.unique(rows["ratio"], return_inverse=True)
-            if values.size and not 0.0 <= values[0] <= values[-1] <= 1.0:
-                wrong = np.flatnonzero((rows["ratio"] < 0.0) | (rows["ratio"] > 1.0))[0]
-                raise ValueError(f"{bad} {first + wrong + 1}: ratio "
-                                 f"{float(rows['ratio'][wrong])!r} is outside [0, 1]")
+            in_domain = DOMAINS["schedule ratio"][0]
+            if values.size and not in_domain(values[[0, -1]]).all():  # values ascend
+                wrong = np.flatnonzero(~in_domain(rows["ratio"]))[0]
+                check("schedule ratio", float(rows["ratio"][wrong]),
+                      name=f"{bad} {first + wrong + 1}: ratio")
             # a ratio keeps the label of the chunk that first held it
             labels = [seen.setdefault(v, len(seen)) for v in values.tolist()]
             ratios = np.array(list(seen))
@@ -536,9 +538,9 @@ def load_plan(path, curve: BeamSplitterCurve, detector: DetectorConfig,
     format than ``plan-v2`` (a file without one is read); naming the file and
     the key when a key is missing, is not one ``plan_items`` writes for the
     plan, or holds a number that is not finite (the scenario parser's rule),
-    or when ``displacement`` is negative; naming both curves or both strategies
-    when the plan was written for another curve than ``curve`` or holds
-    another strategy than ``strategy``; and naming the file and the pulse when
+    or when ``displacement`` is outside its domain; naming both curves or both
+    strategies when the plan was written for another curve than ``curve`` or
+    holds another strategy than ``strategy``; and naming the file and the pulse when
     ``ForeignPulse`` or ``curve`` refuses a pulse, or its mean current on
     ``curve`` is not its sign times ``displacement``.
     """
@@ -559,10 +561,8 @@ def load_plan(path, curve: BeamSplitterCurve, detector: DetectorConfig,
                              f"but the scenario names strategy {strategy}")
         cls = STRATEGIES[strategy]
         plan = AttackPlan(cls(*(number(f.name) for f in fields(cls))), None)
-        displacement = number("displacement")
-        if displacement < 0.0:
-            raise ValueError(f"plan file {path} key 'displacement': expected a number >= 0, "
-                             f"got {kv['displacement']!r}")
+        displacement = check("displacement", number("displacement"),
+                             name=f"plan file {path} key 'displacement'")
         if displacement != 0.0:
             pulses = []
             for name, pulse_path, sign in PULSES:

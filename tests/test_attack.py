@@ -33,7 +33,7 @@ def test_strategy_dataclass_validation():
         StrategyB(0.0)
     with pytest.raises(ValueError):
         StrategyB(1.2)
-    for build, field in ((StrategyA, "amplification"), (StrategyB, "slope factor")):
+    for build, field in ((StrategyA, "amplification"), (StrategyB, "slope_factor")):
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match=field):
                 build(value)

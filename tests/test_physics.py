@@ -63,8 +63,8 @@ def test_curve_validation():
 
 
 @pytest.mark.parametrize("build, match", [
-    (lambda: AttenuationSchedule(((1.0, math.nan), (0.001, 0.5))), "probabilities"),
-    (lambda: BeamSplitterCurve("x", [1400, 1500], [0.5, math.nan]), "transmittances"),
+    (lambda: AttenuationSchedule(((1.0, math.nan), (0.001, 0.5))), "schedule probability"),
+    (lambda: BeamSplitterCurve("x", [1400, 1500], [0.5, math.nan]), "transmittance"),
     (lambda: BeamSplitterCurve("x", [1400, math.inf], [0.5, 0.5]), "wavelengths"),
     (lambda: ForeignPulse(1410, math.nan, PulsePath.LO), "intensity"),
     (lambda: dataclasses.replace(parse_scenario(""), master_seed=-1), "master_seed"),
@@ -216,12 +216,14 @@ def test_sample_foreign_current_statistics():
 def test_detector_config_validation():
     with pytest.raises(ValueError):
         DetectorConfig(efficiency=0.0)
+    # the electronic noise's domain is derived from N0, so the system checks it
     with pytest.raises(ValueError):
-        DetectorConfig(electronic_noise=-1.0)
-    for field in ("efficiency", "electronic_noise"):
-        for value in (math.nan, math.inf):
-            with pytest.raises(ValueError, match=field):
-                DetectorConfig(**{field: value})
+        SystemParams(detector=DetectorConfig(electronic_noise=-1.0))
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="efficiency"):
+            DetectorConfig(efficiency=value)
+        with pytest.raises(ValueError, match="electronic_noise"):
+            SystemParams(detector=DetectorConfig(electronic_noise=value))
     with pytest.raises(ValueError):
         ForeignPulse(1550, -1.0, PulsePath.LO)
 
@@ -232,7 +234,7 @@ def test_detector_config_validation():
     ("1300 abc\n1400 0.51\n", 2, "two numbers"),
     ("1300 nan\n1400 0.51\n", 2, "finite"),
     ("inf 0.49\n1400 0.51\n", 2, "finite"),
-    ("1300 0.49\n1400 1.5\n", 3, r"outside \(0, 1\)"),
+    ("1300 0.49\n1400 1.5\n", 3, r"transmittance must be in \(0, 1\), got 1.5"),
     ("1400 0.49\n1300 0.51\n", 3, "does not ascend"),
     ("1300 0.49\n1300 0.51\n", 3, "does not ascend"),
 ], ids=["short-row", "long-row", "non-numeric", "nan", "inf", "out-of-range",

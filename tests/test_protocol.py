@@ -6,7 +6,7 @@ import pytest
 
 from cvqkd.analysis import analytic_variance
 from cvqkd.attack import run_attacked_session, solve_attack_parameters
-from cvqkd.errors import EstimationError, ScheduleError
+from cvqkd.errors import ConfigError, EstimationError, ScheduleError
 from cvqkd.physics import DetectorConfig, builtin_curve
 from cvqkd.protocol import (AttenuationSchedule, RatioMoments, RecordBatch,
                             SystemParams, THREE_RATIO_SCHEDULE, TWO_POINT_SCHEDULE,
@@ -32,7 +32,7 @@ def test_schedule_validation():
         AttenuationSchedule(((1.0, 0.5), (0.5, 0.4)))
     with pytest.raises(ScheduleError, match="distinct"):
         AttenuationSchedule(((1.0, 0.5), (1.0, 0.5)))
-    with pytest.raises(ScheduleError, match=r"\[0, 1\]"):
+    with pytest.raises(ConfigError, match=r"schedule ratio must be in \[0, 1\], got 1.5"):
         AttenuationSchedule(((1.5, 1.0),))
     with pytest.raises(ScheduleError):
         AttenuationSchedule(())

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from cvqkd import analysis, attack, protocol, rng
 from cvqkd.analysis import schedule_key_rate_overhead
 from cvqkd.cli import main
-from cvqkd.errors import ConfigError, CountermeasureError
+from cvqkd.errors import ConfigError, CountermeasureError, EstimationError, InfeasibleAttackError
 from cvqkd.physics import DetectorConfig, builtin_curve
 from cvqkd.rng import CHUNK_SLOTS
 from cvqkd.scenario import _KEYS as _KEY_TABLE, Scenario, load_scenario, parse_scenario
@@ -217,13 +217,19 @@ def test_cli_solve_prints_parameters(tmp_path, capsys):
     assert float(kv["slope_factor"]) == pytest.approx(0.47, abs=0.02)
 
 
-def test_cli_solve_infeasible_exit(tmp_path, capsys):
-    scen = tmp_path / "transparent.scenario"
-    scen.write_text("[system]\nchannel_transmittance = 1.0\nexcess_noise = 0.0\n"
-                    "[attack]\nstrategy = A\n")
+@pytest.mark.parametrize("system, levers", [
+    ("channel_transmittance = 1.0\nexcess_noise = 0.0\n", "channel transmittance 1.0, N0 = 5e+07"),
+    ("channel_transmittance = 0.05\nlo_intensity = 10\n", "channel transmittance 0.05, N0 = 5"),
+], ids=["transparent", "faint-lo"])
+def test_cli_solve_infeasible_exit(tmp_path, capsys, system, levers):
+    # an opaque channel is infeasible too when the pulses' shot noise c_lo*D exceeds a faint
+    # LO's N0: the error names both levers and their values, not a transparent channel
+    scen = tmp_path / "infeasible.scenario"
+    scen.write_text(f"[system]\n{system}[attack]\nstrategy = A\n")
     rc = main(["solve", "--scenario", str(scen)])
     assert rc == 2
-    assert "too transparent" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(
+        f"; strategy A needs a more opaque channel or a brighter LO ({levers})\n")
 
 
 def _schedule_scenario(tmp_path, r1: str, r2: str) -> Path:
@@ -255,14 +261,16 @@ def test_cli_solve_has_no_ratio_flags(capsys):
         assert f"unrecognized arguments: {flag} 0.9" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("r1, r2", [("-0.5", "1"), ("-3", "-0.5"), ("0.5", "1.5")])
-def test_cli_solve_refuses_ratios_outside_the_unit_interval(tmp_path, capsys, r1, r2):
-    # the schedule refuses the ratio at its section's line, before any solve
+@pytest.mark.parametrize("r1, r2, line, got", [("-0.5", "1", 2, "-0.5"), ("-3", "-0.5", 2, "-3.0"),
+                                               ("0.5", "1.5", 3, "1.5")],
+                         ids=["-0.5-1", "-3--0.5", "0.5-1.5"])
+def test_cli_solve_refuses_ratios_outside_the_unit_interval(tmp_path, capsys, r1, r2, line, got):
+    # the parser refuses the ratio at its line, before any solve
     scen = _schedule_scenario(tmp_path, r1, r2)
     rc = main(["solve", "--scenario", str(scen)])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
-    assert captured.err == "error: line 1: attenuation ratios must lie in [0, 1]\n"
+    assert captured.err == f"error: line {line}: schedule ratio must be in [0, 1], got {got}\n"
 
 
 def test_cli_sweep_part1(tmp_path, capsys):
@@ -285,7 +293,7 @@ def test_cli_sweep_part1_refuses_channel_outside_unit_interval(tmp_path, capsys,
                "--points", points, *mode, "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: channel transmittance must be in (0, 1]")
+    assert err.startswith("error: channel_transmittance must be in [1e-30, 1], got ")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -388,41 +396,32 @@ def test_cli_sweep_solved_on_a_one_ratio_schedule_exits_2_as_solve_does(tmp_path
 
 
 _OVERFLOW = "excess_noise = 1e300\nlo_intensity = 1e10\n"
-_OVERFLOW_ERROR = "error: the noise law overflows: its per-ratio variance is not finite\n"
+_XI_ERROR = "excess_noise must be in [0, 1e3] shot-noise units, got 1e+300\n"
+_CHANNEL_ERROR = "error: line 2: channel_transmittance must be in [1e-30, 1], got 1e-300\n"
 _SOLVED_XI_SWEEP = ["sweep", "--mode", "solved", "--variable", "xi", "--start", "1e300",
                     "--stop", "1e300", "--points", "1"]
 
 
 @pytest.mark.parametrize("argv, system, strategy, err", [
-    (["solve"], _OVERFLOW, "A", _OVERFLOW_ERROR),
-    (["solve"], _OVERFLOW, "B", _OVERFLOW_ERROR),
-    (_SOLVED_XI_SWEEP, "lo_intensity = 1e10\n", "A", _OVERFLOW_ERROR),
-    (["solve"], "channel_transmittance = 1e-300\n", "A", ""),
-    (["solve"], "channel_transmittance = 1e-300\n", "B", ""),
+    (["solve"], _OVERFLOW, "A", "error: line 2: " + _XI_ERROR),
+    (["solve"], _OVERFLOW, "B", "error: line 2: " + _XI_ERROR),
+    (_SOLVED_XI_SWEEP, "lo_intensity = 1e10\n", "A", "error: " + _XI_ERROR),
+    (["solve"], "channel_transmittance = 1e-300\n", "A", _CHANNEL_ERROR),
+    (["solve"], "channel_transmittance = 1e-300\n", "B", _CHANNEL_ERROR),
     (["solve"], "lo_intensity = 1e-30\n", "A",
-     "error: nulling the excess-noise estimate needs a realistic shot noise <= 0 (required "
-     "displacement 15.9966 exceeds the feasibility boundary 1.39748e-32); the channel is too "
-     "transparent for strategy A\n"),
+     "error: line 2: lo_intensity must be in [1, 1e15] photo-electrons, got 1e-30\n"),
 ], ids=["overflow-A", "overflow-B", "overflow-sweep", "opaque-channel-A", "opaque-channel-B",
         "faint-lo"])
 def test_cli_solver_names_an_overflowing_law_and_finds_a_representable_root(
         tmp_path, capsys, argv, system, strategy, err):
-    # an overflowing law is the noise table's error, not an infeasible plan or row; at
-    # channel transmittance 1e-300, b^2 - 4ac overflows but the root D ~ 7.2e-147 does not
+    # a law that would overflow, or a root whose b^2 - 4ac would, needs a value outside its
+    # physical range: refused by that value's key, at its line, before any solve or row
     scen = tmp_path / "extreme.scenario"
     scen.write_text(f"[system]\n{system}[schedule]\n1.0 = 0.9\n0.5 = 0.05\n0.001 = 0.05\n"
                     f"[attack]\nstrategy = {strategy}\n")
     rc = main([*argv, "--scenario", str(scen), "--out", str(tmp_path / "out")])
-    out, got = capsys.readouterr()
-    assert got == err
-    if err:
-        assert (rc, out) == (2, "")
-        assert not (tmp_path / "out").exists()
-        return
-    assert rc == 0
-    plan = read_report(tmp_path / "out" / "plan.txt")
-    assert float(plan["amplification" if strategy == "A" else "slope_factor"]) == 1.0
-    assert float(plan["displacement"]) == pytest.approx(7.2e-147, rel=0.01)
+    assert (rc, *capsys.readouterr()) == (2, "", err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_sweep_single_point(tmp_path):
@@ -692,10 +691,10 @@ def _pulse_set(key: str, value: str) -> str:
     # with the two sets swapped each pulse is its sign times D = -5000: refused by its key
     ("amplification = 20.0\ndisplacement = -5000.0\n"
      + _pulse_lines(_DESIGN_5000.pulses[2:] + _DESIGN_5000.pulses[:2]),
-     "'displacement': expected a number >= 0, got '-5000.0'"),
+     "'displacement' must be finite and >= 0, got -5000.0\n"),
     # a pulse that ForeignPulse or the curve refuses is named with its plan file
     ("amplification = 20.0\n" + _pulse_set("lo2_intensity", "-1.0"),
-     ": lo2 pulse: pulse intensity must be finite and >= 0, got -1.0\n"),
+     ": lo2 pulse: pulse intensity must be in [0, 1e15] photo-electrons, got -1.0\n"),
     ("amplification = 20.0\n" + _pulse_set("signal1_wavelength_nm", "1200.0"),
      ": signal1 pulse: wavelength 1200.0 nm outside the tabulated band [1270.0, 1610.0] nm of "
      "the 50:50 coupler\n"),
@@ -839,8 +838,10 @@ _HEAD = "# format=records-v1 scenario=x seed=0\nslot,quad,ratio,alice_x,bob_y\r\
                                           ("1, X,1.0,2.0,3.0", "quadrature"),
                                           ("5,X,1.0,2.0,3.0", "data row 2: slot 5"),
                                           ("0,X,1.0,2.0,3.0", "data row 2: slot 0"),
-                                          ("1,X,-1.0,2.0,3.0", "data row 2: ratio -1.0 is"),
-                                          ("1,P,7.5,2.0,3.0", "data row 2: ratio 7.5 is"),
+                                          ("1,X,-1.0,2.0,3.0",
+                                           "data row 2: ratio must be in [0, 1], got -1.0\n"),
+                                          ("1,P,7.5,2.0,3.0",
+                                           "data row 2: ratio must be in [0, 1], got 7.5\n"),
                                           ("\r\n1,P,0.5,2.0,3.0", "data row 2 is blank"),
                                           ("1,P,0.5,2.0", "data row 2 has 4 columns, not 5"),
                                           ("1,P,0.5,2.0,3.0,9", "data row 2 has 6 columns, not 5"),
@@ -952,23 +953,29 @@ _FAINT_ERROR = ("error: the fit's weight count/(2*variance^2) at ratio 0.001 mus
 ], ids=["detector-honest", "detector-A", "detector-B", "lo-honest"])
 def test_cli_run_refuses_a_fit_weight_that_underflows_naming_the_ratio(tmp_path, capfd, system,
                                                                        attack):
-    # each variance is finite and > 0, but its square underflows to 0: no numpy warning and
-    # no LAPACK line (C stdio, so capfd), and no artifact
+    # a session whose variances' squares underflow needs a value below its physical range:
+    # refused by its key at its line, with no numpy warning and no LAPACK line (C stdio, so
+    # capfd), and no artifact
     scen = tmp_path / "faint.scenario"
     scen.write_text(f"[system]\n{system}{_FAINT}{attack}"
                     "[outputs]\nrecords = records.csv\nverdict = verdict.txt\n")
     assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
-    assert capfd.readouterr() == ("", _FAINT_ERROR)
+    key, _, value = system.partition(" = ")
+    row = {"detector_efficiency": "in [1e-6, 1]", "lo_intensity": "in [1, 1e15] photo-electrons"}
+    assert capfd.readouterr() == ("", f"error: line 2: {key} must be {row[key]}, got {value}")
     assert not (tmp_path / "out").exists()
 
 
 def test_cli_detect_refuses_a_fit_weight_that_underflows_naming_the_ratio(tmp_path, capfd):
-    scen = tmp_path / "faint.scenario"
-    scen.write_text(f"[system]\ndetector_efficiency = 1e-300\n{_FAINT}"
-                    "[outputs]\nrecords = records.csv\n")
-    assert main(["run", "--scenario", str(scen), "--out", str(tmp_path)]) == 0
-    capfd.readouterr()
-    argv = ["detect", "--records", str(tmp_path / "records.csv"), "--out", str(tmp_path / "v")]
+    # records come from outside: at ratio 0.001 the variance 2e-170 is finite and > 0, but
+    # its square underflows to 0
+    path = tmp_path / "faint.csv"
+    path.write_text("# format=records-v1 scenario=x seed=0\n"
+                    "slot,quad,ratio,alice_x,bob_y\r\n"
+                    "0,X,1.0,1.0,2.0\r\n1,P,1.0,3.0,5.0\r\n"
+                    "2,X,0.5,1.0,2.0\r\n3,P,0.5,3.0,7.0\r\n"
+                    "4,X,0.001,1.0,1e-85\r\n5,P,0.001,3.0,3e-85\r\n", newline="")
+    argv = ["detect", "--records", str(path), "--out", str(tmp_path / "v")]
     assert main(argv) == 2
     assert capfd.readouterr() == ("", _FAINT_ERROR)
     assert not (tmp_path / "v").exists()
@@ -1019,14 +1026,15 @@ _FLAG_COMMANDS = {
     "sweep": ["sweep", "--variable", "N", "--start", "5", "--stop", "10", "--points", "2",
               "--mc"],
 }
-_FLAG_REQUIREMENTS = {"--threads": ">= 1", "--slots": ">= 1", "--points": ">= 1",
-                      "--seed": ">= 0", "--n-amp": "a finite number"}
+_FLAG_REQUIREMENTS = {"--threads": ">= 1", "--slots": "> 0", "--points": ">= 1",
+                      "--seed": ">= 0", "--n-amp": "finite and >= 1"}
 
 
 @pytest.mark.parametrize("value, flag, command", [
     *((value, flag, command) for command in ("run", "sweep")
       for flag in ("--threads", "--slots") for value in ("0", "-1")),
     ("0", "--points", "sweep"), ("-1", "--seed", "run"), ("nan", "--n-amp", "sweep"),
+    ("0.5", "--n-amp", "sweep"),
 ])
 def test_cli_rejects_non_positive_threads_and_slots(tmp_path, capsys, value, flag, command):
     # every flag domain is checked before any work, so no output directory is made
@@ -1110,19 +1118,50 @@ def test_cli_run_honest_scenario_with_plan_output_names_the_line(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("system, quantity", [
-    ("modulation_variance = 1e5\nlo_intensity = 1e305\n", "sig_x"),
-    ("excess_noise = 1e300\nlo_intensity = 1e10\n", "per-ratio variance"),
-    ("lo_intensity = 1e160\n", "fourth moment"),
+@pytest.mark.parametrize("system, refusal", [
+    ("modulation_variance = 1e5\nlo_intensity = 1e305\n",
+     "modulation_variance must be in [0, 1e3] shot-noise units, got 100000.0"),
+    ("excess_noise = 1e300\nlo_intensity = 1e10\n",
+     "excess_noise must be in [0, 1e3] shot-noise units, got 1e+300"),
+    ("lo_intensity = 1e160\n", "lo_intensity must be in [1, 1e15] photo-electrons, got 1e+160"),
 ], ids=["sig-x", "variance", "fourth-moment"])
-def test_cli_run_refuses_a_noise_law_that_overflows(tmp_path, capsys, system, quantity):
-    # each parameter is finite, but the law built from them is not: refused before any draw
+def test_cli_run_refuses_a_noise_law_that_overflows(tmp_path, capsys, system, refusal):
+    # each parameter is finite, but a law built from them would not be: the first value
+    # outside its physical range is refused at its line, before any draw
     scen = tmp_path / "overflow.scenario"
     scen.write_text(MINIMAL.replace("[system]\n", "[system]\n" + system)
                     + "[outputs]\nrecords = records.csv\nreport = report.txt\n")
     assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr() == (
-        "", f"error: the noise law overflows: its {quantity} is not finite\n")
+    assert capsys.readouterr() == ("", f"error: line 2: {refusal}\n")
+    assert not (tmp_path / "out").exists()
+
+
+_EXTREME = "channel_transmittance = 1e-300\nexcess_noise = 1e200\nlo_intensity = 2e150\n"
+
+
+@pytest.mark.parametrize("command, system, extra, err", [
+    ("solve", _EXTREME, "[attack]\nstrategy = A\n",
+     "line 2: channel_transmittance must be in [1e-30, 1], got 1e-300"),
+    ("run", "detector_efficiency = 1e-200\nlo_intensity = 1e-200\n", "",
+     "line 2: detector_efficiency must be in [1e-6, 1], got 1e-200"),
+    ("solve", "detector_efficiency = 1e-200\nchannel_transmittance = 1e-200\n",
+     "[attack]\nstrategy = A\n", "line 2: detector_efficiency must be in [1e-6, 1], got 1e-200"),
+    ("run", _EXTREME, "[schedule]\n1.0 = 0.9\n0.5 = 0.05\n0.001 = 0.05\n",
+     "line 2: channel_transmittance must be in [1e-30, 1], got 1e-300"),
+    ("run", "lo_intensity = -1\ndetector_efficiency = 2\n", "",
+     "line 2: lo_intensity must be in [1, 1e15] photo-electrons, got -1.0"),
+], ids=["solver-constant-overflows", "shot-noise-unit-underflows", "eta-eta-ch-underflows",
+        "excess-estimate-inf", "two-errors"])
+def test_cli_refuses_a_value_outside_its_domain_at_its_line(tmp_path, capsys, command, system,
+                                                             extra, err):
+    # outside the ranges the solver's (2 + xi)*N0 overflows, N0 = eta*I_LO or eta*eta_ch
+    # underflows to a zero divisor, or a run's excess estimate is inf; each such value is
+    # refused by its key at its line, and of two errors the first in line order
+    scen = tmp_path / "extreme.scenario"
+    scen.write_text(f"[system]\n{system}{extra}[run]\nslots = 2000\n"
+                    "[outputs]\nreport = report.txt\n")
+    rc = main([command, "--scenario", str(scen), "--out", str(tmp_path / "out")])
+    assert (rc, *capsys.readouterr()) == (2, "", f"error: {err}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -1274,7 +1313,7 @@ def test_cli_plan_mode_refuses_a_plan_without_its_curve(tmp_path, capsys, pulses
     (["sweep", "--variable", "eta_ch", "--start", "0.5", "--stop", "inf", "--points", "3"],
      "--stop must be a finite"),
     (["sweep", "--variable", "eta_ch", "--start", "0.5", "--stop", "0.9", "--points", "3",
-      "--n-amp", "nan"], "--n-amp must be a finite"),
+      "--n-amp", "nan"], "--n-amp must be finite"),
 ], ids=["sweep-start-nan", "sweep-stop-inf", "sweep-n-amp-nan"])
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, argv, message):
     rc = main(argv + ["--out", str(tmp_path / "out")])
@@ -1495,9 +1534,11 @@ def test_empty_curve_or_plan_is_refused_at_its_line(tmp_path, capsys, text, line
 
 
 def test_parameter_errors_carry_their_section_line():
-    with pytest.raises(ConfigError, match="detector efficiency") as err:
+    # a value outside its domain is refused at its own line, errors joining values at the
+    # line of their section
+    with pytest.raises(ConfigError, match="detector_efficiency must be in") as err:
         parse_scenario("[run]\nslots = 5\n[system]\ndetector_efficiency = 2\n")
-    assert err.value.line == 3
+    assert err.value.line == 4
     with pytest.raises(ConfigError, match="sum") as err:
         parse_scenario("[system]\n[schedule]\n1.0 = 0.5\n0.5 = 0.4\n")
     assert err.value.line == 2
@@ -1786,3 +1827,50 @@ def test_parser_contract_finite_params_or_line_numbered_error(lines):
     values += [v for entry in p.schedule.entries for v in entry]
     assert all(math.isfinite(v) for v in values)
     assert scen.slots > 0
+
+
+_CURVE = builtin_curve("50:50")
+# the system rows of errors.DOMAINS: (lowest positive draw, high end, whether 0 is drawn too)
+_RANGES = {"modulation_variance": (1e-300, 1e3, True), "excess_noise": (1e-300, 1e3, True),
+           "electronic_noise": (1e-300, 1e3, True),  # in units of N0
+           "detector_efficiency": (1e-6, 1.0, False), "channel_transmittance": (1e-30, 1.0, False),
+           "lo_intensity": (1.0, 1e15, False)}
+
+
+def _log_uniform(lo, hi, zero):
+    """Draws over [lo, hi], log-uniform inside, each end (and 0 if ``zero``) drawn as itself."""
+    inside = st.floats(math.log10(lo), math.log10(hi)).map(lambda e: min(max(10.0 ** e, lo), hi))
+    return st.one_of(st.sampled_from([lo, hi, *[0.0] * zero]), inside)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.fixed_dictionaries({key: _log_uniform(*ends) for key, ends in _RANGES.items()}),
+       st.sampled_from([protocol.TWO_POINT_SCHEDULE, protocol.THREE_RATIO_SCHEDULE]))
+def test_library_contract_finite_values_or_a_project_error_inside_the_domains(values, schedule):
+    # every system the table accepts runs the library path to finite values or an
+    # InfeasibleAttackError or EstimationError; numpy warnings are errors here
+    eta, eta_ch, v_a = (values[k] for k in ("detector_efficiency", "channel_transmittance",
+                                            "modulation_variance"))
+    v_el = values["electronic_noise"] * (eta * values["lo_intensity"])
+    params = SystemParams(modulation_variance=v_a, channel_transmittance=eta_ch,
+                          excess_noise=values["excess_noise"], lo_intensity=values["lo_intensity"],
+                          detector=DetectorConfig(eta, v_el), schedule=schedule)
+    r1, r2 = float(schedule.ratios.min()), float(schedule.ratios.max())
+
+    def finite(*values):
+        assert all(np.isfinite(v).all() for v in values), values
+
+    def estimates(plan):
+        v1, v2 = (analysis.analytic_variance(params, plan, r) for r in (r1, r2))
+        return protocol.two_point_from_variances(v1, v2, r1, r2, eta, eta_ch, v_el, v_a)
+
+    finite(*protocol.honest_noise_table(params).outcome_moments(), *estimates(None))
+    for kind in attack.STRATEGIES:
+        try:
+            plan = attack.solve_attack_parameters(kind, params, _CURVE)
+            table = attack.noise_table(params, plan)
+            poly = analysis.analytic_noise_polynomial(params, plan)
+            finite(table.sig_x, *table.outcome_moments(), poly.a, poly.b, poly.c,
+                   *estimates(plan))
+        except (InfeasibleAttackError, EstimationError):
+            pass
