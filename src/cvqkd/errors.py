@@ -17,7 +17,8 @@ class EstimationError(ValueError):
 
 
 class CountermeasureError(EstimationError):
-    """The noise-polynomial fit needs at least three distinct attenuation ratios."""
+    """The noise-polynomial fit needs three distinct ratios, finite variances and weights,
+    and a finite shot-noise floor > 0."""
 
 
 class InfeasibleAttackError(ValueError):
@@ -59,6 +60,7 @@ DOMAINS = {
     "displacement": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
     "schedule ratio": (_within(0.0, 1.0), "in [0, 1]"),
     "schedule probability": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+    "schedule span": (lambda v: v >= 1e-6, ">= 1e-6 between every two ratios"),
     "transmittance": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     "amplification": (lambda v: 1.0 <= v < math.inf, "finite and >= 1"),
     "slope_factor": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),

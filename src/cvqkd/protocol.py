@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Callable, Iterable
 
 import numpy as np
@@ -60,9 +61,11 @@ class AttenuationSchedule:
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise ScheduleError("schedule needs at least one (ratio, probability) entry")
-        ratios = [r for r, _ in entries]
-        if len(set(ratios)) != len(ratios):
+        gaps = [b - a for a, b in pairwise(sorted(r for r, _ in entries))]
+        if 0.0 in gaps:
             raise ScheduleError("attenuation ratios must be pairwise distinct")
+        if gaps:  # the estimators divide by the gap between two ratios that drew slots
+            check("schedule span", min(gaps))
         probs = [p for _, p in entries]
         if not abs(sum(probs) - 1.0) <= 1e-12:
             raise ScheduleError(f"probabilities sum to {sum(probs)!r}, expected 1")

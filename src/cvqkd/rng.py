@@ -18,7 +18,6 @@ either, and a session holds a bounded number of chunks' results at a time.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -59,6 +58,8 @@ def run_chunked(n_slots: int, master_seed: int, fill, *, threads: int = 1):
     if threads <= 1 or n_slots <= CHUNK_SLOTS:
         yield from map(one, bounds)
         return
+    from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay for its import
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         ahead = deque()
         for b in bounds:

@@ -25,8 +25,9 @@ with the ``\r\n`` that ends the line before it, and the file's last
 ``\r\n`` is written when it is closed. A slot is its row number, whose digits
 come from the same table of 4-digit groups. Each (ratio, quadrature) cell of
 the batch's ratio table is spelled by ``repr`` once per file, and the rows'
-prefix words are gathered by cell. The kernel's tables are built at import,
-in a few milliseconds.
+prefix words are gathered by cell. The kernel's tables are built in a few
+milliseconds when the first records writer opens, below the session's columns
+on the heap; a command that writes no records never builds them.
 
 The block size balances numpy's cost per call against the cache: in process,
 streaming 1e6 attack_a rows on a 2-vCPU host, 8192-row blocks took about
@@ -124,7 +125,7 @@ class _Tables(NamedTuple):
 
 @functools.cache
 def _repr_tables() -> _Tables:
-    """The float and integer kernels' tables, built once at import (a few milliseconds).
+    """The float and integer kernels' tables, built once, by the first records writer.
 
     ``k`` and ``h`` are Schubfach's decimal exponent and shift per binary
     exponent field, and per field of a power of two (``irregular``, whose
@@ -151,37 +152,31 @@ def _repr_tables() -> _Tables:
     k = (q * 661971961083 - irregular * 274743187321) >> 41  # floor(log10(2^q)), or of 3/4 2^q
     h = (q + (-k * 913124641741 >> 38) + 2).astype(np.uint64)  # + floor(log2(10^-k))
 
-    i = np.arange(10000)
-    chars = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1) + 48
-    digits4 = np.ascontiguousarray(chars, np.uint8).view(np.uint32).ravel()
-    blank = np.where(i[:, None] < np.array([1000, 100, 10, 1]), 0, chars).astype(np.uint8)
+    i, u8 = np.arange(10000, dtype=np.uint16), np.uint8  # built in their final dtypes
+    chars = (np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1) + 48).astype(u8)
+    digits4 = chars.view(np.uint32).ravel()
+    blank = np.where(i[:, None] < np.array([1000, 100, 10, 1]), u8(0), chars)
     blank = blank.view(np.uint32).ravel()
     blank4 = np.concatenate([digits4, blank, blank])
     blank4[20000] = digits4[0] & np.uint32(0xFF000000)  # "0" in the last byte
-    trailing = (i % 10 == 0).astype(int) + (i % 100 == 0) + (i % 1000 == 0)
-    last4 = np.concatenate([np.where(i == 0, 1, 4 * j + 5 - trailing) for j in range(4)])
+    trailing = (i % 10 == 0).astype(u8) + (i % 100 == 0) + (i % 1000 == 0)
+    last4 = np.concatenate([np.where(i == 0, u8(1), 4 * j + 5 - trailing) for j in range(4)])
 
     # per layout (sign, decpt clipped to -4..17, digit count): low, high and point masks
-    sign, decpt = np.arange(2)[:, None, None, None], np.arange(-4, 18)[:, None, None]
+    sign, decpt = np.arange(2)[:, None, None, None] == 1, np.arange(-4, 18)[:, None, None]
     n, b = np.arange(1, 18)[:, None], np.arange(32)
     positional = (decpt > -4) & (decpt < 17)
     q = np.where(positional, decpt, 1)
     p, e = 6 + q, 6 + np.where(positional, np.maximum(n, q + 1), n)
-    point = ((b == p) & (e > p)) * ord(".") + (b == 0) * ord(",") + (b == 1) * sign * ord("-") + (
-        (b == 2) & (q <= 0)) * ord("0")
-    masks = np.stack(np.broadcast_arrays(((b >= np.minimum(p, 6)) & (b < p)) * 255,
-                                         ((b > p) & (b <= e)) * 255, point))
+    point = ((b == p) & (e > p)) * u8(ord(".")) + (b == 0) * u8(ord(",")) + (
+        (b == 1) & sign) * u8(ord("-")) + ((b == 2) & (q <= 0)) * u8(ord("0"))
+    masks = np.stack(np.broadcast_arrays(((b >= np.minimum(p, 6)) & (b < p)) * u8(255),
+                                         ((b > p) & (b <= e)) * u8(255), point))
     exponents = [int.from_bytes(f"e{x - 1:+03d}".encode(), "little") * (not -4 < x < 17)
                  for x in range(-324, 310)]
-    return _Tables(k, h, g, digits4, blank4,
-                   last4.astype(np.uint8), np.array([10 ** j for j in range(20)], np.uint64),
-                   masks.astype(np.uint8).view(np.uint64).reshape(3, -1, 4),
-                   np.array(exponents, np.uint64))
-
-
-# Built at import: built lazily in the first records write, the tables can sit
-# on the heap above that run's columns and keep their freed pages resident.
-_repr_tables()
+    return _Tables(k, h, g, digits4, blank4, last4,
+                   np.array([10 ** j for j in range(20)], np.uint64),
+                   masks.view(np.uint64).reshape(3, -1, 4), np.array(exponents, np.uint64))
 
 
 def _round_to_odd(g, cp):
@@ -340,6 +335,7 @@ def records_writer(path, scenario_hash: str, seed: int):
     removed with any directory made for it. A ratio, alice_x or bob_y that is
     not finite raises ValueError: the reader would reject it.
     """
+    _repr_tables()  # before the session's columns, so the tables sit below them on the heap
     path = Path(path)
     made = [p for p in (path.parent, *path.parent.parents) if not p.exists()]
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -1,16 +1,21 @@
+import concurrent.futures
 import dataclasses
 import filecmp
+import itertools
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cvqkd import analysis, attack, protocol, rng
+import cvqkd
+from cvqkd import analysis, attack, protocol
 from cvqkd.analysis import schedule_key_rate_overhead
 from cvqkd.cli import main
 from cvqkd.errors import ConfigError, CountermeasureError, EstimationError, InfeasibleAttackError
@@ -810,8 +815,9 @@ def test_cli_schedule_without_full_transmission_reports_no_channel_estimate(tmp_
 def test_cli_thread_count_does_not_change_bytes(tmp_path, monkeypatch, name):
     # three sampler chunks, the last one partial: --threads 2 runs them on a pool
     pools = []
-    pool = rng.ThreadPoolExecutor
-    monkeypatch.setattr(rng, "ThreadPoolExecutor", lambda **kw: pools.append(kw) or pool(**kw))
+    pool = concurrent.futures.ThreadPoolExecutor  # imported by rng.run_chunked when it is used
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda **kw: pools.append(kw) or pool(**kw))
     out1, out2 = tmp_path / "t1", tmp_path / "t2"
     for out, threads in ((out1, "1"), (out2, "2")):
         assert main(["run", "--scenario", str(SCENARIOS / f"{name}.scenario"),
@@ -821,6 +827,25 @@ def test_cli_thread_count_does_not_change_bytes(tmp_path, monkeypatch, name):
     names = sorted(path.name for path in out1.iterdir())
     assert names == sorted(path.name for path in out2.iterdir())
     assert filecmp.cmpfiles(out1, out2, names, shallow=False)[0] == names
+
+
+def test_cli_start_up_leaves_the_records_tables_and_the_thread_pool_to_their_commands(tmp_path):
+    # a fresh interpreter: importing the CLI and building its parser neither imports
+    # concurrent.futures nor builds the records kernel's tables; a run writing records builds
+    # them once
+    scen = tmp_path / "records.scenario"
+    scen.write_text(MINIMAL + "[outputs]\nrecords = records.csv\n")
+    script = ("import sys\nfrom cvqkd import cli, serialize\ncli.build_parser()\n"
+              "tables = serialize._repr_tables.cache_info\n"
+              "print('concurrent.futures' in sys.modules, tables().currsize)\n"
+              "assert cli.main(['run', '--scenario', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+              "print(tables().currsize)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cvqkd.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, str(scen), str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, check=True)
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1], done.stderr) == ("False 0", "1", "")
+    assert (tmp_path / "out" / "records.csv").is_file()
 
 
 _HEAD = "# format=records-v1 scenario=x seed=0\nslot,quad,ratio,alice_x,bob_y\r\n"
@@ -1137,6 +1162,7 @@ def test_cli_run_refuses_a_noise_law_that_overflows(tmp_path, capsys, system, re
 
 
 _EXTREME = "channel_transmittance = 1e-300\nexcess_noise = 1e200\nlo_intensity = 2e150\n"
+_SPAN = "schedule span must be >= 1e-6 between every two ratios, got 1e-300"
 
 
 @pytest.mark.parametrize("command, system, extra, err", [
@@ -1150,13 +1176,23 @@ _EXTREME = "channel_transmittance = 1e-300\nexcess_noise = 1e200\nlo_intensity =
      "line 2: channel_transmittance must be in [1e-30, 1], got 1e-300"),
     ("run", "lo_intensity = -1\ndetector_efficiency = 2\n", "",
      "line 2: lo_intensity must be in [1, 1e15] photo-electrons, got -1.0"),
+    ("run", "detector_efficiency = 1e-6\nchannel_transmittance = 1e-30\n",
+     "[schedule]\n0 = 0.5\n1e-300 = 0.5\n", f"line 4: {_SPAN}"),
+    ("run", "", "[schedule]\n0 = 0.5\n1e-300 = 0.5\n", f"line 2: {_SPAN}"),
+    ("solve", "", "[schedule]\n0 = 0.5\n1e-300 = 0.5\n[attack]\nstrategy = A\n",
+     f"line 2: {_SPAN}"),
+    ("run", "detector_efficiency = 1e-6\nchannel_transmittance = 1e-30\n",
+     "[schedule]\n1.0 = 0.0\n0 = 0.5\n1e-300 = 0.5\n", f"line 4: {_SPAN}"),
 ], ids=["solver-constant-overflows", "shot-noise-unit-underflows", "eta-eta-ch-underflows",
-        "excess-estimate-inf", "two-errors"])
+        "excess-estimate-inf", "two-errors", "span-divides-by-zero", "span-estimate-overflows",
+        "span-solve", "span-of-the-ratios-that-draw"])
 def test_cli_refuses_a_value_outside_its_domain_at_its_line(tmp_path, capsys, command, system,
                                                              extra, err):
     # outside the ranges the solver's (2 + xi)*N0 overflows, N0 = eta*I_LO or eta*eta_ch
     # underflows to a zero divisor, or a run's excess estimate is inf; each such value is
-    # refused by its key at its line, and of two errors the first in line order
+    # refused by its key at its line, and of two errors the first in line order. Two ratios
+    # 1e-300 apart divide the estimate by (r2 - r1)*eta*eta_ch: the schedule is refused at
+    # its header, also when a third ratio that draws no slot widens it
     scen = tmp_path / "extreme.scenario"
     scen.write_text(f"[system]\n{system}{extra}[run]\nslots = 2000\n"
                     "[outputs]\nreport = report.txt\n")
@@ -1843,26 +1879,47 @@ def _log_uniform(lo, hi, zero):
     return st.one_of(st.sampled_from([lo, hi, *[0.0] * zero]), inside)
 
 
+_RATIO = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _ratios(draw):
+    """2 or 3 distinct ratios in [0, 1]: its ends, values between, and two a tiny gap apart."""
+    first = draw(_RATIO)
+    gap = draw(st.sampled_from([5e-324, 1e-300, 5e-7, 1e-6, 2e-6]))
+    near = first + gap if first + gap <= 1.0 else first - gap
+    ratios = [first, draw(st.one_of(_RATIO, st.just(near))), *draw(st.lists(_RATIO, max_size=1))]
+    ratios = sorted(set(ratios))
+    assume(len(ratios) >= 2)
+    return ratios
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(st.fixed_dictionaries({key: _log_uniform(*ends) for key, ends in _RANGES.items()}),
-       st.sampled_from([protocol.TWO_POINT_SCHEDULE, protocol.THREE_RATIO_SCHEDULE]))
-def test_library_contract_finite_values_or_a_project_error_inside_the_domains(values, schedule):
-    # every system the table accepts runs the library path to finite values or an
-    # InfeasibleAttackError or EstimationError; numpy warnings are errors here
+       _ratios())
+def test_library_contract_finite_values_or_a_project_error_inside_the_domains(values, ratios):
+    # every system and schedule the table accepts runs the library path to finite values or
+    # an InfeasibleAttackError or EstimationError; numpy warnings are errors here. Any two
+    # ratios can be the extremes that drew slots, so each pair is estimated from
+    try:
+        schedule = protocol.AttenuationSchedule(tuple((r, 1 / len(ratios)) for r in ratios))
+    except ConfigError:
+        assert min(b - a for a, b in itertools.pairwise(ratios)) < 1e-6
+        return
     eta, eta_ch, v_a = (values[k] for k in ("detector_efficiency", "channel_transmittance",
                                             "modulation_variance"))
     v_el = values["electronic_noise"] * (eta * values["lo_intensity"])
     params = SystemParams(modulation_variance=v_a, channel_transmittance=eta_ch,
                           excess_noise=values["excess_noise"], lo_intensity=values["lo_intensity"],
                           detector=DetectorConfig(eta, v_el), schedule=schedule)
-    r1, r2 = float(schedule.ratios.min()), float(schedule.ratios.max())
 
     def finite(*values):
         assert all(np.isfinite(v).all() for v in values), values
 
     def estimates(plan):
-        v1, v2 = (analysis.analytic_variance(params, plan, r) for r in (r1, r2))
-        return protocol.two_point_from_variances(v1, v2, r1, r2, eta, eta_ch, v_el, v_a)
+        v = {r: analysis.analytic_variance(params, plan, r) for r in ratios}
+        return [protocol.two_point_from_variances(v[r1], v[r2], r1, r2, eta, eta_ch, v_el, v_a)
+                for r1, r2 in itertools.combinations(ratios, 2)]
 
     finite(*protocol.honest_noise_table(params).outcome_moments(), *estimates(None))
     for kind in attack.STRATEGIES:
