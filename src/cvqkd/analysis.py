@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attack import AttackPlan, StrategyA, noise_table
-from .errors import CountermeasureError, check
+from .errors import EstimationError, check
 from .physics import DetectorConfig
 from .protocol import (AttenuationSchedule, NoiseTable, SystemParams, honest_noise_table,
                        variances_by_ratio)
@@ -98,34 +98,37 @@ def fit_variance_summaries(per_ratio: dict[float, tuple[float, int]]) -> NoisePo
     """Weighted LS of sample variances against (r^2, r, 1).
 
     Weights follow the Gaussian variance-of-variance, count/(2*variance^2).
-    Exactly three ratios interpolate regardless of the weights. Raises
-    CountermeasureError, naming the ratio, unless each sample variance and its
-    weight (whose variance^2 can overflow or underflow) are finite and > 0, and
-    unless the shot-noise floor c (without which a/c means nothing) is.
+    Exactly three ratios interpolate regardless of the weights. Raises EstimationError,
+    naming the ratio, unless there are three ratios and each sample variance, its weight
+    (whose variance^2 can overflow or underflow) and the floor c (without which a/c means
+    nothing) is finite and > 0; ConfigError names two ratios nearer than ``schedule span``.
     """
     if len(per_ratio) < 3:
-        raise CountermeasureError(
+        raise EstimationError(
             f"the quadratic countermeasure needs >= 3 distinct ratios, got {len(per_ratio)}; "
             f"the ratios that drew slots: {', '.join(map(repr, sorted(per_ratio))) or 'none'}")
     ratios = np.array(sorted(per_ratio))
+    i = int(np.argmin(np.diff(ratios)))  # ratios from a records file skip the schedule's check
+    lo, hi = ratios[i:i + 2].tolist()
+    check("schedule span", hi - lo, name=f"the gap between ratios {lo!r} and {hi!r}")
     v = np.array([per_ratio[r][0] for r in ratios])
     for r, var in zip(ratios, v):
         if not 0.0 < var < math.inf:
-            raise CountermeasureError(f"the sample variance at ratio {float(r)!r} must be "
-                                      f"finite and > 0, got {float(var)!r}")
+            raise EstimationError(f"the sample variance at ratio {float(r)!r} must be "
+                                  f"finite and > 0, got {float(var)!r}")
     n = np.array([per_ratio[r][1] for r in ratios], dtype=float)
     with np.errstate(over="ignore", divide="ignore"):
         w = n / (2.0 * v * v)
     for r, weight in zip(ratios, w):
         if not 0.0 < weight < math.inf:
-            raise CountermeasureError(f"the fit's weight count/(2*variance^2) at ratio "
-                                      f"{float(r)!r} must be finite and > 0, got {float(weight)!r}")
+            raise EstimationError(f"the fit's weight count/(2*variance^2) at ratio "
+                                  f"{float(r)!r} must be finite and > 0, got {float(weight)!r}")
     design = np.column_stack([ratios ** 2, ratios, np.ones_like(ratios)])
     sw = np.sqrt(w)
     coef, *_ = np.linalg.lstsq(design * sw[:, None], v * sw, rcond=None)
     if not 0.0 < coef[2] < math.inf:
-        raise CountermeasureError(f"the fitted shot-noise floor c must be finite and > 0, "
-                                  f"got {float(coef[2])!r}")
+        raise EstimationError(f"the fitted shot-noise floor c must be finite and > 0, "
+                              f"got {float(coef[2])!r}")
     fitted = design @ coef
     residual = float(np.sum(w * (v - fitted) ** 2))
     counts = {float(r): int(per_ratio[float(r)][1]) for r in ratios}

@@ -1,24 +1,12 @@
-"""Exception types shared across the simulator, and the one table of value domains."""
+"""Exception types, one per kind that code tells apart (ConfigError carries the line, the CLI
+catches EstimationError and InfeasibleAttackError), and the one table of value domains."""
 
 import math
 import os
 
 
-class CurveRangeError(ValueError):
-    """Wavelength lookup outside the tabulated band of a beam-splitter curve."""
-
-
-class ScheduleError(ValueError):
-    """Invalid attenuation schedule."""
-
-
 class EstimationError(ValueError):
-    """Estimator preconditions not met (too few ratios, no full-transmission slots, ...)."""
-
-
-class CountermeasureError(EstimationError):
-    """The noise-polynomial fit needs three distinct ratios, finite variances and weights,
-    and a finite shot-noise floor > 0."""
+    """Estimator or fit preconditions not met (too few ratios, no full-transmission slots, ...)."""
 
 
 class InfeasibleAttackError(ValueError):
@@ -26,7 +14,7 @@ class InfeasibleAttackError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Bad scenario configuration. Carries the offending line number when known."""
+    """A value outside its domain, or a bad scenario. Carries the offending line when known."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line

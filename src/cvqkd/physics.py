@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError, CurveRangeError, check
+from .errors import ConfigError, check
 
 
 class PulsePath(enum.Enum):
@@ -32,7 +32,7 @@ class BeamSplitterCurve:
 
     Lookups return the tabulated value exactly on grid points and linear
     interpolation between adjacent points; outside the tabulated band the
-    lookup raises CurveRangeError.
+    lookup raises ConfigError.
     """
 
     nominal_ratio: str
@@ -59,7 +59,7 @@ class BeamSplitterCurve:
     def transmittance_at(self, wavelength_nm: float) -> float:
         lo, hi = self.band_nm
         if not (lo <= wavelength_nm <= hi):
-            raise CurveRangeError(
+            raise ConfigError(
                 f"wavelength {wavelength_nm} nm outside the tabulated band "
                 f"[{lo}, {hi}] nm of the {self.nominal_ratio} coupler"
             )

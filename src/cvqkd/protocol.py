@@ -45,13 +45,13 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import rng as _rng
-from .errors import EstimationError, ScheduleError, check
+from .errors import ConfigError, EstimationError, check
 from .physics import DetectorConfig
 
 
 @dataclass(frozen=True)
 class AttenuationSchedule:
-    """Attenuation ratios the receiver applies on the signal path, with probabilities."""
+    """Attenuation ratios of the signal path and their probabilities; ConfigError if invalid."""
 
     entries: tuple[tuple[float, float], ...]
 
@@ -60,15 +60,13 @@ class AttenuationSchedule:
                         for r, p in self.entries)
         object.__setattr__(self, "entries", entries)
         if not entries:
-            raise ScheduleError("schedule needs at least one (ratio, probability) entry")
+            raise ConfigError("schedule needs at least one (ratio, probability) entry")
         gaps = [b - a for a, b in pairwise(sorted(r for r, _ in entries))]
-        if 0.0 in gaps:
-            raise ScheduleError("attenuation ratios must be pairwise distinct")
         if gaps:  # the estimators divide by the gap between two ratios that drew slots
             check("schedule span", min(gaps))
         probs = [p for _, p in entries]
         if not abs(sum(probs) - 1.0) <= 1e-12:
-            raise ScheduleError(f"probabilities sum to {sum(probs)!r}, expected 1")
+            raise ConfigError(f"probabilities sum to {sum(probs)!r}, expected 1")
 
     @property
     def ratios(self) -> np.ndarray:

@@ -52,13 +52,15 @@ def _parse_bool(value: str, line: int, key: str) -> bool:
     raise ConfigError(f"{key}: expected true/false, got {value!r}", line)
 
 
-def _text(value: str, line: int, key: str) -> str:
-    return value
-
-
 def _nonempty(value: str, line: int, key: str) -> str:
     if not value:
         raise ConfigError(f"{key}: expected a name, got an empty value", line)
+    return value
+
+
+def _choice(value: str, line: int, key: str, choices: tuple[str, ...]) -> str:
+    if value not in choices:
+        raise ConfigError(f"attack {key} must be {'/'.join(choices)}, got {value!r}", line)
     return value
 
 
@@ -80,7 +82,9 @@ _KEYS = {
         "curve": _nonempty, "electronic_noise": parse_float,  # SystemParams checks its domain
     },
     "attack": {
-        "strategy": _text, "mode": _text, "plan": _nonempty, "compensate_lo": _parse_bool,
+        "strategy": lambda *args: _choice(*args, ("none", *STRATEGIES)),
+        "mode": lambda *args: _choice(*args, ("solve", "plan")),
+        "plan": _nonempty, "compensate_lo": _parse_bool,
         **dict.fromkeys(_NM_KEYS, parse_float),
     },
     "run": dict.fromkeys(("slots", "master_seed"), lambda *args: _ranged(*args, _parse_int)),
@@ -109,10 +113,6 @@ class Scenario:
     def __post_init__(self):
         check("slots", self.slots)
         check("master_seed", self.master_seed)
-        if self.attack_kind not in ("none", *STRATEGIES):
-            raise ConfigError(f"attack strategy must be none/A/B, got {self.attack_kind!r}")
-        if self.attack_mode not in ("solve", "plan"):
-            raise ConfigError(f"attack mode must be solve/plan, got {self.attack_mode!r}")
         if self.attack_mode == "plan" and not self.plan_path:
             raise ConfigError("attack mode 'plan' needs a plan = <path> entry")
         if not self.source_text:

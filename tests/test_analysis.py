@@ -12,7 +12,7 @@ from cvqkd.analysis import (LO_TOLERANCE, DetectionVerdict, NoisePolynomial,
                             single_point_excess_estimate, variance_estimator_std)
 from cvqkd.attack import (AttackPlan, StrategyA, WavelengthPlan, noise_table,
                           run_attacked_session, solve_attack_parameters)
-from cvqkd.errors import CountermeasureError
+from cvqkd.errors import ConfigError, EstimationError
 from cvqkd.physics import builtin_curve
 from cvqkd.protocol import (AttenuationSchedule, NoiseTable, RatioMoments, SystemParams,
                             THREE_RATIO_SCHEDULE, honest_noise_table, run_honest_session,
@@ -42,14 +42,24 @@ def test_fit_interpolates_three_exact_points():
 
 def test_fit_needs_three_ratios():
     targets = {0.001: 5e7, 1.0: 1.6e8}
-    with pytest.raises(CountermeasureError, match=">= 3 distinct ratios"):
+    with pytest.raises(EstimationError, match=">= 3 distinct ratios"):
         fit_noise_polynomial(records_with_exact_variances(targets))
 
 
 def test_fit_refuses_a_non_positive_shot_noise_floor():
     # in-range ratios whose variances interpolate to c = -3: a/c would read as "not attacked"
     per_ratio = {0.001: (1.0, 100), 0.5: (1e6, 100), 1.0: (4e6, 100)}
-    with pytest.raises(CountermeasureError, match="c must be finite and > 0, got -3.0"):
+    with pytest.raises(EstimationError, match="c must be finite and > 0, got -3.0"):
+        fit_variance_summaries(per_ratio)
+
+
+@pytest.mark.parametrize("near", [(0.5, 0.5 + 1e-9), (1e-300, 0.0)], ids=["mid", "zero"])
+def test_fit_refuses_two_ratios_nearer_than_the_schedule_span(near):
+    # moments from outside a schedule, such as a records file, are held to its span row too
+    per_ratio = {r: (1e8 * (1.0 + r), 1000) for r in (*near, 1.0)}
+    lo, hi = sorted(near)
+    with pytest.raises(ConfigError, match=rf"the gap between ratios {lo!r} and {hi!r} must be "
+                                          r">= 1e-6 between every two ratios"):
         fit_variance_summaries(per_ratio)
 
 

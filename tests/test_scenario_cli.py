@@ -18,7 +18,7 @@ import cvqkd
 from cvqkd import analysis, attack, protocol
 from cvqkd.analysis import schedule_key_rate_overhead
 from cvqkd.cli import main
-from cvqkd.errors import ConfigError, CountermeasureError, EstimationError, InfeasibleAttackError
+from cvqkd.errors import ConfigError, EstimationError, InfeasibleAttackError
 from cvqkd.physics import DetectorConfig, builtin_curve
 from cvqkd.rng import CHUNK_SLOTS
 from cvqkd.scenario import _KEYS as _KEY_TABLE, Scenario, load_scenario, parse_scenario
@@ -97,7 +97,7 @@ def test_cli_fixed_mode_is_refused_naming_the_attack_line(tmp_path, capsys):
     path = tmp_path / "fixed.scenario"
     path.write_text("[run]\nslots = 10\n[attack]\nstrategy = A\nmode = fixed\n")
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == ("error: line 3: attack mode must be solve/plan, "
+    assert capsys.readouterr().err == ("error: line 5: attack mode must be solve/plan, "
                                        "got 'fixed'\n")
     assert not (tmp_path / "out").exists()
 
@@ -1006,6 +1006,22 @@ def test_cli_detect_refuses_a_fit_weight_that_underflows_naming_the_ratio(tmp_pa
     assert not (tmp_path / "v").exists()
 
 
+def test_cli_detect_refuses_two_ratios_nearer_than_the_schedule_span(tmp_path, capfd):
+    # a schedule with ratios 0.0 and 1e-300 is refused; records holding them came from
+    # outside, and fitted to a degenerate polynomial that read "attacked = true"
+    rng = np.random.default_rng(6)
+    index = np.repeat(np.arange(3), 1000)
+    bob_sd = np.sqrt([1e8, 1.21e8, 9e8])[index]
+    path = tmp_path / "records.csv"
+    with records_writer(path, "x", 0) as append:
+        append(protocol.RecordBatch(rng.integers(0, 2, 3000), [0.0, 1e-300, 1.0], index,
+                                    rng.normal(0.0, 3e4, 3000), rng.normal(0.0, bob_sd)))
+    assert main(["detect", "--records", str(path), "--out", str(tmp_path / "v")]) == 2
+    assert capfd.readouterr() == ("", "error: the gap between ratios 0.0 and 1e-300 must be "
+                                      ">= 1e-6 between every two ratios, got 1e-300\n")
+    assert not (tmp_path / "v").exists()
+
+
 def test_cli_detect_out_refuses_a_bad_seed_before_any_row(tmp_path, capsys):
     path = tmp_path / "records.csv"
     _records_file(path, [1.0, 0.5, 0.001])
@@ -1235,7 +1251,7 @@ def test_cli_run_that_fails_after_the_session_leaves_no_records(tmp_path, capsys
 
     def fit(moments):
         seen.update((p.name, p.stat().st_size) for p in out.iterdir())
-        raise CountermeasureError("the fit failed")
+        raise EstimationError("the fit failed")
 
     monkeypatch.setattr(analysis, "fit_noise_polynomial", fit)
     rc = main(["run", "--scenario", str(SCENARIOS / "attack_a.scenario"),
@@ -1580,7 +1596,10 @@ def test_parameter_errors_carry_their_section_line():
     assert err.value.line == 2
     with pytest.raises(ConfigError, match="none/A/B") as err:
         parse_scenario("[attack]\nstrategy = C\n")
-    assert err.value.line == 1
+    assert err.value.line == 2
+    with pytest.raises(ConfigError, match="needs a plan = <path> entry") as err:
+        parse_scenario("[run]\nslots = 5\n[attack]\nstrategy = A\nmode = plan\n")
+    assert err.value.line == 3
 
 
 def _header(path: Path) -> str:
