@@ -166,15 +166,16 @@ class RatioMoments:
         return total
 
     def merge(self, other: "RatioMoments") -> "RatioMoments":
-        """Moments of this stream followed by ``other``, whose ratio table begins
-        with this one's: this stream has no slots at the ratios ``other`` adds."""
-        grow = (0, other.ratios.size - self.ratios.size)
-        if grow[1]:
-            return RatioMoments(other.ratios, *(np.pad(v, grow) for v in (
-                self.count, self.mean, self.m2, self.sxy))).merge(other)
-        count, mean, m2 = _chan(self.count, self.mean, self.m2,
-                                other.count, other.mean, other.m2)
-        return RatioMoments(self.ratios, count, mean, m2, self.sxy + other.sxy)
+        """Moments of this stream followed by ``other``, their ratios matched by value: a
+        ratio only ``other`` has joins the table after this one's, in ``other``'s order."""
+        at = {ratio: k for k, ratio in enumerate(other.ratios.tolist())}
+        table = dict.fromkeys(self.ratios.tolist()) | dict.fromkeys(at)
+        a, b = ([m.count, m.mean, m.m2, m.sxy] for m in (self, other))
+        if len(table) > self.ratios.size or list(table) != list(at):  # not one table: align
+            take = [at.get(ratio, -1) for ratio in table]  # -1: a 0 where ``other`` has no slots
+            a = [np.pad(v, (0, len(table) - self.ratios.size)) for v in a]
+            b = [np.append(v, 0)[take] for v in b]
+        return RatioMoments(np.array(list(table)), *_chan(*a[:3], *b[:3]), a[3] + b[3])
 
 
 class RecordBatch:

@@ -8,42 +8,29 @@ points.
 
 Records CSVs (``records-v1``) are written 8192 rows at a time, each block as
 one bytes object passed to one ``write``. The floats of x and y come from a
-numpy kernel that spells exactly what ``repr`` spells. Schubfach (R.
-Giulietti, "The Schubfach way to render doubles", 2020) finds the shortest
-decimal that rounds back to each double with fixed-width integer arithmetic:
-tables of its scaling per binary exponent and of 126-bit powers of ten split
-into 63-bit halves, and three round-to-odd 64x64->128-bit products per value
-built from 32-bit halves in ``np.uint64``, in place. Each value is then laid
-out in four uint64 words: its 17 digits from a table of 4-digit groups, then
-one layout (sign, decimal point position, digit count) whose three masks
-move the digits after the point up one byte, keep the digits to show and
-set the point, the sign and a leading ``0.``; the exponent comes from a
-table by decimal exponent. Characters are separated by 0 bytes, which one
-``bytes.translate`` per block drops. A positional repr fits the first three
-words, so a block without an exponent leaves the fourth out. A row starts
-with the ``\r\n`` that ends the line before it, and the file's last
-``\r\n`` is written when it is closed. A slot is its row number, whose digits
-come from the same table of 4-digit groups. Each (ratio, quadrature) cell of
-the batch's ratio table is spelled by ``repr`` once per file, and the rows'
-prefix words are gathered by cell. The kernel's tables are built in a few
+numpy kernel that spells exactly what ``repr`` spells: Schubfach's shortest
+digits in 64-bit integer arithmetic (``_shortest_decimal``), laid out in uint64
+words whose 0 bytes one ``bytes.translate`` per block drops (``_repr_words``,
+``_records_rows``). A slot is its row number, spelled from the same table of
+4-digit groups, and each (ratio, quadrature) cell of the batch's ratio table is
+spelled by ``repr`` once per file. The kernel's tables are built in a few
 milliseconds when the first records writer opens, below the session's columns
 on the heap; a command that writes no records never builds them.
-
-The block size balances numpy's cost per call against the cache: in process,
-streaming 1e6 attack_a rows on a 2-vCPU host, 8192-row blocks took about
-16 % less time than 4096-row blocks (half the calls per row), and 16384-row
-blocks about 60 % more than 8192: a block's temporaries peak at 2.2, 4.5
-and 8.9 MB (tracemalloc), against a 2 MB L2 cache per core.
 
 The metadata line ends in ``\n``; the column header and every row end in
 ``\r\n``, as in a sweep CSV. The writer appends batch by batch, as ``run``
 draws its chunks. ``read_records_csv`` reduces each ``rng.CHUNK_SLOTS`` rows
-as it reads them, as a session reduces its chunks, from lists of 2048 lines,
-each parsed by one ``np.loadtxt`` call, whose float conversion is correctly
-rounded, so a written batch reads back bit for bit. It reads any number
-``np.loadtxt`` reads, refuses any other row, naming its data row and, for a
-cell, its column, and it is the one place that groups ratio values, because
-there they come from outside the program.
+as a session reduces its chunks, from lists of 2048 lines, each parsed by one
+``np.loadtxt`` call, whose float conversion is correctly rounded, so a written
+batch reads back bit for bit. It reads any number ``np.loadtxt`` reads, refuses
+any other row, naming its data row and, for a cell, its column, and it is the
+one place that groups ratio values, because there they come from outside the
+program. The parse holds the GIL, so a file is read in contiguous ranges of
+whole chunks, one per CPU in ``os.sched_getaffinity(0)`` and at most one per
+chunk: this process reads the first, and a forked child each other one from
+the byte offset a count of line ends finds, pickling its chunks' moments to a
+pipe; all fold in file order. A 1e6-row file read in 0.46-0.53 s on a 2-vCPU
+host, against 0.73-1.0 s as one range, as with one CPU, one chunk or no fork.
 """
 
 from __future__ import annotations
@@ -99,6 +86,9 @@ def fmt_value(value) -> str:
     return str(value)
 
 
+# rows per write: streaming 1e6 attack_a rows in process on a 2-vCPU host, 8192-row blocks took
+# about 16 % less time than 4096 (half the calls per row) and 16384 about 60 % more: a block's
+# temporaries peak at 2.2, 4.5 and 8.9 MB (tracemalloc), against a 2 MB L2 cache per core
 _RECORDS_BLOCK = 1 << 13
 # lines per np.loadtxt call, a divisor of the chunk: 65536 lines held as str took 6.2 MiB, and
 # a chunk's list of them raised detect's peak RSS from 44 to 61 MiB; 2048 lines peak at 44 MiB
@@ -376,17 +366,82 @@ def records_writer(path, scenario_hash: str, seed: int):
 
 def read_records_csv(path):
     """The RatioMoments of a records CSV, reduced ``rng.CHUNK_SLOTS`` rows at a time
-    as a session's chunks are; a ratio joins their table, in ascending order, with
-    the first chunk that holds it.
+    as a session's chunks are, in ranges of whole chunks (see the module docstring);
+    a ratio joins their table, in ascending order, with the first chunk that holds it.
 
     Raises ValueError for a metadata line of another format than ``records-v1``,
     another column header, or a bad data row, naming the row (from 1, across the
     file) and, for a cell, its column: a blank line, another column count, a
     cell that is not a number ``np.loadtxt`` reads, a quadrature other than X or
     P, a non-finite ratio, x or y, a slot that is not its row number, or a ratio
-    outside [0, 1].
+    outside [0, 1]; the earliest range's error, or OSError if a child sends none.
     """
-    return RecordBatch.collect(_record_chunks(path), False)
+    import pickle  # loaded with numpy
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    starts = [None, *_chunk_starts(path)] if cpus > 1 and hasattr(os, "fork") else [None]
+    ranges = min(cpus, len(starts))  # each: chunks a to b - 1, from byte starts[a]
+    spans = [(starts[a], a * _rng.CHUNK_SLOTS, b * _rng.CHUNK_SLOTS if b < len(starts) else None)
+             for a, b in itertools.pairwise(i * len(starts) // ranges for i in range(ranges + 1))]
+    children, parts = [], []
+    try:
+        for span in spans[1:]:
+            children.append((span, *_fork_range(path, *span)))
+        parts.append(_range_moments(path, *spans[0]))
+        for (_, first, stop), _, pipe in children:
+            try:
+                parts.append(pickle.loads(pipe.read()))
+            except (EOFError, pickle.UnpicklingError):  # killed, or left before it wrote
+                raise OSError(f"the reader of data rows {first + 1} to {stop or 'the end'} of "
+                              f"{path} ended without a result") from None
+            if isinstance(parts[-1], BaseException):
+                raise parts[-1]
+    finally:
+        for _, pid, pipe in children:  # each has sent its result, or an earlier range failed
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+    return RatioMoments.fold(itertools.chain.from_iterable(parts))
+
+
+def _chunk_starts(path) -> list[int]:
+    """The byte offset of data row ``k * rng.CHUNK_SLOTS``, k >= 1, of each chunk after the
+    first, counting the text reader's line ends: ``\n``, ``\r\n`` and a lone ``\r``."""
+    starts, ends, offset = [], 0, 0  # ends: the line ends before byte offset
+    with open(path, "rb") as fh:
+        target = _rng.CHUNK_SLOTS + 1 + (fh.peek(1)[:1] == b"#")  # after the header lines
+        while block := fh.read(1 << 16):  # 22 ms per 1e6-row file, 37 ms in 1 MiB blocks
+            lf, cr = (np.frombuffer(block, np.uint8) == byte for byte in b"\n\r")
+            np.greater(cr[:-1], lf[1:], out=cr[:-1])  # a \r ends a line unless a \n follows
+            cr[-1] &= fh.peek(1)[:1] != b"\n"
+            count = np.count_nonzero(lf) + np.count_nonzero(cr)
+            while ends + count >= target:
+                starts.append(offset + int(np.flatnonzero(lf | cr)[target - ends - 1]) + 1)
+                target += _rng.CHUNK_SLOTS
+            ends, offset = ends + count, offset + len(block)
+    return starts[:-1] if starts and starts[-1] == offset else starts  # no row at the end
+
+
+def _range_moments(path, start, first, stop) -> list[RatioMoments]:
+    """Each chunk's moments (``_record_chunks``), its batch dropped before the next is read."""
+    return list(map(lambda batch: batch.moments, _record_chunks(path, start, first, stop)))
+
+
+def _fork_range(path, start, first, stop):
+    """A forked child's pid and the pipe it pickles its ``_range_moments`` or exception to."""
+    import pickle  # loaded with numpy
+    read, write = os.pipe()
+    if pid := os.fork():
+        os.close(write)
+        return pid, open(read, "rb")
+    try:  # the child leaves by os._exit: it never returns into the caller
+        with open(write, "wb") as pipe:
+            try:
+                result = _range_moments(path, start, first, stop)
+            except Exception as exc:
+                result = exc
+            pipe.write(pickle.dumps(result))
+    finally:
+        os._exit(0)
 
 
 def _loadtxt(lines, dtype=_RECORDS_DTYPE, column=None):
@@ -410,8 +465,9 @@ def _refusal(lines, first: int) -> str:
                     f"string {cells[c]!r} to {_RECORDS_DTYPE[c]}")
 
 
-def _record_chunks(path):
-    """Each ``rng.CHUNK_SLOTS`` rows of a records CSV, a RecordBatch carrying their moments."""
+def _record_chunks(path, start=None, first=0, stop=None):
+    """Each ``rng.CHUNK_SLOTS`` rows from data row ``first`` (byte ``start``) to ``stop``,
+    a RecordBatch carrying their moments."""
     chunk, seen = _rng.CHUNK_SLOTS, {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         line = fh.readline()
@@ -423,8 +479,10 @@ def _record_chunks(path):
         header = line.rstrip("\r\n").split(",")
         if tuple(header) != _RECORDS_DTYPE.names:
             raise ValueError(f"unexpected records header {header!r}")
+        if start is not None:
+            fh.seek(start)  # a byte offset is a text position with no decoder state pending
         bad = f"malformed records CSV {path}: data row"
-        for first in itertools.count(0, chunk):
+        for first in itertools.count(first, chunk) if stop is None else range(first, stop, chunk):
             rows, n = np.empty(chunk, _RECORDS_DTYPE), 0
             while n < chunk and (lines := list(itertools.islice(fh, _READ_LINES))):
                 # np.loadtxt warns when every line is blank: refuse a blank first line here
@@ -466,6 +524,7 @@ def _record_chunks(path):
                                             rows["alice_x"][order], rows["bob_y"][order])
             yield RecordBatch(quad.view(np.uint8), ratios, index, rows["alice_x"], rows["bob_y"],
                               moments=moments)
+            del rows, order  # before the next chunk's rows are allocated
 
 
 def report_text(items: Iterable[tuple[str, object]]) -> str:

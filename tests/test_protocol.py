@@ -239,6 +239,28 @@ def test_streamed_moments_match_direct_column_reductions():
         scaled * scaled / THREE_RATIO_PARAMS.detector.efficiency, rel=1e-12)
 
 
+def test_merge_matches_ratios_by_value():
+    # a records range reduces its chunks on its own ratio table: a part on a permuted table
+    # merges bit for bit as the same slots on the merged table, and the ratios it adds join
+    # the table in its order
+    rng = np.random.default_rng(4)
+    slots = {r: rng.normal(size=(2, n)) for r, n in ((1.0, 60), (0.5, 40), (0.25, 30))}
+
+    def part(table, *present):
+        cells = [slots[r] if r in present else np.empty((2, 0)) for r in table]
+        x, y = np.concatenate(cells, axis=1)
+        return RatioMoments.of_cells(np.array(table), np.array([c.shape[1] for c in cells]),
+                                     x, y)
+
+    first = part([1.0, 0.5], 1.0, 0.5)
+    for own, merged in (([0.25, 0.5, 1.0], [1.0, 0.5, 0.25]), ([0.5, 1.0], [1.0, 0.5])):
+        got = first.merge(part(own, 0.25, 1.0))
+        want = first.merge(part(merged, 0.25, 1.0))
+        assert got.ratios.tolist() == merged
+        for name in ("ratios", "count", "mean", "m2", "sxy"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 def test_moments_stay_accurate_far_from_zero_mean(tmp_path):
     # a one-pass sum-of-squares variance loses about ten digits at this offset
     batch = run_honest_session(THREE_RATIO_PARAMS, 4 * CHUNK_SLOTS + 321, 16)

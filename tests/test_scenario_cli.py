@@ -4,6 +4,7 @@ import filecmp
 import itertools
 import math
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cvqkd
-from cvqkd import analysis, attack, protocol
+from cvqkd import analysis, attack, protocol, serialize
 from cvqkd.analysis import schedule_key_rate_overhead
 from cvqkd.cli import main
 from cvqkd.errors import ConfigError, EstimationError, InfeasibleAttackError
@@ -831,20 +832,28 @@ def test_cli_thread_count_does_not_change_bytes(tmp_path, monkeypatch, name):
 
 def test_cli_start_up_leaves_the_records_tables_and_the_thread_pool_to_their_commands(tmp_path):
     # a fresh interpreter: importing the CLI and building its parser neither imports
-    # concurrent.futures nor builds the records kernel's tables; a run writing records builds
-    # them once
+    # concurrent.futures or multiprocessing nor builds the records kernel's tables; a run
+    # writing records builds them once, and a detect of a multi-chunk file, read in ranges by
+    # forked children, imports no process pool either
     scen = tmp_path / "records.scenario"
-    scen.write_text(MINIMAL + "[outputs]\nrecords = records.csv\n")
+    scen.write_text(MINIMAL.replace("0.001 = 0.5\n", "0.5 = 0.25\n0.001 = 0.25\n")
+                    + "[outputs]\nrecords = records.csv\n")
     script = ("import sys\nfrom cvqkd import cli, serialize\ncli.build_parser()\n"
               "tables = serialize._repr_tables.cache_info\n"
-              "print('concurrent.futures' in sys.modules, tables().currsize)\n"
-              "assert cli.main(['run', '--scenario', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
-              "print(tables().currsize)\n")
+              "pools = lambda: [m for m in ('concurrent.futures', 'multiprocessing')\n"
+              "                 if m in sys.modules]\n"
+              "print('@', pools(), tables().currsize)\n"
+              "out = sys.argv[2]\n"
+              "assert cli.main(['run', '--scenario', sys.argv[1], '--out', out,\n"
+              "                 '--slots', '140000']) == 0\n"
+              "print('@', tables().currsize)\n"
+              "assert cli.main(['detect', '--records', out + '/records.csv']) == 0\n"
+              "print('@', pools())\n")
     env = {**os.environ, "PYTHONPATH": str(Path(cvqkd.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-c", script, str(scen), str(tmp_path / "out")],
                           capture_output=True, text=True, env=env, check=True)
-    lines = done.stdout.splitlines()
-    assert (lines[0], lines[-1], done.stderr) == ("False 0", "1", "")
+    lines = [line for line in done.stdout.splitlines() if line.startswith("@ ")]
+    assert (lines, done.stderr) == (["@ [] 0", "@ 1", "@ []"], "")
     assert (tmp_path / "out" / "records.csv").is_file()
 
 
@@ -1320,6 +1329,66 @@ def test_cli_detect_numbers_rows_across_chunks(tmp_path, capsys, data_row, old, 
     assert main(["detect", "--records", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: malformed records CSV ") and message in err
+
+
+def _ranged_records(tmp_path, monkeypatch, cpus, fail):
+    """A records file of three ratios over four chunks, read as ``cpus`` ranges (two: chunks
+    0-1 and 2-3; three: 0, 1 and 2-3) by a range worker that calls ``fail(first)`` before it
+    reads the range from data row ``first``."""
+    rng = np.random.default_rng(3)
+    n = 4 * CHUNK_SLOTS - 9
+    path = tmp_path / "records.csv"
+    with records_writer(path, "x", 0) as append:
+        append(protocol.RecordBatch(rng.integers(0, 2, n), [1.0, 0.5, 0.001],
+                                    rng.integers(0, 3, n), rng.normal(0.0, 3e4, n),
+                                    rng.normal(0.0, 1e4, n)))
+    worker = serialize._range_moments
+
+    def range_moments(path, start, first, stop):
+        fail(first)
+        return worker(path, start, first, stop)
+
+    monkeypatch.setattr(serialize, "_range_moments", range_moments)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return path
+
+
+def _raise_from(*firsts):
+    def fail(first):
+        if first in firsts:
+            raise ValueError(f"range from data row {first + 1} refused")
+    return fail
+
+
+@pytest.mark.parametrize("cpus, fail, message", [
+    (2, _raise_from(2 * CHUNK_SLOTS), "range from data row 131073 refused"),
+    (3, _raise_from(CHUNK_SLOTS, 2 * CHUNK_SLOTS), "range from data row 65537 refused"),
+    (3, _raise_from(0, 2 * CHUNK_SLOTS), "range from data row 1 refused"),
+    (3, lambda first: first and os._exit(3),
+     "the reader of data rows 65537 to 131072 of {path} ended without a result"),
+    (2, lambda first: first and os.kill(os.getpid(), signal.SIGKILL),
+     "the reader of data rows 131073 to the end of {path} ended without a result"),
+], ids=["child-raises", "earlier-child-first", "parent-first", "child-exits", "child-killed"])
+def test_cli_detect_reports_the_earliest_failed_range_and_reaps_every_child(
+        tmp_path, monkeypatch, capsys, cpus, fail, message):
+    path = _ranged_records(tmp_path, monkeypatch, cpus, fail)
+    assert main(["detect", "--records", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_detect_reads_ranges_in_children_and_reaps_them(tmp_path, monkeypatch, capsys):
+    seen = []
+    path = _ranged_records(tmp_path, monkeypatch, 3, lambda first: seen.append(os.getpid()))
+    assert main(["detect", "--records", str(path)]) == 0
+    assert seen == [os.getpid()]  # the other two ranges were read in children
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    out = capsys.readouterr().out
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert main(["detect", "--records", str(path)]) == 0
+    assert capsys.readouterr().out == out and len(seen) == 2
 
 
 def test_cli_plan_mode_refuses_a_plan_for_another_curve(tmp_path, capsys):

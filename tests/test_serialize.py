@@ -1,6 +1,8 @@
 import csv
 import io
+import itertools
 import math
+import os
 import re
 
 import numpy as np
@@ -10,6 +12,7 @@ from cvqkd.attack import AttackPlan, StrategyA, solve_attack_parameters
 from cvqkd.physics import builtin_curve
 from cvqkd.protocol import RatioMoments, RecordBatch, SystemParams, run_honest_session
 from cvqkd.rng import CHUNK_SLOTS
+from cvqkd import serialize
 from cvqkd.serialize import (_RECORDS_BLOCK, _int_words, _record_chunks, _repr_words, csv_text,
                              fmt_value, load_plan, plan_items, read_records_csv, read_report,
                              records_writer, write_plan, write_report)
@@ -90,6 +93,126 @@ def test_records_csv_groups_many_distinct_ratios(tmp_path):
     assert np.array_equal(loaded.ratios[loaded.ratio_index], ratios[ratio_index])
     counts = dict(zip(loaded.moments.ratios.tolist(), loaded.moments.count.tolist()))
     assert counts == dict(zip(ratios.tolist(), np.bincount(ratio_index).tolist()))
+
+
+def _write_records(path, ratio_tables, rows, seed=10):
+    """A records file of ``rows`` slots whose chunk j draws its ratios from ``ratio_tables[j]``
+    (the last table for the later chunks)."""
+    ratios = sorted({r for table in ratio_tables for r in table}, reverse=True)
+    rng = np.random.default_rng(seed)
+    index = np.empty(rows, int)
+    for j, start in enumerate(range(0, rows, CHUNK_SLOTS)):
+        table = [ratios.index(r) for r in ratio_tables[min(j, len(ratio_tables) - 1)]]
+        index[start:start + CHUNK_SLOTS] = rng.choice(table, min(CHUNK_SLOTS, rows - start))
+    with records_writer(path, "m", 0) as append:
+        append(RecordBatch(rng.integers(0, 2, rows), ratios, index, rng.normal(0.0, 3e4, rows),
+                           rng.normal(0.0, 1e4, rows)))
+
+
+def _split_and_one_range(monkeypatch, path, cpus=2):
+    """The moments read as ranges for ``cpus`` CPUs and as one range, and the children forked."""
+    forked = []
+
+    def fork_range(*span):
+        forked.append(span)
+        return fork(*span)
+
+    fork = serialize._fork_range
+    monkeypatch.setattr(serialize, "_fork_range", fork_range)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    split = read_records_csv(path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one = read_records_csv(path)
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+    return split, one, len(forked)
+
+
+def _assert_same_moments(got, want):
+    for name in ("ratios", "count", "mean", "m2", "sxy"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("rows, cpus, forks", [
+    (3 * CHUNK_SLOTS - 5, 2, 1),   # ratios 0.001 and 0.25 are first seen in the child's range
+    (2 * CHUNK_SLOTS, 2, 1),       # an exact chunk multiple: no empty chunk at the end
+    (CHUNK_SLOTS + 1, 2, 1),       # the child reads one row
+    (CHUNK_SLOTS, 2, 0),           # one chunk is one range
+    (4 * CHUNK_SLOTS - 9, 3, 2),   # three ranges: chunks 0, 1 and 2-3
+], ids=["ratio-first-in-a-child", "chunk-multiple", "chunk-plus-one", "one-chunk",
+        "three-ranges"])
+def test_records_csv_read_in_ranges_gives_the_one_range_moments(tmp_path, monkeypatch, rows,
+                                                                cpus, forks):
+    path = tmp_path / "records.csv"
+    _write_records(path, [[1.0, 0.5], [0.001, 1.0], [0.25, 0.5, 0.001]], rows)
+    split, one, forked = _split_and_one_range(monkeypatch, path, cpus)
+    assert forked == forks
+    _assert_same_moments(split, one)
+    if rows > 2 * CHUNK_SLOTS:
+        assert one.ratios.tolist() == [0.5, 1.0, 0.001, 0.25]
+
+
+def test_records_csv_without_a_metadata_line_reads_in_ranges(tmp_path, monkeypatch):
+    path = tmp_path / "records.csv"
+    _write_records(path, [[1.0, 0.5, 0.001]], 2 * CHUNK_SLOTS + 3)
+    path.write_bytes(path.read_bytes().split(b"\n", 1)[1])
+    split, one, forked = _split_and_one_range(monkeypatch, path)
+    assert forked == 1 and one.count.sum() == 2 * CHUNK_SLOTS + 3
+    _assert_same_moments(split, one)
+
+
+@pytest.mark.parametrize("row, split", [
+    (100, False),               # a lone \r ends a line in the parent's range
+    (CHUNK_SLOTS + 100, False),  # and in the child's
+    (CHUNK_SLOTS - 1, False),   # and ends the parent's range
+    (100, True),                # a lone \r splits a row in the parent's range
+    (CHUNK_SLOTS + 100, True),   # and in the child's
+], ids=["line-end-parent", "line-end-child", "range-end", "split-row-parent",
+        "split-row-child"])
+def test_records_csv_lone_cr_reads_as_one_range_reads_it(tmp_path, monkeypatch, row, split):
+    # the text reader ends a line at \n, \r\n and a lone \r, and so does the range split
+    path = tmp_path / "records.csv"
+    _write_records(path, [[1.0, 0.5, 0.001]], 2 * CHUNK_SLOTS + 3)
+    lines = path.read_bytes().split(b"\r\n")  # lines[0] holds the metadata line and the header
+    if split:
+        lines[row + 1] = lines[row + 1].replace(b",", b"\r,", 1)
+    else:
+        lines[row + 1] += b"\r" + lines.pop(row + 2)
+    path.write_bytes(b"\r\n".join(lines))
+    outcomes = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        try:
+            outcomes.append(read_records_csv(path))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    if split:
+        assert outcomes[0] == outcomes[1] == (f"malformed records CSV {path}: data row "
+                                              f"{row + 1} has 1 columns, not 5")
+    else:
+        _assert_same_moments(*outcomes)
+        assert outcomes[0].count.sum() == 2 * CHUNK_SLOTS + 3
+
+
+@pytest.mark.parametrize("lone", [True, False], ids=["lone-cr", "crlf"])
+@pytest.mark.parametrize("shift", range(-2, 3))
+def test_chunk_starts_count_line_ends_as_the_text_reader_splits_lines(tmp_path, shift, lone):
+    # a lone \r, or the \r of a \r\n, at the edge of a 64 KiB scan block, against the text
+    # reader's lines
+    path = tmp_path / "records.csv"
+    _write_records(path, [[1.0]], 3 * CHUNK_SLOTS)
+    head, body = path.read_bytes().split(b"\n", 1)
+    at = body.index(b"\r\n", (1 << 16) - len(head) - 100)
+    if lone:
+        body = body[:at] + b"\r" + body[at + 2:]
+    pad = (1 << 16) - 1 - len(head) - 1 - at + shift  # puts that \r at byte 65535 + shift
+    path.write_bytes(head + b"x" * pad + b"\n" + body)
+    assert path.read_bytes()[(1 << 16) - 1 + shift] == ord("\r")
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        offsets = list(itertools.accumulate(len(line.encode()) for line in fh))
+    want = [offsets[k * CHUNK_SLOTS + 1] for k in (1, 2) if k * CHUNK_SLOTS + 1 < len(offsets)]
+    assert serialize._chunk_starts(path) == want
 
 
 def _reference_records_csv(path, batch, scenario_hash, seed):
