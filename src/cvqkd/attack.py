@@ -318,14 +318,14 @@ def noise_table(params: SystemParams, plan: AttackPlan,
 
 def run_attacked_session(params: SystemParams, plan: AttackPlan, slots: int,
                          master_seed: int, *, threads: int = 1,
-                         records: bool | Callable = True):
+                         records: bool | Callable = True, chunks: range | None = None):
     """Simulate ``slots`` attacked protocol slots drawn from ``noise_table``.
 
     The batch carries Eve's measured quadrature as a ground-truth annotation.
     The LO level a monitor reads is no slot column, so ``noise_table``'s
     ``compensate_lo`` changes nothing drawn here. Returns the batch with
     its moments, or, with ``records`` False or a callable that takes each
-    chunk's records, only the RatioMoments (see ``protocol.sample_session``).
+    chunk's records, only the RatioMoments (``protocol.sample_session``, as ``chunks``).
     """
     return sample_session(noise_table(params, plan), slots, master_seed,
-                          threads=threads, records=records)
+                          threads=threads, records=records, chunks=chunks)

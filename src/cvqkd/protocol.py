@@ -305,9 +305,9 @@ def honest_noise_table(params: SystemParams, shot_noise: float | None = None) ->
                       noise_var[:, None], np.zeros((len(ratios), 1)))
 
 
-def sample_session(table: NoiseTable, slots: int, master_seed: int,
-                   *, threads: int = 1, records: bool | Callable = True):
-    """Draw ``slots`` slots from ``table``; reproducible in (seed, slots).
+def sample_session(table: NoiseTable, slots: int, master_seed: int, *, threads: int = 1,
+                   records: bool | Callable = True, chunks: range | None = None):
+    """Draw ``slots`` slots (those in ``chunks``) from ``table``; reproducible in (seed, slots).
 
     Per chunk, in this order: the multinomial per-ratio counts; then, each
     column over the whole chunk in ratio order, x, Eve's heterodyne noise
@@ -377,21 +377,21 @@ def sample_session(table: NoiseTable, slots: int, master_seed: int,
         return RecordBatch(gen.integers(0, 2, m, dtype=np.uint8), ratios, ratio_index,
                            placed(x), placed(y), placed(xe) if intercept else None, moments=moments)
 
-    chunks = _rng.run_chunked(slots, master_seed, fill, threads=threads)
+    chunks = _rng.run_chunked(slots, master_seed, fill, threads=threads, chunks=chunks)
     return RecordBatch.collect(chunks, records) if records else RatioMoments.fold(chunks)
 
 
-def run_honest_session(params: SystemParams, slots: int, master_seed: int,
-                       *, threads: int = 1, records: bool | Callable = True):
+def run_honest_session(params: SystemParams, slots: int, master_seed: int, *, threads: int = 1,
+                       records: bool | Callable = True, chunks: range | None = None):
     """Simulate ``slots`` honest protocol slots drawn from ``honest_noise_table``;
     reproducible in (seed, slots).
 
     Returns a RecordBatch carrying the session's moments, or, with
     ``records`` False or a callable that takes each chunk's records, only
-    the RatioMoments (see ``sample_session``).
+    the RatioMoments (see ``sample_session``, which also reads ``chunks``).
     """
     return sample_session(honest_noise_table(params), slots, master_seed,
-                          threads=threads, records=records)
+                          threads=threads, records=records, chunks=chunks)
 
 
 def two_point_from_variances(v1: float, v2: float, r1: float, r2: float,

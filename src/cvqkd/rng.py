@@ -39,8 +39,9 @@ def chunk_bounds(n_slots: int):
         yield j, j * CHUNK_SLOTS, min((j + 1) * CHUNK_SLOTS, n_slots)
 
 
-def run_chunked(n_slots: int, master_seed: int, fill, *, threads: int = 1):
-    """Evaluate ``fill(rng, start, stop)`` once per chunk; yield the results in chunk order.
+def run_chunked(n_slots: int, master_seed: int, fill, *, threads: int = 1,
+                chunks: range | None = None):
+    """Evaluate ``fill(rng, start, stop)`` per chunk (in ``chunks``); yield the results in order.
 
     ``fill`` returns the chunk's result (the samplers: its moments) and may
     also write into preallocated [start:stop) slices; chunks are disjoint, so
@@ -49,13 +50,13 @@ def run_chunked(n_slots: int, master_seed: int, fill, *, threads: int = 1):
     one the caller waits for, so results held in flight do not grow with
     the chunk count.
     """
-    bounds = chunk_bounds(n_slots)
+    bounds = [b for b in chunk_bounds(n_slots) if chunks is None or b[0] in chunks]
 
     def one(args):
         j, start, stop = args
         return fill(chunk_generator(master_seed, STREAM_SESSION, j), start, stop)
 
-    if threads <= 1 or n_slots <= CHUNK_SLOTS:
+    if threads <= 1 or len(bounds) <= 1:
         yield from map(one, bounds)
         return
     from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay for its import

@@ -25,12 +25,16 @@ as a session reduces its chunks, from lists of 2048 lines, each parsed by one
 batch reads back bit for bit. It reads any number ``np.loadtxt`` reads, refuses
 any other row, naming its data row and, for a cell, its column, and it is the
 one place that groups ratio values, because there they come from outside the
-program. The parse holds the GIL, so a file is read in contiguous ranges of
-whole chunks, one per CPU in ``os.sched_getaffinity(0)`` and at most one per
-chunk: this process reads the first, and a forked child each other one from
-the byte offset a count of line ends finds, pickling its chunks' moments to a
-pipe; all fold in file order. A 1e6-row file read in 0.46-0.53 s on a 2-vCPU
-host, against 0.73-1.0 s as one range, as with one CPU, one chunk or no fork.
+program.
+
+The spelling and the parse hold the GIL, so both work in ranges of whole chunks,
+one per CPU in ``os.sched_getaffinity(0)`` and at most one per chunk: this
+process takes the first and a forked child each other one (``_forked``). A
+writer's child draws its own chunks into a part file appended after this
+process's rows, a reader's starts at the byte a count of line ends finds; all
+fold in chunk order. On a 2-vCPU host 1e6 slots wrote in 0.29-0.42 s (one
+range: 0.46-0.68 s) and read in 0.46-0.53 s (0.73-1.0 s). One CPU, one chunk
+or no ``os.fork`` is one range.
 """
 
 from __future__ import annotations
@@ -315,25 +319,15 @@ def _records_rows(first_slot, prefix, alice_x, bob_y) -> bytes:
     return rows.tobytes().translate(None, b"\0")
 
 
-@contextlib.contextmanager
-def records_writer(path, scenario_hash: str, seed: int):
-    """Yield a function that appends a record batch as records-v1 rows.
+class RecordsFile:
+    """An open records file. Called with a record batch, it appends its rows, slots numbered on
+    from ``written``, spelling each entry of its ratio table once, and keeps its moments; a
+    ratio, alice_x or bob_y that is not finite raises ValueError, as the reader would."""
 
-    Batches come in slot order; each entry of a batch's ratio table is spelled
-    by ``repr`` once. The rows go to a temporary file next to ``path`` that
-    replaces it when the block exits without an exception, and is otherwise
-    removed with any directory made for it. A ratio, alice_x or bob_y that is
-    not finite raises ValueError: the reader would reject it.
-    """
-    _repr_tables()  # before the session's columns, so the tables sit below them on the heap
-    path = Path(path)
-    made = [p for p in (path.parent, *path.parent.parents) if not p.exists()]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    written = 0
+    def __init__(self, fh, written: int = 0):
+        self.fh, self.written, self.moments = fh, written, []
 
-    def append(batch: RecordBatch) -> None:
-        nonlocal written
+    def __call__(self, batch: RecordBatch) -> None:
         for name, values in (("ratio", batch.ratios), ("alice_x", batch.alice_x),
                              ("bob_y", batch.bob_y)):
             if not np.isfinite(values).all():
@@ -345,15 +339,57 @@ def records_writer(path, scenario_hash: str, seed: int):
         cell = batch.ratio_index.astype(np.intp) * 2 + batch.quad
         for start in range(0, len(batch), _RECORDS_BLOCK):
             block = slice(start, start + _RECORDS_BLOCK)
-            fh.write(_records_rows(written + start, prefixes.take(cell[block], axis=0),
-                                   batch.alice_x[block], batch.bob_y[block]))
-        written += len(batch)
+            self.fh.write(_records_rows(self.written + start, prefixes.take(cell[block], axis=0),
+                                        batch.alice_x[block], batch.bob_y[block]))
+        self.written += len(batch)
+        self.moments.append(batch.moments)
 
+    def draw(self, session, slots: int) -> RatioMoments:
+        """Write a session of ``slots`` slots in ranges and return its moments; ``session(
+        records=..., chunks=...)`` hands ``records`` the batch of each chunk in range ``chunks``."""
+        chunk = _rng.CHUNK_SLOTS
+        spans = _spans(-(-slots // chunk))
+        parts = {a: Path(f"{self.fh.name}.{a}") for a, _ in spans[1:]}
+
+        def write(a, b):
+            with open(parts[a], "wb") if a else contextlib.nullcontext(self.fh) as fh:
+                records = RecordsFile(fh, a * chunk) if a else self
+                session(records=records, chunks=range(a, b))
+                return records.moments
+
+        try:
+            ranges = _forked(write, spans, lambda a, b: f"the writer of data rows {a * chunk + 1} "
+                                                        f"to {min(b * chunk, slots)}")
+            self.fh.flush()  # the parts follow the rows this process wrote
+            for part in parts.values():
+                with open(part, "rb") as src:
+                    try:
+                        while os.copy_file_range(src.fileno(), self.fh.fileno(), 1 << 30):
+                            pass
+                    except (AttributeError, OSError):  # none here, or not between these files
+                        while block := src.read(1 << 20):  # from where it stopped, if it began
+                            self.fh.write(block)
+        finally:
+            for part in parts.values():  # every child has been reaped
+                part.unlink(missing_ok=True)
+        return RatioMoments.fold(itertools.chain.from_iterable(ranges))
+
+
+@contextlib.contextmanager
+def records_writer(path, scenario_hash: str, seed: int):
+    """Yield a RecordsFile whose records-v1 rows go to a temporary file next to ``path``
+    that replaces it when the block exits without an exception, and is otherwise removed
+    with any directory made for it."""
+    _repr_tables()  # before the session's columns, so the tables sit below them on the heap
+    path = Path(path)
+    made = [p for p in (path.parent, *path.parent.parents) if not p.exists()]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(temp, "wb") as fh:
             fh.write((meta_line(RECORDS_FORMAT, scenario_hash, seed) + "\n").encode())
             fh.write(",".join(_RECORDS_DTYPE.names).encode())  # each row starts with "\r\n"
-            yield append
+            yield RecordsFile(fh)
             fh.write(b"\r\n")
         os.replace(temp, path)
     except BaseException:
@@ -362,6 +398,56 @@ def records_writer(path, scenario_hash: str, seed: int):
             with contextlib.suppress(OSError):
                 directory.rmdir()
         raise
+
+
+def _cpus() -> int:
+    """The CPUs in ``os.sched_getaffinity(0)``, or 1 without it or without ``os.fork``."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _spans(chunks: int) -> list[tuple[int, int]]:
+    """Contiguous ranges [a, b) of ``chunks`` chunks: one per CPU, at most one per chunk."""
+    ranges = min(_cpus(), chunks)
+    return list(itertools.pairwise(i * chunks // ranges for i in range(ranges + 1)))
+
+
+def _forked(work, spans, lost):
+    """``work(a, b)`` per span, in order: here for the first, in a forked child that pickles
+    its result or exception to a pipe for each other. Every child is reaped before the earliest
+    span's exception, or OSError ``<lost(a, b)> ended without a result`` if a child sent none."""
+    import pickle  # loaded with numpy
+    children, results = [], []
+    try:
+        for span in spans[1:]:
+            read, write = os.pipe()
+            if not (pid := os.fork()):
+                try:  # the child leaves by os._exit: it never returns into the caller
+                    with open(write, "wb") as pipe:
+                        try:
+                            result = work(*span)
+                        except Exception as exc:
+                            result = exc
+                        pipe.write(pickle.dumps(result))
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((span, pid, open(read, "rb")))
+        results.append(work(*spans[0]))
+        for span, _, pipe in children:
+            try:
+                results.append(pickle.loads(pipe.read()))
+            except (EOFError, pickle.UnpicklingError):  # killed, or left before it wrote
+                raise OSError(f"{lost(*span)} ended without a result") from None
+            if isinstance(results[-1], BaseException):
+                raise results[-1]
+    finally:
+        for _, pid, pipe in children:  # each has sent its result, or an earlier span failed
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+    return results
 
 
 def read_records_csv(path):
@@ -376,30 +462,18 @@ def read_records_csv(path):
     P, a non-finite ratio, x or y, a slot that is not its row number, or a ratio
     outside [0, 1]; the earliest range's error, or OSError if a child sends none.
     """
-    import pickle  # loaded with numpy
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    starts = [None, *_chunk_starts(path)] if cpus > 1 and hasattr(os, "fork") else [None]
-    ranges = min(cpus, len(starts))  # each: chunks a to b - 1, from byte starts[a]
-    spans = [(starts[a], a * _rng.CHUNK_SLOTS, b * _rng.CHUNK_SLOTS if b < len(starts) else None)
-             for a, b in itertools.pairwise(i * len(starts) // ranges for i in range(ranges + 1))]
-    children, parts = [], []
-    try:
-        for span in spans[1:]:
-            children.append((span, *_fork_range(path, *span)))
-        parts.append(_range_moments(path, *spans[0]))
-        for (_, first, stop), _, pipe in children:
-            try:
-                parts.append(pickle.loads(pipe.read()))
-            except (EOFError, pickle.UnpicklingError):  # killed, or left before it wrote
-                raise OSError(f"the reader of data rows {first + 1} to {stop or 'the end'} of "
-                              f"{path} ended without a result") from None
-            if isinstance(parts[-1], BaseException):
-                raise parts[-1]
-    finally:
-        for _, pid, pipe in children:  # each has sent its result, or an earlier range failed
-            pipe.close()
-            os.kill(pid, 9)  # SIGKILL
-            os.waitpid(pid, 0)
+    starts = [None, *_chunk_starts(path)] if _cpus() > 1 else [None]  # chunk k from byte starts[k]
+    chunk = _rng.CHUNK_SLOTS
+
+    def stop(b):
+        return b * chunk if b < len(starts) else None
+
+    def moments(a, b):  # each chunk's, its batch dropped before the next is read
+        return list(map(lambda batch: batch.moments,
+                        _record_chunks(path, starts[a], a * chunk, stop(b))))
+
+    parts = _forked(moments, _spans(len(starts)), lambda a, b: (
+        f"the reader of data rows {a * chunk + 1} to {stop(b) or 'the end'} of {path}"))
     return RatioMoments.fold(itertools.chain.from_iterable(parts))
 
 
@@ -419,29 +493,6 @@ def _chunk_starts(path) -> list[int]:
                 target += _rng.CHUNK_SLOTS
             ends, offset = ends + count, offset + len(block)
     return starts[:-1] if starts and starts[-1] == offset else starts  # no row at the end
-
-
-def _range_moments(path, start, first, stop) -> list[RatioMoments]:
-    """Each chunk's moments (``_record_chunks``), its batch dropped before the next is read."""
-    return list(map(lambda batch: batch.moments, _record_chunks(path, start, first, stop)))
-
-
-def _fork_range(path, start, first, stop):
-    """A forked child's pid and the pipe it pickles its ``_range_moments`` or exception to."""
-    import pickle  # loaded with numpy
-    read, write = os.pipe()
-    if pid := os.fork():
-        os.close(write)
-        return pid, open(read, "rb")
-    try:  # the child leaves by os._exit: it never returns into the caller
-        with open(write, "wb") as pipe:
-            try:
-                result = _range_moments(path, start, first, stop)
-            except Exception as exc:
-                result = exc
-            pipe.write(pickle.dumps(result))
-    finally:
-        os._exit(0)
 
 
 def _loadtxt(lines, dtype=_RECORDS_DTYPE, column=None):

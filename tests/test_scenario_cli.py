@@ -814,7 +814,9 @@ def test_cli_schedule_without_full_transmission_reports_no_channel_estimate(tmp_
 
 @pytest.mark.parametrize("name", ["honest", "attack_a", "attack_b"])
 def test_cli_thread_count_does_not_change_bytes(tmp_path, monkeypatch, name):
-    # three sampler chunks, the last one partial: --threads 2 runs them on a pool
+    # three sampler chunks, the last one partial: --threads 2 runs them on a pool; on one CPU,
+    # as a records run writes them in one range (forked ranges: the test after this one)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     pools = []
     pool = concurrent.futures.ThreadPoolExecutor  # imported by rng.run_chunked when it is used
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
@@ -830,11 +832,91 @@ def test_cli_thread_count_does_not_change_bytes(tmp_path, monkeypatch, name):
     assert filecmp.cmpfiles(out1, out2, names, shallow=False)[0] == names
 
 
+@pytest.mark.parametrize("name, slots, threads", [
+    ("honest", CHUNK_SLOTS, "1"),               # one chunk is one range: no fork
+    ("honest", 2 * CHUNK_SLOTS, "1"),           # an exact chunk multiple
+    ("honest", CHUNK_SLOTS + 1, "1"),           # the child writes one row
+    ("honest", 2 * CHUNK_SLOTS + 777, "1"),     # three chunks
+    ("honest", 2 * CHUNK_SLOTS + 777, "2"),     # each range on a 2-worker pool
+    ("attack_a", 2 * CHUNK_SLOTS + 777, "1"),
+    ("attack_a", 2 * CHUNK_SLOTS + 777, "2"),
+], ids=["one-chunk", "chunk-multiple", "chunk-plus-one", "three-chunks", "three-chunks-2t",
+        "attacked", "attacked-2t"])
+def test_cli_records_run_in_ranges_writes_the_one_range_bytes(tmp_path, monkeypatch, capsys,
+                                                              name, slots, threads):
+    # written as one range, then in up to two and in up to three ranges of whole chunks
+    forked, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(None) or fork())
+    outs, printed = [tmp_path / f"cpus{cpus}" for cpus in (1, 2, 3)], []
+    chunks = -(-slots // CHUNK_SLOTS)
+    for cpus, out in enumerate(outs, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert main(["run", "--scenario", str(SCENARIOS / f"{name}.scenario"), "--out", str(out),
+                     "--slots", str(slots), "--threads", threads]) == 0
+        printed.append(capsys.readouterr())
+        assert len(forked) == sum(min(c, chunks) - 1 for c in range(1, cpus + 1))
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+    names = sorted(path.name for path in outs[0].iterdir())
+    assert "records.csv" in names and printed[0].err == ""
+    for out, text in zip(outs[1:], printed[1:]):
+        assert sorted(path.name for path in out.iterdir()) == names
+        assert filecmp.cmpfiles(outs[0], out, names, shallow=False)[0] == names
+        assert text == printed[0]
+    assert main(["detect", "--records", str(outs[2] / "records.csv")]) == 0
+    detected = [line for line in capsys.readouterr().out.splitlines() if "a_over_c" in line]
+    assert detected == [f"a_over_c = {read_report(outs[0] / 'verdict.txt')['a_over_c']}"]
+
+
+def _fail_in_range(monkeypatch, fail):
+    """Sessions that call ``fail(first)`` before they draw the range from chunk ``first``."""
+    for module, name in ((protocol, "run_honest_session"), (attack, "run_attacked_session")):
+        def session(*args, chunks=None, run=getattr(module, name), **kwargs):
+            fail(chunks.start)
+            return run(*args, chunks=chunks, **kwargs)
+
+        monkeypatch.setattr(module, name, session)
+
+
+def _refuse_from(*firsts):
+    def fail(first):
+        if first in firsts:
+            raise ValueError(f"chunk {first} refused")
+    return fail
+
+
+def _unfit(moments):
+    raise EstimationError("the fit failed")
+
+
+@pytest.mark.parametrize("cpus, fail, fit, message", [
+    (3, _refuse_from(1, 2), None, "chunk 1 refused"),
+    (2, lambda first: first and os.kill(os.getpid(), signal.SIGKILL), None,
+     "the writer of data rows 65537 to 131849 ended without a result"),
+    (3, _refuse_from(0, 2), None, "chunk 0 refused"),
+    (3, lambda first: None, _unfit, "the fit failed"),
+], ids=["children-raise", "child-killed", "parent-raises", "fit-fails"])
+def test_cli_records_run_in_ranges_fails_leaving_no_file_and_no_child(
+        tmp_path, monkeypatch, capsys, cpus, fail, fit, message):
+    _fail_in_range(monkeypatch, fail)
+    if fit is not None:
+        monkeypatch.setattr(analysis, "fit_noise_polynomial", fit)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for name in ("honest", "attack_a"):
+        assert main(["run", "--scenario", str(SCENARIOS / f"{name}.scenario"),
+                     "--out", str(tmp_path / "out" / name), "--slots",
+                     str(2 * CHUNK_SLOTS + 777)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []  # no records, temporary or part file, no directory
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 def test_cli_start_up_leaves_the_records_tables_and_the_thread_pool_to_their_commands(tmp_path):
     # a fresh interpreter: importing the CLI and building its parser neither imports
     # concurrent.futures or multiprocessing nor builds the records kernel's tables; a run
-    # writing records builds them once, and a detect of a multi-chunk file, read in ranges by
-    # forked children, imports no process pool either
+    # writing records of three chunks builds them once, and neither it, written in ranges by
+    # forked children, nor a detect of its file, read in ranges, imports a process pool
     scen = tmp_path / "records.scenario"
     scen.write_text(MINIMAL.replace("0.001 = 0.5\n", "0.5 = 0.25\n0.001 = 0.25\n")
                     + "[outputs]\nrecords = records.csv\n")
@@ -846,14 +928,14 @@ def test_cli_start_up_leaves_the_records_tables_and_the_thread_pool_to_their_com
               "out = sys.argv[2]\n"
               "assert cli.main(['run', '--scenario', sys.argv[1], '--out', out,\n"
               "                 '--slots', '140000']) == 0\n"
-              "print('@', tables().currsize)\n"
+              "print('@', pools(), tables().currsize)\n"
               "assert cli.main(['detect', '--records', out + '/records.csv']) == 0\n"
               "print('@', pools())\n")
     env = {**os.environ, "PYTHONPATH": str(Path(cvqkd.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-c", script, str(scen), str(tmp_path / "out")],
                           capture_output=True, text=True, env=env, check=True)
     lines = [line for line in done.stdout.splitlines() if line.startswith("@ ")]
-    assert (lines, done.stderr) == (["@ [] 0", "@ 1", "@ []"], "")
+    assert (lines, done.stderr) == (["@ [] 0", "@ [] 1", "@ []"], "")
     assert (tmp_path / "out" / "records.csv").is_file()
 
 
@@ -1342,13 +1424,13 @@ def _ranged_records(tmp_path, monkeypatch, cpus, fail):
         append(protocol.RecordBatch(rng.integers(0, 2, n), [1.0, 0.5, 0.001],
                                     rng.integers(0, 3, n), rng.normal(0.0, 3e4, n),
                                     rng.normal(0.0, 1e4, n)))
-    worker = serialize._range_moments
+    worker = serialize._record_chunks
 
-    def range_moments(path, start, first, stop):
+    def record_chunks(path, start, first, stop):
         fail(first)
         return worker(path, start, first, stop)
 
-    monkeypatch.setattr(serialize, "_range_moments", range_moments)
+    monkeypatch.setattr(serialize, "_record_chunks", record_chunks)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     return path
 

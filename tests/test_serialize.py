@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import itertools
 import math
@@ -8,9 +9,10 @@ import re
 import numpy as np
 import pytest
 
-from cvqkd.attack import AttackPlan, StrategyA, solve_attack_parameters
+from cvqkd.attack import AttackPlan, StrategyA, run_attacked_session, solve_attack_parameters
 from cvqkd.physics import builtin_curve
-from cvqkd.protocol import RatioMoments, RecordBatch, SystemParams, run_honest_session
+from cvqkd.protocol import (THREE_RATIO_SCHEDULE, RatioMoments, RecordBatch, SystemParams,
+                            run_honest_session)
 from cvqkd.rng import CHUNK_SLOTS
 from cvqkd import serialize
 from cvqkd.serialize import (_RECORDS_BLOCK, _int_words, _record_chunks, _repr_words, csv_text,
@@ -109,16 +111,16 @@ def _write_records(path, ratio_tables, rows, seed=10):
                            rng.normal(0.0, 1e4, rows)))
 
 
+def _count_forks(monkeypatch) -> list:
+    """A list that gains an entry each time this process calls ``os.fork``."""
+    forked, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(None) or fork())
+    return forked
+
+
 def _split_and_one_range(monkeypatch, path, cpus=2):
     """The moments read as ranges for ``cpus`` CPUs and as one range, and the children forked."""
-    forked = []
-
-    def fork_range(*span):
-        forked.append(span)
-        return fork(*span)
-
-    fork = serialize._fork_range
-    monkeypatch.setattr(serialize, "_fork_range", fork_range)
+    forked = _count_forks(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     split = read_records_csv(path)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -151,6 +153,41 @@ def test_records_csv_read_in_ranges_gives_the_one_range_moments(tmp_path, monkey
     _assert_same_moments(split, one)
     if rows > 2 * CHUNK_SLOTS:
         assert one.ratios.tolist() == [0.5, 1.0, 0.001, 0.25]
+
+
+@pytest.mark.parametrize("slots, threads, attacked, forks", [
+    (CHUNK_SLOTS, 1, False, [0, 0]),             # one chunk is one range: no fork
+    (2 * CHUNK_SLOTS, 1, False, [1, 1]),         # an exact chunk multiple
+    (CHUNK_SLOTS + 1, 1, False, [1, 1]),         # the child writes one row
+    (3 * CHUNK_SLOTS - 5, 1, False, [1, 2]),     # three chunks
+    (3 * CHUNK_SLOTS - 5, 2, False, [1, 2]),     # each range on a 2-worker pool
+    (3 * CHUNK_SLOTS - 5, 1, True, [1, 2]),      # an attacked session
+], ids=["one-chunk", "chunk-multiple", "chunk-plus-one", "three-chunks", "three-chunks-2t",
+        "attacked"])
+def test_records_written_in_ranges_match_the_one_range_write(tmp_path, monkeypatch, slots,
+                                                             threads, attacked, forks):
+    params = SystemParams(schedule=THREE_RATIO_SCHEDULE)
+    session = (functools.partial(run_attacked_session, params,
+                                 solve_attack_parameters("A", params, CURVE))
+               if attacked else functools.partial(run_honest_session, params))
+    session = functools.partial(session, slots, 12, threads=threads)
+    forked = _count_forks(monkeypatch)
+    written = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        with records_writer(tmp_path / f"{cpus}.csv", "h", 12) as records:
+            written.append(records.draw(session, slots))
+        assert sorted(os.listdir(tmp_path)) == [f"{c}.csv" for c in range(1, cpus + 1)]
+        assert len(forked) == sum([0, *forks][:cpus])
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+    with records_writer(tmp_path / "batch.csv", "h", 12) as append:  # the session as one batch
+        append(session())
+    one = (tmp_path / "batch.csv").read_bytes()
+    assert one.count(b"\r\n") == slots + 1
+    for cpus, moments in enumerate(written, 1):
+        assert (tmp_path / f"{cpus}.csv").read_bytes() == one
+        _assert_same_moments(moments, session(records=False))
 
 
 def test_records_csv_without_a_metadata_line_reads_in_ranges(tmp_path, monkeypatch):
