@@ -87,12 +87,13 @@ def cmd_run(args) -> int:
                                               scen.wavelengths)
     session = (functools.partial(protocol.run_honest_session, scen.params) if plan is None
                else functools.partial(attack.run_attacked_session, scen.params, plan))
-    session = functools.partial(session, scen.slots, seed, threads=args.threads)
+    session = functools.partial(session, master_seed=seed, threads=args.threads)
     # records stream into a file that replaces the target once nothing can fail
     writer = (serialize.records_writer(outdir / outputs["records"], shash, seed)
               if "records" in outputs else contextlib.nullcontext())
     with writer as records:
-        moments = records.draw(session, scen.slots) if records else session(records=False)
+        moments = (records.draw(session, scen.slots) if records
+                   else session(scen.slots, records=False))
         items = _report_items(scen, moments, plan)
         if "polynomial" in outputs or "verdict" in outputs:
             table = (protocol.honest_noise_table(scen.params) if plan is None

@@ -32,8 +32,8 @@ one per CPU in ``os.sched_getaffinity(0)`` and at most one per chunk: this
 process takes the first and a forked child each other one (``_forked``). A
 writer's child draws its own chunks into a part file appended after this
 process's rows, a reader's starts at the byte a count of line ends finds; all
-fold in chunk order. On a 2-vCPU host 1e6 slots wrote in 0.29-0.42 s (one
-range: 0.46-0.68 s) and read in 0.46-0.53 s (0.73-1.0 s). One CPU, one chunk
+fold in chunk order. On a 2-vCPU host 1e6 slots wrote in 0.27-0.39 s (one
+range: 0.47-0.62 s) and read in 0.46-0.53 s (0.73-1.0 s). One CPU, one chunk
 or no ``os.fork`` is one range.
 """
 
@@ -345,30 +345,27 @@ class RecordsFile:
         self.moments.append(batch.moments)
 
     def draw(self, session, slots: int) -> RatioMoments:
-        """Write a session of ``slots`` slots in ranges and return its moments; ``session(
+        """Write a session of ``slots`` slots in ranges and return its moments; ``session(slots,
         records=..., chunks=...)`` hands ``records`` the batch of each chunk in range ``chunks``."""
         chunk = _rng.CHUNK_SLOTS
         spans = _spans(-(-slots // chunk))
         parts = {a: Path(f"{self.fh.name}.{a}") for a, _ in spans[1:]}
+        if parts:  # each CPU draws a range already: sampler threads would only contend
+            session = functools.partial(session, threads=1)
 
         def write(a, b):
             with open(parts[a], "wb") if a else contextlib.nullcontext(self.fh) as fh:
                 records = RecordsFile(fh, a * chunk) if a else self
-                session(records=records, chunks=range(a, b))
+                session(slots, records=records, chunks=range(a, b))
                 return records.moments
 
         try:
             ranges = _forked(write, spans, lambda a, b: f"the writer of data rows {a * chunk + 1} "
                                                         f"to {min(b * chunk, slots)}")
-            self.fh.flush()  # the parts follow the rows this process wrote
             for part in parts.values():
                 with open(part, "rb") as src:
-                    try:
-                        while os.copy_file_range(src.fileno(), self.fh.fileno(), 1 << 30):
-                            pass
-                    except (AttributeError, OSError):  # none here, or not between these files
-                        while block := src.read(1 << 20):  # from where it stopped, if it began
-                            self.fh.write(block)
+                    while block := src.read(1 << 20):
+                        self.fh.write(block)
         finally:
             for part in parts.values():  # every child has been reaped
                 part.unlink(missing_ok=True)

@@ -837,7 +837,7 @@ def test_cli_thread_count_does_not_change_bytes(tmp_path, monkeypatch, name):
     ("honest", 2 * CHUNK_SLOTS, "1"),           # an exact chunk multiple
     ("honest", CHUNK_SLOTS + 1, "1"),           # the child writes one row
     ("honest", 2 * CHUNK_SLOTS + 777, "1"),     # three chunks
-    ("honest", 2 * CHUNK_SLOTS + 777, "2"),     # each range on a 2-worker pool
+    ("honest", 2 * CHUNK_SLOTS + 777, "2"),     # a 2-worker pool in one range only
     ("attack_a", 2 * CHUNK_SLOTS + 777, "1"),
     ("attack_a", 2 * CHUNK_SLOTS + 777, "2"),
 ], ids=["one-chunk", "chunk-multiple", "chunk-plus-one", "three-chunks", "three-chunks-2t",

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import functools
 import io
@@ -160,18 +161,22 @@ def test_records_csv_read_in_ranges_gives_the_one_range_moments(tmp_path, monkey
     (2 * CHUNK_SLOTS, 1, False, [1, 1]),         # an exact chunk multiple
     (CHUNK_SLOTS + 1, 1, False, [1, 1]),         # the child writes one row
     (3 * CHUNK_SLOTS - 5, 1, False, [1, 2]),     # three chunks
-    (3 * CHUNK_SLOTS - 5, 2, False, [1, 2]),     # each range on a 2-worker pool
+    (3 * CHUNK_SLOTS - 5, 2, False, [1, 2]),     # --threads 2
+    (4 * CHUNK_SLOTS - 5, 2, False, [1, 2]),     # two chunks here at 2 CPUs, on one thread
     (3 * CHUNK_SLOTS - 5, 1, True, [1, 2]),      # an attacked session
 ], ids=["one-chunk", "chunk-multiple", "chunk-plus-one", "three-chunks", "three-chunks-2t",
-        "attacked"])
+        "four-chunks-2t", "attacked"])
 def test_records_written_in_ranges_match_the_one_range_write(tmp_path, monkeypatch, slots,
                                                              threads, attacked, forks):
     params = SystemParams(schedule=THREE_RATIO_SCHEDULE)
     session = (functools.partial(run_attacked_session, params,
                                  solve_attack_parameters("A", params, CURVE))
                if attacked else functools.partial(run_honest_session, params))
-    session = functools.partial(session, slots, 12, threads=threads)
+    session = functools.partial(session, master_seed=12, threads=threads)
     forked = _count_forks(monkeypatch)
+    pools, pool = [], concurrent.futures.ThreadPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda **kw: pools.append(kw) or pool(**kw))
     written = []
     for cpus in (1, 2, 3):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -181,13 +186,15 @@ def test_records_written_in_ranges_match_the_one_range_write(tmp_path, monkeypat
         assert len(forked) == sum([0, *forks][:cpus])
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
+    # only the one-range write takes --threads' pool: each CPU draws a range already
+    assert pools == [{"max_workers": threads}][:threads - 1]
     with records_writer(tmp_path / "batch.csv", "h", 12) as append:  # the session as one batch
-        append(session())
+        append(session(slots))
     one = (tmp_path / "batch.csv").read_bytes()
     assert one.count(b"\r\n") == slots + 1
     for cpus, moments in enumerate(written, 1):
         assert (tmp_path / f"{cpus}.csv").read_bytes() == one
-        _assert_same_moments(moments, session(records=False))
+        _assert_same_moments(moments, session(slots, records=False))
 
 
 def test_records_csv_without_a_metadata_line_reads_in_ranges(tmp_path, monkeypatch):
