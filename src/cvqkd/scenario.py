@@ -4,6 +4,8 @@ Format is INI-like: ``[section]`` headers, ``key = value`` lines, ``#``
 comments. Unknown sections or keys are hard errors carrying the offending
 line number. Units follow the simulator conventions: intensities in
 photo-electron counts, modulation/excess noise in shot-noise units.
+``KEYS`` is the one list of keys: the parser fills the dataclasses from its
+rows, and ``Scenario.canonical_text`` writes them back.
 """
 
 from __future__ import annotations
@@ -64,33 +66,49 @@ def _choice(value: str, line: int, key: str, choices: tuple[str, ...]) -> str:
     return value
 
 
-def _output_name(value: str, line: int, key: str) -> str:
-    return check("output name", value, line=line, name=key)
-
-
 def _ranged(value: str, line: int, key: str, parse=parse_float):
     """``parse`` the value, then check it against its key's row of ``errors.DOMAINS``."""
     return check(key, parse(value, line, key), line=line)
 
 
-_NM_KEYS = ("set1_signal_nm", "set1_lo_nm", "set2_signal_nm", "set2_lo_nm")
-# section -> key -> parser of its value; [schedule] keys are ratios, parsed apart
-_KEYS = {
-    "system": {
-        **dict.fromkeys(("modulation_variance", "detector_efficiency", "channel_transmittance",
-                         "excess_noise", "lo_intensity"), _ranged),
-        "curve": _nonempty, "electronic_noise": parse_float,  # SystemParams checks its domain
-    },
-    "attack": {
-        "strategy": lambda *args: _choice(*args, ("none", *STRATEGIES)),
-        "mode": lambda *args: _choice(*args, ("solve", "plan")),
-        "plan": _nonempty, "compensate_lo": _parse_bool,
-        **dict.fromkeys(_NM_KEYS, parse_float),
-    },
-    "run": dict.fromkeys(("slots", "master_seed"), lambda *args: _ranged(*args, _parse_int)),
-    "outputs": dict.fromkeys(("records", "report", "polynomial", "verdict", "plan"),
-                             _output_name),
+def _attacked(scen: Scenario) -> bool:
+    return scen.attack_kind != "none"
+
+
+# Every scenario key but the [schedule] ratios, which are parsed and written apart: (section,
+# key) -> (parser of its value, the object and field it fills, when canonical_text writes it:
+# always if None), in canonical order. An absent output is not written, and a key written only
+# for an attack is refused in an honest scenario. SystemParams checks electronic_noise's domain.
+KEYS = {
+    ("system", "modulation_variance"): (_ranged, "SystemParams", "modulation_variance", None),
+    ("system", "detector_efficiency"): (_ranged, "DetectorConfig", "efficiency", None),
+    ("system", "electronic_noise"): (parse_float, "DetectorConfig", "electronic_noise", None),
+    ("system", "channel_transmittance"): (_ranged, "SystemParams", "channel_transmittance", None),
+    ("system", "excess_noise"): (_ranged, "SystemParams", "excess_noise", None),
+    ("system", "lo_intensity"): (_ranged, "SystemParams", "lo_intensity", None),
+    ("system", "curve"): (_nonempty, "Scenario", "curve_name", None),
+    ("attack", "strategy"): (lambda *args: _choice(*args, ("none", *STRATEGIES)), "Scenario",
+                             "attack_kind", None),
+    ("attack", "mode"): (lambda *args: _choice(*args, ("solve", "plan")), "Scenario",
+                         "attack_mode", _attacked),
+    ("attack", "plan"): (_nonempty, "Scenario", "plan_path", _attacked),
+    ("attack", "compensate_lo"): (_parse_bool, "Scenario", "compensate_lo", _attacked),
+    **{("attack", key): (parse_float, "wavelengths", i,
+                         lambda scen: scen.wavelengths != DEFAULT_WAVELENGTHS)
+       for i, key in enumerate(("set1_signal_nm", "set1_lo_nm", "set2_signal_nm", "set2_lo_nm"))},
+    **{("run", key): (lambda *args: _ranged(*args, _parse_int), "Scenario", key, None)
+       for key in ("slots", "master_seed")},
+    **{("outputs", key): (lambda value, line, key: check("output name", value, line=line, name=key),
+                          "outputs", key, None)
+       for key in ("plan", "polynomial", "records", "report", "verdict")},
 }
+_SECTIONS = ("system", "schedule", "attack", "run", "outputs")
+
+
+def _spell(value) -> str:
+    """A value as canonical text writes it: a float by ``repr``, a bool as true/false."""
+    return repr(value) if isinstance(value, float) else str(value).lower() \
+        if isinstance(value, bool) else str(value)
 
 
 @dataclass(frozen=True)
@@ -137,32 +155,21 @@ class Scenario:
         return load_curve(self.directory / self.curve_name, self.curve_name)
 
     def canonical_text(self) -> str:
-        p = self.params
-        lines = [
-            "[system]",
-            f"modulation_variance = {p.modulation_variance!r}",
-            f"detector_efficiency = {p.detector.efficiency!r}",
-            f"electronic_noise = {p.detector.electronic_noise!r}",
-            f"channel_transmittance = {p.channel_transmittance!r}",
-            f"excess_noise = {p.excess_noise!r}",
-            f"lo_intensity = {p.lo_intensity!r}",
-            f"curve = {self.curve_name}",
-            "[schedule]",
-        ]
-        for r, prob in p.schedule.entries:
-            lines.append(f"{r!r} = {prob!r}")
-        lines += ["[attack]", f"strategy = {self.attack_kind}"]
-        if self.attack_kind != "none":
-            lines.append(f"mode = {self.attack_mode}")
-            if self.plan_path:
-                lines.append(f"plan = {self.plan_path}")
-            lines.append(f"compensate_lo = {str(self.compensate_lo).lower()}")
-        if self.wavelengths != DEFAULT_WAVELENGTHS:
-            lines += [f"{k} = {nm!r}" for k, nm in zip(_NM_KEYS, self.wavelengths)]
-        lines += ["[run]", f"slots = {self.slots}", f"master_seed = {self.master_seed}"]
-        if self.outputs:
-            lines.append("[outputs]")
-            lines += [f"{k} = {v}" for k, v in sorted(self.outputs.items())]
+        """Each section's header and the lines of its keys that the rows write, in row order;
+        the schedule's entries by ``repr``; an empty section is left out."""
+        fields = {"Scenario": vars(self), "SystemParams": vars(self.params),
+                  "DetectorConfig": vars(self.params.detector),
+                  "wavelengths": dict(enumerate(self.wavelengths)), "outputs": self.outputs}
+        lines = []
+        for section in _SECTIONS:
+            if section == "schedule":
+                body = [f"{r!r} = {prob!r}" for r, prob in self.params.schedule.entries]
+            else:
+                body = [f"{key} = {_spell(fields[obj][name])}"
+                        for (sec, key), (_, obj, name, when) in KEYS.items()
+                        if sec == section and fields[obj].get(name) is not None
+                        and (when is None or when(self))]
+            lines += [f"[{section}]", *body] if body else []
         return "\n".join(lines) + "\n"
 
 
@@ -174,13 +181,6 @@ def _located(line: int | None, build, *args, **kwargs):
         raise ConfigError(str(exc), line) from exc
 
 
-def _given(entries: dict[str, tuple[object, int]], *keys: str, **renamed: str) -> dict:
-    """Each given key's parsed value by field name (``keys`` name their own
-    field, ``renamed`` maps field=key); an omitted key keeps its default."""
-    names = {**{key: key for key in keys}, **renamed}
-    return {name: entries[key][0] for name, key in names.items() if key in entries}
-
-
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text, reporting problems with their line numbers.
 
@@ -189,12 +189,15 @@ def parse_scenario(text: str) -> Scenario:
     given twice in one section, and two ``[outputs]`` keys naming one file or a
     file and a directory it lies in, are errors naming both lines. Errors found
     when the values are put together come after: electronic_noise's derived
-    domain at its line, the others at the line of their section header.
+    domain at its line, the others at the line of their section header, then a
+    ``plan`` key or output an honest or solved run would not use, and last an
+    ``[attack]`` key an honest run would ignore, each at its own line.
     """
     section = None
     headers: dict[str, int] = {}
     files: dict[str, int] = {}  # each output's file, by normalized name, and its line
-    entries: dict[str, dict[str, tuple[object, int]]] = {name: {} for name in _KEYS}
+    lines: dict[tuple[str, str], int] = {}  # each given (section, key)'s line, in line order
+    given: dict[str, dict] = {obj: {} for _, obj, _, _ in KEYS.values()}  # by object and field
     schedule: dict[float, tuple[float, int]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -205,7 +208,7 @@ def parse_scenario(text: str) -> Scenario:
             if not line.endswith("]"):
                 raise ConfigError(f"malformed section header {raw.strip()!r}", lineno)
             section = line[1:-1].strip().lower()
-            if section != "schedule" and section not in _KEYS:
+            if section not in _SECTIONS:
                 raise ConfigError(f"unknown section [{section}]", lineno)
             headers.setdefault(section, lineno)
             continue
@@ -223,49 +226,44 @@ def parse_scenario(text: str) -> Scenario:
                                   f"line {schedule[ratio][1]}", lineno)
             schedule[ratio] = (prob, lineno)
             continue
-        parse = _KEYS[section].get(key)
-        if parse is None:
+        if (section, key) not in KEYS:
             raise ConfigError(f"unknown [{section}] key {key!r}", lineno)
-        seen = entries[section]
-        if key in seen:
+        if (section, key) in lines:
             raise ConfigError(f"duplicate [{section}] key {key!r}, first given on "
-                              f"line {seen[key][1]}", lineno)
-        seen[key] = (parse(value, lineno, key), lineno)
+                              f"line {lines[section, key]}", lineno)
+        parse, obj, name, _ = KEYS[section, key]
+        given[obj][name] = parse(value, lineno, key)
+        lines[section, key] = lineno
         if section == "outputs":
-            name = os.path.normpath(value)
+            path = os.path.normpath(value)
             for other, first in files.items():
-                if os.path.commonpath([name, other]) in (name, other):
-                    where = ("as line {} does" if name == other else "a directory of line {}'s file"
-                             if len(name) < len(other) else "below line {}'s file")
+                if os.path.commonpath([path, other]) in (path, other):
+                    where = ("as line {} does" if path == other else "a directory of line {}'s file"
+                             if len(path) < len(other) else "below line {}'s file")
                     raise ConfigError(f"[outputs] key {key!r} names file {value!r}, "
                                       + where.format(first), lineno)
-            files[name] = lineno
+            files[path] = lineno
 
-    system, attack, run, outputs = (entries[s] for s in ("system", "attack", "run", "outputs"))
-    detector = DetectorConfig(**_given(system, "electronic_noise",
-                                       efficiency="detector_efficiency"))
-    fields = _given(system, "modulation_variance", "channel_transmittance", "excess_noise",
-                    "lo_intensity")
+    fields = given["SystemParams"]
     if "schedule" in headers:
         fields["schedule"] = _located(headers["schedule"], AttenuationSchedule,
                                       tuple((r, p) for r, (p, _) in schedule.items()))
-    params = _located(system.get("electronic_noise", (None, None))[1], SystemParams,
-                      detector=detector, **fields)
-
-    fields = _given(attack, "compensate_lo", attack_kind="strategy", attack_mode="mode",
-                    plan_path="plan")
-    fields["wavelengths"] = tuple(attack[k][0] if k in attack else nm
-                                  for k, nm in zip(_NM_KEYS, Scenario.wavelengths))
-    scen = _located(headers.get("attack"), Scenario, params=params,
-                    outputs={k: v for k, (v, _) in outputs.items()}, source_text=text,
-                    **fields, **_given(system, curve_name="curve"),
-                    **_given(run, "slots", "master_seed"))
-    if "plan" in outputs and scen.attack_kind == "none":
+    params = _located(lines.get(("system", "electronic_noise")), SystemParams,
+                      detector=DetectorConfig(**given["DetectorConfig"]), **fields)
+    scen = _located(headers.get("attack"), Scenario, params=params, outputs=given["outputs"],
+                    wavelengths=tuple(given["wavelengths"].get(i, nm)
+                                      for i, nm in enumerate(DEFAULT_WAVELENGTHS)),
+                    source_text=text, **given["Scenario"])
+    if ("outputs", "plan") in lines and scen.attack_kind == "none":
         raise ConfigError("a plan output needs an attack, but the scenario is honest",
-                          outputs["plan"][1])
-    if "plan" in attack and (scen.attack_kind == "none" or scen.attack_mode != "plan"):
+                          lines["outputs", "plan"])
+    if ("attack", "plan") in lines and (scen.attack_kind == "none" or scen.attack_mode != "plan"):
         raise ConfigError("a plan = <path> entry needs strategy A or B and mode = plan",
-                          attack["plan"][1])
+                          lines["attack", "plan"])
+    for (section, key), lineno in lines.items():
+        if KEYS[section, key][3] is _attacked and scen.attack_kind == "none":
+            raise ConfigError(f"[attack] key {key!r} needs strategy A or B, but the scenario "
+                              "is honest", lineno)
     return scen
 
 

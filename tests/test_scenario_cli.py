@@ -1,9 +1,11 @@
 import concurrent.futures
 import dataclasses
 import filecmp
+import fnmatch
 import itertools
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -19,10 +21,10 @@ import cvqkd
 from cvqkd import analysis, attack, protocol, serialize
 from cvqkd.analysis import schedule_key_rate_overhead
 from cvqkd.cli import main
-from cvqkd.errors import ConfigError, EstimationError, InfeasibleAttackError
+from cvqkd.errors import DOMAINS, ConfigError, EstimationError, InfeasibleAttackError
 from cvqkd.physics import DetectorConfig, builtin_curve
 from cvqkd.rng import CHUNK_SLOTS
-from cvqkd.scenario import _KEYS as _KEY_TABLE, Scenario, load_scenario, parse_scenario
+from cvqkd.scenario import KEYS, Scenario, load_scenario, parse_scenario
 from cvqkd.protocol import SystemParams
 from cvqkd.serialize import _READ_LINES, _RECORDS_BLOCK, read_meta, read_report, records_writer
 
@@ -164,12 +166,63 @@ def test_first_error_in_line_order_is_reported():
     assert err.value.line == 2
 
 
+# a value off its default and inside its domain, for each key of the table
+_OFF_DEFAULT = {
+    ("system", "modulation_variance"): "7.25", ("system", "detector_efficiency"): "0.375",
+    ("system", "electronic_noise"): "0.01", ("system", "channel_transmittance"): "0.3",
+    ("system", "excess_noise"): "0.02", ("system", "lo_intensity"): "3e7",
+    ("system", "curve"): "10:90", ("attack", "strategy"): "B", ("attack", "mode"): "plan",
+    ("attack", "plan"): "eve.plan", ("attack", "compensate_lo"): "false",
+    ("attack", "set1_signal_nm"): "1450.5", ("attack", "set1_lo_nm"): "1390.25",
+    ("attack", "set2_signal_nm"): "1570", ("attack", "set2_lo_nm"): "1610.75",
+    ("run", "slots"): "1.2345e4", ("run", "master_seed"): "0",
+    **{("outputs", key): f"{key}.out" for key in ("plan", "polynomial", "records", "report",
+                                                   "verdict")},
+}
+# the keys an honest scenario refuses; mode = plan needs a plan, and a plan needs mode = plan
+_NEEDS_AN_ATTACK = {("attack", "mode"), ("attack", "plan"), ("attack", "compensate_lo"),
+                    ("outputs", "plan")}
+
+
+def _off_default_text(rows) -> str:
+    """Scenario text setting each (section, key) of ``rows`` off its default, in strategy B
+    replaying a plan where a row needs an attack; each line under its own section header."""
+    values = {row: _OFF_DEFAULT[row] for row in rows}
+    if _NEEDS_AN_ATTACK & set(rows):
+        values |= {row: _OFF_DEFAULT[row]
+                   for row in (("attack", "strategy"), ("attack", "mode"), ("attack", "plan"))}
+    return "".join(f"[{section}]\n{key} = {value}\n" for (section, key), value in values.items())
+
+
 def test_canonical_text_round_trips():
-    scen = Scenario(params=SystemParams(), attack_kind="A", attack_mode="solve")
-    text = scen.canonical_text()
-    again = parse_scenario(text)
-    assert again.params.channel_transmittance == scen.params.channel_transmittance
-    assert again.attack_kind == "A"
+    # each key of the table alone, then all at once, and a scenario built in code
+    assert set(_OFF_DEFAULT) == set(KEYS)
+    default = parse_scenario("").canonical_text()
+    cases = [parse_scenario(_off_default_text([row])) for row in KEYS]
+    cases += [parse_scenario(_off_default_text(KEYS)),
+              Scenario(params=SystemParams(), attack_kind="A", attack_mode="solve")]
+    for scen in cases:
+        text = scen.canonical_text()
+        assert text != default
+        again = parse_scenario(text)
+        for f in dataclasses.fields(Scenario):
+            if f.name not in ("source_text", "directory"):
+                assert getattr(again, f.name) == getattr(scen, f.name), (f.name, text)
+        assert again.canonical_text() == text
+
+
+def test_readme_domain_table_names_every_ranged_scenario_key():
+    # the README's table of domains, against the table of keys and errors.DOMAINS
+    readme = (SCENARIOS.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | domain | unit |\n|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    # each key a row's first cell names; a `[schedule]` row names the section, parsed apart
+    names = {name for row in table.splitlines()
+             for name in re.findall(r"`([^`[][^`]*)`", row.split("|")[1])}
+    keys = {key for _, key in KEYS}
+    assert {key for key in keys if key in DOMAINS} <= names
+    # a plan file's pulse intensities are named by their common suffix, `*_intensity`
+    known = keys | set(DOMAINS) | {f"{name}_intensity" for name, _, _ in attack.PULSES}
+    assert [name for name in names if not fnmatch.filter(known, name)] == []
 
 
 def test_shipped_scenarios_parse():
@@ -649,6 +702,22 @@ def test_cli_plan_key_needs_an_attack_in_plan_mode(tmp_path, capsys, attack_sect
     assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (f"error: line {line}: a plan = <path> entry needs "
                                        "strategy A or B and mode = plan\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("attack_section, key, line", [
+    ("mode = solve\n", "mode", 10),
+    ("strategy = none\ncompensate_lo = false\n", "compensate_lo", 11),
+    ("compensate_lo = true\nstrategy = none\nmode = solve\n", "compensate_lo", 10),
+], ids=["mode", "compensate_lo", "first-in-line-order"])
+def test_cli_attack_keys_are_refused_in_an_honest_scenario(tmp_path, capsys, attack_section, key,
+                                                           line):
+    # an honest run would ignore them, yet hash them: refused at their line, as plan is
+    scen = tmp_path / "stray.scenario"
+    scen.write_text(MINIMAL + "[attack]\n" + attack_section + "[outputs]\nreport = report.txt\n")
+    assert main(["run", "--scenario", str(scen), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"error: line {line}: [attack] key {key!r} needs "
+                                       "strategy A or B, but the scenario is honest\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -2007,11 +2076,11 @@ _NUMBERS = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "0", "1", "0.5", "1e-3",
                      "1e8", "abc", "", "1_0", "0x10", "1e", "true", "A", "none"]),
 )
-_KEYS = sorted({key for keys in _KEY_TABLE.values() for key in keys}) + ["bogus"]
+_KEY_NAMES = sorted({key for _, key in KEYS}) + ["bogus"]
 _LINES = st.one_of(
     st.sampled_from(["[system]", "[schedule]", "[attack]", "[run]", "[outputs]", "[nope]",
                      "[system", "", "# comment", "no equals sign"]),
-    st.tuples(st.sampled_from(_KEYS), _NUMBERS).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.tuples(st.sampled_from(_KEY_NAMES), _NUMBERS).map(lambda kv: f"{kv[0]} = {kv[1]}"),
     st.tuples(_NUMBERS, _NUMBERS).map(lambda kv: f"{kv[0]} = {kv[1]}"),
     st.text(max_size=20),
 )
