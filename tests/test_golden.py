@@ -1,10 +1,14 @@
-"""Golden artifacts: every file and stdout of the CLI, byte for byte, at 20000 slots.
+"""Golden artifacts: every file and stdout of the CLI, byte for byte.
 
 ``golden_sha256.txt`` holds one ``<name> <sha256>`` line per artifact after a
 ``# numpy <version>`` line: the sampler draws through numpy, so digests made
 with another numpy are not comparable. The inputs are the shipped scenarios
 with ``[run] slots = 20000`` written into the file: 20000 slots end in a
-partial sampler chunk and a partial records write block. After a change that
+partial sampler chunk and a partial records write block. One ``attack_a`` run
+with ``--slots 140000`` (two full chunks of ``rng.CHUNK_SLOTS`` and a partial
+one) and a ``detect`` of its records fold more than one chunk, so they pass
+through the moments' merge and, on more than one CPU, the forked records
+writer and reader. After a change that
 is meant to move an artifact, rebuild the table with
 ``PYTHONPATH=src python tests/test_golden.py``, which prints each changed,
 added or removed row to stderr, and name the rows that moved.
@@ -27,6 +31,7 @@ from cvqkd.cli import main
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 TABLE = Path(__file__).resolve().parent / "golden_sha256.txt"
 SLOTS = 20000
+CHUNKED_SLOTS = 140000  # two full sampler chunks and a partial one
 
 
 def _call(argv: list[str]) -> bytes:
@@ -62,10 +67,13 @@ def artifacts() -> dict[str, str]:
             out = f"run/{name}/seed{seed}"
             found |= _digests(["run", "--scenario", f"scenarios/{name}.scenario",
                                "--seed", seed, "--out", out], out)
-    for name in ("honest", "attack_a"):
+    chunked = f"attack_a/slots{CHUNKED_SLOTS}"
+    found |= _digests(["run", "--scenario", "scenarios/attack_a.scenario",
+                       "--slots", str(CHUNKED_SLOTS), "--out", f"run/{chunked}"], f"run/{chunked}")
+    for name, run in (("honest", "honest/seed1"), ("attack_a", "attack_a/seed1"),
+                      (chunked, chunked)):
         out = f"detect/{name}"
-        found |= _digests(["detect", "--records", f"run/{name}/seed1/records.csv",
-                           "--out", out], out)
+        found |= _digests(["detect", "--records", f"run/{run}/records.csv", "--out", out], out)
     for name in ("attack_a", "attack_b"):
         out = f"solve/{name}"
         found |= _digests(["solve", "--scenario", f"scenarios/{name}.scenario",
