@@ -24,15 +24,17 @@ label, a fair bit that no statistic reads (both quadratures have the same
 law). The chunks' batches are handed on in chunk order, to the records
 writer or joined. The sequence is i.i.d. and the moments are bit-identical.
 
-Every estimator reads ``RatioMoments``: per ratio the slot count, mean and M2
-of y and the sum of x*y, both quadratures pooled as the estimators pool them.
-The chunks' moments are merged in chunk order with the pairwise update of
-Chan, Golub & LeVeque (1983), so a session needs memory for a few chunks, not
-for its slots, and its moments are bit-identical for any thread count. A
-batch carries the moments its source reduced and never reduces its columns
-again: the records reader cuts a file at the same chunk boundaries, puts each
-chunk's slots back in ratio order with a stable sort of their ratio index and
-runs the same reduction, so it reproduces the session's moments bit for bit.
+Every estimator reads ``RatioMoments``, a mapping from each ratio that drew
+slots to one cell: the slot count, mean and M2 of y and the sum of x*y, both
+quadratures pooled as the estimators pool them; an estimator reads a ratio's
+cell by its key. The chunks' moments are merged in chunk order, cell by cell,
+with the pairwise update of Chan, Golub & LeVeque (1983), so a session needs
+memory for a few chunks, not for its slots, and its moments are bit-identical
+for any thread count. A batch carries the moments its source reduced and
+never reduces its columns again: the records reader cuts a file at the same
+chunk boundaries, puts each chunk's slots back in ratio order with a stable
+sort of their ratio index and runs the same reduction, so it reproduces the
+session's moments bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import pairwise
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -102,34 +104,19 @@ class SystemParams:
         return self.detector.efficiency * self.lo_intensity
 
 
-def _chan(na, ma, m2a, nb, mb, m2b):
-    """Pairwise merge of (count, mean, M2) (Chan, Golub & LeVeque 1983).
+class RatioCell(NamedTuple):
+    """The moments of one ratio's slots: their count, the mean and M2 (sum of squared
+    deviations from the mean) of Bob's outcome, and the sum of Alice's x times Bob's outcome."""
 
-    Exact when either side is empty: that side's weight is then 0 and the
-    other's 1.
-    """
-    n = na + nb
-    wb = nb / np.maximum(n, 1)
-    delta = mb - ma
-    return n, ma + delta * wb, m2a + m2b + delta * delta * na * wb
+    count: int
+    mean: float
+    m2: float
+    sxy: float
 
 
-class RatioMoments:
-    """Sufficient statistics of a slot stream per attenuation ratio.
-
-    Entry k of each array belongs to ``ratios[k]``: the slot count, the mean
-    and M2 (sum of squared deviations from the mean) of Bob's outcome, and the
-    sum of Alice's x times Bob's outcome.
-    """
-
-    __slots__ = ("ratios", "count", "mean", "m2", "sxy")
-
-    def __init__(self, ratios, count, mean, m2, sxy):
-        self.ratios = ratios
-        self.count = count
-        self.mean = mean
-        self.m2 = m2
-        self.sxy = sxy
+class RatioMoments(dict):
+    """Sufficient statistics of a slot stream per attenuation ratio: a mapping from each
+    ratio that drew slots to its RatioCell, in the order the ratios joined the stream."""
 
     @classmethod
     def of_cells(cls, ratios, counts, alice_x, bob_y, scratch=None) -> "RatioMoments":
@@ -141,18 +128,19 @@ class RatioMoments:
         first, then the squared deviations from it. ``scratch``, as long as
         the columns, is overwritten.
         """
-        size = counts.size
-        mean, m2, sxy = np.zeros(size), np.zeros(size), np.zeros(size)
+        moments = cls()
         t = np.empty(bob_y.size) if scratch is None else scratch
-        stop = np.cumsum(counts)
-        for k in np.flatnonzero(counts):
-            a, b = stop[k] - counts[k], stop[k]
-            y = bob_y[a:b]
-            mean[k] = np.add.reduce(y) / counts[k]
-            dev = np.subtract(y, mean[k], out=t[a:b])
-            m2[k] = np.add.reduce(np.multiply(dev, dev, out=dev))
-            sxy[k] = np.add.reduce(np.multiply(alice_x[a:b], y, out=t[a:b]))
-        return cls(ratios, counts, mean, m2, sxy)
+        b = 0
+        for ratio, n in zip(ratios.tolist(), counts.tolist()):
+            a, b = b, b + n
+            if n:
+                y = bob_y[a:b]
+                mean = np.add.reduce(y) / n
+                dev = np.subtract(y, mean, out=t[a:b])
+                m2 = np.add.reduce(np.multiply(dev, dev, out=dev))
+                sxy = np.add.reduce(np.multiply(alice_x[a:b], y, out=t[a:b]))
+                moments[ratio] = RatioCell(n, float(mean), float(m2), float(sxy))
+        return moments
 
     @staticmethod
     def fold(parts: Iterable["RatioMoments"]) -> "RatioMoments":
@@ -166,16 +154,19 @@ class RatioMoments:
         return total
 
     def merge(self, other: "RatioMoments") -> "RatioMoments":
-        """Moments of this stream followed by ``other``, their ratios matched by value: a
-        ratio only ``other`` has joins the table after this one's, in ``other``'s order."""
-        at = {ratio: k for k, ratio in enumerate(other.ratios.tolist())}
-        table = dict.fromkeys(self.ratios.tolist()) | dict.fromkeys(at)
-        a, b = ([m.count, m.mean, m.m2, m.sxy] for m in (self, other))
-        if len(table) > self.ratios.size or list(table) != list(at):  # not one table: align
-            take = [at.get(ratio, -1) for ratio in table]  # -1: a 0 where ``other`` has no slots
-            a = [np.pad(v, (0, len(table) - self.ratios.size)) for v in a]
-            b = [np.append(v, 0)[take] for v in b]
-        return RatioMoments(np.array(list(table)), *_chan(*a[:3], *b[:3]), a[3] + b[3])
+        """Moments of this stream followed by ``other``. A ratio both hold merges its cells
+        with the pairwise update of Chan, Golub & LeVeque (1983); a ratio only ``other``
+        holds joins after this one's, in ``other``'s order."""
+        merged = RatioMoments(self)
+        for ratio, cell in other.items():
+            if (a := merged.get(ratio)) is not None:
+                n = a.count + cell.count
+                wb = cell.count / n
+                delta = cell.mean - a.mean
+                cell = RatioCell(n, a.mean + delta * wb,
+                                 a.m2 + cell.m2 + delta * delta * a.count * wb, a.sxy + cell.sxy)
+            merged[ratio] = cell
+        return merged
 
 
 class RecordBatch:
@@ -412,17 +403,12 @@ def two_point_from_variances(v1: float, v2: float, r1: float, r2: float,
 
 
 def variances_by_ratio(records) -> dict[float, tuple[float, int]]:
-    """Per-ratio sample variance (ddof=1) and count."""
-    moments = ratio_moments(records)
+    """Per-ratio sample variance (ddof=1) and count, in ascending ratio order."""
     out: dict[float, tuple[float, int]] = {}
-    for k in np.argsort(moments.ratios):
-        n = int(moments.count[k])
-        if n == 0:
-            continue
-        r = float(moments.ratios[k])
-        if n < 2:
-            raise EstimationError(f"need >= 2 records at ratio {r!r} (got {n})")
-        out[r] = (float(moments.m2[k] / (n - 1)), n)
+    for r, cell in sorted(ratio_moments(records).items()):
+        if cell.count < 2:
+            raise EstimationError(f"need >= 2 records at ratio {r!r} (got {cell.count})")
+        out[r] = (cell.m2 / (cell.count - 1), cell.count)
     return out
 
 
@@ -443,8 +429,7 @@ def estimate_two_point(records, params: SystemParams) -> EstimatorReport:
         v1, v2, r1, r2,
         params.detector.efficiency, params.channel_transmittance,
         params.detector.electronic_noise, params.modulation_variance)
-    cov = float(moments.sxy[moments.ratios == r2].sum() / n2)
-    return EstimatorReport(n0_est, xi_est, cov)
+    return EstimatorReport(n0_est, xi_est, moments[r2].sxy / n2)
 
 
 def estimate_covariance_transmittance(records, params: SystemParams) -> float:
@@ -452,13 +437,10 @@ def estimate_covariance_transmittance(records, params: SystemParams) -> float:
 
     Uses Cov(x, y) = sqrt(eta*eta_ch) * V_A * N0 over the r = 1 records.
     """
-    moments = ratio_moments(records)
-    top = moments.ratios == 1.0
-    n = int(moments.count[top].sum())
-    if n < 2:
+    top = ratio_moments(records).get(1.0)
+    if top is None or top.count < 2:
         raise EstimationError("transmittance estimation needs >= 2 records at ratio 1")
     if params.modulation_variance == 0.0:
         raise EstimationError("transmittance estimation is degenerate at zero modulation")
-    cov = float(moments.sxy[top].sum() / n)
-    scaled = cov / (params.modulation_variance * params.shot_noise_unit)
+    scaled = top.sxy / top.count / (params.modulation_variance * params.shot_noise_unit)
     return scaled * scaled / params.detector.efficiency

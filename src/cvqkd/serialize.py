@@ -450,7 +450,7 @@ def _forked(work, spans, lost):
 def read_records_csv(path):
     """The RatioMoments of a records CSV, reduced ``rng.CHUNK_SLOTS`` rows at a time
     as a session's chunks are, in ranges of whole chunks (see the module docstring);
-    a ratio joins their table, in ascending order, with the first chunk that holds it.
+    a ratio joins the moments, in ascending order, with the first chunk that holds it.
 
     Raises ValueError for a metadata line of another format than ``records-v1``,
     another column header, or a bad data row, naming the row (from 1, across the
